@@ -4,8 +4,8 @@ singular hypersurfaces in products of projective spaces.
 Everything is computed over the rationals with exact arithmetic: total
 Milnor numbers come from Groebner bases of Jacobian ideals, classes
 live in truncated polynomial rings modeling the Chow rings of the
-ambient spaces, and the Riemann-Roch-type identities relating the
-classes are verified rather than assumed.
+ambient spaces, and each report checks the Riemann-Roch-type identities
+relating the classes it computed.
 """
 
 from .charclasses import (
@@ -15,25 +15,22 @@ from .charclasses import (
     build_report,
     canonical_json,
     defect_codim1_check,
-    csm_class,
     csm_library,
     csm_of_function,
     fulton_johnson,
     lci_defect_check,
     localization,
     milnor_class,
+    product_classes,
     proper_pushdown_check,
     report_to_jsonable,
     resolve_mu,
-    smooth_pullback_milnor,
-    subbundle_contribution,
     verdier_smooth_check,
 )
 from .chow import (
     AmbientSpace,
     ChowClass,
     divisor_class,
-    divisor_gysin,
     factor_tangent_class,
     forget_factor,
     hyperplane,
@@ -68,18 +65,11 @@ from .polynomials import (
 from .scenefile import SceneFileError, load_scene, scene_from_dict
 from .scenes import (
     ConstructibleFunction,
-    MonodromicFunction,
-    SceneMap,
     SceneValidationError,
     StrataScene,
     Stratum,
-    cone_vanishing_cycles,
     hypersurface_scene,
-    isolated_vanishing_cycles,
     place_vanishing_cycles,
-    pullback,
-    pushforward,
-    restrict_to_vertex,
     unit_function,
     validate_scene,
 )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .chow import (
     AmbientSpace,
@@ -159,14 +159,6 @@ def localization(
     return terms
 
 
-def csm_class(scene: StrataScene, mu: ConstructibleFunction) -> ChowClass:
-    """CSM class of the scene: Fulton-Johnson minus the Milnor class."""
-    fj = fulton_johnson(scene.ambient, scene.multidegrees)
-    if mu.is_zero():
-        return fj
-    return fj - milnor_class(scene, mu)
-
-
 def resolve_mu(
     scene: StrataScene,
     mu: Optional[ConstructibleFunction] = None,
@@ -219,150 +211,112 @@ def _result(name: str, residual: ChowClass, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=residual.is_zero(), residual=residual, detail=detail)
 
 
-def _product_setup(scene: StrataScene, m: int):
-    if m < 1:
-        raise ValueError("the product factor dimension must be at least 1")
-    base = scene.ambient
-    position = len(base.factors)
-    product = base.extended(m)
-    degree = _single_multidegree(scene) + (0,)
-    return product, degree, position
+@dataclass(frozen=True)
+class ProductClasses:
+    """Classes of X x P^m inside (ambient) x P^m; the new factor is last."""
+
+    m: int
+    fiber_tangent: ChowClass
+    fulton_johnson: ChowClass
+    milnor_class: ChowClass
+
+    @property
+    def position(self) -> int:
+        return len(self.fiber_tangent.ambient.factors) - 1
 
 
-def smooth_pullback_milnor(
-    scene: StrataScene,
-    m: int,
-    mu: Optional[ConstructibleFunction] = None,
-    cancel: Optional[CancelCallback] = None,
-) -> ChowClass:
-    """Milnor class of X x P^m inside (ambient) x P^m.
+def product_classes(scene: StrataScene, milnor: ChowClass, m: int) -> ProductClasses:
+    """Fulton-Johnson and Milnor classes of X x P^m from the base Milnor class.
 
     Smooth pullback along the projection multiplies the base Milnor
     class by the total Chern class of the relative tangent bundle.
     """
-    scene, mu, _ = resolve_mu(scene, mu, cancel)
-    product, _, position = _product_setup(scene, m)
-    base_milnor = milnor_class(scene, mu)
-    return factor_tangent_class(product, position) * insert_factor(base_milnor, m, position)
+    if m < 1:
+        raise ValueError("the product factor dimension must be at least 1")
+    position = len(scene.ambient.factors)
+    product = scene.ambient.extended(m)
+    fiber_tangent = factor_tangent_class(product, position)
+    return ProductClasses(
+        m=m,
+        fiber_tangent=fiber_tangent,
+        fulton_johnson=fulton_johnson(product, [_single_multidegree(scene) + (0,)]),
+        milnor_class=fiber_tangent * insert_factor(milnor, m, position),
+    )
 
 
-def verdier_smooth_check(
-    scene: StrataScene,
-    m: int,
-    mu: Optional[ConstructibleFunction] = None,
-    cancel: Optional[CancelCallback] = None,
-) -> CheckResult:
+def verdier_smooth_check(product: ProductClasses, csm: ChowClass) -> CheckResult:
     """Compare the CSM class of X x P^m computed two ways.
 
     Route one assembles it from the product Fulton-Johnson class and
     the pulled-back Milnor class; route two multiplies the pulled-back
-    CSM class of X by the Chern class of the projection's relative
-    tangent bundle.  Agreement is the Verdier-Riemann-Roch property of
-    the smooth projection.
+    CSM class ``csm`` of X by the Chern class of the projection's
+    relative tangent bundle.  Agreement is the Verdier-Riemann-Roch
+    property of the smooth projection.
     """
-    scene, mu, _ = resolve_mu(scene, mu, cancel)
-    product, degree, position = _product_setup(scene, m)
-    lhs = fulton_johnson(product, [degree]) - smooth_pullback_milnor(scene, m, mu)
-    rhs = factor_tangent_class(product, position) * insert_factor(
-        csm_class(scene, mu), m, position
-    )
-    return _result(f"verdier_m{m}", lhs - rhs)
+    lhs = product.fulton_johnson - product.milnor_class
+    rhs = product.fiber_tangent * insert_factor(csm, product.m, product.position)
+    return _result(f"verdier_m{product.m}", lhs - rhs)
 
 
-def proper_pushdown_check(
-    scene: StrataScene,
-    m: int,
-    mu: Optional[ConstructibleFunction] = None,
-    cancel: Optional[CancelCallback] = None,
-) -> CheckResult:
+def proper_pushdown_check(product: ProductClasses, milnor: ChowClass) -> CheckResult:
     """Push the product Milnor class back down to the base.
 
     The projection X x P^m -> X has fiber Euler characteristic m + 1,
     so the pushforward must be (m + 1) times the base Milnor class.
     """
-    scene, mu, _ = resolve_mu(scene, mu, cancel)
-    _, _, position = _product_setup(scene, m)
-    pushed = forget_factor(smooth_pullback_milnor(scene, m, mu), position)
-    expected = (m + 1) * milnor_class(scene, mu)
-    return _result(f"pushdown_m{m}", pushed - expected)
+    pushed = forget_factor(product.milnor_class, product.position)
+    expected = (product.m + 1) * milnor
+    return _result(f"pushdown_m{product.m}", pushed - expected)
 
 
 def defect_codim1_check(
-    scene: StrataScene,
-    mu: Optional[ConstructibleFunction] = None,
-    cancel: Optional[CancelCallback] = None,
+    tangent: ChowClass,
+    divisor: ChowClass,
+    inverse_normal: ChowClass,
+    csm: ChowClass,
+    milnor: ChowClass,
 ) -> CheckResult:
     """Check the divisor defect formula against the Milnor class.
 
     The twisted restriction (1+dH)^{-1} (dH) c(TY) minus the CSM class
-    of X must equal (1+dH)^{-1} c_*(mu); the difference of the two
-    sides is returned as the residual.
+    of X must equal (1+dH)^{-1} c_*(mu), the Milnor class; the
+    difference of the two sides is returned as the residual.
     """
-    scene, mu, _ = resolve_mu(scene, mu, cancel)
-    degree = _single_multidegree(scene)
-    ambient = scene.ambient
-    divisor = divisor_class(ambient, degree)
-    inverse_normal = unit_inverse(ChowClass.unit(ambient) + divisor)
-    restricted = inverse_normal * (divisor * tangent_class(ambient))
-    lhs = restricted - csm_class(scene, mu)
-    rhs = milnor_class(scene, mu)
-    return _result("defect_codim1", lhs - rhs)
+    restricted = inverse_normal * (divisor * tangent)
+    lhs = restricted - csm
+    return _result("defect_codim1", lhs - milnor)
 
 
 def lci_defect_check(
     scene: StrataScene,
-    m: int,
-    mu: Optional[ConstructibleFunction] = None,
-    cancel: Optional[CancelCallback] = None,
+    mu: ConstructibleFunction,
+    tangent: ChowClass,
+    product: ProductClasses,
 ) -> CheckResult:
     """Check the defect formula for X x P^m -> Y through the ambient product.
 
     The composite of the inclusion into (ambient) x P^m with the
     projection to the ambient is a local complete intersection
-    morphism.  Its twisted pullback of c_*(1_Y), minus the CSM class of
-    X x P^m, must match the normal-inverted MacPherson class of the
-    product vanishing cycles, whose closure classes are built from the
-    library product shapes.
+    morphism.  Its twisted pullback of c_*(1_Y) = ``tangent``, minus the
+    CSM class of X x P^m, must match the normal-inverted MacPherson
+    class of the product vanishing cycles, whose closure classes are
+    the pulled-back closure classes of X.
     """
-    scene, mu, _ = resolve_mu(scene, mu, cancel)
-    product, degree, position = _product_setup(scene, m)
-    normal_product = line_bundle_class(product, degree)
-    inverse_normal = unit_inverse(normal_product)
-    relative_tangent = factor_tangent_class(product, position) * inverse_normal
-    ambient_csm = insert_factor(tangent_class(scene.ambient), m, position)
-    pulled = relative_tangent * (divisor_class(product, degree) * ambient_csm)
-    product_csm = fulton_johnson(product, [degree]) - smooth_pullback_milnor(scene, m, mu)
-    lhs = pulled - product_csm
-    fiber_tangent = factor_tangent_class(product, position)
-    accumulated = ChowClass.zero(product)
+    m, position = product.m, product.position
+    ambient = product.fiber_tangent.ambient
+    degree = _single_multidegree(scene) + (0,)
+    inverse_normal = unit_inverse(line_bundle_class(ambient, degree))
+    relative_tangent = product.fiber_tangent * inverse_normal
+    ambient_csm = insert_factor(tangent, m, position)
+    pulled = relative_tangent * (divisor_class(ambient, degree) * ambient_csm)
+    lhs = pulled - (product.fulton_johnson - product.milnor_class)
+    accumulated = ChowClass.zero(ambient)
     for stratum_id, coefficient in mu.as_indicator().values.items():
         closure = _closure_csm(scene, scene.stratum(stratum_id))
-        product_closure = insert_factor(closure, m, position) * fiber_tangent
+        product_closure = insert_factor(closure, m, position) * product.fiber_tangent
         accumulated = accumulated + coefficient * product_closure
     rhs = inverse_normal * accumulated
     return _result(f"lci_m{m}", lhs - rhs)
-
-
-def subbundle_contribution(
-    closure_csm: ChowClass,
-    normal_chern: ChowClass,
-    normal_rank: int,
-    sub_chern: ChowClass,
-    sub_rank: int,
-) -> ChowClass:
-    """Localized contribution of conical data supported in a subbundle.
-
-    For a subbundle V of the restricted normal bundle N|S the indicator
-    of V contributes c_d(N|S / V) c(V) cap c_*(closure of S), with d
-    the corank; the top Chern class of the quotient is read off from
-    c(N|S) c(V)^{-1}.
-    """
-    if sub_rank > normal_rank or sub_rank < 0:
-        raise ValueError("inconsistent ranks")
-    corank = normal_rank - sub_rank
-    quotient = normal_chern * unit_inverse(sub_chern)
-    top = quotient.graded_piece(corank)
-    return top * sub_chern * closure_csm
 
 
 @dataclass
@@ -386,7 +340,12 @@ def build_report(
     m_values: Sequence[int] = (1,),
     cancel: Optional[CancelCallback] = None,
 ) -> ClassReport:
-    """Compute every class and run every identity check for a scene."""
+    """Compute every class and run every identity check for a scene.
+
+    Each class is computed once: c(TY), (1+dH)^{-1}, the Fulton-Johnson,
+    Milnor and CSM classes for the ambient, and the product classes for
+    each m.  The checks compare these classes; they compute none again.
+    """
     validate_scene(scene)
     scene, mu, milnor_data = resolve_mu(scene, mu, cancel)
     fj = fulton_johnson(scene.ambient, scene.multidegrees)
@@ -409,15 +368,19 @@ def build_report(
     checks: dict[str, CheckResult] = {}
     if codim_one:
         degree = _single_multidegree(scene)
+        tangent = tangent_class(scene.ambient)
+        divisor = divisor_class(scene.ambient, degree)
+        inverse_normal = unit_inverse(ChowClass.unit(scene.ambient) + divisor)
         checks["self_intersection"] = CheckResult(
             name="self_intersection",
             passed=self_intersection_check(scene.ambient, degree),
         )
-        checks["defect_codim1"] = defect_codim1_check(scene, mu)
+        checks["defect_codim1"] = defect_codim1_check(tangent, divisor, inverse_normal, csm, milnor)
         for m in m_values:
-            checks[f"verdier_m{m}"] = verdier_smooth_check(scene, m, mu)
-            checks[f"pushdown_m{m}"] = proper_pushdown_check(scene, m, mu)
-            checks[f"lci_m{m}"] = lci_defect_check(scene, m, mu)
+            product = product_classes(scene, milnor, m)
+            checks[f"verdier_m{m}"] = verdier_smooth_check(product, csm)
+            checks[f"pushdown_m{m}"] = proper_pushdown_check(product, milnor)
+            checks[f"lci_m{m}"] = lci_defect_check(scene, mu, tangent, product)
         total = ChowClass.zero(scene.ambient)
         for _, term in report.localization:
             total = total + term

@@ -310,20 +310,18 @@ def forget_factor(x: ChowClass, position: int) -> ChowClass:
     return ChowClass(new_ambient, coeffs)
 
 
-def divisor_gysin(x: ChowClass, multidegree: Sequence[int]) -> ChowClass:
-    """Gysin pullback to a multidegree-d divisor followed by pushforward."""
-    return divisor_class(x.ambient, multidegree) * x
-
-
 def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -> bool:
     """Check k^* k_* = c_1(N) cap on every monomial class.
 
-    The two routes are the divisor Gysin composite and multiplication by
-    the degree-one part of the normal line bundle class.
+    The two routes are the divisor Gysin composite (pullback to the
+    multidegree-d divisor, then pushforward: a product with the divisor
+    class) and multiplication by the degree-one part of the normal line
+    bundle class.
     """
+    divisor = divisor_class(ambient, multidegree)
     chern_one = line_bundle_class(ambient, multidegree).graded_piece(1)
     for exp in ambient.box():
         basis_class = ChowClass.monomial(ambient, exp)
-        if divisor_gysin(basis_class, multidegree) != chern_one * basis_class:
+        if divisor * basis_class != chern_one * basis_class:
             return False
     return True

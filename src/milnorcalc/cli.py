@@ -47,6 +47,8 @@ _CHECK_ALIASES = {
     "proper_pushdown": "pushdown",
     "lci": "lci",
     "lci_defect": "lci",
+    "euler": "euler",
+    "euler_strata": "euler",
 }
 
 
@@ -83,6 +85,7 @@ def _check_keys(report_checks, selection: Optional[str], m: int) -> list[str]:
         "defect": "defect_codim1",
         "pushdown": f"pushdown_m{m}",
         "lci": f"lci_m{m}",
+        "euler": "euler_strata",
     }
     result = []
     for w in wanted:
@@ -90,6 +93,16 @@ def _check_keys(report_checks, selection: Optional[str], m: int) -> list[str]:
         if key in report_checks and key not in result:
             result.append(key)
     return result
+
+
+def _check_line(name: str, check) -> str:
+    status = "pass" if check.passed else "FAIL"
+    suffix = ""
+    if not check.passed and check.residual is not None:
+        suffix = f"  residual: {check.residual}"
+    if check.detail:
+        suffix += f"  ({check.detail})"
+    return f"{name}: {status}{suffix}"
 
 
 def _print_report(report, out: _Output) -> None:
@@ -118,14 +131,7 @@ def _print_report(report, out: _Output) -> None:
             out.line(f"  {stratum_id}: {term}")
     out.line("checks:")
     for name in sorted(report.checks):
-        check = report.checks[name]
-        status = "pass" if check.passed else "FAIL"
-        suffix = ""
-        if not check.passed and check.residual is not None:
-            suffix = f"  residual: {check.residual}"
-        if check.detail:
-            suffix += f"  ({check.detail})"
-        out.line(f"  {name}: {status}{suffix}")
+        out.line("  " + _check_line(name, report.checks[name]))
 
 
 def cmd_report(args, out: _Output) -> int:
@@ -151,15 +157,13 @@ def cmd_check(args, out: _Output) -> int:
             failed.append(key)
             if check.residual is not None:
                 json_payload[key]["residual"] = chow_to_jsonable(check.residual)
+        if check.detail:
+            json_payload[key]["detail"] = check.detail
     if args.json:
         out.line(canonical_json(json_payload))
     else:
         for key in keys:
-            check = report.checks[key]
-            if check.passed:
-                out.line(f"{key}: pass")
-            else:
-                out.line(f"{key}: FAIL  residual: {check.residual}")
+            out.line(_check_line(key, report.checks[key]))
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 
@@ -235,7 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--checks",
         default="all",
-        help="comma list from verdier, defect, pushdown, lci (default all)",
+        help="comma list from verdier, defect, pushdown, lci, euler_strata "
+        "(default all: the first four)",
     )
     p_check.add_argument("--m", type=int, default=1, help="product factor dimension")
     p_check.set_defaults(func=cmd_check)

@@ -374,24 +374,18 @@ def saturate(
         current = PolyIdeal(basis)
 
 
-def ideal_equal(a: PolyIdeal, b: PolyIdeal, cancel: Optional[CancelCallback] = None) -> bool:
-    """Decide ideal equality by comparing reduced Groebner bases."""
-    if a.variables != b.variables:
-        return False
-    return groebner(a, cancel=cancel).basis == groebner(b, cancel=cancel).basis
-
-
-def ideal_contains(
-    ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None
-) -> bool:
-    """Decide membership of ``f`` via the reduced basis normal form."""
-    basis = groebner(ideal, cancel=cancel).basis
-    return normal_form(f, basis).is_zero()
+def _chart_index(F: Polynomial, chart: Union[int, str]) -> int:
+    """Position of the chart variable, given by name or by index."""
+    if chart in F.variables:
+        return F.variables.index(chart)
+    if isinstance(chart, int) and 0 <= chart < len(F.variables):
+        return chart
+    raise ValueError(f"chart {chart!r} is not one of the variables {', '.join(F.variables)}")
 
 
 def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
     """Set the chart variable to 1 and drop it from the variable list."""
-    idx = F.variables.index(chart) if isinstance(chart, str) else chart
+    idx = _chart_index(F, chart)
     remaining = F.variables[:idx] + F.variables[idx + 1 :]
     result = Polynomial.zero(remaining)
     terms: dict[Exponent, Fraction] = {}
@@ -447,7 +441,7 @@ def total_milnor_number(
         raise ValueError("polynomial is not homogeneous")
     if F.total_degree() < 1:
         raise ValueError("polynomial degree must be at least 1")
-    chart_index = F.variables.index(chart) if isinstance(chart, str) else chart
+    chart_index = _chart_index(F, chart)
     chart_name = F.variables[chart_index]
     f = dehomogenize(F, chart_index)
     if f.is_constant():

@@ -197,6 +197,7 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
     mu = None
     if "mu" in data:
         _require(not smooth, "a smooth scene cannot carry mu values")
+        _require(polynomial is None, "a polynomial scene cannot carry mu values")
         _require(strata, "mu values need strata")
         _require(isinstance(data["mu"], dict), "mu must be a map from stratum ids to integers")
         ids = {s.id for s in strata}

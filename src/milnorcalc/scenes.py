@@ -19,7 +19,7 @@ strata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Union
+from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
 from .groebner import CancelCallback, MilnorResult, total_milnor_number
@@ -139,8 +139,16 @@ def validate_scene(scene: StrataScene) -> None:
         if len(multidegree) != len(scene.ambient.factors):
             raise SceneValidationError("multidegree length does not match the ambient")
     for s in scene.strata:
-        if s.csm_class is not None and s.csm_class.ambient != scene.ambient:
+        if s.csm_class is None:
+            continue
+        if s.csm_class.ambient != scene.ambient:
             raise SceneValidationError(f"stratum {s.id!r} csm class lives in a different ambient")
+        # The degree of c_*(closure) is the Euler characteristic of the closure.
+        if s.closure_chi is not None and s.csm_class.degree() != s.closure_chi:
+            raise SceneValidationError(
+                f"stratum {s.id!r}: csm class has degree {s.csm_class.degree()} "
+                f"but closure_chi is {s.closure_chi}"
+            )
 
 
 @dataclass
@@ -249,96 +257,6 @@ def unit_function(scene: StrataScene) -> ConstructibleFunction:
     return ConstructibleFunction(scene, STRATUMWISE, {s.id: 1 for s in scene.strata})
 
 
-def closure_indicator(scene: StrataScene, stratum_id: str, value: int = 1) -> ConstructibleFunction:
-    """The function that is ``value`` on the closure of one stratum."""
-    scene.stratum(stratum_id)
-    return ConstructibleFunction(scene, INDICATOR, {stratum_id: value})
-
-
-@dataclass(frozen=True)
-class SceneMap:
-    """A stratified map, recorded by images of strata and fiber data.
-
-    ``fiber_chi`` holds, for each source stratum S, the compactly
-    supported Euler characteristic of the fiber of the restriction
-    S -> f(S); it is assumed constant along the target stratum.
-    """
-
-    source: StrataScene
-    target: StrataScene
-    strata_map: Mapping[str, str]
-    fiber_chi: Mapping[str, int]
-
-    def __post_init__(self):
-        src = set(self.source.ids())
-        tgt = set(self.target.ids())
-        if set(self.strata_map) != src:
-            raise SceneValidationError("strata_map must cover every source stratum")
-        for s, t in self.strata_map.items():
-            if t not in tgt:
-                raise SceneValidationError(f"stratum {s!r} maps to unknown target {t!r}")
-        if set(self.fiber_chi) != src:
-            raise SceneValidationError("fiber_chi must cover every source stratum")
-
-
-def pushforward(alpha: ConstructibleFunction, f: SceneMap) -> ConstructibleFunction:
-    """Integrate ``alpha`` along the fibers of ``f``."""
-    if alpha.scene != f.source:
-        raise ValueError("the function does not live on the source scene")
-    pointwise = alpha.as_stratumwise().values
-    out: dict[str, int] = {}
-    for s, t in f.strata_map.items():
-        v = pointwise.get(s, 0)
-        if v == 0:
-            continue
-        out[t] = out.get(t, 0) + v * f.fiber_chi[s]
-    return ConstructibleFunction(f.target, STRATUMWISE, out)
-
-
-def pullback(alpha: ConstructibleFunction, f: SceneMap) -> ConstructibleFunction:
-    """Compose ``alpha`` with ``f``."""
-    if alpha.scene != f.target:
-        raise ValueError("the function does not live on the target scene")
-    pointwise = alpha.as_stratumwise().values
-    out = {}
-    for s, t in f.strata_map.items():
-        v = pointwise.get(t, 0)
-        if v:
-            out[s] = v
-    return ConstructibleFunction(f.source, STRATUMWISE, out)
-
-
-@dataclass(frozen=True)
-class MonodromicFunction:
-    """A conical function on the total space of a line bundle over a scene.
-
-    The value over a point x is ``pullback_part(x)`` off the zero
-    section and ``pullback_part(x) + zero_section_part(x)`` on it.
-    """
-
-    pullback_part: ConstructibleFunction
-    zero_section_part: ConstructibleFunction
-
-    def __post_init__(self):
-        if self.pullback_part.scene != self.zero_section_part.scene:
-            raise ValueError("the two parts live on different scenes")
-
-
-def cone_vanishing_cycles(mu: ConstructibleFunction) -> MonodromicFunction:
-    """Spread vanishing-cycle data over the normal bundle of a divisor.
-
-    Off the zero section the nearby and ambient values agree, and on
-    the zero section they cancel, so the defect is carried entirely by
-    the complement.
-    """
-    return MonodromicFunction(pullback_part=mu, zero_section_part=-mu)
-
-
-def restrict_to_vertex(phi: MonodromicFunction) -> ConstructibleFunction:
-    """Restrict a conical function to the zero section."""
-    return phi.pullback_part + phi.zero_section_part
-
-
 SMOOTH_STRATUM = "smooth_locus"
 SINGULAR_STRATUM = "singular_points"
 
@@ -379,36 +297,6 @@ def hypersurface_scene(
         chart=chart,
         name=name,
     )
-
-
-def isolated_vanishing_cycles(
-    F: Polynomial,
-    ambient: AmbientSpace,
-    chart: Union[int, str],
-    cancel: Optional[CancelCallback] = None,
-) -> ConstructibleFunction:
-    """Compute the vanishing-cycle function of an isolated-singularity
-    hypersurface, merging all singular points into one stratum.
-
-    The returned function lives on a freshly built scene and takes the
-    value chi(Milnor fiber) - 1 summed over the singular points.
-    """
-    if len(ambient.factors) != 1:
-        raise ValueError("vanishing cycles need a single projective space")
-    if len(F.variables) != ambient.dim + 1:
-        raise ValueError("variable count does not match the ambient dimension")
-    result = total_milnor_number(F, chart, cancel)
-    scene = hypersurface_scene(
-        ambient,
-        F.total_degree(),
-        singular=result.total_milnor != 0,
-        defining_polynomial=F,
-        chart=result.chart,
-    )
-    values = {}
-    if result.total_milnor != 0:
-        values[SINGULAR_STRATUM] = signed_milnor_total(result, ambient)
-    return ConstructibleFunction(scene, STRATUMWISE, values)
 
 
 def place_vanishing_cycles(

@@ -14,9 +14,8 @@ from milnorcalc.charclasses import (
     fulton_johnson,
     localization,
     milnor_class,
+    product_classes,
     proper_pushdown_check,
-    resolve_mu,
-    smooth_pullback_milnor,
     verdier_smooth_check,
 )
 from milnorcalc.chow import (
@@ -45,8 +44,6 @@ from milnorcalc.scenes import (
     ConstructibleFunction,
     StrataScene,
     Stratum,
-    cone_vanishing_cycles,
-    restrict_to_vertex,
     unit_function,
 )
 
@@ -145,36 +142,36 @@ def test_acceptance_5_one_nodal_quartic_surface(corpus_reports):
     verdict(5, "one-nodal quartic surface", c.failures)
 
 
-def test_acceptance_6_product_milnor_class(corpus_scenes):
+def test_acceptance_6_product_milnor_class(corpus_reports):
     c = Collector()
-    scene, mu = corpus_scenes["nodal-cubic"]
-    scene, mu, _ = resolve_mu(scene, mu)
+    report = corpus_reports["nodal-cubic"]
     product = AmbientSpace((2, 1))
-    pm = smooth_pullback_milnor(scene, 1, mu)
+    classes = product_classes(report.scene, report.milnor_class, 1)
+    pm = classes.milnor_class
     c.expect(
         pm == ChowClass(product, {(2, 0): -1, (2, 1): -2}),
         f"pullback Milnor class = {pm}, expected -H^2 - 2H^2K",
     )
-    check = verdier_smooth_check(scene, 1, mu)
+    check = verdier_smooth_check(classes, report.csm)
     c.expect(check.passed, f"verdier residual {check.residual}")
     product_csm = fulton_johnson(product, [(3, 0)]) - pm
     c.expect(product_csm.degree() == 2, f"product csm degree = {product_csm.degree()}")
     verdict(6, "product milnor class", c.failures)
 
 
-def test_acceptance_7_pushforward_factor(corpus_scenes):
+def test_acceptance_7_pushforward_factor(corpus_reports):
     c = Collector()
     for name in ("nodal-cubic", "cuspidal-cubic"):
-        scene, mu = corpus_scenes[name]
-        scene, mu, _ = resolve_mu(scene, mu)
-        base = milnor_class(scene, mu)
+        report = corpus_reports[name]
+        base = report.milnor_class
         for m, factor in ((1, 2), (2, 3)):
-            pushed = forget_factor(smooth_pullback_milnor(scene, m, mu), 1)
+            classes = product_classes(report.scene, base, m)
+            pushed = forget_factor(classes.milnor_class, 1)
             c.expect(
                 pushed == factor * base,
                 f"{name}, m={m}: pushforward is not {factor} times the base class",
             )
-            check = proper_pushdown_check(scene, m, mu)
+            check = proper_pushdown_check(classes, base)
             c.expect(check.passed, f"{name}, m={m}: pushdown residual {check.residual}")
     verdict(7, "pushforward factor", c.failures)
 
@@ -341,18 +338,6 @@ def suite_linearity(c, cases):
             )
 
 
-def suite_cone_vertex(c, cases):
-    rng = random.Random(606)
-    for i in range(cases):
-        scene = random_poset_scene(rng)
-        mu = ConstructibleFunction(scene, STRATUMWISE, random_values(rng, scene))
-        phi = cone_vanishing_cycles(mu)
-        c.expect(
-            restrict_to_vertex(phi).is_zero(),
-            f"cone case {i}: vertex restriction is not zero",
-        )
-
-
 def test_acceptance_9_property_suites():
     suites = [
         ("ring axioms and unit inverse", suite_ring_axioms),
@@ -360,7 +345,6 @@ def test_acceptance_9_property_suites():
         ("groebner reductions", suite_groebner),
         ("poset round-trip", suite_poset_round_trip),
         ("euler and localization linearity", suite_linearity),
-        ("cone vertex restriction", suite_cone_vertex),
     ]
     c = Collector()
     for label, suite in suites:
@@ -368,4 +352,4 @@ def test_acceptance_9_property_suites():
         suite(c, 500)
         if len(c.failures) > before:
             c.failures = c.failures[:before] + [f"{label}: {len(c.failures) - before} failures"]
-    verdict(9, "property suites (6 x 500 cases)", c.failures)
+    verdict(9, "property suites (5 x 500 cases)", c.failures)

@@ -4,21 +4,20 @@ from fractions import Fraction
 
 import pytest
 
+from milnorcalc import charclasses
 from milnorcalc.charclasses import (
     MissingCsmClassError,
     build_report,
     defect_codim1_check,
-    csm_class,
     csm_library,
     csm_of_function,
     fulton_johnson,
     lci_defect_check,
     localization,
     milnor_class,
+    product_classes,
     proper_pushdown_check,
     resolve_mu,
-    smooth_pullback_milnor,
-    subbundle_contribution,
     verdier_smooth_check,
 )
 from milnorcalc.chow import AmbientSpace, ChowClass, line_bundle_class, unit_inverse
@@ -252,69 +251,65 @@ class TestCorpusClasses:
 
 
 class TestProductChecks:
-    def test_pullback_milnor_values(self, corpus_scenes):
-        scene, mu = corpus_scenes["nodal-cubic"]
-        scene, mu, _ = resolve_mu(scene, mu)
-        pm = smooth_pullback_milnor(scene, 1, mu)
+    def test_pullback_milnor_values(self, nodal_report):
+        pm = product_classes(nodal_report.scene, nodal_report.milnor_class, 1).milnor_class
         assert pm == ChowClass(AmbientSpace((2, 1)), {(2, 0): -1, (2, 1): -2})
 
-    def test_pullback_milnor_smooth_is_zero(self, corpus_scenes):
-        scene, mu = corpus_scenes["smooth-conic"]
-        scene, mu, _ = resolve_mu(scene, mu)
-        assert smooth_pullback_milnor(scene, 2, mu).is_zero()
+    def test_pullback_milnor_smooth_is_zero(self, corpus_reports):
+        report = corpus_reports["smooth-conic"]
+        assert product_classes(report.scene, report.milnor_class, 2).milnor_class.is_zero()
 
-    def test_pullback_milnor_surface(self, corpus_scenes):
-        scene, mu = corpus_scenes["one-nodal-quartic-surface"]
-        scene, mu, _ = resolve_mu(scene, mu)
-        pm = smooth_pullback_milnor(scene, 1, mu)
+    def test_pullback_milnor_surface(self, corpus_reports):
+        report = corpus_reports["one-nodal-quartic-surface"]
+        pm = product_classes(report.scene, report.milnor_class, 1).milnor_class
         assert pm == ChowClass(AmbientSpace((3, 1)), {(3, 0): 1, (3, 1): 2})
 
-    def test_product_csm_degree_multiplies(self, corpus_scenes):
-        from milnorcalc.charclasses import fulton_johnson as fj
+    def test_product_csm_degree_multiplies(self, nodal_report):
+        product = product_classes(nodal_report.scene, nodal_report.milnor_class, 1)
+        assert product.fulton_johnson == fulton_johnson(AmbientSpace((2, 1)), [(3, 0)])
+        assert (product.fulton_johnson - product.milnor_class).degree() == 2
 
-        scene, mu = corpus_scenes["nodal-cubic"]
-        scene, mu, _ = resolve_mu(scene, mu)
-        product_csm = fj(AmbientSpace((2, 1)), [(3, 0)]) - smooth_pullback_milnor(scene, 1, mu)
-        assert product_csm.degree() == 2
-
-    def test_pushdown_factor(self, corpus_scenes):
+    def test_pushdown_factor(self, cuspidal_report):
         from milnorcalc.chow import forget_factor
 
-        scene, mu = corpus_scenes["cuspidal-cubic"]
-        scene, mu, _ = resolve_mu(scene, mu)
-        base = milnor_class(scene, mu)
+        base = cuspidal_report.milnor_class
         for m in (1, 2, 3):
-            pushed = forget_factor(smooth_pullback_milnor(scene, m, mu), 1)
-            assert pushed == (m + 1) * base
+            product = product_classes(cuspidal_report.scene, base, m)
+            assert forget_factor(product.milnor_class, 1) == (m + 1) * base
 
-    def test_verdier_check_named_by_m(self, corpus_scenes):
-        scene, mu = corpus_scenes["nodal-cubic"]
-        check = verdier_smooth_check(scene, 2, mu)
+    def test_verdier_check_named_by_m(self, nodal_report):
+        product = product_classes(nodal_report.scene, nodal_report.milnor_class, 2)
+        check = verdier_smooth_check(product, nodal_report.csm)
         assert check.name == "verdier_m2"
         assert check.passed and check.residual.is_zero()
 
-    def test_product_dimension_must_be_positive(self, corpus_scenes):
+    def test_product_dimension_must_be_positive(self, corpus_scenes, nodal_report):
+        with pytest.raises(ValueError):
+            product_classes(nodal_report.scene, nodal_report.milnor_class, 0)
         scene, mu = corpus_scenes["nodal-cubic"]
         with pytest.raises(ValueError):
-            verdier_smooth_check(scene, 0, mu)
+            build_report(scene, mu, m_values=(0,))
 
-    def test_defect_check_sides(self, corpus_scenes):
+    def test_defect_check_sides(self, nodal_report):
         # Both sides of the divisor defect identity equal the Milnor
         # class itself; spot-check the left side explicitly.
         from milnorcalc.chow import divisor_class, tangent_class
 
-        scene, mu = corpus_scenes["nodal-cubic"]
-        scene, mu, _ = resolve_mu(scene, mu)
         divisor = divisor_class(P2, (3,))
-        lhs = unit_inverse(ChowClass.unit(P2) + divisor) * (divisor * tangent_class(P2)) - csm_class(scene, mu)
-        assert lhs == milnor_class(scene, mu) == ChowClass(P2, {(2,): -1})
-        assert defect_codim1_check(scene, mu).passed
+        inverse_normal = unit_inverse(ChowClass.unit(P2) + divisor)
+        csm, milnor = nodal_report.csm, nodal_report.milnor_class
+        lhs = inverse_normal * (divisor * tangent_class(P2)) - csm
+        assert lhs == milnor == ChowClass(P2, {(2,): -1})
+        assert defect_codim1_check(tangent_class(P2), divisor, inverse_normal, csm, milnor).passed
 
-    def test_lci_and_pushdown_checks_standalone(self, corpus_scenes):
-        scene, mu = corpus_scenes["four-nodal-quartic"]
-        scene, mu, _ = resolve_mu(scene, mu)
-        assert lci_defect_check(scene, 1, mu).passed
-        assert proper_pushdown_check(scene, 2, mu).passed
+    def test_lci_and_pushdown_checks_standalone(self, corpus_reports):
+        from milnorcalc.chow import tangent_class
+
+        report = corpus_reports["four-nodal-quartic"]
+        product = product_classes(report.scene, report.milnor_class, 1)
+        assert lci_defect_check(report.scene, report.mu, tangent_class(P2), product).passed
+        product = product_classes(report.scene, report.milnor_class, 2)
+        assert proper_pushdown_check(product, report.milnor_class).passed
 
 
 class TestLocalization:
@@ -346,39 +341,6 @@ class TestLocalization:
         assert terms["p"] == ChowClass(P2, {(2,): -1})
         assert terms["q"] == ChowClass(P2, {(2,): -3})
         assert milnor_class(scene, mu) == ChowClass(P2, {(2,): -4})
-
-
-class TestSubbundle:
-    def test_full_subbundle(self):
-        closure = csm_library(("linear", 1), P3)
-        normal = line_bundle_class(P3, (2,))
-        got = subbundle_contribution(closure, normal, 1, normal, 1)
-        assert got == normal * closure
-
-    def test_zero_bundle_over_point_vanishes(self):
-        closure = ChowClass.point(P3)
-        trivial = ChowClass.unit(P3)
-        got = subbundle_contribution(closure, trivial, 1, trivial, 0)
-        assert got.is_zero()
-
-    def test_matches_isolated_milnor_term(self):
-        # Full fiber minus zero bundle over a point reproduces the
-        # weight-m point term that the Milnor class assigns.
-        m = 7
-        closure = ChowClass.point(P2)
-        trivial = ChowClass.unit(P2)
-        full = subbundle_contribution(closure, trivial, 1, trivial, 1)
-        zero = subbundle_contribution(closure, trivial, 1, trivial, 0)
-        scene, mu = point_mu_scene(P2, 3, m)
-        lhs = m * full - m * zero
-        assert unit_inverse(line_bundle_class(P2, (3,))) * lhs == milnor_class(scene, mu)
-
-    def test_rank_validation(self):
-        one = ChowClass.unit(P2)
-        with pytest.raises(ValueError, match="ranks"):
-            subbundle_contribution(one, one, 1, one, 2)
-        with pytest.raises(ValueError, match="ranks"):
-            subbundle_contribution(one, one, 1, one, -1)
 
 
 class TestResolveMu:
@@ -428,6 +390,25 @@ class TestBuildReport:
         check = nodal_report.checks["euler_strata"]
         assert check.passed
         assert check.detail == "strata give 1, classes give 1"
+
+    def test_each_class_is_computed_once(self, corpus_scenes, monkeypatch):
+        # One report resolves mu once, builds the Milnor class once, and
+        # builds Fulton-Johnson classes once for the ambient and once for
+        # the product; the checks reuse them.
+        calls = {"resolve_mu": 0, "fulton_johnson": 0, "milnor_class": 0}
+        for name in calls:
+            original = getattr(charclasses, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(charclasses, name, counted)
+        scene, mu = corpus_scenes["cuspidal-cubic"]
+        report = build_report(scene, mu, m_values=(2,))
+        assert not report.mu.is_zero()
+        assert all(check.passed for check in report.checks.values())
+        assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1}
 
     def test_complete_intersection_report_skips_divisor_checks(self):
         scene = StrataScene(ambient=P3, multidegrees=((2,), (2,)))

@@ -7,7 +7,6 @@ from milnorcalc.chow import (
     AmbientSpace,
     ChowClass,
     divisor_class,
-    divisor_gysin,
     factor_tangent_class,
     forget_factor,
     hyperplane,
@@ -190,10 +189,6 @@ class TestFactorMaps:
 
 
 class TestGysin:
-    def test_divisor_gysin_is_multiplication(self):
-        x = cls(P2, {(0,): 1, (1,): 4})
-        assert divisor_gysin(x, (3,)) == divisor_class(P2, (3,)) * x
-
     def test_self_intersection_sweep(self):
         assert self_intersection_check(P2, (3,))
         assert self_intersection_check(P2xP1, (2, 1))

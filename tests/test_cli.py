@@ -153,6 +153,31 @@ class TestCheck:
         assert payload["lci_m1"]["pass"] is False
         assert payload["lci_m1"]["residual"] == {"2": 1}
 
+    def test_euler_strata_can_fail(self, tmp_path, capsys):
+        # Strata of the nodal cubic with a wrong node value: the classes
+        # give euler 2 while the strata give 1.
+        data = json.loads(pathlib.Path(NODAL).read_text())
+        del data["polynomial"], data["chart"]
+        data["mu"] = {"node": -2}
+        path = tmp_path / "wrong-mu.json"
+        path.write_text(json.dumps(data))
+        detail = "(strata give 1, classes give 2)"
+        code, out, _ = run(capsys, "report", str(path))
+        assert code == 0
+        assert f"  euler_strata: FAIL  {detail}" in out.splitlines()
+        for name in ("euler_strata", "euler"):
+            code, out, _ = run(capsys, "check", str(path), "--checks", name)
+            assert code == 1
+            assert out.splitlines() == [f"euler_strata: FAIL  {detail}"]
+        code, out, _ = run(capsys, "--json", "check", str(path), "--checks", "euler_strata")
+        assert code == 1
+        assert assert_canonical(out) == {
+            "euler_strata": {"pass": False, "detail": "strata give 1, classes give 2"}
+        }
+        code, out, _ = run(capsys, "check", str(path))
+        assert code == 0
+        assert "euler_strata" not in out
+
 
 class TestMilnor:
     def test_plain_total(self, capsys):
@@ -180,6 +205,8 @@ class TestMilnor:
     def test_unknown_chart(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2 + y^2 + z^2", "--vars", "x,y,z", "--chart", "t")
         assert code == 2
+        assert "chart 't' is not one of the variables x, y, z" in err
+        assert "tuple.index" not in err
 
     def test_inhomogeneous(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2 + y", "--vars", "x,y,z", "--chart", "z")

@@ -255,6 +255,16 @@ class TestMilnorNumbers:
         assert f.variables == ("x", "y")
         assert f == P("y^2 - x^3 - x^2")
 
+    def test_unknown_chart_is_named(self):
+        F = P("y^2*z - x^3", XYZ)
+        message = "chart 'q' is not one of the variables x, y, z"
+        with pytest.raises(ValueError, match=message):
+            dehomogenize(F, "q")
+        with pytest.raises(ValueError, match=message):
+            total_milnor_number(F, "q")
+        with pytest.raises(ValueError, match="chart 3 is not one"):
+            total_milnor_number(F, 3)
+
 
 small_polys = st.builds(
     lambda terms: _poly_from_terms(terms),

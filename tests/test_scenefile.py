@@ -208,6 +208,12 @@ class TestRouteRules:
         data["mu"] = {"curve": 1}
         expect_error(data, "smooth scene cannot carry mu")
 
+    def test_polynomial_excludes_mu(self):
+        # The polynomial would never run, so its mu could not be checked.
+        data = nodal_dict()
+        data["mu"] = {"node": -7}
+        expect_error(data, "polynomial scene cannot carry mu")
+
     def test_mu_needs_strata(self):
         data = user_mu_dict()
         del data["strata"]
@@ -282,6 +288,11 @@ class TestCsmMaps:
         data = user_mu_dict()
         data["strata"][1]["csm"] = [1, 2]
         expect_error(data, "csm must be a map")
+
+    def test_degree_must_match_closure_chi(self):
+        data = user_mu_dict()
+        data["strata"][1]["csm"] = {"3": 9}
+        expect_error(data, "csm class has degree 9 but closure_chi is 2")
 
 
 class TestCorpusRoundTrip:

@@ -1,8 +1,9 @@
-"""Stratified scenes, constructible functions, and scene maps."""
+"""Stratified scenes and constructible functions."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from milnorcalc.charclasses import resolve_mu
 from milnorcalc.chow import AmbientSpace, ChowClass
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
@@ -11,20 +12,12 @@ from milnorcalc.scenes import (
     SMOOTH_STRATUM,
     STRATUMWISE,
     ConstructibleFunction,
-    MonodromicFunction,
-    SceneMap,
     SceneValidationError,
     StrataScene,
     Stratum,
-    closure_indicator,
-    cone_vanishing_cycles,
     downsets,
     hypersurface_scene,
-    isolated_vanishing_cycles,
     place_vanishing_cycles,
-    pullback,
-    pushforward,
-    restrict_to_vertex,
     signed_milnor_total,
     unit_function,
     upsets,
@@ -142,7 +135,7 @@ class TestValidation:
 class TestRepresentations:
     def test_indicator_of_whole_closure(self):
         scene = two_stratum_scene()
-        alpha = closure_indicator(scene, "open_part")
+        alpha = ConstructibleFunction(scene, INDICATOR, {"open_part": 1})
         sw = alpha.as_stratumwise()
         assert sw.values == {"open_part": 1, "point": 1}
 
@@ -176,7 +169,7 @@ class TestRepresentations:
 
     def test_value_reads_stratumwise(self):
         scene = two_stratum_scene()
-        alpha = closure_indicator(scene, "open_part", 5)
+        alpha = ConstructibleFunction(scene, INDICATOR, {"open_part": 5})
         assert alpha.value("point") == 5
 
 
@@ -195,7 +188,7 @@ class TestEuler:
     def test_linearity(self):
         scene = chain_scene()
         a = ConstructibleFunction(scene, STRATUMWISE, {"top": 2, "bot": 1})
-        b = closure_indicator(scene, "mid", 3)
+        b = ConstructibleFunction(scene, INDICATOR, {"mid": 3})
         assert (a + b).euler() == a.euler() + b.euler()
         assert (2 * a).euler() == 2 * a.euler()
         assert (a - a).euler() == 0
@@ -207,182 +200,35 @@ class TestEuler:
             alpha.euler()
 
 
-class TestSceneMaps:
-    def test_identity(self):
-        scene = chain_scene()
-        identity = SceneMap(
-            source=scene,
-            target=scene,
-            strata_map={i: i for i in scene.ids()},
-            fiber_chi={i: 1 for i in scene.ids()},
-        )
-        alpha = ConstructibleFunction(scene, STRATUMWISE, {"mid": 4, "bot": -1})
-        assert pushforward(alpha, identity) == alpha
-        assert pullback(alpha, identity) == alpha
-
-    def test_constant_map_integrates(self):
-        scene = chain_scene()
-        pt = point_scene()
-        collapse = SceneMap(
-            source=scene,
-            target=pt,
-            strata_map={i: "pt" for i in scene.ids()},
-            fiber_chi={i: scene.stratum(i).chi_c for i in scene.ids()},
-        )
-        alpha = unit_function(scene)
-        assert pushforward(alpha, collapse).values == {"pt": alpha.euler()}
-
-    def test_product_projection(self):
-        # A P^1 bundle over the chain: every fiber has chi 2.
-        base = chain_scene()
-        total = scene_of(
-            [
-                Stratum(id="top", dim=3, chi_c=2, closure_chi=8),
-                Stratum(id="mid", dim=2, chi_c=4, closure_chi=6, parents=("top",)),
-                Stratum(id="bot", dim=1, chi_c=2, closure_chi=2, parents=("mid",)),
-            ],
-            ambient=P3,
-        )
-        projection = SceneMap(
-            source=total,
-            target=base,
-            strata_map={i: i for i in total.ids()},
-            fiber_chi={i: 2 for i in total.ids()},
-        )
-        assert pushforward(unit_function(total), projection) == 2 * unit_function(base)
-        lifted = pullback(closure_indicator(base, "mid"), projection)
-        assert lifted.values == {"mid": 1, "bot": 1}
-
-    def test_pushforward_preserves_euler_through_composite(self):
-        base = chain_scene()
-        pt = point_scene()
-        total = scene_of(
-            [
-                Stratum(id="top", dim=3, chi_c=2, closure_chi=8),
-                Stratum(id="mid", dim=2, chi_c=4, closure_chi=6, parents=("top",)),
-                Stratum(id="bot", dim=1, chi_c=2, closure_chi=2, parents=("mid",)),
-            ],
-            ambient=P3,
-        )
-        f = SceneMap(
-            source=total,
-            target=base,
-            strata_map={i: i for i in total.ids()},
-            fiber_chi={i: 2 for i in total.ids()},
-        )
-        g = SceneMap(
-            source=base,
-            target=pt,
-            strata_map={i: "pt" for i in base.ids()},
-            fiber_chi={i: base.stratum(i).chi_c for i in base.ids()},
-        )
-        composite = SceneMap(
-            source=total,
-            target=pt,
-            strata_map={i: "pt" for i in total.ids()},
-            fiber_chi={i: f.fiber_chi[i] * g.fiber_chi[f.strata_map[i]] for i in total.ids()},
-        )
-        alpha = ConstructibleFunction(total, STRATUMWISE, {"top": 1, "mid": -2, "bot": 3})
-        assert pushforward(pushforward(alpha, f), g) == pushforward(alpha, composite)
-        assert pushforward(alpha, composite).values.get("pt", 0) == alpha.euler() * 1
-
-    def test_pullback_composes(self):
-        base = chain_scene()
-        pt = point_scene()
-        g = SceneMap(
-            source=base,
-            target=pt,
-            strata_map={i: "pt" for i in base.ids()},
-            fiber_chi={i: base.stratum(i).chi_c for i in base.ids()},
-        )
-        alpha = ConstructibleFunction(pt, STRATUMWISE, {"pt": 7})
-        assert pullback(alpha, g) == 7 * unit_function(base)
-
-    def test_map_must_cover_source(self):
-        scene = two_stratum_scene()
-        with pytest.raises(SceneValidationError, match="cover"):
-            SceneMap(
-                source=scene,
-                target=point_scene(),
-                strata_map={"open_part": "pt"},
-                fiber_chi={"open_part": 0},
-            )
-
-    def test_wrong_scene_rejected(self):
-        scene = two_stratum_scene()
-        identity = SceneMap(
-            source=scene,
-            target=scene,
-            strata_map={i: i for i in scene.ids()},
-            fiber_chi={i: 1 for i in scene.ids()},
-        )
-        other = unit_function(point_scene())
-        with pytest.raises(ValueError):
-            pushforward(other, identity)
-        with pytest.raises(ValueError):
-            pullback(other, identity)
-
-
-class TestMonodromic:
-    def test_vertex_restriction_of_cone_is_zero(self):
-        scene = two_stratum_scene()
-        mu = ConstructibleFunction(scene, STRATUMWISE, {"point": -1})
-        phi = cone_vanishing_cycles(mu)
-        assert restrict_to_vertex(phi).is_zero()
-
-    def test_values_off_and_on_zero_section(self):
-        scene = two_stratum_scene()
-        mu = ConstructibleFunction(scene, STRATUMWISE, {"point": -1})
-        phi = cone_vanishing_cycles(mu)
-        assert phi.pullback_part.value("point") == -1
-        assert (phi.pullback_part + phi.zero_section_part).value("point") == 0
-
-    def test_pullback_of_unit_restricts_to_unit(self):
-        scene = two_stratum_scene()
-        one = unit_function(scene)
-        phi = MonodromicFunction(
-            pullback_part=one,
-            zero_section_part=ConstructibleFunction(scene, STRATUMWISE, {}),
-        )
-        assert restrict_to_vertex(phi) == one
-
-    def test_parts_must_share_scene(self):
-        with pytest.raises(ValueError):
-            MonodromicFunction(
-                pullback_part=unit_function(two_stratum_scene()),
-                zero_section_part=unit_function(point_scene()),
-            )
+def polynomial_mu(text, ambient, chart):
+    """Vanishing cycles of a polynomial scene without strata."""
+    F = parse_polynomial(text, ("x", "y", "z", "w")[: ambient.dim + 1])
+    scene = StrataScene(
+        ambient=ambient, multidegrees=((F.total_degree(),),), defining_polynomial=F, chart=chart
+    )
+    _, mu, _ = resolve_mu(scene)
+    return mu
 
 
 class TestEngineIntegration:
     def test_nodal_cubic_vanishing_cycles(self):
-        F = parse_polynomial("y^2*z - x^3 - x^2*z", ("x", "y", "z"))
-        mu = isolated_vanishing_cycles(F, P2, "z")
+        mu = polynomial_mu("y^2*z - x^3 - x^2*z", P2, "z")
         assert mu.values == {SINGULAR_STRATUM: -1}
         assert mu.scene.stratum(SINGULAR_STRATUM).dim == 0
 
     def test_smooth_curve_zero_function(self):
-        F = parse_polynomial("x^3 + y^3 + z^3", ("x", "y", "z"))
-        mu = isolated_vanishing_cycles(F, P2, "z")
+        mu = polynomial_mu("x^3 + y^3 + z^3", P2, "z")
         assert mu.is_zero()
         assert mu.scene.ids() == (SMOOTH_STRATUM,)
 
     def test_surface_node_positive_sign(self):
-        F = parse_polynomial(
-            "w^2*x^2 + w^2*y^2 + w^2*z^2 + x^4 + y^4 + z^4", ("x", "y", "z", "w")
-        )
-        mu = isolated_vanishing_cycles(F, P3, "w")
+        mu = polynomial_mu("w^2*x^2 + w^2*y^2 + w^2*z^2 + x^4 + y^4 + z^4", P3, "w")
         assert mu.values == {SINGULAR_STRATUM: 1}
 
     def test_signed_total_convention(self):
         result_like = type("R", (), {"total_milnor": 5})
         assert signed_milnor_total(result_like, P2) == -5
         assert signed_milnor_total(result_like, P3) == 5
-
-    def test_variable_count_checked(self):
-        F = parse_polynomial("x^2 + y^2", ("x", "y"))
-        with pytest.raises(ValueError, match="variable count"):
-            isolated_vanishing_cycles(F, P2, "y")
 
     def test_place_on_user_strata(self):
         scene = StrataScene(
@@ -467,15 +313,3 @@ def test_indicator_solves_defining_system(alpha):
         reach[s.id] = seen
     for s in scene.strata:
         assert pointwise.get(s.id, 0) == sum(coeffs.get(t, 0) for t in reach[s.id])
-
-
-@given(
-    poset_scenes().flatmap(
-        lambda s: st.tuples(functions_on(s), functions_on(s))
-    )
-)
-def test_vertex_restriction_linear(pair):
-    a, b = pair
-    lhs = restrict_to_vertex(MonodromicFunction(a, b))
-    assert lhs == a + b
-    assert restrict_to_vertex(cone_vanishing_cycles(a)).is_zero()
