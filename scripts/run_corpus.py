@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run a full class report over every bundled scene and print a summary.
+"""Run a full class report over every scene in scenes/ and print a summary.
 
 Useful as a quick end-to-end exercise of the whole pipeline: Groebner
 Milnor numbers, class arithmetic, and all identity checks with both
@@ -9,9 +9,11 @@ product factor dimensions.
 import argparse
 import sys
 import time
+from pathlib import Path
 
-from milnorcalc import build_report
-from milnorcalc.corpus import CORPUS, load_corpus_scene
+from milnorcalc import build_report, load_scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 def main() -> int:
@@ -26,9 +28,10 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = 0
-    for name in sorted(CORPUS):
+    for path in sorted(SCENES.glob("*.json")):
+        name = path.stem
         start = time.perf_counter()
-        scene, mu = load_corpus_scene(name)
+        scene, mu = load_scene(str(path))
         report = build_report(scene, mu, m_values=tuple(args.m))
         elapsed = time.perf_counter() - start
         bad = sorted(k for k, c in report.checks.items() if not c.passed)

@@ -32,7 +32,6 @@ from .chow import (
 from .groebner import CancelCallback, MilnorResult, total_milnor_number
 from .scenes import (
     SINGULAR_STRATUM,
-    STRATUMWISE,
     ConstructibleFunction,
     StrataScene,
     Stratum,
@@ -128,31 +127,27 @@ def csm_of_function(scene: StrataScene, alpha: ConstructibleFunction) -> ChowCla
     sums the recorded closure classes with those coefficients.
     """
     total = ChowClass.zero(scene.ambient)
-    for stratum_id, coefficient in alpha.as_indicator().values.items():
+    for stratum_id, coefficient in alpha.indicator_coefficients().items():
         stratum = scene.stratum(stratum_id)
         total = total + coefficient * _closure_csm(scene, stratum)
     return total
 
 
-def milnor_class(scene: StrataScene, mu: ConstructibleFunction) -> ChowClass:
-    """Milnor class (1 + dH)^{-1} cap c_*(mu) of a codim-1 scene."""
+def milnor_class(
+    scene: StrataScene, mu: ConstructibleFunction, inverse_normal: ChowClass
+) -> ChowClass:
+    """Milnor class (1 + dH)^{-1} cap c_*(mu); ``inverse_normal`` is (1 + dH)^{-1}."""
     if mu.is_zero():
         return ChowClass.zero(scene.ambient)
-    degree = _single_multidegree(scene)
-    normal = line_bundle_class(scene.ambient, degree)
-    return unit_inverse(normal) * csm_of_function(scene, mu)
+    return inverse_normal * csm_of_function(scene, mu)
 
 
 def localization(
-    scene: StrataScene, mu: ConstructibleFunction
+    scene: StrataScene, mu: ConstructibleFunction, inverse_normal: ChowClass
 ) -> list[tuple[str, ChowClass]]:
     """Split the Milnor class into per-stratum closed-support terms."""
-    if mu.is_zero():
-        return []
-    degree = _single_multidegree(scene)
-    inverse_normal = unit_inverse(line_bundle_class(scene.ambient, degree))
     terms = []
-    for stratum_id, coefficient in sorted(mu.as_indicator().values.items()):
+    for stratum_id, coefficient in sorted(mu.indicator_coefficients().items()):
         stratum = scene.stratum(stratum_id)
         term = inverse_normal * (coefficient * _closure_csm(scene, stratum))
         terms.append((stratum_id, term))
@@ -193,8 +188,8 @@ def resolve_mu(
         values = {}
         if result.total_milnor != 0:
             values[SINGULAR_STRATUM] = signed_milnor_total(result, scene.ambient)
-        return enriched, ConstructibleFunction(enriched, STRATUMWISE, values), result
-    return scene, ConstructibleFunction(scene, STRATUMWISE, {}), None
+        return enriched, ConstructibleFunction(enriched, values), result
+    return scene, ConstructibleFunction(scene, {}), None
 
 
 @dataclass(frozen=True)
@@ -311,7 +306,7 @@ def lci_defect_check(
     pulled = relative_tangent * (divisor_class(ambient, degree) * ambient_csm)
     lhs = pulled - (product.fulton_johnson - product.milnor_class)
     accumulated = ChowClass.zero(ambient)
-    for stratum_id, coefficient in mu.as_indicator().values.items():
+    for stratum_id, coefficient in mu.indicator_coefficients().items():
         closure = _closure_csm(scene, scene.stratum(stratum_id))
         product_closure = insert_factor(closure, m, position) * product.fiber_tangent
         accumulated = accumulated + coefficient * product_closure
@@ -345,32 +340,30 @@ def build_report(
     Each class is computed once: c(TY), (1+dH)^{-1}, the Fulton-Johnson,
     Milnor and CSM classes for the ambient, and the product classes for
     each m.  The checks compare these classes; they compute none again.
+    A scene with several multidegrees gets no Milnor class, so nonzero
+    mu on it is rejected rather than dropped.
     """
     validate_scene(scene)
     scene, mu, milnor_data = resolve_mu(scene, mu, cancel)
-    fj = fulton_johnson(scene.ambient, scene.multidegrees)
     codim_one = len(scene.multidegrees) == 1
-    if codim_one and not mu.is_zero():
-        milnor = milnor_class(scene, mu)
-    else:
-        milnor = ChowClass.zero(scene.ambient)
-    csm = fj - milnor
-    report = ClassReport(
-        scene=scene,
-        mu=mu,
-        fulton_johnson=fj,
-        milnor_class=milnor,
-        csm=csm,
-        euler=csm.degree(),
-        localization=localization(scene, mu) if codim_one else [],
-        milnor_data=milnor_data,
-    )
+    if not codim_one and not mu.is_zero():
+        raise ValueError(
+            "nonzero mu needs a codimension-one scene, "
+            f"but this scene has {len(scene.multidegrees)} multidegrees"
+        )
+    fj = fulton_johnson(scene.ambient, scene.multidegrees)
+    milnor = ChowClass.zero(scene.ambient)
+    csm = fj
+    terms: list[tuple[str, ChowClass]] = []
     checks: dict[str, CheckResult] = {}
     if codim_one:
-        degree = _single_multidegree(scene)
+        degree = scene.multidegrees[0]
         tangent = tangent_class(scene.ambient)
         divisor = divisor_class(scene.ambient, degree)
         inverse_normal = unit_inverse(ChowClass.unit(scene.ambient) + divisor)
+        milnor = milnor_class(scene, mu, inverse_normal)
+        terms = localization(scene, mu, inverse_normal)
+        csm = fj - milnor
         checks["self_intersection"] = CheckResult(
             name="self_intersection",
             passed=self_intersection_check(scene.ambient, degree),
@@ -382,18 +375,28 @@ def build_report(
             checks[f"pushdown_m{m}"] = proper_pushdown_check(product, milnor)
             checks[f"lci_m{m}"] = lci_defect_check(scene, mu, tangent, product)
         total = ChowClass.zero(scene.ambient)
-        for _, term in report.localization:
+        for _, term in terms:
             total = total + term
         checks["localization_sum"] = _result("localization_sum", total - milnor)
+    euler = csm.degree()
     if scene.strata and all(s.chi_c is not None for s in scene.strata):
         strata_euler = unit_function(scene).euler()
         checks["euler_strata"] = CheckResult(
             name="euler_strata",
-            passed=strata_euler == report.euler,
-            detail=f"strata give {strata_euler}, classes give {report.euler}",
+            passed=strata_euler == euler,
+            detail=f"strata give {strata_euler}, classes give {euler}",
         )
-    report.checks = checks
-    return report
+    return ClassReport(
+        scene=scene,
+        mu=mu,
+        fulton_johnson=fj,
+        milnor_class=milnor,
+        csm=csm,
+        euler=euler,
+        localization=terms,
+        checks=checks,
+        milnor_data=milnor_data,
+    )
 
 
 # JSON serialization.  Keys are sorted and integers that do not fit in
@@ -425,7 +428,7 @@ def report_to_jsonable(report: ClassReport) -> dict:
         "milnor_class": chow_to_jsonable(report.milnor_class),
         "csm": chow_to_jsonable(report.csm),
         "euler": _json_int(report.euler),
-        "mu": {k: _json_int(v) for k, v in sorted(report.mu.as_stratumwise().values.items())},
+        "mu": {k: _json_int(v) for k, v in sorted(report.mu.values.items())},
         "localization": [
             {"stratum": stratum_id, "class": chow_to_jsonable(term)}
             for stratum_id, term in report.localization

@@ -50,6 +50,7 @@ _CHECK_ALIASES = {
     "euler": "euler",
     "euler_strata": "euler",
 }
+_IDENTITY_CHECKS = ("verdier", "defect", "pushdown", "lci")
 
 
 class _Output:
@@ -68,18 +69,8 @@ def _ambient_label(factors: Sequence[int]) -> str:
 
 
 def _check_keys(report_checks, selection: Optional[str], m: int) -> list[str]:
-    if selection is None or selection.strip() == "all":
-        wanted = ["verdier", "defect", "pushdown", "lci"]
-    else:
-        wanted = []
-        for raw in selection.split(","):
-            name = raw.strip()
-            if name == "all":
-                wanted.extend(["verdier", "defect", "pushdown", "lci"])
-                continue
-            if name not in _CHECK_ALIASES:
-                raise SceneFileError(f"unknown check {name!r}")
-            wanted.append(_CHECK_ALIASES[name])
+    """Report keys of the selected checks; a selection that names a
+    check the report does not have is an error, not a silent pass."""
     keys = {
         "verdier": f"verdier_m{m}",
         "defect": "defect_codim1",
@@ -88,10 +79,21 @@ def _check_keys(report_checks, selection: Optional[str], m: int) -> list[str]:
         "euler": "euler_strata",
     }
     result = []
-    for w in wanted:
-        key = keys[w]
-        if key in report_checks and key not in result:
-            result.append(key)
+    for raw in (selection or "all").split(","):
+        name = raw.strip()
+        if name == "all":
+            wanted = _IDENTITY_CHECKS
+        elif name in _CHECK_ALIASES:
+            wanted = (_CHECK_ALIASES[name],)
+        else:
+            raise SceneFileError(f"unknown check {name!r}")
+        found = [keys[w] for w in wanted if keys[w] in report_checks]
+        if not found:
+            needs = "strata with chi_c on every stratum" if wanted == ("euler",) else "one multidegree"
+            raise SceneFileError(f"check {name!r} does not apply to this scene: it needs {needs}")
+        for key in found:
+            if key not in result:
+                result.append(key)
     return result
 
 
@@ -117,7 +119,7 @@ def _print_report(report, out: _Output) -> None:
             f"total milnor number: {report.milnor_data.total_milnor}"
             f" (chart {report.milnor_data.chart})"
         )
-    mu_values = report.mu.as_stratumwise().values
+    mu_values = report.mu.values
     if mu_values:
         rendered = ", ".join(f"{k} -> {v}" for k, v in sorted(mu_values.items()))
         out.line(f"mu: {rendered}")

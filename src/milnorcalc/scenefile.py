@@ -33,13 +33,7 @@ from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
 from .polynomials import PolyParseError, parse_polynomial
-from .scenes import (
-    STRATUMWISE,
-    ConstructibleFunction,
-    StrataScene,
-    Stratum,
-    validate_scene,
-)
+from .scenes import ConstructibleFunction, StrataScene, Stratum, validate_scene
 
 _SCENE_KEYS = {"name", "ambient", "degrees", "polynomial", "variables", "chart", "smooth", "strata", "mu"}
 _STRATUM_KEYS = {"id", "dim", "chi_c", "closure_chi", "csm", "parents"}
@@ -224,7 +218,7 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
     except ValueError as exc:
         raise SceneFileError(str(exc)) from exc
     if "mu" in data:
-        mu = ConstructibleFunction(scene, STRATUMWISE, values)
+        mu = ConstructibleFunction(scene, values)
     return scene, mu
 
 

@@ -5,10 +5,9 @@ as a finite poset of strata.  Each stratum may carry compactly
 supported Euler characteristics (of itself and of its closure), the
 pushed-forward CSM class of its closure, and the ids of the strata
 whose closures contain it.  Constructible functions on a scene are
-integer-valued and constant on strata; they can be written either
-stratumwise (value on each stratum) or as combinations of indicator
-functions of closures, and the two representations are exchanged by
-Moebius inversion on the closure poset.
+integer-valued and constant on strata and are held by their value on
+each stratum; Moebius inversion on the closure poset expands them over
+indicator functions of closures.
 
 Euler-characteristic data is user input; values computed by the
 polynomial engine (total Milnor numbers) only populate vanishing-cycle
@@ -24,10 +23,6 @@ from typing import Optional
 from .chow import AmbientSpace, ChowClass
 from .groebner import CancelCallback, MilnorResult, total_milnor_number
 from .polynomials import Polynomial
-
-STRATUMWISE = "stratumwise"
-INDICATOR = "indicator"
-
 
 class SceneValidationError(ValueError):
     """The scene data is structurally inconsistent."""
@@ -155,18 +150,14 @@ def validate_scene(scene: StrataScene) -> None:
 class ConstructibleFunction:
     """An integer constructible function on a scene.
 
-    ``form`` is ``stratumwise`` (values of the function on strata) or
-    ``indicator`` (coefficients of indicator functions of closures).
-    Missing ids mean zero.
+    ``values`` maps stratum ids to the value of the function on that
+    stratum; missing ids mean zero.
     """
 
     scene: StrataScene
-    form: str
     values: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.form not in (STRATUMWISE, INDICATOR):
-            raise ValueError(f"unknown representation {self.form!r}")
         known = set(self.scene.ids())
         for stratum_id in self.values:
             if stratum_id not in known:
@@ -176,21 +167,8 @@ class ConstructibleFunction:
     def is_zero(self) -> bool:
         return not self.values
 
-    def as_stratumwise(self) -> "ConstructibleFunction":
-        if self.form == STRATUMWISE:
-            return self
-        ups = upsets(self.scene)
-        out = {}
-        for s in self.scene.strata:
-            total = sum(self.values.get(t, 0) for t in ups[s.id])
-            if total:
-                out[s.id] = total
-        return ConstructibleFunction(self.scene, STRATUMWISE, out)
-
-    def as_indicator(self) -> "ConstructibleFunction":
-        """Convert to indicator coefficients by Moebius inversion."""
-        if self.form == INDICATOR:
-            return self
+    def indicator_coefficients(self) -> dict[str, int]:
+        """Coefficients of closure indicators, by Moebius inversion."""
         ups = upsets(self.scene)
         # Peel from the top: strata with larger up-sets are handled later,
         # so each step only needs already-known coefficients.
@@ -201,17 +179,13 @@ class ConstructibleFunction:
             value = self.values.get(stratum_id, 0) - above
             if value:
                 coeffs[stratum_id] = value
-        return ConstructibleFunction(self.scene, INDICATOR, coeffs)
-
-    def value(self, stratum_id: str) -> int:
-        return self.as_stratumwise().values.get(stratum_id, 0)
+        return coeffs
 
     def euler(self) -> int:
         """Integrate against the compactly supported Euler characteristic."""
         total = 0
-        pointwise = self.as_stratumwise()
         for s in self.scene.strata:
-            v = pointwise.values.get(s.id, 0)
+            v = self.values.get(s.id, 0)
             if v == 0:
                 continue
             if s.chi_c is None:
@@ -219,42 +193,10 @@ class ConstructibleFunction:
             total += v * s.chi_c
         return total
 
-    def __add__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
-        if self.scene != other.scene:
-            raise ValueError("constructible functions live on different scenes")
-        a = self.as_stratumwise().values
-        b = other.as_stratumwise().values
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = out.get(k, 0) + v
-        return ConstructibleFunction(self.scene, STRATUMWISE, out)
-
-    def __neg__(self) -> "ConstructibleFunction":
-        sw = self.as_stratumwise()
-        return ConstructibleFunction(self.scene, STRATUMWISE, {k: -v for k, v in sw.values.items()})
-
-    def __sub__(self, other: "ConstructibleFunction") -> "ConstructibleFunction":
-        return self + (-other)
-
-    def __rmul__(self, scalar: int) -> "ConstructibleFunction":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        sw = self.as_stratumwise()
-        return ConstructibleFunction(
-            self.scene, STRATUMWISE, {k: scalar * v for k, v in sw.values.items()}
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConstructibleFunction):
-            return NotImplemented
-        if self.scene != other.scene:
-            return False
-        return self.as_stratumwise().values == other.as_stratumwise().values
-
 
 def unit_function(scene: StrataScene) -> ConstructibleFunction:
     """The function 1 on all of the scene."""
-    return ConstructibleFunction(scene, STRATUMWISE, {s.id: 1 for s in scene.strata})
+    return ConstructibleFunction(scene, {s.id: 1 for s in scene.strata})
 
 
 SMOOTH_STRATUM = "smooth_locus"
@@ -313,7 +255,7 @@ def place_vanishing_cycles(
         raise SceneValidationError("polynomial scenes live in a single projective space")
     result = total_milnor_number(scene.defining_polynomial, scene.chart, cancel)
     if result.total_milnor == 0:
-        return ConstructibleFunction(scene, STRATUMWISE, {}), result
+        return ConstructibleFunction(scene, {}), result
     parent_ids = {p for s in scene.strata for p in s.parents}
     candidates = [s for s in scene.strata if s.dim == 0 and s.id not in parent_ids]
     if len(candidates) != 1:
@@ -322,7 +264,4 @@ def place_vanishing_cycles(
             "closed zero-dimensional stratum, or explicit mu values"
         )
     value = signed_milnor_total(result, scene.ambient)
-    return (
-        ConstructibleFunction(scene, STRATUMWISE, {candidates[0].id: value}),
-        result,
-    )
+    return ConstructibleFunction(scene, {candidates[0].id: value}), result

@@ -1,19 +1,22 @@
-"""Shared fixtures: corpus scenes and their (cached) class reports.
+"""Shared fixtures: the scenes in ``scenes/`` and their (cached) class reports.
 
 The report fixtures are session-scoped because the quartic surface
 scene runs a four-variable Groebner saturation that takes about a
 second; every test that needs it should reuse one computation.
 """
 
+from pathlib import Path
+
 import pytest
 
-from milnorcalc import build_report
-from milnorcalc.corpus import CORPUS, load_corpus_scene
+from milnorcalc import build_report, load_scene
+
+SCENES = Path(__file__).resolve().parent.parent / "scenes"
 
 
 @pytest.fixture(scope="session")
 def corpus_scenes():
-    return {name: load_corpus_scene(name) for name in CORPUS}
+    return {path.stem: load_scene(str(path)) for path in sorted(SCENES.glob("*.json"))}
 
 
 @pytest.fixture(scope="session")

@@ -23,9 +23,9 @@ from milnorcalc.chow import (
     ChowClass,
     forget_factor,
     insert_factor,
+    line_bundle_class,
     unit_inverse,
 )
-from milnorcalc.corpus import load_corpus_scene
 from milnorcalc.groebner import (
     GREVLEX,
     LEX,
@@ -39,12 +39,11 @@ from milnorcalc.groebner import (
 )
 from milnorcalc.polynomials import PolyIdeal, Polynomial, jacobian_ideal, parse_polynomial
 from milnorcalc.scenes import (
-    INDICATOR,
-    STRATUMWISE,
     ConstructibleFunction,
     StrataScene,
     Stratum,
     unit_function,
+    upsets,
 )
 
 P2 = AmbientSpace((2,))
@@ -296,10 +295,19 @@ def suite_poset_round_trip(c, cases):
     for i in range(cases):
         scene = random_poset_scene(rng)
         values = random_values(rng, scene)
-        f = ConstructibleFunction(scene, STRATUMWISE, values)
-        c.expect(f.as_indicator().as_stratumwise() == f, f"poset case {i}: stratumwise trip")
-        g = ConstructibleFunction(scene, INDICATOR, values)
-        c.expect(g.as_stratumwise().as_indicator() == g, f"poset case {i}: indicator trip")
+        ups = upsets(scene)
+
+        def summed_over_upsets(coefficients):
+            return {s: sum(coefficients.get(t, 0) for t in ups[s]) for s in scene.ids()}
+
+        # Stratumwise -> indicator -> stratumwise.
+        f = ConstructibleFunction(scene, values)
+        trip = ConstructibleFunction(scene, summed_over_upsets(f.indicator_coefficients()))
+        c.expect(trip == f, f"poset case {i}: stratumwise trip")
+        # Indicator -> stratumwise -> indicator.
+        g = ConstructibleFunction(scene, summed_over_upsets(values))
+        nonzero = {k: v for k, v in values.items() if v}
+        c.expect(g.indicator_coefficients() == nonzero, f"poset case {i}: indicator trip")
 
 
 def linearity_scene():
@@ -314,21 +322,24 @@ def linearity_scene():
 def suite_linearity(c, cases):
     rng = random.Random(505)
     scene = linearity_scene()
+    inverse_normal = unit_inverse(line_bundle_class(P3, (2,)))
     for i in range(cases):
-        a = ConstructibleFunction(scene, STRATUMWISE, random_values(rng, scene))
-        b = ConstructibleFunction(scene, STRATUMWISE, random_values(rng, scene))
+        a = ConstructibleFunction(scene, random_values(rng, scene))
+        b = ConstructibleFunction(scene, random_values(rng, scene))
         k = rng.randint(-4, 4)
-        combo = k * a + b
+        combo = ConstructibleFunction(
+            scene, {s: k * a.values.get(s, 0) + b.values.get(s, 0) for s in scene.ids()}
+        )
         c.expect(
             combo.euler() == k * a.euler() + b.euler(),
             f"linearity case {i}: euler",
         )
-        lhs = milnor_class(scene, combo)
-        rhs = k * milnor_class(scene, a) + milnor_class(scene, b)
+        lhs = milnor_class(scene, combo, inverse_normal)
+        rhs = k * milnor_class(scene, a, inverse_normal) + milnor_class(scene, b, inverse_normal)
         c.expect(lhs == rhs, f"linearity case {i}: milnor class")
-        combined = dict(localization(scene, combo))
-        split_a = dict(localization(scene, a))
-        split_b = dict(localization(scene, b))
+        combined = dict(localization(scene, combo, inverse_normal))
+        split_a = dict(localization(scene, a, inverse_normal))
+        split_b = dict(localization(scene, b, inverse_normal))
         zero = ChowClass.zero(P3)
         for sid in scene.ids():
             want = k * split_a.get(sid, zero) + split_b.get(sid, zero)

@@ -24,7 +24,6 @@ from milnorcalc.chow import AmbientSpace, ChowClass, line_bundle_class, unit_inv
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
     SINGULAR_STRATUM,
-    STRATUMWISE,
     ConstructibleFunction,
     StrataScene,
     Stratum,
@@ -123,23 +122,27 @@ class TestCsmLibrary:
             csm_library(("product", ("point",), ("point",)), P2)
 
 
+def inverse_normal(scene):
+    return unit_inverse(line_bundle_class(scene.ambient, scene.multidegrees[0]))
+
+
 def point_mu_scene(ambient, degree, value):
     scene = StrataScene(
         ambient=ambient,
         multidegrees=((degree,),),
         strata=(Stratum(id="sing", dim=0),),
     )
-    return scene, ConstructibleFunction(scene, STRATUMWISE, {"sing": value})
+    return scene, ConstructibleFunction(scene, {"sing": value})
 
 
 class TestMilnorClass:
     def test_isolated_point_value(self):
         scene, mu = point_mu_scene(P2, 3, -1)
-        assert milnor_class(scene, mu) == ChowClass(P2, {(2,): -1})
+        assert milnor_class(scene, mu, inverse_normal(scene)) == ChowClass(P2, {(2,): -1})
 
     def test_zero_for_zero_mu(self):
         scene, mu = point_mu_scene(P2, 3, 0)
-        assert milnor_class(scene, mu).is_zero()
+        assert milnor_class(scene, mu, inverse_normal(scene)).is_zero()
 
     def test_positive_dimensional_locus(self):
         # mu = m on a linear P^1 inside P^3 for a degree-2 hypersurface.
@@ -150,8 +153,8 @@ class TestMilnorClass:
                 Stratum(id="line", dim=1, csm_class=csm_library(("linear", 1), P3)),
             ),
         )
-        mu = ConstructibleFunction(scene, STRATUMWISE, {"line": -1})
-        got = milnor_class(scene, mu)
+        mu = ConstructibleFunction(scene, {"line": -1})
+        got = milnor_class(scene, mu, inverse_normal(scene))
         expected = unit_inverse(line_bundle_class(P3, (2,))) * (
             -1 * csm_library(("linear", 1), P3)
         )
@@ -163,9 +166,9 @@ class TestMilnorClass:
             multidegrees=((2,),),
             strata=(Stratum(id="line", dim=1),),
         )
-        mu = ConstructibleFunction(scene, STRATUMWISE, {"line": 1})
+        mu = ConstructibleFunction(scene, {"line": 1})
         with pytest.raises(MissingCsmClassError):
-            milnor_class(scene, mu)
+            milnor_class(scene, mu, inverse_normal(scene))
 
     def test_needs_single_degree(self):
         scene = StrataScene(
@@ -173,9 +176,9 @@ class TestMilnorClass:
             multidegrees=((2,), (2,)),
             strata=(Stratum(id="sing", dim=0),),
         )
-        mu = ConstructibleFunction(scene, STRATUMWISE, {"sing": 1})
+        mu = ConstructibleFunction(scene, {"sing": 1})
         with pytest.raises(ValueError, match="codimension-one"):
-            milnor_class(scene, mu)
+            build_report(scene, mu)
 
 
 class TestCsmOfFunction:
@@ -190,9 +193,9 @@ class TestCsmOfFunction:
                 Stratum(id="pt", dim=0, parents=("open_part",)),
             ),
         )
-        alpha = ConstructibleFunction(scene, STRATUMWISE, {"open_part": 1, "pt": 1})
+        alpha = ConstructibleFunction(scene, {"open_part": 1, "pt": 1})
         assert csm_of_function(scene, alpha) == ChowClass(P2, {(1,): 3, (2,): 1})
-        beta = ConstructibleFunction(scene, STRATUMWISE, {"pt": 1})
+        beta = ConstructibleFunction(scene, {"pt": 1})
         assert csm_of_function(scene, beta) == ChowClass.point(P2)
 
 
@@ -336,11 +339,11 @@ class TestLocalization:
                 Stratum(id="q", dim=0),
             ),
         )
-        mu = ConstructibleFunction(scene, STRATUMWISE, {"p": -1, "q": -3})
-        terms = dict(localization(scene, mu))
+        mu = ConstructibleFunction(scene, {"p": -1, "q": -3})
+        terms = dict(localization(scene, mu, inverse_normal(scene)))
         assert terms["p"] == ChowClass(P2, {(2,): -1})
         assert terms["q"] == ChowClass(P2, {(2,): -3})
-        assert milnor_class(scene, mu) == ChowClass(P2, {(2,): -4})
+        assert milnor_class(scene, mu, inverse_normal(scene)) == ChowClass(P2, {(2,): -4})
 
 
 class TestResolveMu:
@@ -394,8 +397,10 @@ class TestBuildReport:
     def test_each_class_is_computed_once(self, corpus_scenes, monkeypatch):
         # One report resolves mu once, builds the Milnor class once, and
         # builds Fulton-Johnson classes once for the ambient and once for
-        # the product; the checks reuse them.
-        calls = {"resolve_mu": 0, "fulton_johnson": 0, "milnor_class": 0}
+        # the product; the checks reuse them.  (1+D)^-1 is formed four
+        # times: inside both Fulton-Johnson classes, once for the ambient
+        # Milnor class, localization and checks, and once in the lci check.
+        calls = {"resolve_mu": 0, "fulton_johnson": 0, "milnor_class": 0, "unit_inverse": 0}
         for name in calls:
             original = getattr(charclasses, name)
 
@@ -408,7 +413,7 @@ class TestBuildReport:
         report = build_report(scene, mu, m_values=(2,))
         assert not report.mu.is_zero()
         assert all(check.passed for check in report.checks.values())
-        assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1}
+        assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1, "unit_inverse": 4}
 
     def test_complete_intersection_report_skips_divisor_checks(self):
         scene = StrataScene(ambient=P3, multidegrees=((2,), (2,)))

@@ -9,7 +9,7 @@ import milnorcalc.cli as cli
 from milnorcalc.charclasses import CheckResult, build_report
 from milnorcalc.chow import ChowClass
 from milnorcalc.cli import main
-from milnorcalc.corpus import load_corpus_scene
+from milnorcalc.scenefile import load_scene
 
 SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
 NODAL = str(SCENES / "nodal-cubic.json")
@@ -21,6 +21,12 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_scene(tmp_path, data):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
 
 
 def assert_canonical(text):
@@ -86,6 +92,19 @@ class TestReport:
         assert code == 2
         assert "missing field: degrees" in err
 
+    def test_mu_on_complete_intersection_rejected(self, tmp_path, capsys):
+        # Two multidegrees give no Milnor class, so this mu would be dropped.
+        path = write_scene(tmp_path, {
+            "ambient": [3],
+            "degrees": [[2], [2]],
+            "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}],
+            "mu": {"p": -5},
+        })
+        for argv in (["report", path], ["check", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert "nonzero mu needs a codimension-one scene" in err
+
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
@@ -126,7 +145,7 @@ class TestCheck:
     def test_failed_check_exits_one(self, monkeypatch, capsys):
         # The identity checks hold for arbitrary scene data, so a
         # doctored report stands in for an arithmetic regression.
-        scene, mu = load_corpus_scene("nodal-cubic")
+        scene, mu = load_scene(NODAL)
         report = build_report(scene, mu)
         report.checks["verdier_m1"] = CheckResult(
             name="verdier_m1",
@@ -139,7 +158,7 @@ class TestCheck:
         assert "verdier_m1: FAIL  residual: H^2" in out
 
     def test_failed_check_json(self, monkeypatch, capsys):
-        scene, mu = load_corpus_scene("nodal-cubic")
+        scene, mu = load_scene(NODAL)
         report = build_report(scene, mu)
         report.checks["lci_m1"] = CheckResult(
             name="lci_m1",
@@ -177,6 +196,23 @@ class TestCheck:
         code, out, _ = run(capsys, "check", str(path))
         assert code == 0
         assert "euler_strata" not in out
+
+    def test_check_needing_one_multidegree_is_not_passed(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {"ambient": [3], "degrees": [[2], [2]], "smooth": True})
+        for selection, name in ((None, "all"), ("defect", "defect"), ("all", "all")):
+            argv = ["check", path] + (["--checks", selection] if selection else [])
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            assert f"check {name!r} does not apply to this scene: it needs one multidegree" in err
+
+    def test_euler_strata_needs_chi_c_data(self, tmp_path, capsys):
+        data = json.loads(pathlib.Path(NODAL).read_text())
+        del data["strata"]
+        path = write_scene(tmp_path, data)
+        code, out, err = run(capsys, "check", path, "--checks", "euler_strata")
+        assert code == 2 and out == ""
+        assert "check 'euler_strata' does not apply to this scene" in err
+        assert "chi_c on every stratum" in err
 
 
 class TestMilnor:

@@ -1,12 +1,11 @@
 """Scene file parsing: schema validation and round-trips."""
 
-import copy
 import json
+import pathlib
 
 import pytest
 
 from milnorcalc.chow import AmbientSpace, ChowClass
-from milnorcalc.corpus import CORPUS, write_scene_files
 from milnorcalc.scenefile import (
     SceneFileError,
     default_variables,
@@ -15,16 +14,34 @@ from milnorcalc.scenefile import (
 )
 
 
+SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+CORPUS_NAMES = (
+    "cuspidal-cubic",
+    "fermat-quartic-surface",
+    "four-nodal-quartic",
+    "nodal-cubic",
+    "one-nodal-quartic-surface",
+    "reducible-quadric-surface",
+    "smooth-conic",
+    "smooth-cubic-curve",
+    "smooth-quartic-curve",
+)
+
+
+def scene_dict(name):
+    return json.loads((SCENES / f"{name}.json").read_text(encoding="utf-8"))
+
+
 def nodal_dict():
-    return copy.deepcopy(CORPUS["nodal-cubic"])
+    return scene_dict("nodal-cubic")
 
 
 def user_mu_dict():
-    return copy.deepcopy(CORPUS["reducible-quadric-surface"])
+    return scene_dict("reducible-quadric-surface")
 
 
 def smooth_dict():
-    return copy.deepcopy(CORPUS["smooth-conic"])
+    return scene_dict("smooth-conic")
 
 
 class TestHappyPath:
@@ -297,31 +314,22 @@ class TestCsmMaps:
 
 class TestCorpusRoundTrip:
     def test_every_corpus_scene_parses(self):
-        for name, data in CORPUS.items():
-            scene, _ = scene_from_dict(copy.deepcopy(data))
+        for name in CORPUS_NAMES:
+            scene, _ = load_scene(str(SCENES / f"{name}.json"))
             assert scene.name == name
 
     def test_written_files_reload_identically(self, tmp_path):
-        write_scene_files(tmp_path)
-        for name, data in CORPUS.items():
+        for name in CORPUS_NAMES:
             path = tmp_path / f"{name}.json"
-            assert path.exists()
-            direct_scene, direct_mu = scene_from_dict(copy.deepcopy(data))
+            path.write_text(json.dumps(scene_dict(name), indent=2) + "\n", encoding="utf-8")
+            direct_scene, direct_mu = scene_from_dict(scene_dict(name))
             loaded_scene, loaded_mu = load_scene(str(path))
             assert loaded_scene == direct_scene
             assert loaded_mu == direct_mu
 
     def test_checked_in_scene_files_match_corpus(self):
-        # The scenes/ directory is generated from the corpus module and
-        # should never drift from it.
-        import pathlib
-
-        root = pathlib.Path(__file__).resolve().parent.parent / "scenes"
-        names = sorted(p.stem for p in root.glob("*.json"))
-        assert names == sorted(CORPUS)
-        for name in names:
-            with open(root / f"{name}.json", "r", encoding="utf-8") as handle:
-                assert json.load(handle) == CORPUS[name]
+        # scenes/ holds exactly the nine corpus scenes, one file each.
+        assert sorted(p.stem for p in SCENES.glob("*.json")) == list(CORPUS_NAMES)
 
 
 class TestLoadScene:

@@ -7,10 +7,8 @@ from milnorcalc.charclasses import resolve_mu
 from milnorcalc.chow import AmbientSpace, ChowClass
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
-    INDICATOR,
     SINGULAR_STRATUM,
     SMOOTH_STRATUM,
-    STRATUMWISE,
     ConstructibleFunction,
     SceneValidationError,
     StrataScene,
@@ -134,43 +132,33 @@ class TestValidation:
 
 class TestRepresentations:
     def test_indicator_of_whole_closure(self):
+        # 1 on the open part and on the point in its closure is the
+        # indicator of the whole closure.
         scene = two_stratum_scene()
-        alpha = ConstructibleFunction(scene, INDICATOR, {"open_part": 1})
-        sw = alpha.as_stratumwise()
-        assert sw.values == {"open_part": 1, "point": 1}
+        alpha = ConstructibleFunction(scene, {"open_part": 1, "point": 1})
+        assert alpha.indicator_coefficients() == {"open_part": 1}
 
     def test_point_indicator(self):
         scene = two_stratum_scene()
-        alpha = ConstructibleFunction(scene, STRATUMWISE, {"point": 1})
-        assert alpha.as_indicator().values == {"point": 1}
+        alpha = ConstructibleFunction(scene, {"point": 1})
+        assert alpha.indicator_coefficients() == {"point": 1}
 
     def test_moebius_inversion_on_chain(self):
         scene = chain_scene()
-        alpha = ConstructibleFunction(scene, STRATUMWISE, {"top": 1, "mid": 3, "bot": -2})
-        ind = alpha.as_indicator()
+        alpha = ConstructibleFunction(scene, {"top": 1, "mid": 3, "bot": -2})
         # Coefficients peel off the closure order: top keeps its value,
         # each lower stratum subtracts everything above it.
-        assert ind.values == {"top": 1, "mid": 2, "bot": -5}
-        assert ind.as_stratumwise() == alpha
+        assert alpha.indicator_coefficients() == {"top": 1, "mid": 2, "bot": -5}
 
     def test_zero_values_dropped(self):
         scene = two_stratum_scene()
-        alpha = ConstructibleFunction(scene, STRATUMWISE, {"point": 0})
+        alpha = ConstructibleFunction(scene, {"point": 0})
         assert alpha.is_zero()
 
     def test_unknown_stratum_rejected(self):
         scene = two_stratum_scene()
         with pytest.raises(ValueError, match="unknown stratum"):
-            ConstructibleFunction(scene, STRATUMWISE, {"ghost": 1})
-
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match="representation"):
-            ConstructibleFunction(two_stratum_scene(), "pointwise", {})
-
-    def test_value_reads_stratumwise(self):
-        scene = two_stratum_scene()
-        alpha = ConstructibleFunction(scene, INDICATOR, {"open_part": 5})
-        assert alpha.value("point") == 5
+            ConstructibleFunction(scene, {"ghost": 1})
 
 
 class TestEuler:
@@ -187,15 +175,20 @@ class TestEuler:
 
     def test_linearity(self):
         scene = chain_scene()
-        a = ConstructibleFunction(scene, STRATUMWISE, {"top": 2, "bot": 1})
-        b = ConstructibleFunction(scene, INDICATOR, {"mid": 3})
-        assert (a + b).euler() == a.euler() + b.euler()
-        assert (2 * a).euler() == 2 * a.euler()
-        assert (a - a).euler() == 0
+
+        def euler(values):
+            return ConstructibleFunction(scene, values).euler()
+
+        a = {"top": 2, "bot": 1}
+        b = {"mid": 3, "bot": 3}
+        assert ConstructibleFunction(scene, b).indicator_coefficients() == {"mid": 3}
+        combined = {k: 2 * a.get(k, 0) + b.get(k, 0) for k in scene.ids()}
+        assert euler(combined) == 2 * euler(a) + euler(b) == 15
+        assert euler({k: -v for k, v in a.items()}) == -euler(a)
 
     def test_missing_chi_raises(self):
         scene = scene_of([Stratum(id="x", dim=1)])
-        alpha = ConstructibleFunction(scene, STRATUMWISE, {"x": 1})
+        alpha = ConstructibleFunction(scene, {"x": 1})
         with pytest.raises(SceneValidationError, match="chi_c"):
             alpha.euler()
 
@@ -284,14 +277,7 @@ def functions_on(draw, scene):
             st.sampled_from(list(scene.ids())), st.integers(-20, 20), max_size=6
         )
     )
-    form = draw(st.sampled_from([STRATUMWISE, INDICATOR]))
-    return ConstructibleFunction(scene, form, values)
-
-
-@given(poset_scenes().flatmap(lambda s: functions_on(s)))
-def test_representation_round_trip(alpha):
-    assert alpha.as_indicator().as_stratumwise() == alpha
-    assert alpha.as_stratumwise().as_indicator() == alpha
+    return ConstructibleFunction(scene, values)
 
 
 @given(poset_scenes().flatmap(lambda s: functions_on(s)))
@@ -299,8 +285,8 @@ def test_indicator_solves_defining_system(alpha):
     # Independent check of the inversion: summing indicator coefficients
     # over each stratum's ancestors must reproduce the pointwise values.
     scene = alpha.scene
-    coeffs = alpha.as_indicator().values
-    pointwise = alpha.as_stratumwise().values
+    coeffs = alpha.indicator_coefficients()
+    pointwise = alpha.values
     reach = {}
     for s in scene.strata:
         seen = {s.id}
