@@ -15,7 +15,6 @@ from .charclasses import (
     build_report,
     canonical_json,
     defect_codim1_check,
-    csm_library,
     csm_of_function,
     fulton_johnson,
     lci_defect_check,
@@ -35,7 +34,6 @@ from .chow import (
     forget_factor,
     hyperplane,
     insert_factor,
-    line_bundle_class,
     self_intersection_check,
     tangent_class,
     unit_inverse,

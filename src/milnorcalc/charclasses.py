@@ -4,11 +4,12 @@ vanishing-cycle data, CSM classes, and the Riemann-Roch-type identity
 checks relating them.
 
 Conventions.  For a hypersurface X of multidegree d in an ambient Y the
-Fulton-Johnson class is c(TY) (1+dH)^{-1} (dH) cap [Y], the Milnor
-class is M = (1+dH)^{-1} c_*(mu) with mu the vanishing-cycle function,
-and the CSM class is their difference c_*(X) = c^FJ(X) - M.  With this
-sign an isolated singular point p contributes (-1)^{dim Y - 1} mu_p
-times the point class to M.
+Fulton-Johnson class is c(TY) dH / (1+dH) cap [Y], the Milnor class is
+M = c_*(mu) / (1+dH) with mu the vanishing-cycle function, and the CSM
+class is their difference c_*(X) = c^FJ(X) - M.  With this sign an
+isolated singular point p contributes (-1)^{dim Y - 1} mu_p times the
+point class to M.  Division by the unit 1+dH is an exact graded solve
+(``ChowClass.__truediv__``); the inverse (1+dH)^{-1} is never formed.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from .chow import (
     factor_tangent_class,
     forget_factor,
     insert_factor,
-    line_bundle_class,
     self_intersection_check,
     tangent_class,
-    unit_inverse,
 )
 from .groebner import CancelCallback, MilnorResult, total_milnor_number
 from .scenes import (
@@ -42,8 +41,6 @@ from .scenes import (
     validate_scene,
 )
 
-Shape = tuple
-
 
 class MissingCsmClassError(ValueError):
     """A stratum with nonzero vanishing cycles has no CSM class."""
@@ -52,8 +49,8 @@ class MissingCsmClassError(ValueError):
 def fulton_johnson(ambient: AmbientSpace, multidegrees: Sequence[Sequence[int]]) -> ChowClass:
     """Fulton-Johnson class of a smooth-model complete intersection.
 
-    For each multidegree d the factor (1 + dH)^{-1} (dH) is applied to
-    the ambient tangent class; a hypersurface is the one-degree case.
+    For each multidegree d the ambient tangent class is multiplied by
+    dH and divided by 1 + dH; a hypersurface is the one-degree case.
     """
     if not multidegrees:
         raise ValueError("at least one multidegree is required")
@@ -62,46 +59,8 @@ def fulton_johnson(ambient: AmbientSpace, multidegrees: Sequence[Sequence[int]])
         divisor = divisor_class(ambient, d)
         if divisor.is_zero():
             raise ValueError("zero multidegree")
-        result = result * unit_inverse(ChowClass.unit(ambient) + divisor) * divisor
+        result = result * divisor / (ChowClass.unit(ambient) + divisor)
     return result
-
-
-def csm_library(shape: Shape, ambient: AmbientSpace) -> ChowClass:
-    """CSM classes of a few standard closed subvarieties.
-
-    Shapes: ``("point",)``, ``("linear", k)`` for a linear P^k,
-    ``("smooth_ci", multidegrees)``, and ``("product", s1, s2)`` where
-    the first factor shape lives in the first ambient factor and the
-    second in the rest.
-    """
-    kind = shape[0]
-    if kind == "point":
-        return ChowClass.point(ambient)
-    if kind == "linear":
-        k = int(shape[1])
-        if len(ambient.factors) != 1:
-            raise ValueError("linear shapes live in a single projective space")
-        n = ambient.factors[0]
-        if not 0 <= k <= n:
-            raise ValueError(f"no linear P^{k} inside P^{n}")
-        h = ChowClass.monomial(ambient, (1,))
-        one = ChowClass.unit(ambient)
-        return (one + h) ** (k + 1) * h ** (n - k)
-    if kind == "smooth_ci":
-        return fulton_johnson(ambient, shape[1])
-    if kind == "product":
-        if len(ambient.factors) < 2:
-            raise ValueError("product shapes need at least two ambient factors")
-        left = AmbientSpace(ambient.factors[:1])
-        right = AmbientSpace(ambient.factors[1:])
-        left_class = csm_library(shape[1], left)
-        right_class = csm_library(shape[2], right)
-        lifted_left = left_class
-        for position, n in enumerate(ambient.factors[1:], start=1):
-            lifted_left = insert_factor(lifted_left, n, position)
-        lifted_right = insert_factor(right_class, ambient.factors[0], 0)
-        return lifted_left * lifted_right
-    raise ValueError(f"unknown shape {shape!r}")
 
 
 def _single_multidegree(scene: StrataScene) -> tuple[int, ...]:
@@ -133,25 +92,19 @@ def csm_of_function(scene: StrataScene, alpha: ConstructibleFunction) -> ChowCla
     return total
 
 
-def milnor_class(
-    scene: StrataScene, mu: ConstructibleFunction, inverse_normal: ChowClass
-) -> ChowClass:
-    """Milnor class (1 + dH)^{-1} cap c_*(mu); ``inverse_normal`` is (1 + dH)^{-1}."""
-    if mu.is_zero():
-        return ChowClass.zero(scene.ambient)
-    return inverse_normal * csm_of_function(scene, mu)
+def milnor_class(scene: StrataScene, mu: ConstructibleFunction, normal: ChowClass) -> ChowClass:
+    """Milnor class c_*(mu) / (1 + dH); ``normal`` is 1 + dH."""
+    return csm_of_function(scene, mu) / normal
 
 
 def localization(
-    scene: StrataScene, mu: ConstructibleFunction, inverse_normal: ChowClass
+    scene: StrataScene, mu: ConstructibleFunction, normal: ChowClass
 ) -> list[tuple[str, ChowClass]]:
     """Split the Milnor class into per-stratum closed-support terms."""
-    terms = []
-    for stratum_id, coefficient in sorted(mu.indicator_coefficients().items()):
-        stratum = scene.stratum(stratum_id)
-        term = inverse_normal * (coefficient * _closure_csm(scene, stratum))
-        terms.append((stratum_id, term))
-    return terms
+    return [
+        (stratum_id, coefficient * _closure_csm(scene, scene.stratum(stratum_id)) / normal)
+        for stratum_id, coefficient in sorted(mu.indicator_coefficients().items())
+    ]
 
 
 def resolve_mu(
@@ -267,18 +220,17 @@ def proper_pushdown_check(product: ProductClasses, milnor: ChowClass) -> CheckRe
 def defect_codim1_check(
     tangent: ChowClass,
     divisor: ChowClass,
-    inverse_normal: ChowClass,
+    normal: ChowClass,
     csm: ChowClass,
     milnor: ChowClass,
 ) -> CheckResult:
     """Check the divisor defect formula against the Milnor class.
 
-    The twisted restriction (1+dH)^{-1} (dH) c(TY) minus the CSM class
-    of X must equal (1+dH)^{-1} c_*(mu), the Milnor class; the
-    difference of the two sides is returned as the residual.
+    The twisted restriction (dH) c(TY) / (1+dH) minus the CSM class of
+    X must equal c_*(mu) / (1+dH), the Milnor class; the difference of
+    the two sides is returned as the residual.
     """
-    restricted = inverse_normal * (divisor * tangent)
-    lhs = restricted - csm
+    lhs = divisor * tangent / normal - csm
     return _result("defect_codim1", lhs - milnor)
 
 
@@ -293,24 +245,22 @@ def lci_defect_check(
     The composite of the inclusion into (ambient) x P^m with the
     projection to the ambient is a local complete intersection
     morphism.  Its twisted pullback of c_*(1_Y) = ``tangent``, minus the
-    CSM class of X x P^m, must match the normal-inverted MacPherson
-    class of the product vanishing cycles, whose closure classes are
-    the pulled-back closure classes of X.
+    CSM class of X x P^m, must match the MacPherson class of the
+    product vanishing cycles divided by the normal class; its closure
+    classes are the pulled-back closure classes of X.
     """
     m, position = product.m, product.position
     ambient = product.fiber_tangent.ambient
-    degree = _single_multidegree(scene) + (0,)
-    inverse_normal = unit_inverse(line_bundle_class(ambient, degree))
-    relative_tangent = product.fiber_tangent * inverse_normal
-    ambient_csm = insert_factor(tangent, m, position)
-    pulled = relative_tangent * (divisor_class(ambient, degree) * ambient_csm)
+    divisor = divisor_class(ambient, _single_multidegree(scene) + (0,))
+    normal = ChowClass.unit(ambient) + divisor
+    pulled = product.fiber_tangent * (divisor * insert_factor(tangent, m, position)) / normal
     lhs = pulled - (product.fulton_johnson - product.milnor_class)
     accumulated = ChowClass.zero(ambient)
     for stratum_id, coefficient in mu.indicator_coefficients().items():
         closure = _closure_csm(scene, scene.stratum(stratum_id))
         product_closure = insert_factor(closure, m, position) * product.fiber_tangent
         accumulated = accumulated + coefficient * product_closure
-    rhs = inverse_normal * accumulated
+    rhs = accumulated / normal
     return _result(f"lci_m{m}", lhs - rhs)
 
 
@@ -337,7 +287,7 @@ def build_report(
 ) -> ClassReport:
     """Compute every class and run every identity check for a scene.
 
-    Each class is computed once: c(TY), (1+dH)^{-1}, the Fulton-Johnson,
+    Each class is computed once: c(TY), 1+dH, the Fulton-Johnson,
     Milnor and CSM classes for the ambient, and the product classes for
     each m.  The checks compare these classes; they compute none again.
     A scene with several multidegrees gets no Milnor class, so nonzero
@@ -360,15 +310,15 @@ def build_report(
         degree = scene.multidegrees[0]
         tangent = tangent_class(scene.ambient)
         divisor = divisor_class(scene.ambient, degree)
-        inverse_normal = unit_inverse(ChowClass.unit(scene.ambient) + divisor)
-        milnor = milnor_class(scene, mu, inverse_normal)
-        terms = localization(scene, mu, inverse_normal)
+        normal = ChowClass.unit(scene.ambient) + divisor
+        milnor = milnor_class(scene, mu, normal)
+        terms = localization(scene, mu, normal)
         csm = fj - milnor
         checks["self_intersection"] = CheckResult(
             name="self_intersection",
             passed=self_intersection_check(scene.ambient, degree),
         )
-        checks["defect_codim1"] = defect_codim1_check(tangent, divisor, inverse_normal, csm, milnor)
+        checks["defect_codim1"] = defect_codim1_check(tangent, divisor, normal, csm, milnor)
         for m in m_values:
             product = product_classes(scene, milnor, m)
             checks[f"verdier_m{m}"] = verdier_smooth_check(product, csm)

@@ -11,6 +11,7 @@ Python integers and therefore exact at any size.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -172,13 +173,24 @@ class ChowClass:
             return self * other
         return NotImplemented
 
-    def __pow__(self, power: int) -> "ChowClass":
-        if power < 0:
-            raise ValueError("negative power")
-        result = ChowClass.unit(self.ambient)
-        for _ in range(power):
-            result = result * self
-        return result
+    def __truediv__(self, unit: "ChowClass") -> "ChowClass":
+        """Solve ``unit * y == self`` exactly, one codimension at a time.
+
+        With unit = 1 + v, v of positive degree, the codimension-k piece
+        of y is y_k = self_k - (v y)_k, and (v y)_k involves only the
+        pieces of y below k, which are already solved.
+        """
+        if not isinstance(unit, ChowClass):
+            return NotImplemented
+        if unit.constant_term() != 1:
+            raise ValueError("division by a non-unit: constant coefficient must be 1")
+        v = unit - ChowClass.unit(self.ambient)
+        v_pieces = [v.graded_piece(j) for j in range(self.ambient.dim + 1)]
+        y = [self.graded_piece(k) for k in range(self.ambient.dim + 1)]
+        for k in range(len(y)):
+            for j in range(1, k + 1):
+                y[k] = y[k] - v_pieces[j] * y[k - j]
+        return sum(y, ChowClass.zero(self.ambient))
 
     def __eq__(self, other) -> bool:
         return (
@@ -225,17 +237,24 @@ def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:
 
 
 def tangent_class(ambient: AmbientSpace) -> ChowClass:
-    """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1)."""
-    result = ChowClass.unit(ambient)
-    for i, n in enumerate(ambient.factors):
-        result = result * (ChowClass.unit(ambient) + hyperplane(ambient, i)) ** (n + 1)
-    return result
+    """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1).
+
+    In the truncated ring the coefficient of H^e is prod C(n_i+1, e_i).
+    """
+    coefficients = {
+        e: math.prod(math.comb(n + 1, k) for n, k in zip(ambient.factors, e)) for e in ambient.box()
+    }
+    return ChowClass(ambient, coefficients)
 
 
 def factor_tangent_class(ambient: AmbientSpace, factor: int) -> ChowClass:
-    """Total Chern class of the tangent bundle along one factor."""
+    """Total Chern class of the tangent bundle along one factor, (1+H)^(n+1)."""
     n = ambient.factors[factor]
-    return (ChowClass.unit(ambient) + hyperplane(ambient, factor)) ** (n + 1)
+    zeros = (0,) * len(ambient.factors)
+    coefficients = {
+        zeros[:factor] + (e,) + zeros[factor + 1 :]: math.comb(n + 1, e) for e in range(n + 1)
+    }
+    return ChowClass(ambient, coefficients)
 
 
 def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClass:
@@ -248,28 +267,9 @@ def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClas
     return result
 
 
-def line_bundle_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClass:
-    """Total Chern class 1 + sum d_i H_i of O(d_1,..,d_k)."""
-    return ChowClass.unit(ambient) + divisor_class(ambient, multidegree)
-
-
 def unit_inverse(u: ChowClass) -> ChowClass:
-    """Invert a class with constant coefficient 1 by a geometric series.
-
-    The positive-degree part is nilpotent, so the series stops after
-    dim(ambient) steps.
-    """
-    if u.constant_term() != 1:
-        raise ValueError("non-unit input: constant coefficient must be 1")
-    nilpotent = ChowClass.unit(u.ambient) - u
-    result = ChowClass.unit(u.ambient)
-    power = ChowClass.unit(u.ambient)
-    for _ in range(u.ambient.dim):
-        power = power * nilpotent
-        if power.is_zero():
-            break
-        result = result + power
-    return result
+    """Invert a class with constant coefficient 1."""
+    return ChowClass.unit(u.ambient) / u
 
 
 def insert_factor(x: ChowClass, extra_dim: int, position: int) -> ChowClass:
@@ -319,7 +319,7 @@ def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -
     bundle class.
     """
     divisor = divisor_class(ambient, multidegree)
-    chern_one = line_bundle_class(ambient, multidegree).graded_piece(1)
+    chern_one = (ChowClass.unit(ambient) + divisor).graded_piece(1)
     for exp in ambient.box():
         basis_class = ChowClass.monomial(ambient, exp)
         if divisor * basis_class != chern_one * basis_class:

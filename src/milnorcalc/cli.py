@@ -38,19 +38,20 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_MATH = 3
 
+# Each name that --checks accepts, and the checks it selects.
 _CHECK_ALIASES = {
-    "verdier": "verdier",
-    "verdier_smooth": "verdier",
-    "defect": "defect",
-    "defect_codim1": "defect",
-    "pushdown": "pushdown",
-    "proper_pushdown": "pushdown",
-    "lci": "lci",
-    "lci_defect": "lci",
-    "euler": "euler",
-    "euler_strata": "euler",
+    "verdier": ("verdier",),
+    "verdier_smooth": ("verdier",),
+    "defect": ("defect",),
+    "defect_codim1": ("defect",),
+    "pushdown": ("pushdown",),
+    "proper_pushdown": ("pushdown",),
+    "lci": ("lci",),
+    "lci_defect": ("lci",),
+    "euler": ("euler",),
+    "euler_strata": ("euler",),
+    "all": ("verdier", "defect", "pushdown", "lci"),
 }
-_IDENTITY_CHECKS = ("verdier", "defect", "pushdown", "lci")
 
 
 class _Output:
@@ -68,7 +69,7 @@ def _ambient_label(factors: Sequence[int]) -> str:
     return " x ".join(f"P^{n}" for n in factors)
 
 
-def _check_keys(report_checks, selection: Optional[str], m: int) -> list[str]:
+def _check_keys(report_checks, names: list[str], m: int) -> list[str]:
     """Report keys of the selected checks; a selection that names a
     check the report does not have is an error, not a silent pass."""
     keys = {
@@ -79,14 +80,8 @@ def _check_keys(report_checks, selection: Optional[str], m: int) -> list[str]:
         "euler": "euler_strata",
     }
     result = []
-    for raw in (selection or "all").split(","):
-        name = raw.strip()
-        if name == "all":
-            wanted = _IDENTITY_CHECKS
-        elif name in _CHECK_ALIASES:
-            wanted = (_CHECK_ALIASES[name],)
-        else:
-            raise SceneFileError(f"unknown check {name!r}")
+    for name in names:
+        wanted = _CHECK_ALIASES[name]
         found = [keys[w] for w in wanted if keys[w] in report_checks]
         if not found:
             needs = "strata with chi_c on every stratum" if wanted == ("euler",) else "one multidegree"
@@ -147,9 +142,14 @@ def cmd_report(args, out: _Output) -> int:
 
 
 def cmd_check(args, out: _Output) -> int:
+    # Check names are validated before any class is computed.
+    names = [raw.strip() for raw in (args.checks or "all").split(",")]
+    for name in names:
+        if name not in _CHECK_ALIASES:
+            raise SceneFileError(f"unknown check {name!r}")
     scene, mu = load_scene(args.scene)
     report = build_report(scene, mu, m_values=(args.m,))
-    keys = _check_keys(report.checks, args.checks, args.m)
+    keys = _check_keys(report.checks, names, args.m)
     failed = []
     json_payload = {}
     for key in keys:

@@ -9,7 +9,8 @@ The text grammar accepted by ``parse_polynomial`` (and emitted by
 ``str``) is a sum of terms joined by ``+`` or ``-``, where a term is an
 optional rational coefficient followed by ``*``-separated variable
 powers, for example ``y^2*z - x^3 - 1/2*x^2*z + 4``.  Juxtaposition
-(``2x``) is a syntax error.
+(``2x``) is a syntax error, and so are parentheses: a product such as
+``(y^2*z - x^3)*(y - z)`` must be expanded into a sum of terms.
 """
 
 from __future__ import annotations
@@ -286,6 +287,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append(("name", text[i:j], i))
             i = j
             continue
+        if ch in "()":
+            raise PolyParseError("parentheses are not supported: expand products first", i)
         raise PolyParseError(f"unexpected character {ch!r}", i)
     tokens.append(("end", "", n))
     return tokens

@@ -4,12 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from milnorcalc import charclasses
+from milnorcalc import charclasses, chow
 from milnorcalc.charclasses import (
     MissingCsmClassError,
     build_report,
     defect_codim1_check,
-    csm_library,
     csm_of_function,
     fulton_johnson,
     lci_defect_check,
@@ -20,7 +19,7 @@ from milnorcalc.charclasses import (
     resolve_mu,
     verdier_smooth_check,
 )
-from milnorcalc.chow import AmbientSpace, ChowClass, line_bundle_class, unit_inverse
+from milnorcalc.chow import AmbientSpace, ChowClass, divisor_class, insert_factor
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
     SINGULAR_STRATUM,
@@ -28,6 +27,7 @@ from milnorcalc.scenes import (
     StrataScene,
     Stratum,
 )
+from test_chow import power, series_inverse
 
 P2 = AmbientSpace((2,))
 P3 = AmbientSpace((3,))
@@ -92,6 +92,39 @@ class TestFultonJohnson:
             fulton_johnson(P2, [])
 
 
+def csm_library(shape, ambient):
+    """CSM classes of a few standard closed subvarieties.
+
+    Shapes: ``("point",)``, ``("linear", k)`` for a linear P^k,
+    ``("smooth_ci", multidegrees)``, and ``("product", s1, s2)`` where
+    the first factor shape lives in the first ambient factor and the
+    second in the rest.
+    """
+    kind = shape[0]
+    if kind == "point":
+        return ChowClass.point(ambient)
+    if kind == "linear":
+        k = int(shape[1])
+        if len(ambient.factors) != 1:
+            raise ValueError("linear shapes live in a single projective space")
+        n = ambient.factors[0]
+        if not 0 <= k <= n:
+            raise ValueError(f"no linear P^{k} inside P^{n}")
+        h = ChowClass.monomial(ambient, (1,))
+        return power(ChowClass.unit(ambient) + h, k + 1) * power(h, n - k)
+    if kind == "smooth_ci":
+        return fulton_johnson(ambient, shape[1])
+    if kind == "product":
+        if len(ambient.factors) < 2:
+            raise ValueError("product shapes need at least two ambient factors")
+        left = csm_library(shape[1], AmbientSpace(ambient.factors[:1]))
+        right = csm_library(shape[2], AmbientSpace(ambient.factors[1:]))
+        for position, n in enumerate(ambient.factors[1:], start=1):
+            left = insert_factor(left, n, position)
+        return left * insert_factor(right, ambient.factors[0], 0)
+    raise ValueError(f"unknown shape {shape!r}")
+
+
 class TestCsmLibrary:
     def test_point(self):
         assert csm_library(("point",), P3) == ChowClass(P3, {(3,): 1})
@@ -122,8 +155,8 @@ class TestCsmLibrary:
             csm_library(("product", ("point",), ("point",)), P2)
 
 
-def inverse_normal(scene):
-    return unit_inverse(line_bundle_class(scene.ambient, scene.multidegrees[0]))
+def normal(scene):
+    return ChowClass.unit(scene.ambient) + divisor_class(scene.ambient, scene.multidegrees[0])
 
 
 def point_mu_scene(ambient, degree, value):
@@ -138,11 +171,11 @@ def point_mu_scene(ambient, degree, value):
 class TestMilnorClass:
     def test_isolated_point_value(self):
         scene, mu = point_mu_scene(P2, 3, -1)
-        assert milnor_class(scene, mu, inverse_normal(scene)) == ChowClass(P2, {(2,): -1})
+        assert milnor_class(scene, mu, normal(scene)) == ChowClass(P2, {(2,): -1})
 
     def test_zero_for_zero_mu(self):
         scene, mu = point_mu_scene(P2, 3, 0)
-        assert milnor_class(scene, mu, inverse_normal(scene)).is_zero()
+        assert milnor_class(scene, mu, normal(scene)).is_zero()
 
     def test_positive_dimensional_locus(self):
         # mu = m on a linear P^1 inside P^3 for a degree-2 hypersurface.
@@ -154,10 +187,8 @@ class TestMilnorClass:
             ),
         )
         mu = ConstructibleFunction(scene, {"line": -1})
-        got = milnor_class(scene, mu, inverse_normal(scene))
-        expected = unit_inverse(line_bundle_class(P3, (2,))) * (
-            -1 * csm_library(("linear", 1), P3)
-        )
+        got = milnor_class(scene, mu, normal(scene))
+        expected = series_inverse(normal(scene)) * (-1 * csm_library(("linear", 1), P3))
         assert got == expected == ChowClass(P3, {(2,): -1})
 
     def test_missing_csm_class(self):
@@ -168,7 +199,7 @@ class TestMilnorClass:
         )
         mu = ConstructibleFunction(scene, {"line": 1})
         with pytest.raises(MissingCsmClassError):
-            milnor_class(scene, mu, inverse_normal(scene))
+            milnor_class(scene, mu, normal(scene))
 
     def test_needs_single_degree(self):
         scene = StrataScene(
@@ -296,14 +327,14 @@ class TestProductChecks:
     def test_defect_check_sides(self, nodal_report):
         # Both sides of the divisor defect identity equal the Milnor
         # class itself; spot-check the left side explicitly.
-        from milnorcalc.chow import divisor_class, tangent_class
+        from milnorcalc.chow import tangent_class
 
         divisor = divisor_class(P2, (3,))
-        inverse_normal = unit_inverse(ChowClass.unit(P2) + divisor)
         csm, milnor = nodal_report.csm, nodal_report.milnor_class
-        lhs = inverse_normal * (divisor * tangent_class(P2)) - csm
+        lhs = series_inverse(ChowClass.unit(P2) + divisor) * (divisor * tangent_class(P2)) - csm
         assert lhs == milnor == ChowClass(P2, {(2,): -1})
-        assert defect_codim1_check(tangent_class(P2), divisor, inverse_normal, csm, milnor).passed
+        check = defect_codim1_check(tangent_class(P2), divisor, normal(nodal_report.scene), csm, milnor)
+        assert check.passed
 
     def test_lci_and_pushdown_checks_standalone(self, corpus_reports):
         from milnorcalc.chow import tangent_class
@@ -340,10 +371,10 @@ class TestLocalization:
             ),
         )
         mu = ConstructibleFunction(scene, {"p": -1, "q": -3})
-        terms = dict(localization(scene, mu, inverse_normal(scene)))
+        terms = dict(localization(scene, mu, normal(scene)))
         assert terms["p"] == ChowClass(P2, {(2,): -1})
         assert terms["q"] == ChowClass(P2, {(2,): -3})
-        assert milnor_class(scene, mu, inverse_normal(scene)) == ChowClass(P2, {(2,): -4})
+        assert milnor_class(scene, mu, normal(scene)) == ChowClass(P2, {(2,): -4})
 
 
 class TestResolveMu:
@@ -397,23 +428,27 @@ class TestBuildReport:
     def test_each_class_is_computed_once(self, corpus_scenes, monkeypatch):
         # One report resolves mu once, builds the Milnor class once, and
         # builds Fulton-Johnson classes once for the ambient and once for
-        # the product; the checks reuse them.  (1+D)^-1 is formed four
-        # times: inside both Fulton-Johnson classes, once for the ambient
-        # Milnor class, localization and checks, and once in the lci check.
+        # the product; the checks reuse them.  No (1+D)^-1 is formed:
+        # every class that needs it divides by 1+D instead, so
+        # unit_inverse, which stays only as a benchmark trace point, is
+        # never called.
         calls = {"resolve_mu": 0, "fulton_johnson": 0, "milnor_class": 0, "unit_inverse": 0}
-        for name in calls:
-            original = getattr(charclasses, name)
+        for module in (charclasses, chow):
+            for name in calls:
+                if not hasattr(module, name):
+                    continue
+                original = getattr(module, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
 
-            monkeypatch.setattr(charclasses, name, counted)
+                monkeypatch.setattr(module, name, counted)
         scene, mu = corpus_scenes["cuspidal-cubic"]
         report = build_report(scene, mu, m_values=(2,))
         assert not report.mu.is_zero()
         assert all(check.passed for check in report.checks.values())
-        assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1, "unit_inverse": 4}
+        assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1, "unit_inverse": 0}
 
     def test_complete_intersection_report_skips_divisor_checks(self):
         scene = StrataScene(ambient=P3, multidegrees=((2,), (2,)))

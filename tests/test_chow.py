@@ -11,7 +11,6 @@ from milnorcalc.chow import (
     forget_factor,
     hyperplane,
     insert_factor,
-    line_bundle_class,
     self_intersection_check,
     tangent_class,
     unit_inverse,
@@ -36,6 +35,40 @@ def naive_product(a, b):
             if all(i <= n for i, n in zip(e, a.ambient.factors)):
                 out[e] = out.get(e, 0) + c1 * c2
     return ChowClass(a.ambient, out)
+
+
+# Oracles for the closed forms and for division: the constructions the
+# package used before, by repeated products and a geometric series.
+
+
+def power(x, k):
+    result = ChowClass.unit(x.ambient)
+    for _ in range(k):
+        result = result * x
+    return result
+
+
+def powered_factor_tangent(ambient, factor):
+    n = ambient.factors[factor]
+    return power(ChowClass.unit(ambient) + hyperplane(ambient, factor), n + 1)
+
+
+def powered_tangent_class(ambient):
+    result = ChowClass.unit(ambient)
+    for i in range(len(ambient.factors)):
+        result = result * powered_factor_tangent(ambient, i)
+    return result
+
+
+def series_inverse(u):
+    # 1 + v + v^2 + ... with v = 1 - u nilpotent, so the sum is finite.
+    assert u.constant_term() == 1
+    nilpotent = ChowClass.unit(u.ambient) - u
+    result = term = ChowClass.unit(u.ambient)
+    for _ in range(u.ambient.dim):
+        term = term * nilpotent
+        result = result + term
+    return result
 
 
 class TestAmbient:
@@ -85,11 +118,6 @@ class TestChowClass:
         assert (h * h * h).is_zero()
         assert h * h == cls(P2, {(2,): 1})
 
-    def test_binomial_power(self):
-        one = ChowClass.unit(P2)
-        h = hyperplane(P2)
-        assert (one + h) ** 3 == cls(P2, {(0,): 1, (1,): 3, (2,): 3})
-
     def test_scalar_and_sub(self):
         h = hyperplane(P2)
         assert 2 * h - h == h
@@ -123,10 +151,11 @@ class TestStandardClasses:
         assert tangent_class(P2) == cls(P2, {(0,): 1, (1,): 3, (2,): 3})
 
     def test_tangent_class_product(self):
-        expected = (ChowClass.unit(P2xP1) + hyperplane(P2xP1, 0)) ** 3 * (
-            ChowClass.unit(P2xP1) + hyperplane(P2xP1, 1)
-        ) ** 2
-        assert tangent_class(P2xP1) == expected
+        expected = cls(
+            P2xP1,
+            {(0, 0): 1, (1, 0): 3, (2, 0): 3, (0, 1): 2, (1, 1): 6, (2, 1): 6},
+        )
+        assert tangent_class(P2xP1) == expected == powered_tangent_class(P2xP1)
 
     def test_factor_tangent(self):
         assert factor_tangent_class(P2xP1, 1) == cls(P2xP1, {(0, 0): 1, (0, 1): 2})
@@ -136,13 +165,10 @@ class TestStandardClasses:
         with pytest.raises(ValueError):
             divisor_class(P2xP1, (3,))
 
-    def test_line_bundle_class(self):
-        assert line_bundle_class(P2, (2,)) == cls(P2, {(0,): 1, (1,): 2})
-
 
 class TestUnitInverse:
     def test_geometric_series(self):
-        u = line_bundle_class(P3, (2,))
+        u = ChowClass.unit(P3) + divisor_class(P3, (2,))
         assert unit_inverse(u) == cls(P3, {(0,): 1, (1,): -2, (2,): 4, (3,): -8})
 
     def test_round_trip(self):
@@ -194,7 +220,25 @@ class TestGysin:
         assert self_intersection_check(P2xP1, (2, 1))
 
 
+class TestDivision:
+    def test_divide_by_normal_class(self):
+        u = ChowClass.unit(P3) + divisor_class(P3, (2,))
+        x = cls(P3, {(1,): 2})
+        assert x / u == cls(P3, {(1,): 2, (2,): -4, (3,): 8})
+
+    def test_ambient_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="ambient mismatch"):
+            hyperplane(P2) / ChowClass.unit(P3)
+
+    def test_only_classes_divide(self):
+        with pytest.raises(TypeError):
+            hyperplane(P2) / 2
+
+
 ambients = st.sampled_from([P2, P3, P2xP1])
+small_ambients = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
+    lambda factors: AmbientSpace(tuple(factors))
+)
 
 
 @st.composite
@@ -206,6 +250,39 @@ def chow_classes(draw, ambient=None):
         st.dictionaries(st.sampled_from(box), st.integers(-50, 50), max_size=5)
     )
     return ChowClass(ambient, coefficients)
+
+
+@st.composite
+def classes_and_unit(draw, constants=st.just(1)):
+    # A class x and a class u of the given constant term on one random
+    # small ambient; the positive-degree part of u is arbitrary.
+    ambient = draw(small_ambients)
+    x = draw(chow_classes(ambient=ambient))
+    rest = draw(chow_classes(ambient=ambient))
+    positive = ChowClass(ambient, {e: c for e, c in rest.coefficients.items() if any(e)})
+    return x, ChowClass.constant(ambient, draw(constants)) + positive
+
+
+@given(small_ambients)
+def test_tangent_classes_match_powered_oracle(ambient):
+    assert tangent_class(ambient) == powered_tangent_class(ambient)
+    for factor in range(len(ambient.factors)):
+        assert factor_tangent_class(ambient, factor) == powered_factor_tangent(ambient, factor)
+
+
+@given(classes_and_unit())
+def test_division_solves_the_product(pair):
+    x, u = pair
+    y = x / u
+    assert y * u == x
+    assert y == x * series_inverse(u)
+
+
+@given(classes_and_unit(constants=st.sampled_from([0, 2, -1, 5])))
+def test_division_by_non_unit_rejected(pair):
+    x, u = pair
+    with pytest.raises(ValueError, match="constant coefficient must be 1"):
+        x / u
 
 
 @given(chow_classes(ambient=P2xP1), chow_classes(ambient=P2xP1))

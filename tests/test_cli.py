@@ -11,7 +11,9 @@ from milnorcalc.chow import ChowClass
 from milnorcalc.cli import main
 from milnorcalc.scenefile import load_scene
 
-SCENES = pathlib.Path(__file__).resolve().parent.parent / "scenes"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
+GOLDENS = json.loads((ROOT / "perfbench" / "goldens" / "corpus.json").read_text(encoding="utf-8"))
 NODAL = str(SCENES / "nodal-cubic.json")
 CUSPIDAL = str(SCENES / "cuspidal-cubic.json")
 CONIC = str(SCENES / "smooth-conic.json")
@@ -69,6 +71,19 @@ class TestReport:
         assert payload["mu"] == {"node": -1}
         assert payload["localization"] == [{"class": {"2": -1}, "stratum": "node"}]
         assert payload["checks"]["verdier_m1"] == {"pass": True}
+
+    @pytest.mark.parametrize("key", sorted(GOLDENS), ids=lambda key: key.replace(".json --m ", "-m"))
+    def test_json_matches_corpus_golden(self, key, capsys):
+        # The goldens hold the byte-exact stdout of every corpus report
+        # at m = 1, 2, 3; keys read "<scene file> --m <m>".
+        scene_file, m = key.split(" --m ")
+        code, out, err = run(capsys, "--json", "report", str(SCENES / scene_file), "--m", m)
+        assert code == 0, err
+        assert out == GOLDENS[key]
+
+    def test_goldens_cover_the_corpus(self):
+        expected = {f"{p.name} --m {m}" for p in SCENES.glob("*.json") for m in (1, 2, 3)}
+        assert set(GOLDENS) == expected
 
     def test_m_flag_changes_check_names(self, capsys):
         code, out, _ = run(capsys, "--json", "report", NODAL, "--m", "3")
@@ -134,6 +149,15 @@ class TestCheck:
 
     def test_unknown_check(self, capsys):
         code, _, err = run(capsys, "check", NODAL, "--checks", "frobnicate")
+        assert code == 2
+        assert "unknown check 'frobnicate'" in err
+
+    def test_unknown_check_rejected_before_report(self, monkeypatch, capsys):
+        def no_report(*args, **kwargs):
+            raise AssertionError("build_report ran for a misspelt check name")
+
+        monkeypatch.setattr(cli, "build_report", no_report)
+        code, _, err = run(capsys, "check", NODAL, "--checks", "defect,frobnicate")
         assert code == 2
         assert "unknown check 'frobnicate'" in err
 
@@ -237,6 +261,14 @@ class TestMilnor:
         code, _, err = run(capsys, "milnor", "--poly", "x^2 +", "--vars", "x,y,z", "--chart", "z")
         assert code == 2
         assert err.startswith("error:")
+
+    def test_parentheses_are_named(self, capsys):
+        code, _, err = run(
+            capsys, "milnor", "--poly", "(y^2*z - x^3)*(y - z)", "--vars", "x,y,z", "--chart", "z"
+        )
+        assert code == 2
+        assert "parentheses are not supported: expand products" in err
+        assert "position 0" in err
 
     def test_unknown_chart(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2 + y^2 + z^2", "--vars", "x,y,z", "--chart", "t")

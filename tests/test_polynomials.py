@@ -83,6 +83,14 @@ class TestParser:
         assert err.value.position == 4
         assert "position 4" in str(err.value)
 
+    def test_parentheses_name_the_limit(self):
+        with pytest.raises(PolyParseError, match="parentheses are not supported") as err:
+            P("x*(y + z)")
+        assert err.value.position == 2
+        assert "expand products first" in str(err.value)
+        with pytest.raises(PolyParseError, match="parentheses are not supported"):
+            P("x^2 + y)")
+
     def test_dangling_operator(self):
         with pytest.raises(PolyParseError):
             P("x +")
