@@ -46,10 +46,8 @@ from .groebner import (
     SingularitiesOutsideChartError,
     dehomogenize,
     groebner,
-    ideal_quotient,
     normal_form,
     quotient_dim,
-    saturate,
     total_milnor_number,
 )
 from .polynomials import (

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .chow import (
     AmbientSpace,
@@ -79,31 +79,40 @@ def _closure_csm(scene: StrataScene, stratum: Stratum) -> ChowClass:
     )
 
 
-def csm_of_function(scene: StrataScene, alpha: ConstructibleFunction) -> ChowClass:
-    """MacPherson transformation of ``alpha`` from per-stratum CSM data.
+def csm_of_function(scene: StrataScene, coefficients: Mapping[str, int]) -> ChowClass:
+    """MacPherson transformation of a constructible function.
 
-    Expands ``alpha`` over indicator functions of stratum closures and
-    sums the recorded closure classes with those coefficients.
+    The function is given by its ``coefficients`` over indicator
+    functions of stratum closures (from ``indicator_coefficients``);
+    the recorded closure classes are summed with them.
     """
     total = ChowClass.zero(scene.ambient)
-    for stratum_id, coefficient in alpha.indicator_coefficients().items():
+    for stratum_id, coefficient in coefficients.items():
         stratum = scene.stratum(stratum_id)
         total = total + coefficient * _closure_csm(scene, stratum)
     return total
 
 
-def milnor_class(scene: StrataScene, mu: ConstructibleFunction, normal: ChowClass) -> ChowClass:
-    """Milnor class c_*(mu) / (1 + dH); ``normal`` is 1 + dH."""
-    return csm_of_function(scene, mu) / normal
+def milnor_class(
+    scene: StrataScene, coefficients: Mapping[str, int], normal: ChowClass
+) -> ChowClass:
+    """Milnor class c_*(mu) / (1 + dH); ``normal`` is 1 + dH.
+
+    ``coefficients`` are the closure-indicator coefficients of mu.
+    """
+    return csm_of_function(scene, coefficients) / normal
 
 
 def localization(
-    scene: StrataScene, mu: ConstructibleFunction, normal: ChowClass
+    scene: StrataScene, coefficients: Mapping[str, int], normal: ChowClass
 ) -> list[tuple[str, ChowClass]]:
-    """Split the Milnor class into per-stratum closed-support terms."""
+    """Split the Milnor class into per-stratum closed-support terms.
+
+    ``coefficients`` are the closure-indicator coefficients of mu.
+    """
     return [
         (stratum_id, coefficient * _closure_csm(scene, scene.stratum(stratum_id)) / normal)
-        for stratum_id, coefficient in sorted(mu.indicator_coefficients().items())
+        for stratum_id, coefficient in sorted(coefficients.items())
     ]
 
 
@@ -236,7 +245,7 @@ def defect_codim1_check(
 
 def lci_defect_check(
     scene: StrataScene,
-    mu: ConstructibleFunction,
+    coefficients: Mapping[str, int],
     tangent: ChowClass,
     product: ProductClasses,
 ) -> CheckResult:
@@ -247,7 +256,8 @@ def lci_defect_check(
     morphism.  Its twisted pullback of c_*(1_Y) = ``tangent``, minus the
     CSM class of X x P^m, must match the MacPherson class of the
     product vanishing cycles divided by the normal class; its closure
-    classes are the pulled-back closure classes of X.
+    classes are the pulled-back closure classes of X, summed with the
+    closure-indicator ``coefficients`` of mu.
     """
     m, position = product.m, product.position
     ambient = product.fiber_tangent.ambient
@@ -256,7 +266,7 @@ def lci_defect_check(
     pulled = product.fiber_tangent * (divisor * insert_factor(tangent, m, position)) / normal
     lhs = pulled - (product.fulton_johnson - product.milnor_class)
     accumulated = ChowClass.zero(ambient)
-    for stratum_id, coefficient in mu.indicator_coefficients().items():
+    for stratum_id, coefficient in coefficients.items():
         closure = _closure_csm(scene, scene.stratum(stratum_id))
         product_closure = insert_factor(closure, m, position) * product.fiber_tangent
         accumulated = accumulated + coefficient * product_closure
@@ -287,7 +297,8 @@ def build_report(
 ) -> ClassReport:
     """Compute every class and run every identity check for a scene.
 
-    Each class is computed once: c(TY), 1+dH, the Fulton-Johnson,
+    Each class is computed once: c(TY), 1+dH, the closure-indicator
+    coefficients of mu (one Moebius inversion), the Fulton-Johnson,
     Milnor and CSM classes for the ambient, and the product classes for
     each m.  The checks compare these classes; they compute none again.
     A scene with several multidegrees gets no Milnor class, so nonzero
@@ -311,8 +322,9 @@ def build_report(
         tangent = tangent_class(scene.ambient)
         divisor = divisor_class(scene.ambient, degree)
         normal = ChowClass.unit(scene.ambient) + divisor
-        milnor = milnor_class(scene, mu, normal)
-        terms = localization(scene, mu, normal)
+        coefficients = mu.indicator_coefficients()
+        milnor = milnor_class(scene, coefficients, normal)
+        terms = localization(scene, coefficients, normal)
         csm = fj - milnor
         checks["self_intersection"] = CheckResult(
             name="self_intersection",
@@ -323,7 +335,7 @@ def build_report(
             product = product_classes(scene, milnor, m)
             checks[f"verdier_m{m}"] = verdier_smooth_check(product, csm)
             checks[f"pushdown_m{m}"] = proper_pushdown_check(product, milnor)
-            checks[f"lci_m{m}"] = lci_defect_check(scene, mu, tangent, product)
+            checks[f"lci_m{m}"] = lci_defect_check(scene, coefficients, tangent, product)
         total = ChowClass.zero(scene.ambient)
         for _, term in terms:
             total = total + term

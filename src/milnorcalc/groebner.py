@@ -1,13 +1,16 @@
 """Groebner bases over the rationals and the ideal-theoretic invariants
-built on them: staircase quotient dimensions, saturation by iterated
-ideal quotients, and total Milnor numbers of projective hypersurfaces
-with isolated singularities.
+built on them: staircase quotient dimensions and total Milnor numbers
+of projective hypersurfaces with isolated singularities.
 
 The basis computation is Buchberger's algorithm with the coprimality
 (product) criterion and the chain criterion, nothing fancier.  Inputs
 here are desk-scale Jacobian ideals, so clarity and exactness win over
-asymptotics.  Long computations poll an optional cancellation callback
-once per S-polynomial reduction.
+asymptotics.  The Milnor count is linear algebra on the Jacobian
+algebra A = k[x]/J: the matrix of multiplication by the equation f,
+written in the staircase basis of A, is powered until its rank stops
+falling (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 and 4).
+Long computations poll an optional cancellation callback once per
+S-polynomial reduction and once per pivot column of an elimination.
 """
 
 from __future__ import annotations
@@ -257,18 +260,19 @@ def groebner(
     return GroebnerBasis(ideal.variables, order, tuple(basis))
 
 
-def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
-    """Count standard monomials of the quotient ring, or ``math.inf``.
+def _standard_monomials(basis: GroebnerBasis) -> Optional[list[Exponent]]:
+    """Exponents of the standard monomials of k[x]/I, or None if infinite.
 
-    The count is the vector-space dimension of k[x]/I.  It is finite
-    exactly when every variable has a pure power among the leading
-    terms; the finite case is enumerated over the staircase box.
+    They are the monomials divisible by no leading term, and they form
+    a basis of k[x]/I.  There are finitely many exactly when every
+    variable has a pure power among the leading terms; the finite case
+    is enumerated over the staircase box.
     """
     if not basis.basis:
-        return math.inf
+        return None
     leads = basis.leading_exponents()
     if any(sum(e) == 0 for e in leads):
-        return 0
+        return []
     nvars = len(basis.variables)
     bounds = []
     for i in range(nvars):
@@ -278,13 +282,23 @@ def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
             if e[i] > 0 and all(e[j] == 0 for j in range(nvars) if j != i)
         ]
         if not pure:
-            return math.inf
+            return None
         bounds.append(min(pure))
-    count = 0
-    for monomial in itertools.product(*(range(b) for b in bounds)):
-        if not any(_divides(lead, monomial) for lead in leads):
-            count += 1
-    return count
+    return [
+        monomial
+        for monomial in itertools.product(*(range(b) for b in bounds))
+        if not any(_divides(lead, monomial) for lead in leads)
+    ]
+
+
+def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
+    """Vector-space dimension of k[x]/I, or ``math.inf``."""
+    monomials = _standard_monomials(basis)
+    return math.inf if monomials is None else len(monomials)
+
+
+# Ideal quotients and saturation are off the report path: kept only as
+# the tests' oracle and because perfbench/tracer.py wraps them.
 
 
 def _fresh_name(variables: tuple[str, ...]) -> str:
@@ -404,9 +418,9 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
 class MilnorResult:
     """Total Milnor number of the chart singularities.
 
-    ``off_curve_dim`` is the dimension of the saturated Jacobian
-    quotient, i.e. the contribution of critical points of the chart
-    equation that do not lie on the hypersurface.
+    ``off_curve_dim`` is the part of dim k[x]/J on which multiplication
+    by the chart equation f is invertible, i.e. the contribution of
+    critical points of f that do not lie on the hypersurface.
     """
 
     total_milnor: int
@@ -424,6 +438,82 @@ def _validate_chart(F: Polynomial, chart_index: int, cancel: Optional[CancelCall
         raise SingularitiesOutsideChartError("singularities outside the chart")
 
 
+# A sparse matrix row: column index -> nonzero entry.
+Row = dict[int, Fraction]
+
+
+def _multiplication_rows(
+    f: Polynomial, basis: GroebnerBasis, monomials: list[Exponent]
+) -> list[Row]:
+    """Multiplication by ``f`` on k[x]/I in the standard-monomial basis.
+
+    Row j holds the coordinates of the normal form of f times the j-th
+    standard monomial, so the rows are the columns of the matrix M_f;
+    the transpose has the same ranks and its powers are transposes of
+    the powers of M_f.
+    """
+    index = {m: j for j, m in enumerate(monomials)}
+    rows = []
+    for m in monomials:
+        remainder = normal_form(_term_times(f, m, Fraction(1)), basis)
+        rows.append({index[e]: c for e, c in remainder.terms.items()})
+    return rows
+
+
+def _square(rows: list[Row]) -> list[Row]:
+    result = []
+    for row in rows:
+        acc: Row = {}
+        for k, a in row.items():
+            for j, b in rows[k].items():
+                acc[j] = acc.get(j, 0) + a * b
+        result.append({j: c for j, c in acc.items() if c})
+    return result
+
+
+def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
+    """Rank by exact elimination, polling ``cancel`` once per pivot column."""
+    pending = [row for row in rows if row]
+    rank = 0
+    while pending:
+        if cancel is not None and cancel():
+            raise ComputationCancelled("rank computation cancelled")
+        pivot = pending.pop()
+        col = min(pivot)
+        reduced = []
+        for row in pending:
+            if col in row:
+                factor = row[col] / pivot[col]
+                row = dict(row)
+                for j, c in pivot.items():
+                    value = row.get(j, 0) - factor * c
+                    if value:
+                        row[j] = value
+                    else:
+                        row.pop(j, None)
+            if row:
+                reduced.append(row)
+        pending = reduced
+        rank += 1
+    return rank
+
+
+def _stable_rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
+    """Rank at which the powers of a square matrix stop falling.
+
+    The rank of M^k does not increase with k, so once M^(2^i) and
+    M^(2^(i+1)) have equal rank it is constant from 2^i on; squaring
+    reaches that point in about log2 of the matrix size steps.
+    """
+    rank = _rank(rows, cancel)
+    while 0 < rank < len(rows):
+        rows = _square(rows)
+        previous, rank = rank, _rank(rows, cancel)
+        if rank == previous:
+            break
+    return rank
+
+
 def total_milnor_number(
     F: Polynomial, chart: Union[int, str], cancel: Optional[CancelCallback] = None
 ) -> MilnorResult:
@@ -431,9 +521,12 @@ def total_milnor_number(
 
     ``F`` must be homogeneous of positive degree and all its singular
     points must lie in the affine chart where the chart variable is
-    nonzero.  The total is dim k[x]/J minus dim k[x]/(J : f^inf) for
-    the dehomogenized equation f and its Jacobian ideal J, which counts
-    exactly the critical points sitting on the hypersurface.
+    nonzero.  Let f be the dehomogenized equation and A = k[x]/J for
+    its Jacobian ideal J.  A is the product of the local algebras at
+    the critical points of f, and multiplication by f is nilpotent on
+    exactly the factors at points of the hypersurface and invertible on
+    the others.  So the rank at which the powers of that multiplication
+    matrix settle is ``off_curve_dim``, and the total is dim A minus it.
     """
     if F.is_zero():
         raise ValueError("zero polynomial")
@@ -454,6 +547,6 @@ def total_milnor_number(
     if jac_dim == math.inf:
         raise NonIsolatedSingularitiesError("non-isolated singularities")
     _validate_chart(F, chart_index, cancel)
-    saturated = saturate(PolyIdeal(jac_basis.basis or jacobian.generators), f, cancel)
-    sat_dim = quotient_dim(groebner(saturated, cancel=cancel))
-    return MilnorResult(int(jac_dim - sat_dim), chart_name, int(sat_dim))
+    rows = _multiplication_rows(f, jac_basis, _standard_monomials(jac_basis))
+    off_curve_dim = _stable_rank(rows, cancel)
+    return MilnorResult(jac_dim - off_curve_dim, chart_name, off_curve_dim)

@@ -1,8 +1,7 @@
 """Shared fixtures: the scenes in ``scenes/`` and their (cached) class reports.
 
-The report fixtures are session-scoped because the quartic surface
-scene runs a four-variable Groebner saturation that takes about a
-second; every test that needs it should reuse one computation.
+The report fixtures are session-scoped, so that every test that needs
+a scene's report reuses one computation.
 """
 
 from pathlib import Path

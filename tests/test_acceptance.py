@@ -335,12 +335,13 @@ def suite_linearity(c, cases):
             combo.euler() == k * a.euler() + b.euler(),
             f"linearity case {i}: euler",
         )
-        lhs = milnor_class(scene, combo, normal)
-        rhs = k * milnor_class(scene, a, normal) + milnor_class(scene, b, normal)
+        combo_c, a_c, b_c = (f.indicator_coefficients() for f in (combo, a, b))
+        lhs = milnor_class(scene, combo_c, normal)
+        rhs = k * milnor_class(scene, a_c, normal) + milnor_class(scene, b_c, normal)
         c.expect(lhs == rhs, f"linearity case {i}: milnor class")
-        combined = dict(localization(scene, combo, normal))
-        split_a = dict(localization(scene, a, normal))
-        split_b = dict(localization(scene, b, normal))
+        combined = dict(localization(scene, combo_c, normal))
+        split_a = dict(localization(scene, a_c, normal))
+        split_b = dict(localization(scene, b_c, normal))
         zero = ChowClass.zero(P3)
         for sid in scene.ids():
             want = k * split_a.get(sid, zero) + split_b.get(sid, zero)

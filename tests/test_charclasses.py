@@ -171,11 +171,12 @@ def point_mu_scene(ambient, degree, value):
 class TestMilnorClass:
     def test_isolated_point_value(self):
         scene, mu = point_mu_scene(P2, 3, -1)
-        assert milnor_class(scene, mu, normal(scene)) == ChowClass(P2, {(2,): -1})
+        got = milnor_class(scene, mu.indicator_coefficients(), normal(scene))
+        assert got == ChowClass(P2, {(2,): -1})
 
     def test_zero_for_zero_mu(self):
         scene, mu = point_mu_scene(P2, 3, 0)
-        assert milnor_class(scene, mu, normal(scene)).is_zero()
+        assert milnor_class(scene, mu.indicator_coefficients(), normal(scene)).is_zero()
 
     def test_positive_dimensional_locus(self):
         # mu = m on a linear P^1 inside P^3 for a degree-2 hypersurface.
@@ -187,7 +188,7 @@ class TestMilnorClass:
             ),
         )
         mu = ConstructibleFunction(scene, {"line": -1})
-        got = milnor_class(scene, mu, normal(scene))
+        got = milnor_class(scene, mu.indicator_coefficients(), normal(scene))
         expected = series_inverse(normal(scene)) * (-1 * csm_library(("linear", 1), P3))
         assert got == expected == ChowClass(P3, {(2,): -1})
 
@@ -199,7 +200,7 @@ class TestMilnorClass:
         )
         mu = ConstructibleFunction(scene, {"line": 1})
         with pytest.raises(MissingCsmClassError):
-            milnor_class(scene, mu, normal(scene))
+            milnor_class(scene, mu.indicator_coefficients(), normal(scene))
 
     def test_needs_single_degree(self):
         scene = StrataScene(
@@ -225,9 +226,10 @@ class TestCsmOfFunction:
             ),
         )
         alpha = ConstructibleFunction(scene, {"open_part": 1, "pt": 1})
-        assert csm_of_function(scene, alpha) == ChowClass(P2, {(1,): 3, (2,): 1})
+        got = csm_of_function(scene, alpha.indicator_coefficients())
+        assert got == ChowClass(P2, {(1,): 3, (2,): 1})
         beta = ConstructibleFunction(scene, {"pt": 1})
-        assert csm_of_function(scene, beta) == ChowClass.point(P2)
+        assert csm_of_function(scene, beta.indicator_coefficients()) == ChowClass.point(P2)
 
 
 class TestCorpusClasses:
@@ -341,7 +343,8 @@ class TestProductChecks:
 
         report = corpus_reports["four-nodal-quartic"]
         product = product_classes(report.scene, report.milnor_class, 1)
-        assert lci_defect_check(report.scene, report.mu, tangent_class(P2), product).passed
+        coefficients = report.mu.indicator_coefficients()
+        assert lci_defect_check(report.scene, coefficients, tangent_class(P2), product).passed
         product = product_classes(report.scene, report.milnor_class, 2)
         assert proper_pushdown_check(product, report.milnor_class).passed
 
@@ -371,10 +374,11 @@ class TestLocalization:
             ),
         )
         mu = ConstructibleFunction(scene, {"p": -1, "q": -3})
-        terms = dict(localization(scene, mu, normal(scene)))
+        coefficients = mu.indicator_coefficients()
+        terms = dict(localization(scene, coefficients, normal(scene)))
         assert terms["p"] == ChowClass(P2, {(2,): -1})
         assert terms["q"] == ChowClass(P2, {(2,): -3})
-        assert milnor_class(scene, mu, normal(scene)) == ChowClass(P2, {(2,): -4})
+        assert milnor_class(scene, coefficients, normal(scene)) == ChowClass(P2, {(2,): -4})
 
 
 class TestResolveMu:
@@ -431,7 +435,8 @@ class TestBuildReport:
         # the product; the checks reuse them.  No (1+D)^-1 is formed:
         # every class that needs it divides by 1+D instead, so
         # unit_inverse, which stays only as a benchmark trace point, is
-        # never called.
+        # never called.  The Moebius inversion of mu runs once, and its
+        # coefficients are passed on.
         calls = {"resolve_mu": 0, "fulton_johnson": 0, "milnor_class": 0, "unit_inverse": 0}
         for module in (charclasses, chow):
             for name in calls:
@@ -444,11 +449,20 @@ class TestBuildReport:
                     return _original(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
+        inversions = []
+        invert = ConstructibleFunction.indicator_coefficients
+
+        def counted_inversion(self):
+            inversions.append(self)
+            return invert(self)
+
+        monkeypatch.setattr(ConstructibleFunction, "indicator_coefficients", counted_inversion)
         scene, mu = corpus_scenes["cuspidal-cubic"]
         report = build_report(scene, mu, m_values=(2,))
         assert not report.mu.is_zero()
         assert all(check.passed for check in report.checks.values())
         assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1, "unit_inverse": 0}
+        assert len(inversions) == 1
 
     def test_complete_intersection_report_skips_divisor_checks(self):
         scene = StrataScene(ambient=P3, multidegrees=((2,), (2,)))

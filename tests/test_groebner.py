@@ -1,5 +1,11 @@
-"""Buchberger, staircase dimensions, saturation and Milnor numbers."""
+"""Buchberger, staircase dimensions, saturation and Milnor numbers.
 
+Saturation is off the report path; it stays as the oracle that the
+multiplication-matrix count in ``total_milnor_number`` is tested against.
+"""
+
+import importlib
+import itertools
 import math
 
 import pytest
@@ -25,6 +31,9 @@ from milnorcalc.polynomials import PolyIdeal, Polynomial, jacobian_ideal, parse_
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
+
+# The package re-exports the function groebner under the module's name.
+groebner_module = importlib.import_module("milnorcalc.groebner")
 
 
 def P(text, variables=XY):
@@ -264,6 +273,87 @@ class TestMilnorNumbers:
             total_milnor_number(F, "q")
         with pytest.raises(ValueError, match="chart 3 is not one"):
             total_milnor_number(F, 3)
+
+
+def saturation_route(F, chart):
+    """(total, off_curve_dim) as dim k[x]/J minus dim k[x]/(J : f^inf)."""
+    f = dehomogenize(F, chart)
+    jac_basis = groebner(jacobian_ideal(f))
+    off_curve = quotient_dim(groebner(saturate(PolyIdeal(jac_basis.basis), f)))
+    return quotient_dim(jac_basis) - off_curve, off_curve
+
+
+FOUR_NODAL_QUARTIC = "x^4 + 3*x^2*y^2 - 5*x^2*z^2 + 2*y^4 - 7*y^2*z^2 + 6*z^4"
+
+
+class TestMatrixCount:
+    """The multiplication-matrix count against the saturation route."""
+
+    @pytest.mark.parametrize(
+        "text, total, off_curve",
+        [
+            # A node, and one critical point of the chart equation off the curve.
+            ("y^2*z - x^3 - x^2*z", 1, 1),
+            # Four nodes and five off-curve critical points.
+            (FOUR_NODAL_QUARTIC, 4, 5),
+            # (y^2 z - x^3)(y - z): a cusp, three nodes and two
+            # off-curve critical points.
+            ("y^3*z - y^2*z^2 - x^3*y + x^3*z", 5, 2),
+            # x^5 + y^4 + x^2 y^2 at the origin is not quasi-homogeneous
+            # (Tjurina 9, Milnor 10), so f is nilpotent but not zero on
+            # its local algebra and one power of M_f is not enough.
+            ("x^5 + y^4*z + x^2*y^2*z", 10, 2),
+        ],
+    )
+    def test_named_cases(self, text, total, off_curve):
+        F = P(text, XYZ)
+        result = total_milnor_number(F, "z")
+        assert (result.total_milnor, result.off_curve_dim) == (total, off_curve)
+        assert saturation_route(F, "z") == (total, off_curve)
+
+    def test_elimination_polls_cancel(self, monkeypatch):
+        # The callback turns True once the Jacobian and chart bases are
+        # done, so only the rank computation can see it.
+        bases_done = []
+        validate = groebner_module._validate_chart
+
+        def validated(*args, **kwargs):
+            validate(*args, **kwargs)
+            bases_done.append(True)
+
+        monkeypatch.setattr(groebner_module, "_validate_chart", validated)
+        F = P("y^2*z - x^3 - x^2*z", XYZ)
+        with pytest.raises(ComputationCancelled, match="rank"):
+            total_milnor_number(F, "z", cancel=lambda: bool(bases_done))
+        assert bases_done
+
+
+@st.composite
+def homogeneous_forms(draw):
+    nvars, degree = draw(st.sampled_from([(3, 3), (3, 4), (4, 3)]))
+    monomials = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(monomials),
+            st.integers(-3, 3).filter(bool),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return Polynomial(("x", "y", "z", "w")[:nvars], terms)
+
+
+# The saturation route takes up to a few seconds on a cubic surface, so
+# the example count stays small.
+@settings(max_examples=10, deadline=None)
+@given(homogeneous_forms())
+def test_matrix_count_matches_saturation(F):
+    chart = F.variables[-1]
+    try:
+        result = total_milnor_number(F, chart)
+    except ValueError:
+        return
+    assert (result.total_milnor, result.off_curve_dim) == saturation_route(F, chart)
 
 
 small_polys = st.builds(
