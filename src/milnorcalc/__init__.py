@@ -64,8 +64,6 @@ from .scenes import (
     SceneValidationError,
     StrataScene,
     Stratum,
-    hypersurface_scene,
-    place_vanishing_cycles,
     unit_function,
     validate_scene,
 )

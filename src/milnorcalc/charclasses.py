@@ -15,7 +15,7 @@ point class to M.  Division by the unit 1+dH is an exact graded solve
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 from .chow import (
@@ -31,12 +31,11 @@ from .chow import (
 from .groebner import CancelCallback, MilnorResult, total_milnor_number
 from .scenes import (
     SINGULAR_STRATUM,
+    SMOOTH_STRATUM,
     ConstructibleFunction,
+    SceneValidationError,
     StrataScene,
     Stratum,
-    hypersurface_scene,
-    place_vanishing_cycles,
-    signed_milnor_total,
     unit_function,
     validate_scene,
 )
@@ -124,34 +123,45 @@ def resolve_mu(
     """Obtain vanishing cycles for a scene.
 
     User-supplied values win; otherwise a defining polynomial is run
-    through the Milnor-number engine (building the default two-stratum
-    scene when the scene has no strata); otherwise the scene is taken
-    to be smooth and mu is zero.
+    through the Milnor-number engine in the scene's chart, or the last
+    variable when it names none; otherwise the scene is taken to be
+    smooth and mu is zero.  A polynomial scene without strata gets the
+    default ones: the smooth locus, and a point stratum when the total
+    is nonzero.  The total goes on the one closed zero-dimensional
+    stratum with the sign (-1)^(dim Y - 1), since the value at an
+    isolated singular point is chi(Milnor fiber) - 1.
     """
     if mu is not None:
         if mu.scene != scene:
             raise ValueError("mu lives on a different scene")
         return scene, mu, None
-    if scene.defining_polynomial is not None:
-        if scene.strata:
-            placed, result = place_vanishing_cycles(scene, cancel)
-            return scene, placed, result
-        F = scene.defining_polynomial
-        chart = scene.chart if scene.chart is not None else F.variables[-1]
-        result = total_milnor_number(F, chart, cancel)
-        enriched = hypersurface_scene(
-            scene.ambient,
-            _single_multidegree(scene)[0],
-            singular=result.total_milnor != 0,
-            name=scene.name,
-            defining_polynomial=F,
-            chart=result.chart,
-        )
-        values = {}
+    F = scene.defining_polynomial
+    if F is None:
+        return scene, ConstructibleFunction(scene, {}), None
+    if len(scene.ambient.factors) != 1:
+        raise SceneValidationError("polynomial scenes live in a single projective space")
+    chart = scene.chart if scene.chart is not None else F.variables[-1]
+    result = total_milnor_number(F, chart, cancel)
+    if not scene.strata:
+        _single_multidegree(scene)
+        strata = [Stratum(id=SMOOTH_STRATUM, dim=scene.ambient.dim - 1)]
         if result.total_milnor != 0:
-            values[SINGULAR_STRATUM] = signed_milnor_total(result, scene.ambient)
-        return enriched, ConstructibleFunction(enriched, values), result
-    return scene, ConstructibleFunction(scene, {}), None
+            point = ChowClass.point(scene.ambient)
+            strata.append(
+                Stratum(id=SINGULAR_STRATUM, dim=0, csm_class=point, parents=(SMOOTH_STRATUM,))
+            )
+        scene = replace(scene, strata=tuple(strata), chart=result.chart)
+    if result.total_milnor == 0:
+        return scene, ConstructibleFunction(scene, {}), result
+    parent_ids = {p for s in scene.strata for p in s.parents}
+    points = [s.id for s in scene.strata if s.dim == 0 and s.id not in parent_ids]
+    if len(points) != 1:
+        raise SceneValidationError(
+            "cannot place the computed vanishing cycles: need exactly one "
+            "closed zero-dimensional stratum, or explicit mu values"
+        )
+    sign = -1 if (scene.ambient.dim - 1) % 2 else 1
+    return scene, ConstructibleFunction(scene, {points[0]: sign * result.total_milnor}), result
 
 
 @dataclass(frozen=True)
@@ -166,6 +176,9 @@ class CheckResult:
 
 def _result(name: str, residual: ChowClass, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=residual.is_zero(), residual=residual, detail=detail)
+
+
+_BAD_M = "the product factor dimension must be at least 1"
 
 
 @dataclass(frozen=True)
@@ -189,7 +202,7 @@ def product_classes(scene: StrataScene, milnor: ChowClass, m: int) -> ProductCla
     class by the total Chern class of the relative tangent bundle.
     """
     if m < 1:
-        raise ValueError("the product factor dimension must be at least 1")
+        raise ValueError(_BAD_M)
     position = len(scene.ambient.factors)
     product = scene.ambient.extended(m)
     fiber_tangent = factor_tangent_class(product, position)
@@ -304,6 +317,8 @@ def build_report(
     A scene with several multidegrees gets no Milnor class, so nonzero
     mu on it is rejected rather than dropped.
     """
+    if any(m < 1 for m in m_values):
+        raise ValueError(_BAD_M)
     validate_scene(scene)
     scene, mu, milnor_data = resolve_mu(scene, mu, cancel)
     codim_one = len(scene.multidegrees) == 1
@@ -382,6 +397,16 @@ def chow_to_jsonable(x: ChowClass) -> dict:
     }
 
 
+def check_to_jsonable(check: CheckResult) -> dict:
+    """The JSON entry of one check; a failing one carries its residual."""
+    entry: dict = {"pass": check.passed}
+    if not check.passed and check.residual is not None:
+        entry["residual"] = chow_to_jsonable(check.residual)
+    if check.detail:
+        entry["detail"] = check.detail
+    return entry
+
+
 def report_to_jsonable(report: ClassReport) -> dict:
     data = {
         "ambient": list(report.scene.ambient.factors),
@@ -395,20 +420,13 @@ def report_to_jsonable(report: ClassReport) -> dict:
             {"stratum": stratum_id, "class": chow_to_jsonable(term)}
             for stratum_id, term in report.localization
         ],
-        "checks": {},
+        "checks": {name: check_to_jsonable(c) for name, c in sorted(report.checks.items())},
     }
     if report.scene.name:
         data["name"] = report.scene.name
     if report.milnor_data is not None:
         data["total_milnor"] = _json_int(report.milnor_data.total_milnor)
         data["chart"] = report.milnor_data.chart
-    for name, check in sorted(report.checks.items()):
-        entry: dict = {"pass": check.passed}
-        if not check.passed and check.residual is not None:
-            entry["residual"] = chow_to_jsonable(check.residual)
-        if check.detail:
-            entry["detail"] = check.detail
-        data["checks"][name] = entry
     return data
 
 

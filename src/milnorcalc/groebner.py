@@ -141,23 +141,10 @@ def divide(
     return quotient_polys, rem
 
 
-def normal_form(
-    f: Polynomial,
-    divisors: Union["GroebnerBasis", Sequence[Polynomial]],
-    order: Optional[str] = None,
-) -> Polynomial:
-    """Return the remainder of ``f`` on division by ``divisors``.
-
-    A GroebnerBasis may be passed directly, in which case its own
-    monomial order is used and the remainder is a canonical normal
-    form; for a plain divisor list the remainder depends on the list
-    order.
-    """
-    if isinstance(divisors, GroebnerBasis):
-        if order is None:
-            order = divisors.order
-        divisors = divisors.basis
-    _, remainder = divide(f, divisors, order if order is not None else GREVLEX)
+def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
+    """Return the canonical remainder of ``f`` modulo a Groebner basis,
+    in the basis's own monomial order."""
+    _, remainder = divide(f, basis.basis, basis.order)
     return remainder
 
 

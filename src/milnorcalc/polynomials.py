@@ -85,9 +85,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
-    def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * len(self.variables), Fraction(0))
-
     def total_degree(self) -> int:
         """Return the total degree, with -1 for the zero polynomial."""
         if not self.terms:

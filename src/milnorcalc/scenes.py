@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
-from .groebner import CancelCallback, MilnorResult, total_milnor_number
 from .polynomials import Polynomial
+
 
 class SceneValidationError(ValueError):
     """The scene data is structurally inconsistent."""
@@ -201,67 +201,3 @@ def unit_function(scene: StrataScene) -> ConstructibleFunction:
 
 SMOOTH_STRATUM = "smooth_locus"
 SINGULAR_STRATUM = "singular_points"
-
-
-def signed_milnor_total(result: MilnorResult, ambient: AmbientSpace) -> int:
-    # Vanishing-cycle normalization: the value at an isolated singular
-    # point is chi(Milnor fiber) - 1 = (-1)^(dim ambient - 1) * mu.
-    sign = -1 if (ambient.dim - 1) % 2 else 1
-    return sign * result.total_milnor
-
-
-def hypersurface_scene(
-    ambient: AmbientSpace,
-    degree: int,
-    singular: bool,
-    name: str = "",
-    defining_polynomial: Optional[Polynomial] = None,
-    chart: Optional[str] = None,
-) -> StrataScene:
-    """Build the default one- or two-stratum scene of a hypersurface."""
-    if len(ambient.factors) != 1:
-        raise ValueError("hypersurface scenes live in a single projective space")
-    strata = [Stratum(id=SMOOTH_STRATUM, dim=ambient.dim - 1)]
-    if singular:
-        strata.append(
-            Stratum(
-                id=SINGULAR_STRATUM,
-                dim=0,
-                csm_class=ChowClass.point(ambient),
-                parents=(SMOOTH_STRATUM,),
-            )
-        )
-    return StrataScene(
-        ambient=ambient,
-        multidegrees=((int(degree),),),
-        strata=tuple(strata),
-        defining_polynomial=defining_polynomial,
-        chart=chart,
-        name=name,
-    )
-
-
-def place_vanishing_cycles(
-    scene: StrataScene, cancel: Optional[CancelCallback] = None
-) -> tuple[ConstructibleFunction, MilnorResult]:
-    """Run the polynomial engine and attach its total to scene strata.
-
-    The merged total must land somewhere, so a nonzero total requires
-    exactly one closed zero-dimensional stratum.
-    """
-    if scene.defining_polynomial is None or scene.chart is None:
-        raise SceneValidationError("the scene has no defining polynomial and chart")
-    if len(scene.ambient.factors) != 1:
-        raise SceneValidationError("polynomial scenes live in a single projective space")
-    result = total_milnor_number(scene.defining_polynomial, scene.chart, cancel)
-    if result.total_milnor == 0:
-        return ConstructibleFunction(scene, {}), result
-    parent_ids = {p for s in scene.strata for p in s.parents}
-    candidates = [s for s in scene.strata if s.dim == 0 and s.id not in parent_ids]
-    if len(candidates) != 1:
-        raise SceneValidationError(
-            "cannot place the computed vanishing cycles: need exactly one "
-            "closed zero-dimensional stratum, or explicit mu values"
-        )
-    value = signed_milnor_total(result, scene.ambient)
-    return ConstructibleFunction(scene, {candidates[0].id: value}), result

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+import milnorcalc.charclasses as charclasses
 import milnorcalc.cli as cli
 from milnorcalc.charclasses import CheckResult, build_report
 from milnorcalc.chow import ChowClass
@@ -119,6 +120,37 @@ class TestReport:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert "nonzero mu needs a codimension-one scene" in err
+
+    def test_m_below_one_rejected_on_complete_intersection(self, tmp_path, capsys):
+        # Such a scene has no product checks, but --m is still checked.
+        path = write_scene(tmp_path, {"ambient": [3], "degrees": [[2], [2]], "smooth": True})
+        for command in ("report", "check"):
+            for m in ("0", "-3"):
+                code, out, err = run(capsys, command, path, "--m", m)
+                assert code == 2 and out == ""
+                assert err == "error: the product factor dimension must be at least 1\n"
+
+    def test_m_below_one_rejected_before_milnor_numbers(self, tmp_path, monkeypatch, capsys):
+        def engine(*args, **kwargs):
+            raise AssertionError("the Milnor number was computed before --m was checked")
+
+        monkeypatch.setattr(charclasses, "total_milnor_number", engine)
+        data = json.loads(pathlib.Path(NODAL).read_text())
+        del data["strata"]
+        code, out, err = run(capsys, "report", write_scene(tmp_path, data), "--m", "0")
+        assert code == 2 and out == ""
+        assert err == "error: the product factor dimension must be at least 1\n"
+
+    def test_polynomial_scene_with_two_degrees_rejected(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {
+            "ambient": [2],
+            "degrees": [[3], [2]],
+            "polynomial": "y^2*z - x^3 - x^2*z",
+            "chart": "z",
+        })
+        code, out, err = run(capsys, "report", path)
+        assert code == 2 and out == ""
+        assert "this operation needs a codimension-one scene" in err
 
 
 class TestCheck:

@@ -1,5 +1,8 @@
 """Stratified scenes and constructible functions."""
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,9 +17,6 @@ from milnorcalc.scenes import (
     StrataScene,
     Stratum,
     downsets,
-    hypersurface_scene,
-    place_vanishing_cycles,
-    signed_milnor_total,
     unit_function,
     upsets,
     validate_scene,
@@ -218,11 +218,6 @@ class TestEngineIntegration:
         mu = polynomial_mu("w^2*x^2 + w^2*y^2 + w^2*z^2 + x^4 + y^4 + z^4", P3, "w")
         assert mu.values == {SINGULAR_STRATUM: 1}
 
-    def test_signed_total_convention(self):
-        result_like = type("R", (), {"total_milnor": 5})
-        assert signed_milnor_total(result_like, P2) == -5
-        assert signed_milnor_total(result_like, P3) == 5
-
     def test_place_on_user_strata(self):
         scene = StrataScene(
             ambient=P2,
@@ -234,7 +229,8 @@ class TestEngineIntegration:
             defining_polynomial=parse_polynomial("y^2*z - x^3 - x^2*z", ("x", "y", "z")),
             chart="z",
         )
-        mu, result = place_vanishing_cycles(scene)
+        placed, mu, result = resolve_mu(scene)
+        assert placed == scene
         assert result.total_milnor == 1
         assert mu.values == {"node": -1}
 
@@ -247,11 +243,35 @@ class TestEngineIntegration:
             chart="z",
         )
         with pytest.raises(SceneValidationError, match="zero-dimensional"):
-            place_vanishing_cycles(scene)
+            resolve_mu(scene)
 
-    def test_place_requires_polynomial(self):
-        with pytest.raises(SceneValidationError, match="polynomial"):
-            place_vanishing_cycles(two_stratum_scene())
+    def test_strata_without_chart_use_last_variable(self):
+        # The node of y^2 w - x^3 - x^2 w sits at [0:0:1] in the chart
+        # w = 1; the scene names no chart, so w, the last variable, is used.
+        scene = StrataScene(
+            ambient=P2,
+            multidegrees=((3,),),
+            strata=(
+                Stratum(id="smooth_part", dim=1),
+                Stratum(id="node", dim=0, parents=("smooth_part",)),
+            ),
+            defining_polynomial=parse_polynomial("y^2*w - x^3 - x^2*w", ("x", "y", "w")),
+        )
+        _, mu, result = resolve_mu(scene)
+        assert result.chart == "w"
+        assert result.total_milnor == 1
+        assert mu.values == {"node": -1}
+
+
+def test_scenes_module_does_not_import_the_engine():
+    source = Path(__file__).resolve().parents[1] / "src" / "milnorcalc" / "scenes.py"
+    imported = set()
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module or ''}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any("groebner" in name.split(".") for name in imported), imported
 
 
 # Random posets: parents may only point to earlier strata, so the
