@@ -8,8 +8,9 @@ Fulton-Johnson class is c(TY) dH / (1+dH) cap [Y], the Milnor class is
 M = c_*(mu) / (1+dH) with mu the vanishing-cycle function, and the CSM
 class is their difference c_*(X) = c^FJ(X) - M.  With this sign an
 isolated singular point p contributes (-1)^{dim Y - 1} mu_p times the
-point class to M.  Division by the unit 1+dH is an exact graded solve
-(``ChowClass.__truediv__``); the inverse (1+dH)^{-1} is never formed.
+point class to M.  Division by the unit 1+dH is an exact solve, one
+monomial at a time in box order (``ChowClass.__truediv__``); the inverse
+(1+dH)^{-1} is never formed.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, gt, sub
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -82,6 +83,14 @@ class ChowClass:
         self.coefficients = clean
 
     @classmethod
+    def _of_clean(cls, ambient: AmbientSpace, coefficients: dict[Exponent, int]) -> "ChowClass":
+        """Wrap coefficients that are already clean, without validating them."""
+        result = object.__new__(cls)
+        result.ambient = ambient
+        result.coefficients = coefficients
+        return result
+
+    @classmethod
     def zero(cls, ambient: AmbientSpace) -> "ChowClass":
         return cls(ambient, {})
 
@@ -131,42 +140,32 @@ class ChowClass:
                 out[exp] = acc
             else:
                 out.pop(exp, None)
-        result = ChowClass.zero(self.ambient)
-        result.coefficients = out
-        return result
+        return ChowClass._of_clean(self.ambient, out)
 
     def __neg__(self) -> "ChowClass":
-        result = ChowClass.zero(self.ambient)
-        result.coefficients = {e: -c for e, c in self.coefficients.items()}
-        return result
+        return ChowClass._of_clean(self.ambient, {e: -c for e, c in self.coefficients.items()})
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
         return self + (-other)
 
     def __mul__(self, other) -> "ChowClass":
         if isinstance(other, int) and not isinstance(other, bool):
-            result = ChowClass.zero(self.ambient)
-            if other:
-                result.coefficients = {e: c * other for e, c in self.coefficients.items()}
-            return result
+            scaled = {e: c * other for e, c in self.coefficients.items()} if other else {}
+            return ChowClass._of_clean(self.ambient, scaled)
         if not isinstance(other, ChowClass):
             return NotImplemented
         self._check_compatible(other)
         box = self.ambient.factors
+        inner = list(other.coefficients.items())
         out: dict[Exponent, int] = {}
         for ea, ca in self.coefficients.items():
-            for eb, cb in other.coefficients.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                if any(e > n for e, n in zip(exp, box)):
+            room = tuple(map(sub, box, ea))
+            for eb, cb in inner:
+                if any(map(gt, eb, room)):
                     continue
-                acc = out.get(exp, 0) + ca * cb
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        result = ChowClass.zero(self.ambient)
-        result.coefficients = out
-        return result
+                exp = tuple(map(add, ea, eb))
+                out[exp] = out.get(exp, 0) + ca * cb
+        return ChowClass._of_clean(self.ambient, {e: c for e, c in out.items() if c})
 
     def __rmul__(self, other) -> "ChowClass":
         if isinstance(other, int) and not isinstance(other, bool):
@@ -174,23 +173,29 @@ class ChowClass:
         return NotImplemented
 
     def __truediv__(self, unit: "ChowClass") -> "ChowClass":
-        """Solve ``unit * y == self`` exactly, one codimension at a time.
+        """Solve ``unit * y == self`` exactly, one monomial at a time.
 
-        With unit = 1 + v, v of positive degree, the codimension-k piece
-        of y is y_k = self_k - (v y)_k, and (v y)_k involves only the
-        pieces of y below k, which are already solved.
+        With unit = 1 + v, v of positive degree, the coefficient of H^e
+        in y is y_e = self_e - sum v_f y_(e-f) over the terms f <= e of
+        v.  Each e - f precedes e in box order, so it is already solved.
         """
         if not isinstance(unit, ChowClass):
             return NotImplemented
         if unit.constant_term() != 1:
             raise ValueError("division by a non-unit: constant coefficient must be 1")
-        v = unit - ChowClass.unit(self.ambient)
-        v_pieces = [v.graded_piece(j) for j in range(self.ambient.dim + 1)]
-        y = [self.graded_piece(k) for k in range(self.ambient.dim + 1)]
-        for k in range(len(y)):
-            for j in range(1, k + 1):
-                y[k] = y[k] - v_pieces[j] * y[k - j]
-        return sum(y, ChowClass.zero(self.ambient))
+        self._check_compatible(unit)
+        v = [(f, c) for f, c in unit.coefficients.items() if any(f)]
+        x = self.coefficients
+        y: dict[Exponent, int] = {}
+        for e in self.ambient.box():
+            acc = x.get(e, 0)
+            for f, c in v:
+                if any(map(gt, f, e)):
+                    continue
+                acc -= c * y.get(tuple(map(sub, e, f)), 0)
+            if acc:
+                y[e] = acc
+        return ChowClass._of_clean(self.ambient, y)
 
     def __eq__(self, other) -> bool:
         return (
@@ -244,7 +249,7 @@ def tangent_class(ambient: AmbientSpace) -> ChowClass:
     coefficients = {
         e: math.prod(math.comb(n + 1, k) for n, k in zip(ambient.factors, e)) for e in ambient.box()
     }
-    return ChowClass(ambient, coefficients)
+    return ChowClass._of_clean(ambient, coefficients)
 
 
 def factor_tangent_class(ambient: AmbientSpace, factor: int) -> ChowClass:

@@ -16,17 +16,21 @@ powers, for example ``y^2*z - x^3 - 1/2*x^2*z + 4``.  Juxtaposition
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Optional, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 
 class PolyParseError(ValueError):
-    """Malformed polynomial text; ``position`` is the character offset."""
+    """Malformed polynomial text; ``position`` is the character offset.
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+    ``position`` is None when the fault is in the variable list, not in
+    the text.
+    """
+
+    def __init__(self, message: str, position: Optional[int]):
+        super().__init__(message if position is None else f"{message} (at position {position})")
         self.position = position
 
 
@@ -293,10 +297,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 class _Parser:
     def __init__(self, text: str, variables: tuple[str, ...]):
+        self.index = {name: i for i, name in enumerate(variables)}
+        if len(self.index) != len(variables):
+            repeated = next(name for name in variables if variables.count(name) > 1)
+            raise PolyParseError(f"variable {repeated!r} is listed more than once", None)
         self.tokens = _tokenize(text)
         self.pos = 0
         self.variables = variables
-        self.index = {name: i for i, name in enumerate(variables)}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]

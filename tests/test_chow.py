@@ -1,5 +1,7 @@
 """Truncated Chow rings of products of projective spaces."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -285,9 +287,75 @@ def test_division_by_non_unit_rejected(pair):
         x / u
 
 
-@given(chow_classes(ambient=P2xP1), chow_classes(ambient=P2xP1))
-def test_product_matches_naive_oracle(a, b):
+@st.composite
+def class_pairs(draw):
+    # Two classes on one random small ambient: zero-dimensional factors
+    # and up to three factors.
+    ambient = draw(small_ambients)
+    return draw(chow_classes(ambient=ambient)), draw(chow_classes(ambient=ambient))
+
+
+@given(class_pairs())
+def test_product_matches_naive_oracle(pair):
+    a, b = pair
     assert a * b == naive_product(a, b)
+
+
+def assert_clean(x):
+    # What the constructor would keep: no zero coefficient and every
+    # exponent inside the box.
+    for exp, value in x.coefficients.items():
+        assert value != 0
+        assert len(exp) == len(x.ambient.factors)
+        assert all(0 <= e <= n for e, n in zip(exp, x.ambient.factors))
+
+
+def test_cancelling_product_stores_nothing():
+    p1xp1 = AmbientSpace((1, 1))
+    h, k = hyperplane(p1xp1, 0), hyperplane(p1xp1, 1)
+    assert ((h + k) * (h - k)).coefficients == {}
+
+
+@given(classes_and_unit())
+def test_results_are_clean(pair):
+    x, u = pair
+    for result in (x * u, u * x, x / u, x + u, x + (-x), x * x):
+        assert_clean(result)
+
+
+# The ambients of the benchmark's chow workload, each extended by the
+# product factor P^3, with a dense class divided by 1 + D.
+WORKLOAD_AMBIENTS = [(6, 6), (3, 3, 3), (2, 2, 2, 2), (4, 4, 4)]
+
+
+@pytest.mark.parametrize("factors", WORKLOAD_AMBIENTS)
+def test_dense_division_on_workload_ambients(factors):
+    rng = random.Random(sum(factors))
+    ambient = AmbientSpace(factors).extended(3)
+    divisor = divisor_class(ambient, [rng.randint(1, 4) for _ in ambient.factors])
+    x = tangent_class(ambient) * divisor
+    u = ChowClass.unit(ambient) + divisor
+    y = x / u
+    assert y == x * series_inverse(u)
+    assert y * u == x
+
+
+def test_division_builds_no_classes(monkeypatch):
+    ambient = AmbientSpace((4, 4, 4, 3))
+    divisor = divisor_class(ambient, (1, 2, 3, 4))
+    x = tangent_class(ambient) * divisor
+    u = ChowClass.unit(ambient) + divisor
+    calls = {"__mul__": 0, "__add__": 0, "__init__": 0}
+    for name in calls:
+        original = getattr(ChowClass, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ChowClass, name, counted)
+    x / u
+    assert calls == {"__mul__": 0, "__add__": 0, "__init__": 0}
 
 
 @given(chow_classes(ambient=P3), chow_classes(ambient=P3), chow_classes(ambient=P3))

@@ -152,6 +152,18 @@ class TestReport:
         assert code == 2 and out == ""
         assert "this operation needs a codimension-one scene" in err
 
+    def test_repeated_variable_rejected(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {
+            "ambient": [2],
+            "degrees": [[3]],
+            "polynomial": "x^3 + x^2*z + z^3",
+            "variables": ["x", "x", "z"],
+            "chart": "z",
+        })
+        code, out, err = run(capsys, "report", path)
+        assert code == 2 and out == ""
+        assert err == "error: bad polynomial: variable 'x' is listed more than once\n"
+
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
@@ -326,6 +338,15 @@ class TestMilnor:
     def test_empty_vars(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2", "--vars", " , ", "--chart", "x")
         assert code == 2
+
+    def test_repeated_variable_rejected(self, capsys):
+        # A repeated name would leave a coordinate out of the polynomial
+        # and be reported as a non-isolated singularity (exit 3).
+        code, out, err = run(
+            capsys, "milnor", "--poly", "y^2*z - x^3", "--vars", "x,y,z,z", "--chart", "z"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: variable 'z' is listed more than once\n"
 
 
 class TestTable:
