@@ -11,7 +11,8 @@ that a drift of the machine falls on both sides.  Before every run
 neither side imports bytecode left by an earlier run and ``setup_s``
 starts alike.  Stdout is one JSON object with every run and, for each
 metric, the median and quartiles of each side, the ratio of the
-medians, and the number of pairs in which the change was better.  Only
+medians, the number of pairs in which the change was better, and
+``claim_holds``: whether a gain on that metric may be claimed.  Only
 the standard library is used.
 """
 
@@ -26,6 +27,8 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# A gain is claimed from at least this many pairs.
+MIN_PAIRS = 10
 
 
 def clear_bytecode(checkouts) -> None:
@@ -59,7 +62,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
 
     ``runs`` holds {"side", "seed", "result"} entries, one parent and one
     change run per seed; ``better`` maps a metric name to "higher" or
-    "lower".  A tie counts as a pair not won.
+    "lower".  A tie counts as a pair not won.  A gain holds when at
+    least ``MIN_PAIRS`` pairs ran, the change won at least nine tenths
+    of them, and its median is better than the parent's by more than
+    the parent's interquartile range.
     """
     by_seed: dict[int, dict[str, dict]] = {}
     for run in runs:
@@ -73,8 +79,13 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         entry["ratio"] = entry["change"]["median"] / parent_median if parent_median else None
         if name in better:
             sign = 1 if better[name] == "higher" else -1
-            entry["change_better_pairs"] = sum(
-                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
+            won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+            entry["change_better_pairs"] = won
+            gap = sign * (entry["change"]["median"] - parent_median)
+            entry["claim_holds"] = (
+                len(pairs) >= MIN_PAIRS
+                and 10 * won >= 9 * len(pairs)
+                and gap > entry["parent"]["q3"] - entry["parent"]["q1"]
             )
         entry["pairs"] = len(pairs)
         summary[name] = entry

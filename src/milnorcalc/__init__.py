@@ -46,7 +46,6 @@ from .groebner import (
     SingularitiesOutsideChartError,
     dehomogenize,
     groebner,
-    normal_form,
     quotient_dim,
     total_milnor_number,
 )

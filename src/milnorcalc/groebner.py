@@ -9,6 +9,8 @@ asymptotics.  The Milnor count is linear algebra on the Jacobian
 algebra A = k[x]/J: the matrix of multiplication by the equation f,
 written in the staircase basis of A, is powered until its rank stops
 falling (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 and 4).
+That matrix is built from normal forms on the border of the staircase,
+without division, and its ranks are taken over the integers.
 Long computations poll an optional cancellation callback once per
 S-polynomial reduction and once per pivot column of an elimination.
 """
@@ -139,13 +141,6 @@ def divide(
     rem = Polynomial.zero(f.variables)
     rem.terms = remainder
     return quotient_polys, rem
-
-
-def normal_form(f: Polynomial, basis: GroebnerBasis) -> Polynomial:
-    """Return the canonical remainder of ``f`` modulo a Groebner basis,
-    in the basis's own monomial order."""
-    _, remainder = divide(f, basis.basis, basis.order)
-    return remainder
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
@@ -418,8 +413,20 @@ class MilnorResult:
 def _validate_chart(F: Polynomial, chart_index: int, cancel: Optional[CancelCallback]) -> None:
     # The singular locus must avoid the removed hyperplane: the cone on
     # (all partials, chart variable) has to be supported at the origin.
-    gens = [F.derivative(i) for i in range(len(F.variables))]
-    gens.append(Polynomial.variable(F.variables, F.variables[chart_index]))
+    # Its quotient is that of the partials restricted to the hyperplane,
+    # a ring in one variable fewer; with no variable left it is k.
+    if len(F.variables) == 1:
+        return
+    remaining = F.variables[:chart_index] + F.variables[chart_index + 1 :]
+    gens = []
+    for i in range(len(F.variables)):
+        restricted = Polynomial.zero(remaining)
+        restricted.terms = {
+            e[:chart_index] + e[chart_index + 1 :]: c
+            for e, c in F.derivative(i).terms.items()
+            if e[chart_index] == 0
+        }
+        gens.append(restricted)
     basis = groebner(PolyIdeal(gens), cancel=cancel)
     if quotient_dim(basis) == math.inf:
         raise SingularitiesOutsideChartError("singularities outside the chart")
@@ -438,19 +445,82 @@ def _multiplication_rows(
     standard monomial, so the rows are the columns of the matrix M_f;
     the transpose has the same ranks and its powers are transposes of
     the powers of M_f.
+
+    No polynomial is divided; each normal form is built once, from the
+    reduced monic basis and from forms built before it.  A standard
+    monomial is its own normal form, and a leading term lt(g) has the
+    normal form lt(g) - g, whose terms are standard.  Any other
+    non-standard u is x_i times a non-standard u / x_i, and its normal
+    form is multiplication by x_i applied to that of u / x_i, which
+    needs only the forms of the border: x_i times a standard monomial.
+    Border forms are built in increasing monomial order, so each uses
+    smaller ones (Faugere-Gianni-Lazard-Mora, J. Symb. Comp. 16, 1993).
+    The first row is the sum of c_e times the form of x^e over the terms
+    of f, and the row of m is x_i times the row of m / x_i.
     """
+    key = _order_key(basis.order)
     index = {m: j for j, m in enumerate(monomials)}
-    rows = []
+    nvars = len(basis.variables)
+    units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
+    forms: dict[Exponent, Row] = {m: {j: 1} for m, j in index.items()}
+    for g in basis.basis:
+        lead, _ = _leading(g, key)
+        forms[lead] = {index[e]: -c for e, c in g.terms.items() if e != lead}
+
+    def divisor(u: Exponent) -> int:
+        # A variable whose removal from u leaves a non-standard monomial.
+        return next(i for i in range(nvars) if u[i] and _exp_sub(u, units[i]) not in index)
+
+    # up[i][j] is x_i times the j-th standard monomial.
+    up = [[_exp_add(m, unit) for m in monomials] for unit in units]
+
+    def times(i: int, form: Row) -> Row:
+        acc: Row = {}
+        for col, c in form.items():
+            for j, d in forms[up[i][col]].items():
+                acc[j] = acc.get(j, 0) + c * d
+        return {j: c for j, c in acc.items() if c}
+
+    border = {u for shifted in up for u in shifted} - index.keys()
+    for u in sorted(border - forms.keys(), key=key):
+        i = divisor(u)
+        forms[u] = times(i, forms[_exp_sub(u, units[i])])
+
+    def form_of(u: Exponent) -> Row:
+        chain = []
+        while u not in forms:
+            i = divisor(u)
+            chain.append(i)
+            u = _exp_sub(u, units[i])
+        form = forms[u]
+        for i in reversed(chain):
+            u = _exp_add(u, units[i])
+            form = forms[u] = times(i, form)
+        return form
+
+    # The staircase is enumerated so that m / x_i comes before m.
+    rows: dict[Exponent, Row] = {}
     for m in monomials:
-        remainder = normal_form(_term_times(f, m, Fraction(1)), basis)
-        rows.append({index[e]: c for e, c in remainder.terms.items()})
-    return rows
+        i = next((i for i in range(nvars) if m[i]), None)
+        if i is not None:
+            rows[m] = times(i, rows[_exp_sub(m, units[i])])
+            continue
+        row: Row = {}
+        for e, c in f.terms.items():
+            for j, d in form_of(e).items():
+                row[j] = row.get(j, 0) + c * d
+        rows[m] = {j: c for j, c in row.items() if c}
+    return list(rows.values())
 
 
-def _square(rows: list[Row]) -> list[Row]:
+# An integer sparse row, as the rank computations use.
+IntRow = dict[int, int]
+
+
+def _square(rows: list[IntRow]) -> list[IntRow]:
     result = []
     for row in rows:
-        acc: Row = {}
+        acc: IntRow = {}
         for k, a in row.items():
             for j, b in rows[k].items():
                 acc[j] = acc.get(j, 0) + a * b
@@ -458,8 +528,14 @@ def _square(rows: list[Row]) -> list[Row]:
     return result
 
 
-def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
-    """Rank by exact elimination, polling ``cancel`` once per pivot column."""
+def _rank(rows: list[IntRow], cancel: Optional[CancelCallback]) -> int:
+    """Rank by fraction-free elimination over the integers.
+
+    Each combination of two rows cancels the pivot column with integer
+    multipliers, and the new row is divided by the gcd of its entries,
+    which keeps the entries small and the rank unchanged.  ``cancel``
+    is polled once per pivot column.
+    """
     pending = [row for row in rows if row]
     rank = 0
     while pending:
@@ -467,17 +543,23 @@ def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
             raise ComputationCancelled("rank computation cancelled")
         pivot = pending.pop()
         col = min(pivot)
+        p = pivot[col]
         reduced = []
         for row in pending:
             if col in row:
-                factor = row[col] / pivot[col]
-                row = dict(row)
+                a = row[col]
+                g = math.gcd(a, p)
+                row_factor, pivot_factor = p // g, a // g
+                row = {j: row_factor * c for j, c in row.items()}
                 for j, c in pivot.items():
-                    value = row.get(j, 0) - factor * c
+                    value = row.get(j, 0) - pivot_factor * c
                     if value:
                         row[j] = value
                     else:
                         row.pop(j, None)
+                content = math.gcd(*row.values())
+                if content > 1:
+                    row = {j: c // content for j, c in row.items()}
             if row:
                 reduced.append(row)
         pending = reduced
@@ -490,8 +572,13 @@ def _stable_rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
 
     The rank of M^k does not increase with k, so once M^(2^i) and
     M^(2^(i+1)) have equal rank it is constant from 2^i on; squaring
-    reaches that point in about log2 of the matrix size steps.
+    reaches that point in about log2 of the matrix size steps.  The
+    matrix is first scaled by one common denominator D, which is
+    integral and has powers D^k M^k of the same ranks.  Scaling row
+    by row would not do: it keeps the rank of M but not of its powers.
     """
+    denominator = math.lcm(*(c.denominator for row in rows for c in row.values()))
+    rows = [{j: c.numerator * (denominator // c.denominator) for j, c in row.items()} for row in rows]
     rank = _rank(rows, cancel)
     while 0 < rank < len(rows):
         rows = _square(rows)
@@ -530,10 +617,10 @@ def total_milnor_number(
         return MilnorResult(0, chart_name, 0)
     jacobian = jacobian_ideal(f)
     jac_basis = groebner(jacobian, cancel=cancel)
-    jac_dim = quotient_dim(jac_basis)
-    if jac_dim == math.inf:
+    monomials = _standard_monomials(jac_basis)
+    if monomials is None:
         raise NonIsolatedSingularitiesError("non-isolated singularities")
     _validate_chart(F, chart_index, cancel)
-    rows = _multiplication_rows(f, jac_basis, _standard_monomials(jac_basis))
+    rows = _multiplication_rows(f, jac_basis, monomials)
     off_curve_dim = _stable_rank(rows, cancel)
-    return MilnorResult(jac_dim - off_curve_dim, chart_name, off_curve_dim)
+    return MilnorResult(len(monomials) - off_curve_dim, chart_name, off_curve_dim)

@@ -58,3 +58,62 @@ def test_summary_counts_failed_runs():
     summary = bench.summarize(runs, {"reports_per_s": "higher"})
     assert not summary["all_correct"] and summary["failed"] == 2
     assert summary["metrics"]["reports_per_s"]["change_better_pairs"] == 0
+
+
+def paired(parent_rates, change_rates):
+    """One parent and one change run per seed, with the given rates."""
+    runs = []
+    for seed, (p, c) in enumerate(zip(parent_rates, change_rates)):
+        runs.append({"side": "parent", "seed": seed, "result": result(p, 100.0 / p)})
+        runs.append({"side": "change", "seed": seed, "result": result(c, 100.0 / c)})
+    return runs
+
+
+BETTER = {"reports_per_s": "higher", "report_p50_ms": "lower"}
+
+
+def test_claim_holds_on_nine_of_ten_with_a_tie():
+    bench = load_bench()
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    # The last pair is a tie: it counts for neither side, so 9 of 10 are won.
+    change = [120, 121, 122, 123, 124, 125, 126, 127, 128, 109]
+    metrics = bench.summarize(paired(parent, change), BETTER)["metrics"]
+    for name in BETTER:
+        assert metrics[name]["change_better_pairs"] == 9
+        assert metrics[name]["claim_holds"] is True
+
+
+def test_claim_fails_on_two_ties():
+    bench = load_bench()
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    change = [120, 121, 122, 123, 124, 125, 126, 127, 108, 109]
+    metrics = bench.summarize(paired(parent, change), BETTER)["metrics"]
+    assert metrics["reports_per_s"]["change_better_pairs"] == 8
+    assert metrics["reports_per_s"]["claim_holds"] is False
+
+
+def test_claim_fails_when_the_gap_is_within_the_parent_spread():
+    bench = load_bench()
+    # Every pair is won, but by 1 against a parent interquartile range of 4.5.
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    change = [p + 1 for p in parent]
+    rate = bench.summarize(paired(parent, change), BETTER)["metrics"]["reports_per_s"]
+    assert rate["change_better_pairs"] == 10
+    assert rate["parent"]["q3"] - rate["parent"]["q1"] == 4.5
+    assert rate["claim_holds"] is False
+
+
+def test_claim_needs_ten_pairs():
+    bench = load_bench()
+    metrics = bench.summarize(paired([100] * 9, [200] * 9), BETTER)["metrics"]
+    assert metrics["reports_per_s"]["change_better_pairs"] == 9
+    assert metrics["reports_per_s"]["claim_holds"] is False
+
+
+def test_worse_change_never_holds():
+    bench = load_bench()
+    parent = [200] * 10
+    change = [100] * 10
+    metrics = bench.summarize(paired(parent, change), BETTER)["metrics"]
+    assert metrics["reports_per_s"]["claim_holds"] is False
+    assert metrics["report_p50_ms"]["claim_holds"] is False

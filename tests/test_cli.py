@@ -335,6 +335,33 @@ class TestMilnor:
         assert code == 3
         assert "outside the chart" in err
 
+    @pytest.mark.parametrize(
+        "poly, chart",
+        [
+            # The singular locus is the whole line z = 0.
+            ("z^2", "z"),
+            # Two of the three nodes, (1:0:0) and (0:1:0), lie on z = 0.
+            ("x*y*z", "z"),
+            # The cusp at (0:0:1) lies on y = 0.
+            ("y^2*z - x^3", "y"),
+        ],
+    )
+    def test_singularities_on_the_removed_hyperplane(self, capsys, poly, chart):
+        for json_flag in ([], ["--json"]):
+            code, out, err = run(
+                capsys, *json_flag, "milnor", "--poly", poly, "--vars", "x,y,z", "--chart", chart
+            )
+            assert (code, out, err) == (3, "", "error: singularities outside the chart\n")
+
+    def test_chart_leaves_no_variable(self, capsys):
+        # x^2 = 0 is empty in P^0.  Restricting the partials to x = 0
+        # leaves no variable, and the quotient k is finite.
+        code, out, err = run(capsys, "milnor", "--poly", "x^2", "--vars", "x", "--chart", "x")
+        assert (code, out, err) == (0, "0\n", "")
+        code, out, err = run(capsys, "--json", "milnor", "--poly", "x^2", "--vars", "x", "--chart", "x")
+        assert code == 0 and err == ""
+        assert assert_canonical(out) == {"chart": "x", "off_curve_dim": 0, "total_milnor": 0}
+
     def test_empty_vars(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2", "--vars", " , ", "--chart", "x")
         assert code == 2

@@ -7,6 +7,7 @@ multiplication-matrix count in ``total_milnor_number`` is tested against.
 import importlib
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from milnorcalc.groebner import (
     divide,
     groebner,
     ideal_quotient,
-    normal_form,
     quotient_dim,
     s_polynomial,
     saturate,
@@ -46,6 +46,11 @@ def ideal(*texts, variables=XY):
 
 def basis_strings(gb):
     return {str(g) for g in gb.basis}
+
+
+def remainder_mod(p, gb):
+    """The remainder of p on division by a Groebner basis: its normal form."""
+    return divide(p, gb.basis, gb.order)[1]
 
 
 class TestDivision:
@@ -90,7 +95,7 @@ class TestBuchberger:
     def test_membership_after_completion(self):
         gb = groebner(ideal("x^2 - y", "y^2 - x"))
         for text in ("x^2 - y", "y^2 - x", "x^4 - x"):
-            assert normal_form(P(text), gb).is_zero()
+            assert remainder_mod(P(text), gb).is_zero()
 
     def test_classic_lex_elimination(self):
         # Reduced lexicographic basis of (x^2 + 2xy^2, xy + 2y^3 - 1).
@@ -173,7 +178,7 @@ class TestSaturation:
         sat = saturate(base, P("x"))
         gb = groebner(sat)
         for g in base.generators:
-            assert normal_form(g, gb).is_zero()
+            assert remainder_mod(g, gb).is_zero()
 
     def test_nodal_chart_saturation(self):
         # Jacobian of y^2 - x^3 - x^2 saturated by the curve equation
@@ -328,6 +333,105 @@ class TestMatrixCount:
         assert bases_done
 
 
+def rows_by_division(f, basis, monomials):
+    """Rows of M_f from one full division of f times each standard monomial."""
+    index = {m: j for j, m in enumerate(monomials)}
+    rows = []
+    for m in monomials:
+        shifted = f * Polynomial(f.variables, {m: 1})
+        rows.append({index[e]: c for e, c in remainder_mod(shifted, basis).terms.items()})
+    return rows
+
+
+@st.composite
+def zero_dimensional_ideals(draw):
+    """A Groebner basis with a finite staircase and a polynomial f.
+
+    Each variable gets a generator x_i^a plus terms of lower degree, so
+    the leading terms include a pure power of every variable.
+    """
+    variables = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    nvars = len(variables)
+    coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+    def terms(max_degree):
+        monomials = [
+            e for e in itertools.product(range(max_degree + 1), repeat=nvars) if sum(e) <= max_degree
+        ]
+        return draw(st.dictionaries(st.sampled_from(monomials), coefficients, max_size=4))
+
+    gens = []
+    for i in range(nvars):
+        power = draw(st.integers(1, 4))
+        lower = terms(power - 1)
+        lower[tuple(power if k == i else 0 for k in range(nvars))] = 1
+        gens.append(Polynomial(variables, lower))
+    gens.append(Polynomial(variables, terms(3)))
+    basis = groebner(PolyIdeal(gens))
+    f = Polynomial(variables, terms(4))
+    return f, basis
+
+
+class TestMultiplicationRows:
+    @settings(max_examples=60, deadline=None)
+    @given(zero_dimensional_ideals())
+    def test_rows_match_division(self, case):
+        f, basis = case
+        monomials = groebner_module._standard_monomials(basis)
+        assert groebner_module._multiplication_rows(f, basis, monomials) == rows_by_division(
+            f, basis, monomials
+        )
+
+    def test_rows_divide_nothing(self, monkeypatch):
+        calls = []
+        divide_original = groebner_module.divide
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return divide_original(*args, **kwargs)
+
+        F = P(FOUR_NODAL_QUARTIC, XYZ)
+        f = dehomogenize(F, "z")
+        basis = groebner(jacobian_ideal(f))
+        monomials = groebner_module._standard_monomials(basis)
+        monkeypatch.setattr(groebner_module, "divide", counted)
+        rows = groebner_module._multiplication_rows(f, basis, monomials)
+        assert calls == []
+        assert len(rows) == len(monomials) == 9
+
+
+@st.composite
+def rank_cases(draw):
+    """A square integer matrix: sparse, or a product of n x k and k x n
+    factors, so that its rank is at most k."""
+    n = draw(st.integers(1, 6))
+
+    def matrix(rows, cols, entries):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        return matrix(n, n, st.sampled_from([0, 0, 0, -1, 1, 2, -7, 12]))
+    k = draw(st.integers(0, n))
+    left, right = matrix(n, k, st.integers(-4, 4)), matrix(k, n, st.integers(-4, 4))
+    return [[sum(left[i][t] * right[t][j] for t in range(k)) for j in range(n)] for i in range(n)]
+
+
+class TestIntegerRank:
+    def test_stable_rank_scales_by_one_denominator(self):
+        # M = [[1, 1/2], [-2, -1]] squares to 0.  Clearing each row's
+        # denominator on its own gives [[2, 1], [-2, -1]], whose square
+        # is itself, so only a common scaling keeps the answer 0.
+        rows = [{0: Fraction(1), 1: Fraction(1, 2)}, {0: Fraction(-2), 1: Fraction(-1)}]
+        assert groebner_module._stable_rank(rows, None) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(rank_cases())
+    def test_rank_matches_sympy(self, matrix):
+        sympy = pytest.importorskip("sympy")
+        rows = [{j: c for j, c in enumerate(row) if c} for row in matrix]
+        assert groebner_module._rank(rows, None) == sympy.Matrix(matrix).rank()
+
+
 @st.composite
 def homogeneous_forms(draw):
     nvars, degree = draw(st.sampled_from([(3, 3), (3, 4), (4, 3)]))
@@ -387,7 +491,7 @@ def test_groebner_s_polynomials_reduce_to_zero(gens):
     for i in range(len(gb.basis)):
         for j in range(i + 1, len(gb.basis)):
             s = s_polynomial(gb.basis[i], gb.basis[j], GREVLEX)
-            assert normal_form(s, gb).is_zero()
+            assert remainder_mod(s, gb).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -398,4 +502,4 @@ def test_generators_reduce_to_zero(gens):
         return
     gb = groebner(PolyIdeal(tuple(gens)))
     for g in gens:
-        assert normal_form(g, gb).is_zero()
+        assert remainder_mod(g, gb).is_zero()
