@@ -324,9 +324,7 @@ def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -
     bundle class.
     """
     divisor = divisor_class(ambient, multidegree)
-    chern_one = (ChowClass.unit(ambient) + divisor).graded_piece(1)
-    for exp in ambient.box():
-        basis_class = ChowClass.monomial(ambient, exp)
-        if divisor * basis_class != chern_one * basis_class:
-            return False
-    return True
+    # The box starts at the unit monomial, so the products differ on
+    # some monomial exactly when the two multipliers differ; when they
+    # are equal, every product compares equal classes.
+    return (ChowClass.unit(ambient) + divisor).graded_piece(1) == divisor

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .charclasses import (
     MissingCsmClassError,
@@ -37,31 +37,24 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_MATH = 3
 
-# Each name that --checks accepts, and the checks it selects.
+# Each name that --checks accepts, and the report keys it selects, with
+# {m} standing for the product factor dimension.
 _CHECK_ALIASES = {
-    "verdier": ("verdier",),
-    "verdier_smooth": ("verdier",),
-    "defect": ("defect",),
-    "defect_codim1": ("defect",),
-    "pushdown": ("pushdown",),
-    "proper_pushdown": ("pushdown",),
-    "lci": ("lci",),
-    "lci_defect": ("lci",),
-    "euler": ("euler",),
-    "euler_strata": ("euler",),
-    "all": ("verdier", "defect", "pushdown", "lci"),
+    "verdier": ("verdier_m{m}",),
+    "verdier_smooth": ("verdier_m{m}",),
+    "defect": ("defect_codim1",),
+    "defect_codim1": ("defect_codim1",),
+    "pushdown": ("pushdown_m{m}",),
+    "proper_pushdown": ("pushdown_m{m}",),
+    "lci": ("lci_m{m}",),
+    "lci_defect": ("lci_m{m}",),
+    "euler": ("euler_strata",),
+    "euler_strata": ("euler_strata",),
+    "all": ("verdier_m{m}", "defect_codim1", "pushdown_m{m}", "lci_m{m}"),
 }
 
-
-class _Output:
-    """Stdout wrapper honoring --quiet."""
-
-    def __init__(self, quiet: bool) -> None:
-        self.quiet = quiet
-
-    def line(self, text: str = "") -> None:
-        if not self.quiet:
-            print(text)
+# Writes one line of normal output; a no-op under --quiet.
+Emit = Callable[[str], None]
 
 
 def _ambient_label(factors: Sequence[int]) -> str:
@@ -71,19 +64,12 @@ def _ambient_label(factors: Sequence[int]) -> str:
 def _check_keys(report_checks, names: list[str], m: int) -> list[str]:
     """Report keys of the selected checks; a selection that names a
     check the report does not have is an error, not a silent pass."""
-    keys = {
-        "verdier": f"verdier_m{m}",
-        "defect": "defect_codim1",
-        "pushdown": f"pushdown_m{m}",
-        "lci": f"lci_m{m}",
-        "euler": "euler_strata",
-    }
     result = []
     for name in names:
-        wanted = _CHECK_ALIASES[name]
-        found = [keys[w] for w in wanted if keys[w] in report_checks]
+        wanted = [template.format(m=m) for template in _CHECK_ALIASES[name]]
+        found = [key for key in wanted if key in report_checks]
         if not found:
-            needs = "strata with chi_c on every stratum" if wanted == ("euler",) else "one multidegree"
+            needs = "strata with chi_c on every stratum" if wanted == ["euler_strata"] else "one multidegree"
             raise SceneFileError(f"check {name!r} does not apply to this scene: it needs {needs}")
         for key in found:
             if key not in result:
@@ -101,46 +87,46 @@ def _check_line(name: str, check) -> str:
     return f"{name}: {status}{suffix}"
 
 
-def _print_report(report, out: _Output) -> None:
+def _print_report(report, emit: Emit) -> None:
     scene = report.scene
     if scene.name:
-        out.line(f"scene: {scene.name}")
-    out.line(f"ambient: {_ambient_label(scene.ambient.factors)}")
+        emit(f"scene: {scene.name}")
+    emit(f"ambient: {_ambient_label(scene.ambient.factors)}")
     degrees = ", ".join("(" + ",".join(str(x) for x in d) + ")" for d in scene.multidegrees)
-    out.line(f"degrees: {degrees}")
+    emit(f"degrees: {degrees}")
     if report.milnor_data is not None:
-        out.line(
+        emit(
             f"total milnor number: {report.milnor_data.total_milnor}"
             f" (chart {report.milnor_data.chart})"
         )
     mu_values = report.mu.values
     if mu_values:
         rendered = ", ".join(f"{k} -> {v}" for k, v in sorted(mu_values.items()))
-        out.line(f"mu: {rendered}")
-    out.line(f"fulton_johnson: {report.fulton_johnson}")
-    out.line(f"milnor_class: {report.milnor_class}")
-    out.line(f"csm: {report.csm}")
-    out.line(f"euler: {report.euler}")
+        emit(f"mu: {rendered}")
+    emit(f"fulton_johnson: {report.fulton_johnson}")
+    emit(f"milnor_class: {report.milnor_class}")
+    emit(f"csm: {report.csm}")
+    emit(f"euler: {report.euler}")
     if report.localization:
-        out.line("localization:")
+        emit("localization:")
         for stratum_id, term in report.localization:
-            out.line(f"  {stratum_id}: {term}")
-    out.line("checks:")
+            emit(f"  {stratum_id}: {term}")
+    emit("checks:")
     for name in sorted(report.checks):
-        out.line("  " + _check_line(name, report.checks[name]))
+        emit("  " + _check_line(name, report.checks[name]))
 
 
-def cmd_report(args, out: _Output) -> int:
+def cmd_report(args, emit: Emit) -> int:
     scene, mu = load_scene(args.scene)
     report = build_report(scene, mu, m_values=(args.m,))
     if args.json:
-        out.line(canonical_json(report_to_jsonable(report)))
+        emit(canonical_json(report_to_jsonable(report)))
     else:
-        _print_report(report, out)
+        _print_report(report, emit)
     return EXIT_OK
 
 
-def cmd_check(args, out: _Output) -> int:
+def cmd_check(args, emit: Emit) -> int:
     # Check names are validated before any class is computed.
     names = [raw.strip() for raw in (args.checks or "all").split(",")]
     for name in names:
@@ -150,20 +136,20 @@ def cmd_check(args, out: _Output) -> int:
     report = build_report(scene, mu, m_values=(args.m,))
     keys = _check_keys(report.checks, names, args.m)
     if args.json:
-        out.line(canonical_json({key: check_to_jsonable(report.checks[key]) for key in keys}))
+        emit(canonical_json({key: check_to_jsonable(report.checks[key]) for key in keys}))
     else:
         for key in keys:
-            out.line(_check_line(key, report.checks[key]))
+            emit(_check_line(key, report.checks[key]))
     return EXIT_OK if all(report.checks[key].passed for key in keys) else EXIT_CHECK_FAILED
 
 
-def cmd_milnor(args, out: _Output) -> int:
+def cmd_milnor(args, emit: Emit) -> int:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not variables:
         raise SceneFileError("--vars needs at least one variable name")
     result = total_milnor_number(parse_polynomial(args.poly, variables), args.chart)
     if args.json:
-        out.line(
+        emit(
             canonical_json(
                 {
                     "total_milnor": result.total_milnor,
@@ -173,11 +159,11 @@ def cmd_milnor(args, out: _Output) -> int:
             )
         )
     else:
-        out.line(str(result.total_milnor))
+        emit(str(result.total_milnor))
     return EXIT_OK
 
 
-def cmd_table(args, out: _Output) -> int:
+def cmd_table(args, emit: Emit) -> int:
     if args.nmax < 1 or args.dmax < 1:
         raise SceneFileError("table bounds must be at least 1")
     values = {}
@@ -187,19 +173,19 @@ def cmd_table(args, out: _Output) -> int:
             values[(n, d)] = fulton_johnson(ambient, [(d,)]).degree()
     if args.json:
         payload = {f"{n},{d}": chi for (n, d), chi in sorted(values.items())}
-        out.line(canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax}))
+        emit(canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax}))
         return EXIT_OK
     width = max(
         6, *(len(str(chi)) + 2 for chi in values.values())
     )
     header = "n\\d" + "".join(str(d).rjust(width) for d in range(1, args.dmax + 1))
-    out.line("chi of a smooth degree-d hypersurface in P^n")
-    out.line(header)
+    emit("chi of a smooth degree-d hypersurface in P^n")
+    emit(header)
     for n in range(1, args.nmax + 1):
         row = str(n).ljust(3) + "".join(
             str(values[(n, d)]).rjust(width) for d in range(1, args.dmax + 1)
         )
-        out.line(row)
+        emit(row)
     return EXIT_OK
 
 
@@ -245,9 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _Output(args.quiet)
+    emit: Emit = (lambda text: None) if args.quiet else print
     try:
-        return args.func(args, out)
+        return args.func(args, emit)
     except (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -79,16 +79,7 @@ def _leading(p: Polynomial, key) -> tuple[Exponent, Fraction]:
 
 
 def _term_times(p: Polynomial, exp: Exponent, coeff: Fraction) -> Polynomial:
-    result = Polynomial.zero(p.variables)
-    result.terms = {_exp_add(e, exp): c * coeff for e, c in p.terms.items()}
-    return result
-
-
-def _monic(p: Polynomial, key) -> Polynomial:
-    _, lead_coeff = _leading(p, key)
-    if lead_coeff == 1:
-        return p
-    return p.scaled(Fraction(1) / lead_coeff)
+    return Polynomial._of_clean(p.variables, {_exp_add(e, exp): c * coeff for e, c in p.terms.items()})
 
 
 def divide(
@@ -133,14 +124,8 @@ def divide(
                 break
         else:
             remainder[exp] = coeff
-    quotient_polys = []
-    for q in quotients:
-        poly = Polynomial.zero(f.variables)
-        poly.terms = q
-        quotient_polys.append(poly)
-    rem = Polynomial.zero(f.variables)
-    rem.terms = remainder
-    return quotient_polys, rem
+    quotient_polys = [Polynomial._of_clean(f.variables, q) for q in quotients]
+    return quotient_polys, Polynomial._of_clean(f.variables, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
@@ -168,19 +153,21 @@ def _chain_skip(i: int, j: int, lcm: Exponent, leads: list[Exponent], pending: s
     return False
 
 
-def _interreduce(basis: list[Polynomial], order: str) -> list[Polynomial]:
+def _interreduce(
+    basis: list[Polynomial], leads: list[Exponent], order: str
+) -> dict[Exponent, Polynomial]:
+    # Each element of the minimal basis is reduced by the others.  No
+    # other lead divides its lead, so the remainder keeps that term with
+    # coefficient 1: the result is monic and stays in increasing order.
     key = _order_key(order)
-    minimal: list[Polynomial] = []
-    for g in sorted(basis, key=lambda p: key(_leading(p, key)[0])):
-        lead = _leading(g, key)[0]
-        if not any(_divides(_leading(h, key)[0], lead) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        _, rem = divide(g, others, order)
-        reduced.append(_monic(rem, key))
-    reduced.sort(key=lambda p: key(_leading(p, key)[0]))
+    minimal: list[tuple[Exponent, Polynomial]] = []
+    for lead, g in sorted(zip(leads, basis), key=lambda pair: key(pair[0])):
+        if not any(_divides(other, lead) for other, _ in minimal):
+            minimal.append((lead, g))
+    reduced = {}
+    for idx, (lead, g) in enumerate(minimal):
+        others = [h for _, h in minimal[:idx] + minimal[idx + 1 :]]
+        reduced[lead] = divide(g, others, order)[1]
     return reduced
 
 
@@ -188,15 +175,21 @@ def _buchberger(
     generators: Iterable[Polynomial],
     order: str,
     cancel: Optional[CancelCallback],
-) -> list[Polynomial]:
+) -> dict[Exponent, Polynomial]:
     key = _order_key(order)
+    leads: list[Exponent] = []
     basis: list[Polynomial] = []
+
+    def add_monic(p: Polynomial) -> None:
+        lead, coeff = _leading(p, key)
+        leads.append(lead)
+        basis.append(p if coeff == 1 else p.scaled(Fraction(1) / coeff))
+
     for g in generators:
         if not g.is_zero():
-            basis.append(_monic(g, key))
+            add_monic(g)
     if not basis:
-        return []
-    leads = [_leading(g, key)[0] for g in basis]
+        return {}
     pending = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pending:
         if cancel is not None and cancel():
@@ -212,24 +205,21 @@ def _buchberger(
         _, remainder = divide(s, basis, order)
         if remainder.is_zero():
             continue
-        basis.append(_monic(remainder, key))
-        leads.append(_leading(remainder, key)[0])
+        add_monic(remainder)
         new = len(basis) - 1
         pending.update((k, new) for k in range(new))
-    return _interreduce(basis, order)
+    return _interreduce(basis, leads, order)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced monic Groebner basis together with its monomial order."""
+    """A reduced monic Groebner basis, its monomial order, and ``leads``:
+    the leading exponent of each element, in strictly increasing order."""
 
     variables: tuple[str, ...]
     order: str
     basis: tuple[Polynomial, ...]
-
-    def leading_exponents(self) -> tuple[Exponent, ...]:
-        key = _order_key(self.order)
-        return tuple(_leading(g, key)[0] for g in self.basis)
+    leads: tuple[Exponent, ...]
 
 
 def groebner(
@@ -238,8 +228,8 @@ def groebner(
     """Return the reduced monic Groebner basis of ``ideal``."""
     if order not in (GREVLEX, LEX):
         raise ValueError(f"unknown monomial order {order!r}")
-    basis = _buchberger(ideal.generators, order, cancel)
-    return GroebnerBasis(ideal.variables, order, tuple(basis))
+    reduced = _buchberger(ideal.generators, order, cancel)
+    return GroebnerBasis(ideal.variables, order, tuple(reduced.values()), tuple(reduced))
 
 
 def _standard_monomials(basis: GroebnerBasis) -> Optional[list[Exponent]]:
@@ -252,7 +242,7 @@ def _standard_monomials(basis: GroebnerBasis) -> Optional[list[Exponent]]:
     """
     if not basis.basis:
         return None
-    leads = basis.leading_exponents()
+    leads = basis.leads
     if any(sum(e) == 0 for e in leads):
         return []
     nvars = len(basis.variables)
@@ -293,15 +283,11 @@ def _fresh_name(variables: tuple[str, ...]) -> str:
 
 
 def _lift(p: Polynomial, extended: tuple[str, ...]) -> Polynomial:
-    result = Polynomial.zero(extended)
-    result.terms = {(0,) + e: c for e, c in p.terms.items()}
-    return result
+    return Polynomial._of_clean(extended, {(0,) + e: c for e, c in p.terms.items()})
 
 
 def _drop_first_variable(p: Polynomial, variables: tuple[str, ...]) -> Polynomial:
-    result = Polynomial.zero(variables)
-    result.terms = {e[1:]: c for e, c in p.terms.items()}
-    return result
+    return Polynomial._of_clean(variables, {e[1:]: c for e, c in p.terms.items()})
 
 
 def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -337,8 +323,7 @@ def ideal_quotient(
     lifted = [t * _lift(g, extended) for g in nonzero]
     lifted.append((one - t) * _lift(f, extended))
     basis = _buchberger(lifted, _ELIM_FIRST, cancel)
-    key = _order_key(_ELIM_FIRST)
-    eliminated = [g for g in basis if _leading(g, key)[0][0] == 0]
+    eliminated = [g for lead, g in basis.items() if lead[0] == 0]
     quotient_gens = [
         _exact_quotient(_drop_first_variable(g, ideal.variables), f) for g in eliminated
     ]
@@ -383,7 +368,6 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
     """Set the chart variable to 1 and drop it from the variable list."""
     idx = _chart_index(F, chart)
     remaining = F.variables[:idx] + F.variables[idx + 1 :]
-    result = Polynomial.zero(remaining)
     terms: dict[Exponent, Fraction] = {}
     for exp, coeff in F.terms.items():
         cut = exp[:idx] + exp[idx + 1 :]
@@ -392,8 +376,7 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
             terms[cut] = acc
         else:
             terms.pop(cut, None)
-    result.terms = terms
-    return result
+    return Polynomial._of_clean(remaining, terms)
 
 
 @dataclass(frozen=True)
@@ -420,13 +403,12 @@ def _validate_chart(F: Polynomial, chart_index: int, cancel: Optional[CancelCall
     remaining = F.variables[:chart_index] + F.variables[chart_index + 1 :]
     gens = []
     for i in range(len(F.variables)):
-        restricted = Polynomial.zero(remaining)
-        restricted.terms = {
+        restricted = {
             e[:chart_index] + e[chart_index + 1 :]: c
             for e, c in F.derivative(i).terms.items()
             if e[chart_index] == 0
         }
-        gens.append(restricted)
+        gens.append(Polynomial._of_clean(remaining, restricted))
     basis = groebner(PolyIdeal(gens), cancel=cancel)
     if quotient_dim(basis) == math.inf:
         raise SingularitiesOutsideChartError("singularities outside the chart")
@@ -447,29 +429,26 @@ def _multiplication_rows(
     the powers of M_f.
 
     No polynomial is divided; each normal form is built once, from the
-    reduced monic basis and from forms built before it.  A standard
-    monomial is its own normal form, and a leading term lt(g) has the
-    normal form lt(g) - g, whose terms are standard.  Any other
-    non-standard u is x_i times a non-standard u / x_i, and its normal
-    form is multiplication by x_i applied to that of u / x_i, which
-    needs only the forms of the border: x_i times a standard monomial.
-    Border forms are built in increasing monomial order, so each uses
-    smaller ones (Faugere-Gianni-Lazard-Mora, J. Symb. Comp. 16, 1993).
-    The first row is the sum of c_e times the form of x^e over the terms
-    of f, and the row of m is x_i times the row of m / x_i.
+    reduced monic basis and from forms built before it, and stored.
+    Multiplication by x_i of a normal form needs only the forms of the
+    border: x_i times a standard monomial.  A standard monomial is its
+    own normal form, and a leading term lt(g) has the normal form
+    lt(g) - g, whose terms are standard.  Every other border monomial u
+    is x_i times a non-standard u / x_i, and its form is x_i times that
+    of u / x_i; border forms are built in increasing monomial order, so
+    each uses smaller ones (Faugere-Gianni-Lazard-Mora, J. Symb. Comp.
+    16, 1993).  Beyond the border, the form of u is x_i times that of
+    u / x_i for any variable x_i dividing u.  The first row is the sum
+    of c_e times the form of x^e over the terms of f, and the row of m
+    is x_i times the row of m / x_i.
     """
     key = _order_key(basis.order)
     index = {m: j for j, m in enumerate(monomials)}
     nvars = len(basis.variables)
     units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
     forms: dict[Exponent, Row] = {m: {j: 1} for m, j in index.items()}
-    for g in basis.basis:
-        lead, _ = _leading(g, key)
+    for lead, g in zip(basis.leads, basis.basis):
         forms[lead] = {index[e]: -c for e, c in g.terms.items() if e != lead}
-
-    def divisor(u: Exponent) -> int:
-        # A variable whose removal from u leaves a non-standard monomial.
-        return next(i for i in range(nvars) if u[i] and _exp_sub(u, units[i]) not in index)
 
     # up[i][j] is x_i times the j-th standard monomial.
     up = [[_exp_add(m, unit) for m in monomials] for unit in units]
@@ -483,20 +462,15 @@ def _multiplication_rows(
 
     border = {u for shifted in up for u in shifted} - index.keys()
     for u in sorted(border - forms.keys(), key=key):
-        i = divisor(u)
+        # A variable whose removal from u leaves a non-standard monomial.
+        i = next(i for i in range(nvars) if u[i] and _exp_sub(u, units[i]) not in index)
         forms[u] = times(i, forms[_exp_sub(u, units[i])])
 
     def form_of(u: Exponent) -> Row:
-        chain = []
-        while u not in forms:
-            i = divisor(u)
-            chain.append(i)
-            u = _exp_sub(u, units[i])
-        form = forms[u]
-        for i in reversed(chain):
-            u = _exp_add(u, units[i])
-            form = forms[u] = times(i, form)
-        return form
+        if u not in forms:
+            i = next(i for i in range(nvars) if u[i])
+            forms[u] = times(i, form_of(_exp_sub(u, units[i])))
+        return forms[u]
 
     # The staircase is enumerated so that m / x_i comes before m.
     rows: dict[Exponent, Row] = {}

@@ -68,6 +68,14 @@ class Polynomial:
         self.terms: dict[Exponent, Fraction] = clean
 
     @classmethod
+    def _of_clean(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "Polynomial":
+        """Wrap terms that are already clean, without validating them."""
+        result = object.__new__(cls)
+        result.variables = variables
+        result.terms = terms
+        return result
+
+    @classmethod
     def zero(cls, variables: Iterable[str]) -> "Polynomial":
         return cls(variables, {})
 
@@ -114,14 +122,10 @@ class Polynomial:
                 out[exp] = acc
             else:
                 out.pop(exp, None)
-        result = Polynomial.zero(self.variables)
-        result.terms = out
-        return result
+        return Polynomial._of_clean(self.variables, out)
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial.zero(self.variables)
-        result.terms = {exp: -coeff for exp, coeff in self.terms.items()}
-        return result
+        return Polynomial._of_clean(self.variables, {exp: -coeff for exp, coeff in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -141,9 +145,7 @@ class Polynomial:
                     out[exp] = acc
                 else:
                     out.pop(exp, None)
-        result = Polynomial.zero(self.variables)
-        result.terms = out
-        return result
+        return Polynomial._of_clean(self.variables, out)
 
     def __rmul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -160,10 +162,8 @@ class Polynomial:
 
     def scaled(self, scalar: Scalar) -> "Polynomial":
         scalar = _as_fraction(scalar)
-        result = Polynomial.zero(self.variables)
-        if scalar:
-            result.terms = {exp: coeff * scalar for exp, coeff in self.terms.items()}
-        return result
+        terms = {exp: coeff * scalar for exp, coeff in self.terms.items()} if scalar else {}
+        return Polynomial._of_clean(self.variables, terms)
 
     def derivative(self, var: Union[int, str]) -> "Polynomial":
         """Return the partial derivative with respect to one variable."""
@@ -175,9 +175,7 @@ class Polynomial:
                 continue
             new = exp[:idx] + (e - 1,) + exp[idx + 1 :]
             out[new] = coeff * e
-        result = Polynomial.zero(self.variables)
-        result.terms = out
-        return result
+        return Polynomial._of_clean(self.variables, out)
 
     def __eq__(self, other) -> bool:
         return (

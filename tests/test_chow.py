@@ -221,6 +221,30 @@ class TestGysin:
         assert self_intersection_check(P2, (3,))
         assert self_intersection_check(P2xP1, (2, 1))
 
+    def test_self_intersection_multiplies_no_classes(self, monkeypatch):
+        products = []
+        original = ChowClass.__mul__
+
+        def counted(a, b):
+            if isinstance(b, ChowClass):
+                products.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(ChowClass, "__mul__", counted)
+        assert self_intersection_check(AmbientSpace((3, 2, 2)), (1, 2, 3))
+        assert products == []
+
+    def test_self_intersection_fails_on_a_dropped_term(self, monkeypatch):
+        original = ChowClass.graded_piece
+
+        def lossy(x, d):
+            terms = dict(original(x, d).coefficients)
+            terms.pop(max(terms))
+            return ChowClass(x.ambient, terms)
+
+        monkeypatch.setattr(ChowClass, "graded_piece", lossy)
+        assert not self_intersection_check(P2xP1, (2, 1))
+
 
 class TestDivision:
     def test_divide_by_normal_class(self):

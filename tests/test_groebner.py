@@ -120,7 +120,7 @@ class TestBuchberger:
 
     def test_basis_is_interreduced(self):
         gb = groebner(ideal("x^2 - y", "y^2 - x"))
-        leads = gb.leading_exponents()
+        leads = gb.leads
         for i, g in enumerate(gb.basis):
             others = [h for j, h in enumerate(gb.basis) if j != i]
             if not others:
@@ -382,6 +382,19 @@ class TestMultiplicationRows:
             f, basis, monomials
         )
 
+    def test_terms_beyond_the_border(self):
+        # The staircase of (x^2 - y, y^2 - x) is 1, y, x, xy and its
+        # border is x^2, x^2 y, y^2, x y^2.  x^5 and x^2 y^3 lie two and
+        # more steps beyond the border, where forms come from forms of
+        # smaller monomials, not from the border rule.
+        basis = groebner(ideal("x^2 - y", "y^2 - x"))
+        monomials = groebner_module._standard_monomials(basis)
+        assert monomials == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        f = P("x^5 + 2*x^2*y^3 - 3*x*y + 1")
+        assert groebner_module._multiplication_rows(f, basis, monomials) == rows_by_division(
+            f, basis, monomials
+        )
+
     def test_rows_divide_nothing(self, monkeypatch):
         calls = []
         divide_original = groebner_module.divide
@@ -458,6 +471,36 @@ def test_matrix_count_matches_saturation(F):
     except ValueError:
         return
     assert (result.total_milnor, result.off_curve_dim) == saturation_route(F, chart)
+
+
+@st.composite
+def small_ideals(draw):
+    """At most three generators of degree at most 3 in two or three variables."""
+    variables = ("x", "y", "z")[: draw(st.integers(2, 3))]
+    monomials = [e for e in itertools.product(range(4), repeat=len(variables)) if sum(e) <= 3]
+    terms = st.dictionaries(
+        st.sampled_from(monomials), st.integers(-3, 3).filter(bool), min_size=1, max_size=4
+    )
+    return [Polynomial(variables, t) for t in draw(st.lists(terms, min_size=1, max_size=3))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_ideals())
+def test_reduced_basis_matches_sympy(gens):
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import grevlex
+
+    symbols = sympy.symbols(gens[0].variables)
+    # from_dict converts the coefficients of the dict it is given in place.
+    polys = [sympy.Poly.from_dict(dict(g.terms), *symbols, domain="QQ") for g in gens]
+    expected = set()
+    for g in sympy.groebner(polys, *symbols, order="grevlex", domain="QQ").polys:
+        lead = g.LC(order="grevlex")
+        expected.add(frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in g.quo_ground(lead).terms()))
+    gb = groebner(PolyIdeal(gens))
+    assert {frozenset(g.terms.items()) for g in gb.basis} == expected
+    assert list(gb.leads) == [max(g.terms, key=grevlex) for g in gb.basis]
+    assert all(grevlex(a) < grevlex(b) for a, b in zip(gb.leads, gb.leads[1:]))
 
 
 small_polys = st.builds(
