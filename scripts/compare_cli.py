@@ -1,0 +1,213 @@
+#!/usr/bin/env python3
+"""Run one fixed list of CLI invocations in two checkouts and compare them.
+
+    python3 scripts/compare_cli.py --parent ../parent --change .
+
+Each checkout runs the whole list in a child process of its own, through
+``milnorcalc.cli.main`` imported from that checkout's ``src/``, and the
+stdout, stderr and exit code of every invocation are compared.  The
+list holds:
+
+- ``report``, ``--json report``, ``check``, ``--json check`` and
+  ``--quiet check`` at m = 1, 2, 3 on the scenes in ``scenes/``, on
+  seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``
+  and on two polynomial scenes with two multidegrees;
+- ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
+  inputs that exit 2 and 3;
+- ``table`` and ``--json table``, and a few other inputs that exit 2.
+
+The scene files are written to a temporary directory, so both sides
+read the same paths.  ``perfbench/workloads.py`` is imported from the
+repository that holds this script, with bytecode writing off, and the
+children run with ``-B``: no checkout gains files.  Every difference is
+printed, and the exit status is 1 if there is any.  Only the standard
+library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import importlib.util
+import json
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 100
+M_VALUES = ("1", "2", "3")
+FIELDS = ("code", "stdout", "stderr")
+
+# Runs the invocations read from stdin through main() and writes one
+# {"code", "stdout", "stderr"} object per invocation.  An exception is
+# recorded by type and message, without the traceback, whose paths
+# differ between checkouts.
+CHILD = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from milnorcalc.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception as exc:
+            code = "exception"
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+    results.append({"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()})
+json.dump(results, sys.stdout)
+"""
+
+# (polynomial, variables, chart) for the milnor subcommand.
+MILNOR_CASES = [
+    ("y^2*z - x^3 - x^2*z", "x,y,z", "z"),
+    ("y^2*z - x^3", "x,y,z", "z"),
+    ("x^2 + y^2 + z^2", "x,y,z", "z"),
+    ("x^5 + y^4*z + x^2*y^2*z", "x,y,z", "z"),
+    ("x^2", "x", "x"),
+    # Exit 3: singularities off the chart, or not isolated.
+    ("y^2*z - x^3", "x,y,z", "y"),
+    ("x*y*z", "x,y,z", "z"),
+    ("z^2", "x,y,z", "z"),
+    ("x^2*y", "x,y,z", "z"),
+    # Exit 2: bad polynomial text, chart or variable list.
+    ("x^2 +", "x,y,z", "z"),
+    ("(y^2*z - x^3)*(y - z)", "x,y,z", "z"),
+    ("x^2 + y^2 + z^2", "x,y,z", "t"),
+    ("x^2 + y", "x,y,z", "z"),
+    ("y^2*z - x^3", "x,y,z,z", "z"),
+    ("x^2", " , ", "x"),
+]
+
+TABLES = [
+    ["table"],
+    ["table", "--nmax", "6", "--dmax", "7"],
+    ["--json", "table"],
+    ["--json", "table", "--nmax", "20", "--dmax", "20"],
+    ["table", "--nmax", "0"],
+]
+
+# A conic given two multidegrees, with and without strata.
+TWO_DEGREE_CONIC = {
+    "ambient": [2],
+    "degrees": [[2], [1]],
+    "polynomial": "x^2 + y^2 + z^2",
+    "chart": "z",
+    "strata": [{"id": "a", "dim": 0, "chi_c": 2, "closure_chi": 2}],
+}
+
+
+def load_workloads(root: Path):
+    """Import ``perfbench/workloads.py`` without writing its bytecode."""
+    sys.dont_write_bytecode = True
+    path = root / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("compare_cli_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def scene_paths(root: Path, outdir: Path) -> list[str]:
+    """The corpus, one seeded pass of each generated workload, and the
+    two-multidegree conics, written under ``outdir`` where needed."""
+    workloads = load_workloads(root)
+    paths = [str(path) for path in sorted((root / "scenes").glob("*.json"))]
+    generators = {"milnor": workloads.milnor_requests, "chow": workloads.chow_requests}
+    for name, generate in generators.items():
+        (outdir / name).mkdir()
+        requests, warmup = generate(outdir / name, SEED, 1)
+        paths.extend(request.scene for request in requests + [warmup])
+    bare = {k: v for k, v in TWO_DEGREE_CONIC.items() if k != "strata"}
+    for name, data in (("two-degree-conic", TWO_DEGREE_CONIC), ("two-degree-conic-bare", bare)):
+        path = outdir / f"{name}.json"
+        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def invocations(scenes: list[str]) -> list[list[str]]:
+    """The fixed argument lists, for the given scene files."""
+    result = []
+    for scene in scenes:
+        for m in M_VALUES:
+            for prefix, command in (
+                ([], "report"), (["--json"], "report"),
+                ([], "check"), (["--json"], "check"), (["--quiet"], "check"),
+            ):
+                result.append(prefix + [command, scene, "--m", m])
+    for poly, variables, chart in MILNOR_CASES:
+        for prefix in ([], ["--json"]):
+            argv = ["milnor", "--poly", poly, "--vars", variables, "--chart", chart]
+            result.append(prefix + argv)
+    result.extend(TABLES)
+    first = scenes[0]
+    result.extend([
+        ["check", first, "--checks", "frobnicate"],
+        ["check", first, "--checks", "euler_strata"],
+        ["check", first, "--checks", "verdier,lci,pushdown", "--m", "2"],
+        ["report", first, "--m", "0"],
+        ["report", first + ".missing"],
+        ["frobnicate"],
+    ])
+    return result
+
+
+def run_checkout(checkout: Path, argvs: list[list[str]]) -> list[dict]:
+    """Run every argument list through the checkout's ``main`` in one child."""
+    src = Path(checkout).resolve() / "src"
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", CHILD, str(src)],
+        input=json.dumps(argvs), capture_output=True, text=True, cwd=checkout,
+    )
+    if done.returncode != 0:
+        sys.exit(f"error: {checkout}: the child exited {done.returncode}: {done.stderr.strip()}")
+    return json.loads(done.stdout)
+
+
+def differences(argvs: list[list[str]], parent: list[dict], change: list[dict]) -> list[str]:
+    """One report per invocation whose exit code, stdout or stderr differ."""
+    if not len(argvs) == len(parent) == len(change):
+        raise ValueError("each side needs one result per invocation")
+    found = []
+    for argv, old, new in zip(argvs, parent, change):
+        lines = []
+        for field in FIELDS:
+            if old[field] == new[field]:
+                continue
+            if field == "code":
+                lines.append(f"  exit code: {old['code']} -> {new['code']}")
+                continue
+            lines.append(f"  {field}:")
+            diff = difflib.unified_diff(
+                old[field].splitlines(), new[field].splitlines(), "parent", "change", lineterm=""
+            )
+            lines.extend("    " + line for line in diff)
+        if lines:
+            found.append("\n".join(["$ milnorcalc " + " ".join(argv)] + lines))
+    return found
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
+        argvs = invocations(scene_paths(ROOT, Path(tmp)))
+        results = {side: run_checkout(getattr(args, side), argvs) for side in ("parent", "change")}
+    found = differences(argvs, results["parent"], results["change"])
+    for text in found:
+        print(text)
+    print(f"{len(found)} of {len(argvs)} invocations differ")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -126,9 +126,10 @@ def resolve_mu(
     User-supplied values win; otherwise a defining polynomial is run
     through the Milnor-number engine in the scene's chart, or the last
     variable when it names none; otherwise the scene is taken to be
-    smooth and mu is zero.  A polynomial scene without strata gets the
-    default ones: the smooth locus, and a point stratum when the total
-    is nonzero.  The total goes on the one closed zero-dimensional
+    smooth and mu is zero.  A polynomial scene must have one
+    multidegree, checked before the engine runs.  Without strata it
+    gets the default ones: the smooth locus, and a point stratum when
+    the total is nonzero.  The total goes on the one closed zero-dimensional
     stratum with the sign (-1)^(dim Y - 1), since the value at an
     isolated singular point is chi(Milnor fiber) - 1.
     """
@@ -141,10 +142,10 @@ def resolve_mu(
         return scene, ConstructibleFunction(scene, {}), None
     if len(scene.ambient.factors) != 1:
         raise SceneValidationError("polynomial scenes live in a single projective space")
+    _single_multidegree(scene)
     chart = scene.chart if scene.chart is not None else F.variables[-1]
     result = total_milnor_number(F, chart, cancel)
     if not scene.strata:
-        _single_multidegree(scene)
         strata = [Stratum(id=SMOOTH_STRATUM, dim=scene.ambient.dim - 1)]
         if result.total_milnor != 0:
             point = ChowClass.point(scene.ambient)
@@ -385,7 +386,8 @@ _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def _json_int(value: int):
+def json_int(value: int):
+    """The JSON form of an integer: itself within 64 bits, else its decimal string."""
     if _INT64_MIN <= value <= _INT64_MAX:
         return value
     return str(value)
@@ -393,7 +395,7 @@ def _json_int(value: int):
 
 def chow_to_jsonable(x: ChowClass) -> dict:
     return {
-        ",".join(str(e) for e in exp): _json_int(value)
+        ",".join(str(e) for e in exp): json_int(value)
         for exp, value in sorted(x.coefficients.items())
     }
 
@@ -415,8 +417,8 @@ def report_to_jsonable(report: ClassReport) -> dict:
         "fulton_johnson": chow_to_jsonable(report.fulton_johnson),
         "milnor_class": chow_to_jsonable(report.milnor_class),
         "csm": chow_to_jsonable(report.csm),
-        "euler": _json_int(report.euler),
-        "mu": {k: _json_int(v) for k, v in sorted(report.mu.values.items())},
+        "euler": json_int(report.euler),
+        "mu": {k: json_int(v) for k, v in sorted(report.mu.values.items())},
         "localization": [
             {"stratum": stratum_id, "class": chow_to_jsonable(term)}
             for stratum_id, term in report.localization
@@ -426,7 +428,7 @@ def report_to_jsonable(report: ClassReport) -> dict:
     if report.scene.name:
         data["name"] = report.scene.name
     if report.milnor_data is not None:
-        data["total_milnor"] = _json_int(report.milnor_data.total_milnor)
+        data["total_milnor"] = json_int(report.milnor_data.total_milnor)
         data["chart"] = report.milnor_data.chart
     return data
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from operator import add, gt, sub
 from typing import Iterable, Mapping, Sequence
 
+from .polynomials import render_terms
+
 Exponent = tuple[int, ...]
 
 
@@ -208,31 +210,8 @@ class ChowClass:
         return f"ChowClass({str(self)!r}, ambient={self.ambient.factors})"
 
     def __str__(self) -> str:
-        if not self.coefficients:
-            return "0"
-        letters = self.ambient.letters()
         items = sorted(self.coefficients.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-        chunks: list[str] = []
-        for position, (exp, value) in enumerate(items):
-            negative = value < 0
-            magnitude = -value if negative else value
-            factors = []
-            for name, e in zip(letters, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "".join(factors)
-            else:
-                body = str(magnitude) + "".join(factors)
-            if position == 0:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+        return render_terms(items, self.ambient.letters(), "")
 
 
 def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:

@@ -21,6 +21,7 @@ from .charclasses import (
     canonical_json,
     check_to_jsonable,
     fulton_johnson,
+    json_int,
     report_to_jsonable,
 )
 from .chow import AmbientSpace
@@ -152,9 +153,9 @@ def cmd_milnor(args, emit: Emit) -> int:
         emit(
             canonical_json(
                 {
-                    "total_milnor": result.total_milnor,
+                    "total_milnor": json_int(result.total_milnor),
                     "chart": result.chart,
-                    "off_curve_dim": result.off_curve_dim,
+                    "off_curve_dim": json_int(result.off_curve_dim),
                 }
             )
         )
@@ -172,7 +173,7 @@ def cmd_table(args, emit: Emit) -> int:
         for d in range(1, args.dmax + 1):
             values[(n, d)] = fulton_johnson(ambient, [(d,)]).degree()
     if args.json:
-        payload = {f"{n},{d}": chi for (n, d), chi in sorted(values.items())}
+        payload = {f"{n},{d}": json_int(chi) for (n, d), chi in sorted(values.items())}
         emit(canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax}))
         return EXIT_OK
     width = max(

@@ -21,9 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .polynomials import Exponent, PolyIdeal, Polynomial, jacobian_ideal
+from .polynomials import Exponent, PolyIdeal, Polynomial, Scalar, jacobian_ideal
 
 GREVLEX = "grevlex"
 LEX = "lex"
@@ -415,7 +415,16 @@ def _validate_chart(F: Polynomial, chart_index: int, cancel: Optional[CancelCall
 
 
 # A sparse matrix row: column index -> nonzero entry.
-Row = dict[int, Fraction]
+Row = dict[int, Scalar]
+
+
+def _combine(coefficients: Mapping, row_of: Callable) -> Row:
+    """Sum c * row_of(k) over the items k: c of ``coefficients``, dropping zero entries."""
+    acc: Row = {}
+    for k, c in coefficients.items():
+        for j, d in row_of(k).items():
+            acc[j] = acc.get(j, 0) + c * d
+    return {j: c for j, c in acc.items() if c}
 
 
 def _multiplication_rows(
@@ -440,7 +449,8 @@ def _multiplication_rows(
     16, 1993).  Beyond the border, the form of u is x_i times that of
     u / x_i for any variable x_i dividing u.  The first row is the sum
     of c_e times the form of x^e over the terms of f, and the row of m
-    is x_i times the row of m / x_i.
+    is x_i times the row of m / x_i.  Each of these sums of multiples
+    of stored rows is one ``_combine``.
     """
     key = _order_key(basis.order)
     index = {m: j for j, m in enumerate(monomials)}
@@ -454,11 +464,7 @@ def _multiplication_rows(
     up = [[_exp_add(m, unit) for m in monomials] for unit in units]
 
     def times(i: int, form: Row) -> Row:
-        acc: Row = {}
-        for col, c in form.items():
-            for j, d in forms[up[i][col]].items():
-                acc[j] = acc.get(j, 0) + c * d
-        return {j: c for j, c in acc.items() if c}
+        return _combine(form, lambda col: forms[up[i][col]])
 
     border = {u for shifted in up for u in shifted} - index.keys()
     for u in sorted(border - forms.keys(), key=key):
@@ -476,33 +482,14 @@ def _multiplication_rows(
     rows: dict[Exponent, Row] = {}
     for m in monomials:
         i = next((i for i in range(nvars) if m[i]), None)
-        if i is not None:
+        if i is None:
+            rows[m] = _combine(f.terms, form_of)
+        else:
             rows[m] = times(i, rows[_exp_sub(m, units[i])])
-            continue
-        row: Row = {}
-        for e, c in f.terms.items():
-            for j, d in form_of(e).items():
-                row[j] = row.get(j, 0) + c * d
-        rows[m] = {j: c for j, c in row.items() if c}
     return list(rows.values())
 
 
-# An integer sparse row, as the rank computations use.
-IntRow = dict[int, int]
-
-
-def _square(rows: list[IntRow]) -> list[IntRow]:
-    result = []
-    for row in rows:
-        acc: IntRow = {}
-        for k, a in row.items():
-            for j, b in rows[k].items():
-                acc[j] = acc.get(j, 0) + a * b
-        result.append({j: c for j, c in acc.items() if c})
-    return result
-
-
-def _rank(rows: list[IntRow], cancel: Optional[CancelCallback]) -> int:
+def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
     """Rank by fraction-free elimination over the integers.
 
     Each combination of two rows cancels the pivot column with integer
@@ -555,7 +542,7 @@ def _stable_rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
     rows = [{j: c.numerator * (denominator // c.denominator) for j, c in row.items()} for row in rows]
     rank = _rank(rows, cancel)
     while 0 < rank < len(rows):
-        rows = _square(rows)
+        rows = [_combine(row, rows.__getitem__) for row in rows]
         previous, rank = rank, _rank(rows, cancel)
         if rank == previous:
             break

@@ -16,7 +16,7 @@ powers, for example ``y^2*z - x^3 - 1/2*x^2*z + 4``.  Juxtaposition
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -191,30 +191,27 @@ class Polynomial:
         return f"Polynomial({str(self)!r}, variables={self.variables})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-        chunks: list[str] = []
-        for position, (exp, coeff) in enumerate(items):
-            negative = coeff < 0
-            magnitude = -coeff if negative else coeff
-            factors = []
-            for name, e in zip(self.variables, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = f"{magnitude}*" + "*".join(factors)
-            if position == 0:
-                chunks.append(("-" if negative else "") + body)
-            else:
-                chunks.append((" - " if negative else " + ") + body)
-        return "".join(chunks)
+        return render_terms(items, self.variables, "*")
+
+
+def render_terms(items: Iterable[tuple[Exponent, Scalar]], names: Sequence[str], joiner: str) -> str:
+    """Write (exponent, coefficient) pairs, in the order given, as a sum.
+
+    A magnitude other than 1 and the ``name^e`` factors of a term are
+    joined by ``joiner``; the empty sum is "0".
+    """
+    chunks: list[str] = []
+    for exp, coeff in items:
+        magnitude = abs(coeff)
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        chunks.append((" - " if coeff < 0 else " + ") + joiner.join(factors))
+    text = "".join(chunks)
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
 class PolyIdeal:

@@ -3,8 +3,9 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+from milnorcalc.charclasses import fulton_johnson
 from milnorcalc.chow import (
     AmbientSpace,
     ChowClass,
@@ -404,3 +405,49 @@ def test_projection_formula(x, y):
     lhs = forget_factor(insert_factor(x, 1, 1) * y, 1)
     rhs = x * forget_factor(y, 1)
     assert lhs == rhs
+
+
+# Ring identities behind the report's product checks, on Y x P^m with
+# the new factor last (k = len(Y.factors)).  (a) is what verdier_m* and
+# lci_m* compare, (b) what pushdown_m* compares.
+
+fiber_dims = st.sampled_from([1, 2, 3])
+
+
+@st.composite
+def ambients_and_degrees(draw):
+    # A multidegree whose divisor class is nonzero in the truncated ring.
+    ambient = draw(small_ambients)
+    n = len(ambient.factors)
+    degree = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    assume(not divisor_class(ambient, degree).is_zero())
+    return ambient, degree
+
+
+@given(ambients_and_degrees(), fiber_dims)
+def test_product_fulton_johnson_is_pulled_back(case, m):
+    Y, d = case
+    k = len(Y.factors)
+    P = Y.extended(m)
+    pulled = factor_tangent_class(P, k) * insert_factor(fulton_johnson(Y, [d]), m, k)
+    assert fulton_johnson(P, [d + (0,)]) == pulled
+
+
+@given(small_ambients.flatmap(chow_classes), fiber_dims)
+def test_pushdown_of_fiber_tangent_multiplies_by_fiber_euler(x, m):
+    k = len(x.ambient.factors)
+    P = x.ambient.extended(m)
+    assert forget_factor(factor_tangent_class(P, k) * insert_factor(x, m, k), k) == (m + 1) * x
+
+
+@given(classes_and_unit(), fiber_dims, st.data())
+def test_insert_factor_commutes_with_products_and_division(pair, m, data):
+    x, u = pair
+    y = data.draw(chow_classes(ambient=x.ambient))
+    position = data.draw(st.integers(0, len(x.ambient.factors)))
+
+    def lift(z):
+        return insert_factor(z, m, position)
+
+    assert lift(x * y) == lift(x) * lift(y)
+    assert lift(x / u) == lift(x) / lift(u)

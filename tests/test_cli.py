@@ -10,6 +10,7 @@ import milnorcalc.cli as cli
 from milnorcalc.charclasses import CheckResult, build_report
 from milnorcalc.chow import ChowClass
 from milnorcalc.cli import main
+from milnorcalc.groebner import MilnorResult
 from milnorcalc.scenefile import load_scene
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -151,6 +152,32 @@ class TestReport:
         code, out, err = run(capsys, "report", path)
         assert code == 2 and out == ""
         assert "this operation needs a codimension-one scene" in err
+
+    # A conic with a second multidegree: with strata it used to report the
+    # conic's Milnor number beside the class of a complete intersection.
+    TWO_DEGREE_CONIC = {
+        "ambient": [2],
+        "degrees": [[2], [1]],
+        "polynomial": "x^2 + y^2 + z^2",
+        "chart": "z",
+        "strata": [{"id": "a", "dim": 0, "chi_c": 2, "closure_chi": 2}],
+    }
+
+    def test_polynomial_scene_with_two_degrees_and_strata_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, "report", write_scene(tmp_path, self.TWO_DEGREE_CONIC))
+        assert (code, out) == (2, "")
+        assert err == "error: this operation needs a codimension-one scene\n"
+
+    def test_two_degrees_rejected_before_milnor_numbers(self, tmp_path, monkeypatch, capsys):
+        def engine(*args, **kwargs):
+            raise AssertionError("the Milnor number was computed for a scene with two degrees")
+
+        monkeypatch.setattr(charclasses, "total_milnor_number", engine)
+        without_strata = {k: v for k, v in self.TWO_DEGREE_CONIC.items() if k != "strata"}
+        for data in (self.TWO_DEGREE_CONIC, without_strata):
+            code, out, err = run(capsys, "report", write_scene(tmp_path, data))
+            assert (code, out) == (2, "")
+            assert err == "error: this operation needs a codimension-one scene\n"
 
     def test_repeated_variable_rejected(self, tmp_path, capsys):
         path = write_scene(tmp_path, {
@@ -297,6 +324,16 @@ class TestMilnor:
         payload = assert_canonical(out)
         assert payload == {"chart": "z", "off_curve_dim": 1, "total_milnor": 1}
 
+    def test_json_integers_beyond_64_bits_are_strings(self, monkeypatch, capsys):
+        def engine(F, chart):
+            return MilnorResult(2**63, "z", -(2**63))
+
+        monkeypatch.setattr(cli, "total_milnor_number", engine)
+        code, out, _ = run(capsys, "--json", "milnor", "--poly", "x^2", "--vars", "x,y,z", "--chart", "z")
+        payload = assert_canonical(out)
+        assert code == 0
+        assert payload == {"chart": "z", "off_curve_dim": -(2**63), "total_milnor": str(2**63)}
+
     def test_smooth_gives_zero(self, capsys):
         code, out, _ = run(capsys, "milnor", "--poly", "x^2 + y^2 + z^2", "--vars", "x,y,z", "--chart", "z")
         assert code == 0 and out == "0\n"
@@ -396,6 +433,13 @@ class TestTable:
         assert payload["chi"]["2,3"] == 0
         assert payload["chi"]["3,5"] == 55
         assert len(payload["chi"]) == 15
+
+    def test_json_integers_beyond_64_bits_are_strings(self, capsys):
+        code, out, _ = run(capsys, "--json", "table", "--nmax", "20", "--dmax", "20")
+        chi = assert_canonical(out)["chi"]
+        assert code == 0
+        assert chi["20,20"] == "-35710474784668660283687800"
+        assert chi["2,2"] == 2
 
     def test_line_row_counts_points(self, capsys):
         # chi of d points in P^1 is d

@@ -1,0 +1,78 @@
+"""The comparison of ``scripts/compare_cli.py``, on made-up results."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_compare():
+    spec = importlib.util.spec_from_file_location("compare_script", ROOT / "scripts" / "compare_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(code=0, stdout="", stderr=""):
+    return {"code": code, "stdout": stdout, "stderr": stderr}
+
+
+def test_identical_results_have_no_difference():
+    compare = load_compare()
+    argvs = [["table"], ["milnor", "--poly", "x^2", "--vars", "x", "--chart", "x"]]
+    results = [result(stdout="1\n2\n"), result(code=3, stderr="error: no\n")]
+    assert compare.differences(argvs, results, [dict(r) for r in results]) == []
+
+
+def test_each_differing_field_is_reported():
+    compare = load_compare()
+    argvs = [["report", "a.json"], ["table"], ["check", "b.json"]]
+    parent = [
+        result(stdout="euler: 1\nchecks:\n"),
+        result(stdout="same\n"),
+        result(code=0, stdout="ok\n"),
+    ]
+    change = [
+        result(stdout="euler: 2\nchecks:\n"),
+        result(stdout="same\n"),
+        result(code=2, stderr="error: bad\n"),
+    ]
+    first, second = compare.differences(argvs, parent, change)
+    assert first.splitlines()[0] == "$ milnorcalc report a.json"
+    assert "    -euler: 1" in first.splitlines()
+    assert "    +euler: 2" in first.splitlines()
+    assert "exit code" not in first and "stderr" not in first
+    assert second.splitlines()[0] == "$ milnorcalc check b.json"
+    assert "  exit code: 0 -> 2" in second.splitlines()
+    assert "    -ok" in second.splitlines()
+    assert "    +error: bad" in second.splitlines()
+
+
+def test_a_missing_result_is_an_error():
+    compare = load_compare()
+    with pytest.raises(ValueError, match="one result per invocation"):
+        compare.differences([["table"]], [result()], [])
+
+
+def test_every_scene_runs_every_form_at_every_m():
+    compare = load_compare()
+    argvs = compare.invocations(["a.json", "b.json"])
+    reports = [
+        argv for argv in argvs if argv[-3:-1] == ["a.json", "--m"] and argv[-1] in compare.M_VALUES
+    ]
+    assert len({tuple(argv) for argv in reports}) == len(reports) == 15
+    assert ["--quiet", "check", "a.json", "--m", "3"] in reports
+    assert ["--json", "milnor", "--poly", "x^2*y", "--vars", "x,y,z", "--chart", "z"] in argvs
+    assert ["check", "a.json", "--checks", "frobnicate"] in argvs
+    assert ["--json", "table"] in argvs
+
+
+def test_a_checkout_runs_in_its_own_child():
+    compare = load_compare()
+    argvs = [["table", "--nmax", "1", "--dmax", "2"], ["table", "--nmax", "0"], ["frobnicate"]]
+    table, bad_bounds, bad_command = compare.run_checkout(ROOT, argvs)
+    assert table["code"] == 0 and table["stdout"].splitlines()[-1].split() == ["1", "1", "2"]
+    assert bad_bounds == result(code=2, stderr="error: table bounds must be at least 1\n")
+    assert bad_command["code"] == 2 and "invalid choice" in bad_command["stderr"]
