@@ -14,7 +14,10 @@ list holds:
   and on two polynomial scenes with two multidegrees;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3;
-- ``table`` and ``--json table``, and a few other inputs that exit 2.
+- ``table`` and ``--json table``, and a few other inputs that exit 2;
+- before all of these, argparse-level rejections and ``--help``, so
+  that the rest runs after the parser has refused input in the same
+  process.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -134,7 +137,16 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
 
 def invocations(scenes: list[str]) -> list[list[str]]:
     """The fixed argument lists, for the given scene files."""
-    result = []
+    first = scenes[0]
+    # Rejections and help come first, so every later invocation runs
+    # after the parser has refused input and printed help.
+    result = [
+        ["report"],
+        ["report", first, "--m", "two"],
+        ["milnor", "--vars", "x,y,z", "--chart", "z"],
+        ["--help"],
+        ["report", "--help"],
+    ]
     for scene in scenes:
         for m in M_VALUES:
             for prefix, command in (
@@ -147,7 +159,6 @@ def invocations(scenes: list[str]) -> list[list[str]]:
             argv = ["milnor", "--poly", poly, "--vars", variables, "--chart", chart]
             result.append(prefix + argv)
     result.extend(TABLES)
-    first = scenes[0]
     result.extend([
         ["check", first, "--checks", "frobnicate"],
         ["check", first, "--checks", "euler_strata"],

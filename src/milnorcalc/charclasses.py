@@ -312,10 +312,12 @@ def build_report(
 ) -> ClassReport:
     """Compute every class and run every identity check for a scene.
 
-    Each class is computed once: c(TY), 1+dH, the closure-indicator
-    coefficients of mu (one Moebius inversion), the Fulton-Johnson,
-    Milnor and CSM classes for the ambient, and the product classes for
-    each m.  The checks compare these classes; they compute none again.
+    The Fulton-Johnson, Milnor and CSM classes for the ambient, the
+    closure-indicator coefficients of mu (one Moebius inversion) and the
+    product classes for each m are computed once, and the checks compare
+    them.  c(TY), D = dH and 1+D are formed here and shared by the Milnor
+    class, the localization and the checks, but ``fulton_johnson`` forms
+    its own and ``self_intersection_check`` forms D again.
     A scene with several multidegrees gets no Milnor class, so nonzero
     mu on it is rejected rather than dropped.
     """

@@ -186,6 +186,8 @@ class ChowClass:
         if unit.constant_term() != 1:
             raise ValueError("division by a non-unit: constant coefficient must be 1")
         self._check_compatible(unit)
+        if not self.coefficients:
+            return ChowClass._of_clean(self.ambient, {})
         v = [(f, c) for f, c in unit.coefficients.items() if any(f)]
         x = self.coefficients
         y: dict[Exponent, int] = {}

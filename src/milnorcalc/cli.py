@@ -12,6 +12,7 @@ singularities.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -190,7 +191,10 @@ def cmd_table(args, emit: Emit) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Built on the first call to main and shared by every later call: main
+# only calls parse_args, which leaves the parser as it was.
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="milnorcalc",
         description="Exact Milnor, Fulton-Johnson and CSM class calculator "
@@ -230,8 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     emit: Emit = (lambda text: None) if args.quiet else print
     try:
         return args.func(args, emit)

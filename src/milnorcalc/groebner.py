@@ -17,6 +17,7 @@ S-polynomial reduction and once per pivot column of an elimination.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -179,24 +180,28 @@ def _buchberger(
     key = _order_key(order)
     leads: list[Exponent] = []
     basis: list[Polynomial] = []
+    # Pairs wait on a heap in (key(lcm), i, j) order, each pushed once
+    # with its lcm; ``pending`` holds them too, for the chain criterion.
+    queue: list[tuple[tuple, int, int, Exponent]] = []
+    pending: set[tuple[int, int]] = set()
 
     def add_monic(p: Polynomial) -> None:
         lead, coeff = _leading(p, key)
+        for k, other in enumerate(leads):
+            lcm = _exp_lcm(other, lead)
+            heapq.heappush(queue, (key(lcm), k, len(leads), lcm))
+            pending.add((k, len(leads)))
         leads.append(lead)
         basis.append(p if coeff == 1 else p.scaled(Fraction(1) / coeff))
 
     for g in generators:
         if not g.is_zero():
             add_monic(g)
-    if not basis:
-        return {}
-    pending = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pending:
+    while queue:
         if cancel is not None and cancel():
             raise ComputationCancelled("Groebner basis computation cancelled")
-        i, j = min(pending, key=lambda p: (key(_exp_lcm(leads[p[0]], leads[p[1]])), p))
+        _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        lcm = _exp_lcm(leads[i], leads[j])
         if lcm == _exp_add(leads[i], leads[j]):
             continue
         if _chain_skip(i, j, lcm, leads, pending):
@@ -206,8 +211,6 @@ def _buchberger(
         if remainder.is_zero():
             continue
         add_monic(remainder)
-        new = len(basis) - 1
-        pending.update((k, new) for k in range(new))
     return _interreduce(basis, leads, order)
 
 

@@ -383,6 +383,22 @@ def test_division_builds_no_classes(monkeypatch):
     assert calls == {"__mul__": 0, "__add__": 0, "__init__": 0}
 
 
+def test_zero_divided_without_walking_the_box(monkeypatch):
+    ambient = AmbientSpace((4, 4, 4, 3))
+    zero = ChowClass.zero(ambient)
+    u = ChowClass.unit(ambient) + divisor_class(ambient, (1, 2, 3, 4))
+
+    def no_box(self):
+        raise AssertionError("box walked")
+
+    monkeypatch.setattr(AmbientSpace, "box", no_box)
+    assert zero / u == zero
+    with pytest.raises(ValueError, match="constant coefficient must be 1"):
+        zero / divisor_class(ambient, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match="ambient mismatch"):
+        ChowClass.zero(P3) / u
+
+
 @given(chow_classes(ambient=P3), chow_classes(ambient=P3), chow_classes(ambient=P3))
 def test_ring_axioms(a, b, c):
     assert a * b == b * a

@@ -1,5 +1,6 @@
 """Command-line interface, run in process through main(argv)."""
 
+import argparse
 import json
 import pathlib
 
@@ -463,3 +464,50 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        main(["table"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        for argv in (["report", NODAL], ["--json", "table"], ["--quiet", "check", CONIC]):
+            main(argv)
+        capsys.readouterr()
+        assert built == []
+
+    def test_calls_leak_nothing_into_later_calls(self, capsys):
+        # Each call of a mixed sequence, run after the others on the
+        # shared parser, prints and returns what it does on a parser of
+        # its own.
+        sequence = [
+            ["--json", "report", NODAL],
+            ["report", NODAL],
+            ["--quiet", "check", NODAL],
+            ["--json", "milnor", "--poly", "y^2*z - x^3 - x^2*z", "--vars", "x,y,z", "--chart", "z"],
+            ["table"],
+            ["report"],
+            ["report", NODAL],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        alone = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            alone.append(outcome(argv))
+        cli._parser.cache_clear()
+        together = [outcome(argv) for argv in sequence]
+        assert together == alone
+        assert alone[5][0] == 2 and "the following arguments are required: scene" in alone[5][2]
+        assert alone[2] == (0, "", "")

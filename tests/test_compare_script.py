@@ -76,3 +76,14 @@ def test_a_checkout_runs_in_its_own_child():
     assert table["code"] == 0 and table["stdout"].splitlines()[-1].split() == ["1", "1", "2"]
     assert bad_bounds == result(code=2, stderr="error: table bounds must be at least 1\n")
     assert bad_command["code"] == 2 and "invalid choice" in bad_command["stderr"]
+
+
+def test_parser_rejections_come_before_the_scenes():
+    compare = load_compare()
+    argvs = compare.invocations(["a.json", "b.json"])
+    first_scene = argvs.index(["report", "a.json", "--m", "1"])
+    early = argvs[:first_scene]
+    assert ["report"] in early and ["--help"] in early and ["report", "--help"] in early
+    assert ["report", "a.json", "--m", "two"] in early
+    assert ["milnor", "--vars", "x,y,z", "--chart", "z"] in early
+    assert argvs[-1] == ["frobnicate"]
