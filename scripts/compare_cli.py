@@ -10,10 +10,12 @@ list holds:
 
 - ``report``, ``--json report``, ``check``, ``--json check`` and
   ``--quiet check`` at m = 1, 2, 3 on the scenes in ``scenes/``, on
-  seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``
-  and on two polynomial scenes with two multidegrees;
+  seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
+  on two polynomial scenes with two multidegrees and on five scenes
+  that exit 2;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
-  inputs that exit 2 and 3;
+  inputs that exit 2 and 3 (one for each message of the polynomial
+  parser);
 - ``table`` and ``--json table``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
   that the rest runs after the parser has refused input in the same
@@ -81,6 +83,25 @@ MILNOR_CASES = [
     # Exit 2: bad polynomial text, chart or variable list.
     ("x^2 +", "x,y,z", "z"),
     ("(y^2*z - x^3)*(y - z)", "x,y,z", "z"),
+    ("x^2 + y^2 + $", "x,y,z", "z"),
+    ("x^2/2 + y^2 + z^2", "x,y,z", "z"),
+    ("1/x*x^2 + y^2 + z^2", "x,y,z", "z"),
+    ("1/0*x^2 + y^2 + z^2", "x,y,z", "z"),
+    ("2x^2 + y^2 + z^2", "x,y,z", "z"),
+    ("x^2 + q^2 + z^2", "x,y,z", "z"),
+    ("x^-2 + y^2 + z^2", "x,y,z", "z"),
+    ("x^y + y^2 + z^2", "x,y,z", "z"),
+    ("x^0*y^2 + z^2", "x,y,z", "z"),
+    # A bad character wins over the juxtaposition before it.
+    ("x y (", "x,y,z", "z"),
+    # Accepted signed and rational forms.
+    ("+1/2*y^2*z - 1/2*x^3 - 1/2*x^2*z", "x,y,z", "z"),
+    ("-x^2 + 3/4*y^2 - z^2", "x,y,z", "z"),
+    # Non-ASCII digits: before, Python's int() refused the first two and
+    # read the third as 3; now each is an unexpected character.
+    ("2²*x^3 + y^3 + z^3", "x,y,z", "z"),
+    ("x^² + y^2", "x,y,z", "z"),
+    ("٣*x^2 + y^2 + z^2", "x,y,z", "z"),
     ("x^2 + y^2 + z^2", "x,y,z", "t"),
     ("x^2 + y", "x,y,z", "z"),
     ("y^2*z - x^3", "x,y,z,z", "z"),
@@ -105,6 +126,22 @@ TWO_DEGREE_CONIC = {
 }
 
 
+# Scenes that exit 2: a malformed polynomial, whose message goes through
+# "bad polynomial: ...", a negative multidegree entry, a negative stratum
+# dim, and an integer longer than Python's default int-string limit
+# (4,300 digits), as a string and as a JSON number.
+LONG_DIGITS = "9" * 5000
+LONG_NUMBER = "<a JSON number of 5,000 digits>"
+POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
+INVALID_SCENES = {
+    "bad-polynomial": {"ambient": [2], "degrees": [[3]], "polynomial": "y^2*z - x^3 - x^2 z", "chart": "z"},
+    "negative-degree": {"ambient": [2], "degrees": [[-3]], "smooth": True},
+    "negative-dim": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, dim=-4)], "mu": {"p": 1}},
+    "long-string": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"p": LONG_DIGITS}},
+    "long-number": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"p": LONG_NUMBER}},
+}
+
+
 def load_workloads(root: Path):
     """Import ``perfbench/workloads.py`` without writing its bytecode."""
     sys.dont_write_bytecode = True
@@ -118,8 +155,9 @@ def load_workloads(root: Path):
 
 
 def scene_paths(root: Path, outdir: Path) -> list[str]:
-    """The corpus, one seeded pass of each generated workload, and the
-    two-multidegree conics, written under ``outdir`` where needed."""
+    """The corpus, one seeded pass of each generated workload, the
+    two-multidegree conics and the invalid scenes, written under
+    ``outdir`` where needed."""
     workloads = load_workloads(root)
     paths = [str(path) for path in sorted((root / "scenes").glob("*.json"))]
     generators = {"milnor": workloads.milnor_requests, "chow": workloads.chow_requests}
@@ -128,9 +166,11 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
         requests, warmup = generate(outdir / name, SEED, 1)
         paths.extend(request.scene for request in requests + [warmup])
     bare = {k: v for k, v in TWO_DEGREE_CONIC.items() if k != "strata"}
-    for name, data in (("two-degree-conic", TWO_DEGREE_CONIC), ("two-degree-conic-bare", bare)):
+    written = {"two-degree-conic": TWO_DEGREE_CONIC, "two-degree-conic-bare": bare, **INVALID_SCENES}
+    for name, data in written.items():
         path = outdir / f"{name}.json"
-        path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(data, sort_keys=True, indent=2).replace(f'"{LONG_NUMBER}"', LONG_DIGITS)
+        path.write_text(text + "\n", encoding="utf-8")
         paths.append(str(path))
     return paths
 

@@ -94,7 +94,7 @@ class ChowClass:
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "ChowClass":
-        return cls(ambient, {})
+        return cls._of_clean(ambient, {})
 
     @classmethod
     def constant(cls, ambient: AmbientSpace, value: int) -> "ChowClass":
@@ -128,7 +128,7 @@ class ChowClass:
 
     def graded_piece(self, d: int) -> "ChowClass":
         """Return the part of total codimension ``d``."""
-        return ChowClass(
+        return ChowClass._of_clean(
             self.ambient,
             {e: c for e, c in self.coefficients.items() if sum(e) == d},
         )
@@ -235,12 +235,14 @@ def tangent_class(ambient: AmbientSpace) -> ChowClass:
 
 def factor_tangent_class(ambient: AmbientSpace, factor: int) -> ChowClass:
     """Total Chern class of the tangent bundle along one factor, (1+H)^(n+1)."""
+    if not 0 <= factor < len(ambient.factors):
+        raise ValueError("factor out of range")
     n = ambient.factors[factor]
     zeros = (0,) * len(ambient.factors)
     coefficients = {
         zeros[:factor] + (e,) + zeros[factor + 1 :]: math.comb(n + 1, e) for e in range(n + 1)
     }
-    return ChowClass(ambient, coefficients)
+    return ChowClass._of_clean(ambient, coefficients)
 
 
 def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClass:
@@ -271,7 +273,7 @@ def insert_factor(x: ChowClass, extra_dim: int, position: int) -> ChowClass:
     coeffs = {
         e[:position] + (0,) + e[position:]: c for e, c in x.coefficients.items()
     }
-    return ChowClass(new_ambient, coeffs)
+    return ChowClass._of_clean(new_ambient, coeffs)
 
 
 def forget_factor(x: ChowClass, position: int) -> ChowClass:
@@ -293,7 +295,7 @@ def forget_factor(x: ChowClass, position: int) -> ChowClass:
         for e, c in x.coefficients.items()
         if e[position] == full
     }
-    return ChowClass(new_ambient, coeffs)
+    return ChowClass._of_clean(new_ambient, coeffs)
 
 
 def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -> bool:

@@ -250,14 +250,15 @@ def jacobian_ideal(f: Polynomial) -> PolyIdeal:
 
 
 # Parsing.  Tokens are single-character operators, unsigned integer
-# literals, and identifiers; whitespace separates tokens but is never
-# required.
+# literals of ASCII digits, and identifiers; whitespace separates tokens
+# but is never required.
 
 _OPERATORS = "+-*/^"
+_Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens: list[tuple[str, str, int]] = []
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
     i = 0
     n = len(text)
     while i < n:
@@ -269,9 +270,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -290,102 +291,74 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str, variables: tuple[str, ...]):
-        self.index = {name: i for i, name in enumerate(variables)}
-        if len(self.index) != len(variables):
-            repeated = next(name for name in variables if variables.count(name) > 1)
-            raise PolyParseError(f"variable {repeated!r} is listed more than once", None)
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.variables = variables
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        result = Polynomial.zero(self.variables)
-        sign = 1
-        kind, _, _ = self.peek()
-        if kind in "+-":
-            sign = 1 if kind == "+" else -1
-            self.advance()
-        while True:
-            result = result + self.parse_term().scaled(sign)
-            kind, _, pos = self.peek()
-            if kind == "end":
-                return result
-            if kind in "+-":
-                sign = 1 if kind == "+" else -1
-                self.advance()
-                continue
-            raise PolyParseError("expected '+' or '-' between terms", pos)
-
-    def parse_coefficient(self) -> Fraction:
-        _, text, _ = self.advance()
-        numerator = int(text)
-        kind, _, _ = self.peek()
-        if kind != "/":
-            return Fraction(numerator)
-        self.advance()
-        kind, dtext, dpos = self.peek()
-        if kind != "int":
-            raise PolyParseError("expected an integer denominator", dpos)
-        self.advance()
-        denominator = int(dtext)
-        if denominator <= 0:
-            raise PolyParseError("denominator must be a positive integer", dpos)
-        return Fraction(numerator, denominator)
-
-    def parse_term(self) -> Polynomial:
-        coeff = Fraction(1)
-        kind, _, pos = self.peek()
-        if kind == "int":
-            coeff = self.parse_coefficient()
-            kind, _, pos = self.peek()
-            if kind == "*":
-                self.advance()
-            elif kind in ("name", "int"):
-                raise PolyParseError("implicit multiplication is not allowed", pos)
-            else:
-                return Polynomial.constant(self.variables, coeff)
-        exponents = [0] * len(self.variables)
-        while True:
-            kind, name, pos = self.peek()
-            if kind != "name":
-                raise PolyParseError("expected a variable", pos)
-            self.advance()
-            if name not in self.index:
-                raise PolyParseError(f"unknown variable {name!r}", pos)
-            power = 1
-            kind, _, _ = self.peek()
-            if kind == "^":
-                self.advance()
-                kind, etext, epos = self.peek()
-                if kind == "-":
-                    raise PolyParseError("negative exponent", epos)
+def _read_term(tokens: list[_Token], start: int, index: dict[str, int]) -> tuple[Exponent, Fraction, int]:
+    """Read the unsigned term at ``tokens[start]``: an optional rational
+    coefficient, then ``*``-separated variable powers.  Return its
+    exponent, its coefficient and the index of the token after it."""
+    coeff = Fraction(1)
+    exponents = [0] * len(index)
+    i = start
+    while True:
+        kind, text, pos = tokens[i]
+        i += 1
+        if kind == "int" and i == start + 1:
+            coeff = Fraction(int(text))
+            if tokens[i][0] == "/":
+                kind, text, pos = tokens[i + 1]
                 if kind != "int":
-                    raise PolyParseError("expected a positive integer exponent", epos)
-                self.advance()
-                power = int(etext)
+                    raise PolyParseError("expected an integer denominator", pos)
+                denominator = int(text)
+                if denominator <= 0:
+                    raise PolyParseError("denominator must be a positive integer", pos)
+                coeff /= denominator
+                i += 2
+        elif kind != "name":
+            raise PolyParseError("expected a variable", pos)
+        elif text not in index:
+            raise PolyParseError(f"unknown variable {text!r}", pos)
+        else:
+            name, power = text, 1
+            if tokens[i][0] == "^":
+                kind, text, pos = tokens[i + 1]
+                if kind == "-":
+                    raise PolyParseError("negative exponent", pos)
+                if kind != "int":
+                    raise PolyParseError("expected a positive integer exponent", pos)
+                power = int(text)
                 if power <= 0:
-                    raise PolyParseError("exponent must be a positive integer", epos)
-            exponents[self.index[name]] += power
-            kind, _, pos = self.peek()
-            if kind == "*":
-                self.advance()
-                continue
+                    raise PolyParseError("exponent must be a positive integer", pos)
+                i += 2
+            exponents[index[name]] += power
+        kind, _, pos = tokens[i]
+        if kind != "*":
             if kind in ("name", "int"):
                 raise PolyParseError("implicit multiplication is not allowed", pos)
-            break
-        return Polynomial(self.variables, {tuple(exponents): coeff})
+            return tuple(exponents), coeff, i
+        i += 1
 
 
 def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
-    """Parse polynomial text over the given variables."""
-    return _Parser(text, tuple(variables)).parse()
+    """Parse polynomial text over the given variables: only the grammar
+    is checked, and the terms are summed into one map, wrapped once."""
+    variables = tuple(variables)
+    index = {name: i for i, name in enumerate(variables)}
+    if len(index) != len(variables):
+        repeated = next(name for name in variables if variables.count(name) > 1)
+        raise PolyParseError(f"variable {repeated!r} is listed more than once", None)
+    tokens = _tokenize(text)
+    terms: dict[Exponent, Fraction] = {}
+    i = 0
+    while True:
+        sign, _, pos = tokens[i]
+        if sign in "+-":
+            i += 1
+        elif i:
+            raise PolyParseError("expected '+' or '-' between terms", pos)
+        exp, coeff, i = _read_term(tokens, i, index)
+        acc = terms.get(exp, 0) + (-coeff if sign == "-" else coeff)
+        if acc:
+            terms[exp] = acc
+        else:
+            terms.pop(exp, None)
+        if tokens[i][0] == "end":
+            return Polynomial._of_clean(variables, terms)

@@ -29,6 +29,7 @@ Per-stratum ``csm`` maps are keyed by comma-separated exponents, as in
 from __future__ import annotations
 
 import json
+import sys
 from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
@@ -64,6 +65,10 @@ def _parse_int(value, context: str) -> int:
         try:
             return int(value)
         except ValueError:
+            # Python refuses text over its digit limit in words of its own.
+            limit = sys.get_int_max_str_digits()
+            if limit and len(value) > limit:
+                raise SceneFileError(f"{context}: an integer with more than {limit} digits") from None
             raise SceneFileError(f"{context}: {value!r} is not an integer") from None
     raise SceneFileError(f"{context}: expected an integer")
 
@@ -226,7 +231,7 @@ def load_scene(path: str) -> tuple[StrataScene, Optional[ConstructibleFunction]]
     """Read and validate a scene file from disk."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=lambda text: _parse_int(text, path))
     except OSError as exc:
         raise SceneFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -99,6 +99,8 @@ def validate_scene(scene: StrataScene) -> None:
         raise SceneValidationError("duplicate stratum ids")
     known = set(ids)
     for s in scene.strata:
+        if s.dim < 0:
+            raise SceneValidationError(f"stratum {s.id!r}: dim must be nonnegative")
         for p in s.parents:
             if p not in known:
                 raise SceneValidationError(f"stratum {s.id!r} lists unknown parent {p!r}")
@@ -133,6 +135,8 @@ def validate_scene(scene: StrataScene) -> None:
     for multidegree in scene.multidegrees:
         if len(multidegree) != len(scene.ambient.factors):
             raise SceneValidationError("multidegree length does not match the ambient")
+        if any(d < 0 for d in multidegree):
+            raise SceneValidationError("multidegree entries must be nonnegative")
     for s in scene.strata:
         if s.csm_class is None:
             continue

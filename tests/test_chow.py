@@ -163,6 +163,11 @@ class TestStandardClasses:
     def test_factor_tangent(self):
         assert factor_tangent_class(P2xP1, 1) == cls(P2xP1, {(0, 0): 1, (0, 1): 2})
 
+    @pytest.mark.parametrize("factor", [-1, 2])
+    def test_factor_tangent_rejects_a_factor_out_of_range(self, factor):
+        with pytest.raises(ValueError, match="factor out of range"):
+            factor_tangent_class(P2xP1, factor)
+
     def test_divisor_class(self):
         assert divisor_class(P2xP1, (3, 2)) == cls(P2xP1, {(1, 0): 3, (0, 1): 2})
         with pytest.raises(ValueError):
@@ -381,6 +386,36 @@ def test_division_builds_no_classes(monkeypatch):
         monkeypatch.setattr(ChowClass, name, counted)
     x / u
     assert calls == {"__mul__": 0, "__add__": 0, "__init__": 0}
+
+
+def test_factories_build_no_classes(monkeypatch):
+    ambient = AmbientSpace((3, 2, 4))
+    x = tangent_class(ambient) * divisor_class(ambient, (1, 2, 3))
+    calls = {"__init__": 0}
+    original = ChowClass.__init__
+
+    def counted(*args, **kwargs):
+        calls["__init__"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ChowClass, "__init__", counted)
+    results = [
+        ChowClass.zero(ambient),
+        x.graded_piece(2),
+        factor_tangent_class(ambient, 1),
+        insert_factor(x, 2, 1),
+        forget_factor(x, 2),
+    ]
+    assert calls == {"__init__": 0}
+    monkeypatch.undo()
+    for result in results:
+        assert_clean(result)
+    assert results[0].is_zero()
+    assert results[1] == cls(ambient, {e: c for e, c in x.coefficients.items() if sum(e) == 2})
+    assert results[2] == cls(ambient, {(0, 0, 0): 1, (0, 1, 0): 3, (0, 2, 0): 3})
+    lifted = {e[:1] + (0,) + e[1:]: c for e, c in x.coefficients.items()}
+    assert results[3] == cls(AmbientSpace((3, 2, 2, 4)), lifted)
+    assert results[4] == cls(AmbientSpace((3, 2)), {e[:2]: c for e, c in x.coefficients.items() if e[2] == 4})
 
 
 def test_zero_divided_without_walking_the_box(monkeypatch):

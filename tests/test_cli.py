@@ -3,6 +3,7 @@
 import argparse
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -192,6 +193,36 @@ class TestReport:
         assert code == 2 and out == ""
         assert err == "error: bad polynomial: variable 'x' is listed more than once\n"
 
+    def test_negative_multidegree_entry_rejected(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {"ambient": [2], "degrees": [[-3]], "smooth": True})
+        code, out, err = run(capsys, "report", path)
+        assert (code, out, err) == (2, "", "error: multidegree entries must be nonnegative\n")
+
+    def test_negative_dim_rejected(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {
+            "ambient": [2],
+            "degrees": [[3]],
+            "strata": [{"id": "p", "dim": -4, "chi_c": 1, "closure_chi": 1}],
+            "mu": {"p": 1},
+        })
+        code, out, err = run(capsys, "report", path)
+        assert (code, out, err) == (2, "", "error: stratum 'p': dim must be nonnegative\n")
+
+    @pytest.mark.parametrize("quote", ["", '"'])
+    def test_integer_over_the_digit_limit(self, tmp_path, capsys, quote):
+        # As a JSON number the file is named; as a string, the field.
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.json"
+        digits = quote + "9" * (limit + 1) + quote
+        path.write_text(
+            '{"ambient": [2], "degrees": [[3]], "mu": {"p": %s},'
+            ' "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}]}' % digits,
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "report", str(path))
+        where = "mu['p']" if quote else str(path)
+        assert (code, out, err) == (2, "", f"error: {where}: an integer with more than {limit} digits\n")
+
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
@@ -351,6 +382,14 @@ class TestMilnor:
         assert code == 2
         assert "parentheses are not supported: expand products" in err
         assert "position 0" in err
+
+    @pytest.mark.parametrize(
+        "poly, position", [("2²*x^3 + y^3 + z^3", 1), ("x^² + y^2", 2), ("٣*x", 0)]
+    )
+    def test_non_ascii_digits_are_unexpected_characters(self, capsys, poly, position):
+        code, out, err = run(capsys, "milnor", "--poly", poly, "--vars", "x,y,z", "--chart", "z")
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected character {poly[position]!r} (at position {position})\n"
 
     def test_unknown_chart(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2 + y^2 + z^2", "--vars", "x,y,z", "--chart", "t")

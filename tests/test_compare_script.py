@@ -87,3 +87,38 @@ def test_parser_rejections_come_before_the_scenes():
     assert ["report", "a.json", "--m", "two"] in early
     assert ["milnor", "--vars", "x,y,z", "--chart", "z"] in early
     assert argvs[-1] == ["frobnicate"]
+
+
+# A fragment of each message of the polynomial parser.
+PARSER_MESSAGES = (
+    "is listed more than once",
+    "parentheses are not supported",
+    "unexpected character",
+    "expected '+' or '-' between terms",
+    "expected an integer denominator",
+    "denominator must be a positive integer",
+    "implicit multiplication is not allowed",
+    "expected a variable",
+    "unknown variable",
+    "negative exponent",
+    "expected a positive integer exponent",
+    "exponent must be a positive integer",
+)
+
+
+def test_milnor_cases_reach_every_parser_message():
+    compare = load_compare()
+    argvs = [["milnor", "--poly", p, "--vars", v, "--chart", c] for p, v, c in compare.MILNOR_CASES]
+    errors = [r["stderr"] for r in compare.run_checkout(ROOT, argvs)]
+    for message in PARSER_MESSAGES:
+        assert any(message in error for error in errors), message
+    assert "error: parentheses are not supported: expand products first (at position 4)\n" in errors
+
+
+def test_invalid_scenes_are_written_and_listed(tmp_path):
+    compare = load_compare()
+    paths = compare.scene_paths(ROOT, tmp_path)
+    for name in compare.INVALID_SCENES:
+        path = tmp_path / f"{name}.json"
+        assert str(path) in paths
+    assert f": {compare.LONG_DIGITS}\n" in (tmp_path / "long-number.json").read_text(encoding="utf-8")

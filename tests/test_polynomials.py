@@ -104,6 +104,73 @@ class TestParser:
             P("")
 
 
+# One input for each message of the parser, with its full text and
+# position (None for a fault in the variable list).
+PARSE_ERRORS = [
+    ("x", ("x", "y", "x"), "variable 'x' is listed more than once", None),
+    ("x*(y + z)", XYZ, "parentheses are not supported: expand products first (at position 2)", 2),
+    ("x + $", XYZ, "unexpected character '$' (at position 4)", 4),
+    ("x/2", XYZ, "expected '+' or '-' between terms (at position 1)", 1),
+    ("1/x", XYZ, "expected an integer denominator (at position 2)", 2),
+    ("1/0*x", XYZ, "denominator must be a positive integer (at position 2)", 2),
+    ("2x", XYZ, "implicit multiplication is not allowed (at position 1)", 1),
+    ("x +", XYZ, "expected a variable (at position 3)", 3),
+    ("x + q", XYZ, "unknown variable 'q' (at position 4)", 4),
+    ("x^-1", XYZ, "negative exponent (at position 2)", 2),
+    ("x^y", XYZ, "expected a positive integer exponent (at position 2)", 2),
+    ("x^0", XYZ, "exponent must be a positive integer (at position 2)", 2),
+    # The text is tokenized before it is read: a bad character wins
+    # over a grammar fault earlier in the text.
+    ("x y (", XYZ, "parentheses are not supported: expand products first (at position 4)", 4),
+    # Integer literals are ASCII digits; other digits are not literals.
+    ("2²*x^3 + y^3 + z^3", XYZ, "unexpected character '²' (at position 1)", 1),
+    ("x^² + y^2", XYZ, "unexpected character '²' (at position 2)", 2),
+    ("٣*x", XYZ, "unexpected character '٣' (at position 0)", 0),
+]
+
+
+@pytest.mark.parametrize("text, variables, message, position", PARSE_ERRORS)
+def test_parse_error_message_and_position(text, variables, message, position):
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(text, variables)
+    assert str(err.value) == message
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("+x - y", {(1, 0, 0): 1, (0, 1, 0): -1}),
+        ("-x^2*z + y", {(2, 0, 1): -1, (0, 1, 0): 1}),
+        ("-1/2*x", {(1, 0, 0): Fraction(-1, 2)}),
+        ("2/4*x*x + 0*y", {(2, 0, 0): Fraction(1, 2)}),
+        ("-7", {(0, 0, 0): -7}),
+        ("x*y - y*x + 2*z^3 - 2*z*z*z", {}),
+        ("x - x + x", {(1, 0, 0): 1}),
+    ],
+)
+def test_accepted_forms(text, terms):
+    f = parse_polynomial(text, XYZ)
+    assert f.variables == XYZ
+    assert f.terms == terms
+    assert all(type(c) is Fraction for c in f.terms.values())
+
+
+def test_parser_builds_one_polynomial(monkeypatch):
+    calls = {"__init__": 0, "__add__": 0}
+    for name in calls:
+        original = getattr(Polynomial, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(Polynomial, name, counted)
+    f = parse_polynomial("x^3 + 2*x^2*y - 1/3*y*z^2 + 4 - x^3 + z", XYZ)
+    assert calls == {"__init__": 0, "__add__": 0}
+    assert f.terms == {(2, 1, 0): 2, (0, 1, 2): Fraction(-1, 3), (0, 0, 0): 4, (0, 0, 1): 1}
+
+
 class TestArithmetic:
     def test_add_and_sub(self):
         assert P("x + y") + P("x - y") == P("2*x")

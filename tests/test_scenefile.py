@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -154,6 +155,19 @@ class TestSchemaErrors:
         data["degrees"] = [["three"]]
         expect_error(data, "not an integer")
 
+    def test_negative_multidegree_entry(self):
+        data = smooth_dict()
+        data["degrees"] = [[-3]]
+        expect_error(data, "multidegree entries must be nonnegative")
+
+    def test_integer_string_over_the_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        data = user_mu_dict()
+        data["mu"] = {"singular_line": "9" * (limit + 1)}
+        with pytest.raises(SceneFileError) as err:
+            scene_from_dict(data)
+        assert str(err.value) == f"mu['singular_line']: an integer with more than {limit} digits"
+
 
 class TestPolynomialRules:
     def test_chart_required(self):
@@ -268,6 +282,11 @@ class TestStratumRules:
         del data["strata"][1]["closure_chi"]
         expect_error(data, "missing closure_chi")
 
+    def test_negative_dim(self):
+        data = user_mu_dict()
+        data["strata"][1]["dim"] = -4
+        expect_error(data, "stratum 'singular_line': dim must be nonnegative")
+
     def test_parents_must_be_ids(self):
         data = nodal_dict()
         data["strata"][1]["parents"] = [0]
@@ -342,3 +361,13 @@ class TestLoadScene:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(SceneFileError, match="not valid JSON"):
             load_scene(str(path))
+
+    def test_integer_literal_over_the_digit_limit(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        data = user_mu_dict()
+        data["mu"] = {"singular_line": "DIGITS"}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data).replace('"DIGITS"', "9" * (limit + 1)), encoding="utf-8")
+        with pytest.raises(SceneFileError) as err:
+            load_scene(str(path))
+        assert str(err.value) == f"{path}: an integer with more than {limit} digits"

@@ -122,6 +122,16 @@ class TestValidation:
         with pytest.raises(SceneValidationError, match="multidegree"):
             validate_scene(scene)
 
+    def test_negative_multidegree_entry(self):
+        scene = StrataScene(ambient=AmbientSpace((2, 1)), multidegrees=((1, 1), (2, -1)))
+        with pytest.raises(SceneValidationError, match="multidegree entries must be nonnegative"):
+            validate_scene(scene)
+
+    def test_negative_dim(self):
+        scene = scene_of([Stratum(id="p", dim=-4, chi_c=1, closure_chi=1)])
+        with pytest.raises(SceneValidationError, match="stratum 'p': dim must be nonnegative"):
+            validate_scene(scene)
+
     def test_csm_ambient_mismatch(self):
         scene = scene_of(
             [Stratum(id="x", dim=0, csm_class=ChowClass.point(P3))]
