@@ -11,8 +11,9 @@ list holds:
 - ``report``, ``--json report``, ``check``, ``--json check`` and
   ``--quiet check`` at m = 1, 2, 3 on the scenes in ``scenes/``, on
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
-  on two polynomial scenes with two multidegrees and on five scenes
-  that exit 2;
+  on two polynomial scenes with two multidegrees, on five smooth scenes
+  at the edges of the packed exponent layout of ``milnorcalc.chow``
+  and on eight scenes that exit 2;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
   parser);
@@ -106,6 +107,8 @@ MILNOR_CASES = [
     ("x^2 + y", "x,y,z", "z"),
     ("y^2*z - x^3", "x,y,z,z", "z"),
     ("x^2", " , ", "x"),
+    # A literal over Python's int-string limit (4,300 digits).
+    ("9" * 5000 + "*x^2 + y^2 + z^2", "x,y,z", "z"),
 ]
 
 TABLES = [
@@ -125,11 +128,23 @@ TWO_DEGREE_CONIC = {
     "strata": [{"id": "a", "dim": 0, "chi_c": 2, "closure_chi": 2}],
 }
 
+# Smooth scenes at the edges of the packed exponent layout: factors of
+# dimension 0, 1, 7 and 8, whose bit fields differ in width, five
+# factors, and a complete intersection on a product, whose
+# Fulton-Johnson class divides twice.
+EDGE_SCENES = {
+    "smooth-8-1": {"ambient": [8, 1], "degrees": [[2, 3]], "smooth": True},
+    "smooth-0-3": {"ambient": [0, 3], "degrees": [[1, 4]], "smooth": True},
+    "smooth-1-1-1-1-1": {"ambient": [1, 1, 1, 1, 1], "degrees": [[1, 2, 1, 2, 1]], "smooth": True},
+    "smooth-7": {"ambient": [7], "degrees": [[5]], "smooth": True},
+    "complete-intersection-3-2": {"ambient": [3, 2], "degrees": [[1, 2], [2, 1]], "smooth": True},
+}
 
 # Scenes that exit 2: a malformed polynomial, whose message goes through
 # "bad polynomial: ...", a negative multidegree entry, a negative stratum
-# dim, and an integer longer than Python's default int-string limit
-# (4,300 digits), as a string and as a JSON number.
+# dim, an integer longer than Python's default int-string limit
+# (4,300 digits), as a string, as a JSON number, as a polynomial literal
+# and as a csm exponent key, and two csm keys for one exponent.
 LONG_DIGITS = "9" * 5000
 LONG_NUMBER = "<a JSON number of 5,000 digits>"
 POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
@@ -139,6 +154,11 @@ INVALID_SCENES = {
     "negative-dim": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, dim=-4)], "mu": {"p": 1}},
     "long-string": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"p": LONG_DIGITS}},
     "long-number": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"p": LONG_NUMBER}},
+    "long-literal": {"ambient": [2], "degrees": [[3]], "polynomial": f"y^2*z - {LONG_DIGITS}*x^3", "chart": "z"},
+    "long-csm-key": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={LONG_DIGITS: 1})], "mu": {"p": 1}},
+    "csm-keys-one-exponent": {
+        "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"2": 1, "02": 5})], "mu": {"p": 1},
+    },
 }
 
 
@@ -156,8 +176,8 @@ def load_workloads(root: Path):
 
 def scene_paths(root: Path, outdir: Path) -> list[str]:
     """The corpus, one seeded pass of each generated workload, the
-    two-multidegree conics and the invalid scenes, written under
-    ``outdir`` where needed."""
+    two-multidegree conics, the layout-edge scenes and the invalid
+    scenes, written under ``outdir`` where needed."""
     workloads = load_workloads(root)
     paths = [str(path) for path in sorted((root / "scenes").glob("*.json"))]
     generators = {"milnor": workloads.milnor_requests, "chow": workloads.chow_requests}
@@ -166,7 +186,9 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
         requests, warmup = generate(outdir / name, SEED, 1)
         paths.extend(request.scene for request in requests + [warmup])
     bare = {k: v for k, v in TWO_DEGREE_CONIC.items() if k != "strata"}
-    written = {"two-degree-conic": TWO_DEGREE_CONIC, "two-degree-conic-bare": bare, **INVALID_SCENES}
+    written = {
+        "two-degree-conic": TWO_DEGREE_CONIC, "two-degree-conic-bare": bare, **EDGE_SCENES, **INVALID_SCENES
+    }
     for name, data in written.items():
         path = outdir / f"{name}.json"
         text = json.dumps(data, sort_keys=True, indent=2).replace(f'"{LONG_NUMBER}"', LONG_DIGITS)

@@ -6,15 +6,29 @@ is the hyperplane class of the i-th factor.  A monomial H^a stands for
 the class H^a cap [ambient]; truncation is applied eagerly, so stored
 exponents always satisfy 0 <= a_i <= n_i.  Coefficients are plain
 Python integers and therefore exact at any size.
+
+Products and quotients work on packed exponents: one int per exponent,
+with one bit field per factor and the first factor in the top field.
+The field of a factor of dimension n has b = n.bit_length() value bits
+and one guard bit above them, so n < 2^b.  Two things must hold:
+
+- a sum of two box exponents (at most 2n < 2^(b+1) per field) and the
+  sum a + (2^b - 1 - n) + c that tests a + c > n stay inside their
+  fields, so packed addition never carries from one factor into the next;
+- packed order equals box order, because the first factor is the most
+  significant field.
+
+Exponent tuples stay the public keys of ``ChowClass.coefficients``;
+they are packed once per term and unpacked once per result term.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, gt, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .polynomials import render_terms
 
@@ -58,6 +72,38 @@ class AmbientSpace:
     def box(self) -> Iterable[Exponent]:
         """Iterate over all monomial exponents of the truncated ring."""
         return itertools.product(*(range(n + 1) for n in self.factors))
+
+
+# Packed layouts kept at once, so that a process meeting many ambients
+# holds a bounded number.  A report meets its ambient and one product
+# ambient per m; a run of reports that cycles through more ambients
+# than this rebuilds a layout on every product.
+_LAYOUT_CACHE_SIZE = 32
+
+
+class _Layout(NamedTuple):
+    """The packed exponents of one ambient, each map in box order."""
+
+    pack: dict[Exponent, int]
+    unpack: dict[int, Exponent]
+    # Per field, 2^b - 1 - n and the guard bit 2^b: see the module docstring.
+    over: int
+    guard: int
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(factors: tuple[int, ...]) -> _Layout:
+    shifts = []
+    over = guard = shift = 0
+    for n in reversed(factors):
+        bits = n.bit_length()
+        shifts.append(shift)
+        over |= ((1 << bits) - 1 - n) << shift
+        guard |= 1 << (shift + bits)
+        shift += bits + 1
+    shifts.reverse()
+    pack = {e: sum(a << s for a, s in zip(e, shifts)) for e in AmbientSpace(factors).box()}
+    return _Layout(pack, {p: e for e, p in pack.items()}, over, guard)
 
 
 class ChowClass:
@@ -157,17 +203,19 @@ class ChowClass:
         if not isinstance(other, ChowClass):
             return NotImplemented
         self._check_compatible(other)
-        box = self.ambient.factors
-        inner = list(other.coefficients.items())
-        out: dict[Exponent, int] = {}
+        pack, unpack, over, guard = _layout(self.ambient.factors)
+        inner = [(pack[e], c) for e, c in other.coefficients.items()]
+        out: dict[int, int] = {}
         for ea, ca in self.coefficients.items():
-            room = tuple(map(sub, box, ea))
-            for eb, cb in inner:
-                if any(map(gt, eb, room)):
+            pa = pack[ea]
+            # A guard bit set in pa + over + pb marks a field past n.
+            room = pa + over
+            for pb, cb in inner:
+                if (room + pb) & guard:
                     continue
-                exp = tuple(map(add, ea, eb))
-                out[exp] = out.get(exp, 0) + ca * cb
-        return ChowClass._of_clean(self.ambient, {e: c for e, c in out.items() if c})
+                p = pa + pb
+                out[p] = out.get(p, 0) + ca * cb
+        return ChowClass._of_clean(self.ambient, {unpack[p]: c for p, c in out.items() if c})
 
     def __rmul__(self, other) -> "ChowClass":
         if isinstance(other, int) and not isinstance(other, bool):
@@ -188,18 +236,20 @@ class ChowClass:
         self._check_compatible(unit)
         if not self.coefficients:
             return ChowClass._of_clean(self.ambient, {})
-        v = [(f, c) for f, c in unit.coefficients.items() if any(f)]
-        x = self.coefficients
-        y: dict[Exponent, int] = {}
-        for e in self.ambient.box():
-            acc = x.get(e, 0)
+        pack, unpack, _, guard = _layout(self.ambient.factors)
+        v = [(pack[f], c) for f, c in unit.coefficients.items() if any(f)]
+        x = {pack[e]: c for e, c in self.coefficients.items()}
+        y: dict[int, int] = {}
+        for p in unpack:
+            acc = x.get(p, 0)
+            # f <= e exactly when every field of guard + e - f keeps its guard bit.
+            top = p + guard
             for f, c in v:
-                if any(map(gt, f, e)):
-                    continue
-                acc -= c * y.get(tuple(map(sub, e, f)), 0)
+                if (top - f) & guard == guard:
+                    acc -= c * y.get(p - f, 0)
             if acc:
-                y[e] = acc
-        return ChowClass._of_clean(self.ambient, y)
+                y[p] = acc
+        return ChowClass._of_clean(self.ambient, {unpack[p]: c for p, c in y.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -225,11 +275,13 @@ def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:
 def tangent_class(ambient: AmbientSpace) -> ChowClass:
     """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1).
 
-    In the truncated ring the coefficient of H^e is prod C(n_i+1, e_i).
+    In the truncated ring the coefficient of H^e is prod C(n_i+1, e_i),
+    built factor by factor from one binomial row each, in box order.
     """
-    coefficients = {
-        e: math.prod(math.comb(n + 1, k) for n, k in zip(ambient.factors, e)) for e in ambient.box()
-    }
+    coefficients: dict[Exponent, int] = {(): 1}
+    for n in ambient.factors:
+        row = [math.comb(n + 1, k) for k in range(n + 1)]
+        coefficients = {e + (k,): c * b for e, c in coefficients.items() for k, b in enumerate(row)}
     return ChowClass._of_clean(ambient, coefficients)
 
 

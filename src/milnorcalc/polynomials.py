@@ -11,10 +11,13 @@ optional rational coefficient followed by ``*``-separated variable
 powers, for example ``y^2*z - x^3 - 1/2*x^2*z + 4``.  Juxtaposition
 (``2x``) is a syntax error, and so are parentheses: a product such as
 ``(y^2*z - x^3)*(y - z)`` must be expanded into a sum of terms.
+Integer literals are ASCII digits, at most ``sys.get_int_max_str_digits()``
+of them (4,300 by default).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -259,6 +262,9 @@ _Token = tuple[str, str, int]
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
+    # Literals longer than Python's int-string limit are refused here,
+    # in the parser's words.
+    limit = sys.get_int_max_str_digits()
     i = 0
     n = len(text)
     while i < n:
@@ -274,6 +280,8 @@ def _tokenize(text: str) -> list[_Token]:
             j = i
             while j < n and "0" <= text[j] <= "9":
                 j += 1
+            if limit and j - i > limit:
+                raise PolyParseError(f"an integer with more than {limit} digits", i)
             tokens.append(("int", text[i:j], i))
             i = j
             continue

@@ -23,7 +23,8 @@ combined with strata carrying Euler-characteristic data; the computed
 total is then attached to the unique closed point stratum.  Variables
 default to x, y, z, w and can be overridden with ``variables``.
 Per-stratum ``csm`` maps are keyed by comma-separated exponents, as in
-``{"2": 1, "3": 2}`` for H^2 + 2H^3.
+``{"2": 1, "3": 2}`` for H^2 + 2H^3.  Each exponent is written in ASCII
+digits, and no two keys may name the same exponent ("1" and "01" do).
 """
 
 from __future__ import annotations
@@ -75,19 +76,29 @@ def _parse_int(value, context: str) -> int:
 
 def _parse_csm(data, ambient: AmbientSpace, context: str) -> ChowClass:
     _require(isinstance(data, dict), f"{context}: csm must be a map")
+    limit = sys.get_int_max_str_digits()
     coefficients = {}
+    keys: dict[tuple[int, ...], str] = {}
     for key, value in data.items():
+        # Named by its length, so that a message never echoes it.
+        _require(
+            not limit or len(key) <= limit,
+            f"{context}: an exponent key of {len(key)} characters, over the {limit}-digit limit",
+        )
         parts = key.split(",")
         _require(
             len(parts) == len(ambient.factors),
             f"{context}: exponent key {key!r} has wrong length",
         )
-        try:
-            exp = tuple(int(p) for p in parts)
-        except ValueError:
-            raise SceneFileError(f"{context}: bad exponent key {key!r}") from None
+        _require(all(p.isascii() and p.isdigit() for p in parts), f"{context}: bad exponent key {key!r}")
+        exp = tuple(int(p) for p in parts)
         for e, n in zip(exp, ambient.factors):
-            _require(0 <= e <= n, f"{context}: exponent key {key!r} is outside the ring")
+            _require(e <= n, f"{context}: exponent key {key!r} is outside the ring")
+        _require(
+            exp not in keys,
+            f"{context}: exponent keys {keys.get(exp)!r} and {key!r} name the same exponent",
+        )
+        keys[exp] = key
         coefficients[exp] = _parse_int(value, f"{context} csm[{key!r}]")
     return ChowClass(ambient, coefficients)
 

@@ -1,5 +1,6 @@
 """Truncated Chow rings of products of projective spaces."""
 
+import math
 import random
 
 import pytest
@@ -272,6 +273,17 @@ small_ambients = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
     lambda factors: AmbientSpace(tuple(factors))
 )
 
+# Products and quotients pack an exponent into one bit field per factor,
+# n.bit_length() value bits under a guard bit.  These dimensions sit on
+# either side of each change of width (0 | 1 | 2, 3 | 4, 7 | 8), and
+# factors of different widths mix; the box stays at 729 entries or fewer.
+FIELD_EDGE_DIMS = (0, 1, 2, 3, 4, 7, 8)
+field_edge_ambients = (
+    st.lists(st.sampled_from(FIELD_EDGE_DIMS), min_size=1, max_size=5)
+    .filter(lambda factors: math.prod(n + 1 for n in factors) <= 729)
+    .map(lambda factors: AmbientSpace(tuple(factors)))
+)
+
 
 @st.composite
 def chow_classes(draw, ambient=None):
@@ -285,24 +297,24 @@ def chow_classes(draw, ambient=None):
 
 
 @st.composite
-def classes_and_unit(draw, constants=st.just(1)):
+def classes_and_unit(draw, constants=st.just(1), ambients=small_ambients):
     # A class x and a class u of the given constant term on one random
-    # small ambient; the positive-degree part of u is arbitrary.
-    ambient = draw(small_ambients)
+    # ambient; the positive-degree part of u is arbitrary.
+    ambient = draw(ambients)
     x = draw(chow_classes(ambient=ambient))
     rest = draw(chow_classes(ambient=ambient))
     positive = ChowClass(ambient, {e: c for e, c in rest.coefficients.items() if any(e)})
     return x, ChowClass.constant(ambient, draw(constants)) + positive
 
 
-@given(small_ambients)
+@given(field_edge_ambients)
 def test_tangent_classes_match_powered_oracle(ambient):
     assert tangent_class(ambient) == powered_tangent_class(ambient)
     for factor in range(len(ambient.factors)):
         assert factor_tangent_class(ambient, factor) == powered_factor_tangent(ambient, factor)
 
 
-@given(classes_and_unit())
+@given(classes_and_unit(ambients=field_edge_ambients))
 def test_division_solves_the_product(pair):
     x, u = pair
     y = x / u
@@ -319,9 +331,8 @@ def test_division_by_non_unit_rejected(pair):
 
 @st.composite
 def class_pairs(draw):
-    # Two classes on one random small ambient: zero-dimensional factors
-    # and up to three factors.
-    ambient = draw(small_ambients)
+    # Two classes on one random ambient at the field edges.
+    ambient = draw(field_edge_ambients)
     return draw(chow_classes(ambient=ambient)), draw(chow_classes(ambient=ambient))
 
 
@@ -346,7 +357,7 @@ def test_cancelling_product_stores_nothing():
     assert ((h + k) * (h - k)).coefficients == {}
 
 
-@given(classes_and_unit())
+@given(classes_and_unit(ambients=field_edge_ambients))
 def test_results_are_clean(pair):
     x, u = pair
     for result in (x * u, u * x, x / u, x + u, x + (-x), x * x):
@@ -368,6 +379,21 @@ def test_dense_division_on_workload_ambients(factors):
     y = x / u
     assert y == x * series_inverse(u)
     assert y * u == x
+
+
+# Dense classes on ambients whose fields differ in width, so that every
+# truncation and every f <= e test crosses a field edge somewhere.
+@pytest.mark.parametrize("factors", [(8, 0, 1), (7,), (8,), (4, 3), (1, 1, 1, 1, 1), (0, 2, 8), (3, 4, 7)])
+def test_dense_classes_at_field_edges(factors):
+    rng = random.Random(repr(factors))
+    ambient = AmbientSpace(factors)
+    box = list(ambient.box())
+    a = cls(ambient, {e: rng.randint(-9, 9) for e in box})
+    b = cls(ambient, {e: rng.randint(-9, 9) for e in rng.sample(box, min(len(box), 12))})
+    assert a * b == naive_product(a, b) == b * a
+    u = ChowClass.unit(ambient) + divisor_class(ambient, [rng.randint(1, 4) for _ in factors])
+    assert a / u == a * series_inverse(u)
+    assert tangent_class(ambient) == powered_tangent_class(ambient)
 
 
 def test_division_builds_no_classes(monkeypatch):

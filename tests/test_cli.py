@@ -223,6 +223,42 @@ class TestReport:
         where = "mu['p']" if quote else str(path)
         assert (code, out, err) == (2, "", f"error: {where}: an integer with more than {limit} digits\n")
 
+    def test_csm_keys_naming_one_exponent_rejected(self, tmp_path, capsys):
+        # Before, the last of "01" and "1" was kept silently.
+        path = write_scene(tmp_path, {
+            "ambient": [2],
+            "degrees": [[3]],
+            "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"2": 1, "02": 5}}],
+            "mu": {"p": 1},
+        })
+        code, out, err = run(capsys, "report", path)
+        assert (code, out) == (2, "")
+        assert err == "error: stratum 'p': exponent keys '2' and '02' name the same exponent\n"
+
+    def test_csm_key_over_the_digit_limit_is_not_echoed(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = write_scene(tmp_path, {
+            "ambient": [2],
+            "degrees": [[3]],
+            "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"9" * 5000: 1}}],
+            "mu": {"p": 1},
+        })
+        code, out, err = run(capsys, "report", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: stratum 'p': an exponent key of 5000 characters, over the {limit}-digit limit\n"
+
+    def test_polynomial_literal_over_the_digit_limit(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = write_scene(tmp_path, {
+            "ambient": [2],
+            "degrees": [[3]],
+            "polynomial": "y^2*z - x^3 - %s*x^2*z" % ("9" * (limit + 1)),
+            "chart": "z",
+        })
+        code, out, err = run(capsys, "report", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: bad polynomial: an integer with more than {limit} digits (at position 14)\n"
+
 
 class TestCheck:
     def test_all_checks_pass(self, capsys):
@@ -390,6 +426,13 @@ class TestMilnor:
         code, out, err = run(capsys, "milnor", "--poly", poly, "--vars", "x,y,z", "--chart", "z")
         assert (code, out) == (2, "")
         assert err == f"error: unexpected character {poly[position]!r} (at position {position})\n"
+
+    def test_literal_over_the_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        poly = "9" * (limit + 1) + "*x^2 + y^2 + z^2"
+        code, out, err = run(capsys, "milnor", "--poly", poly, "--vars", "x,y,z", "--chart", "z")
+        assert (code, out) == (2, "")
+        assert err == f"error: an integer with more than {limit} digits (at position 0)\n"
 
     def test_unknown_chart(self, capsys):
         code, _, err = run(capsys, "milnor", "--poly", "x^2 + y^2 + z^2", "--vars", "x,y,z", "--chart", "t")

@@ -1,6 +1,7 @@
 """The comparison of ``scripts/compare_cli.py``, on made-up results."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -103,6 +104,7 @@ PARSER_MESSAGES = (
     "negative exponent",
     "expected a positive integer exponent",
     "exponent must be a positive integer",
+    "an integer with more than",
 )
 
 
@@ -122,3 +124,28 @@ def test_invalid_scenes_are_written_and_listed(tmp_path):
         path = tmp_path / f"{name}.json"
         assert str(path) in paths
     assert f": {compare.LONG_DIGITS}\n" in (tmp_path / "long-number.json").read_text(encoding="utf-8")
+
+
+def test_layout_edge_scenes_are_written_and_run_in_every_form(tmp_path):
+    compare = load_compare()
+    paths = compare.scene_paths(ROOT, tmp_path)
+    argvs = compare.invocations(paths)
+    ambients = set()
+    for name, data in compare.EDGE_SCENES.items():
+        path = tmp_path / f"{name}.json"
+        assert str(path) in paths
+        assert json.loads(path.read_text(encoding="utf-8")) == data
+        forms = [argv for argv in argvs if str(path) in argv]
+        assert len({tuple(argv) for argv in forms}) == len(forms) == 15
+        ambients.add(tuple(data["ambient"]))
+    assert {(8, 1), (0, 3), (1, 1, 1, 1, 1), (7,)} <= ambients
+    assert any(len(data["degrees"]) == 2 and len(data["ambient"]) > 1 for data in compare.EDGE_SCENES.values())
+
+
+def test_layout_edge_scenes_report_in_this_checkout(tmp_path):
+    compare = load_compare()
+    paths = [str(tmp_path / f"{name}.json") for name in compare.EDGE_SCENES]
+    for path, data in zip(paths, compare.EDGE_SCENES.values()):
+        pathlib.Path(path).write_text(json.dumps(data), encoding="utf-8")
+    argvs = [["--json", "report", path, "--m", "3"] for path in paths]
+    assert [r["code"] for r in compare.run_checkout(ROOT, argvs)] == [0] * len(paths)

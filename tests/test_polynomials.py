@@ -1,5 +1,6 @@
 """Parser, printer and exact arithmetic for sparse rational polynomials."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,22 @@ def test_parse_error_message_and_position(text, variables, message, position):
         parse_polynomial(text, variables)
     assert str(err.value) == message
     assert err.value.position == position
+
+
+@pytest.mark.parametrize(
+    "template", ["{}*x", "x + 1/{}", "y^{}"], ids=["coefficient", "denominator", "exponent"]
+)
+def test_literal_over_the_digit_limit_is_a_parse_error(template):
+    # Refused in the parser's words, not in those of Python's int().
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(PolyParseError) as err:
+        parse_polynomial(template.format("9" * (limit + 1)), XYZ)
+    position = template.index("{")
+    assert str(err.value) == f"an integer with more than {limit} digits (at position {position})"
+    assert err.value.position == position
+    assert parse_polynomial(template.format("0" * (limit - 1) + "1"), XYZ) == parse_polynomial(
+        template.format("1"), XYZ
+    )
 
 
 @pytest.mark.parametrize(

@@ -215,6 +215,22 @@ class TestPolynomialRules:
         data["polynomial"] = "y^2*z - "
         expect_error(data, "bad polynomial")
 
+    @pytest.mark.parametrize(
+        "template",
+        ["{}*y^2*z - x^3", "y^2*z - x^3/{}", "y^{}*z - x^3"],
+        ids=["coefficient", "denominator", "exponent"],
+    )
+    def test_literal_over_the_digit_limit(self, template):
+        limit = sys.get_int_max_str_digits()
+        data = nodal_dict()
+        data["polynomial"] = template.format("9" * (limit + 1))
+        position = template.index("{")
+        with pytest.raises(SceneFileError) as err:
+            scene_from_dict(data)
+        assert str(err.value) == (
+            f"bad polynomial: an integer with more than {limit} digits (at position {position})"
+        )
+
     def test_needs_single_factor(self):
         data = nodal_dict()
         data["ambient"] = [2, 1]
@@ -319,6 +335,47 @@ class TestCsmMaps:
         data = user_mu_dict()
         data["strata"][1]["csm"] = {"4": 1}
         expect_error(data, "outside the ring")
+
+    @pytest.mark.parametrize("key", [" 1", "+1", "-1", "1 ", "", "²", "٣", "1.0"])
+    def test_key_parts_are_ascii_digits(self, key):
+        data = user_mu_dict()
+        data["strata"][1]["csm"] = {"2": 1, key: 2}
+        with pytest.raises(SceneFileError) as err:
+            scene_from_dict(data)
+        assert str(err.value) == f"stratum 'singular_line': bad exponent key {key!r}"
+
+    @pytest.mark.parametrize(
+        "csm, first, second",
+        [({"0": 1, "01": 5, "1": 2}, "01", "1"), ({"3": 2, "2": 1, "002": 4}, "2", "002")],
+    )
+    def test_keys_naming_one_exponent_rejected(self, csm, first, second):
+        data = user_mu_dict()
+        data["strata"][1]["csm"] = csm
+        with pytest.raises(SceneFileError) as err:
+            scene_from_dict(data)
+        assert str(err.value) == (
+            f"stratum 'singular_line': exponent keys {first!r} and {second!r} name the same exponent"
+        )
+
+    def test_keys_naming_one_exponent_on_a_product(self):
+        data = {
+            "ambient": [1, 2],
+            "degrees": [[1, 1]],
+            "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"1,2": 1, "01,2": 1}}],
+            "mu": {"p": 1},
+        }
+        expect_error(data, "exponent keys '1,2' and '01,2' name the same exponent")
+
+    def test_key_over_the_digit_limit_is_named_by_its_length(self):
+        limit = sys.get_int_max_str_digits()
+        data = user_mu_dict()
+        data["strata"][1]["csm"] = {"9" * (limit + 1): 1}
+        with pytest.raises(SceneFileError) as err:
+            scene_from_dict(data)
+        assert str(err.value) == (
+            f"stratum 'singular_line': an exponent key of {limit + 1} characters,"
+            f" over the {limit}-digit limit"
+        )
 
     def test_must_be_a_map(self):
         data = user_mu_dict()
