@@ -11,9 +11,9 @@ list holds:
 - ``report``, ``--json report``, ``check``, ``--json check`` and
   ``--quiet check`` at m = 1, 2, 3 on the scenes in ``scenes/``, on
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
-  on two polynomial scenes with two multidegrees, on five smooth scenes
-  at the edges of the packed exponent layout of ``milnorcalc.chow``
-  and on eight scenes that exit 2;
+  on two polynomial scenes with two multidegrees, on seven smooth
+  scenes at the edges of the packed exponent layout of ``milnorcalc.chow``
+  and on eleven scenes that exit 2;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
   parser);
@@ -130,13 +130,16 @@ TWO_DEGREE_CONIC = {
 
 # Smooth scenes at the edges of the packed exponent layout: factors of
 # dimension 0, 1, 7 and 8, whose bit fields differ in width, five
-# factors, and a complete intersection on a product, whose
-# Fulton-Johnson class divides twice.
+# factors, a last factor of the narrowest and of the widest field, next
+# to which the product factor P^m is added, and a complete intersection
+# on a product, whose Fulton-Johnson class divides twice.
 EDGE_SCENES = {
     "smooth-8-1": {"ambient": [8, 1], "degrees": [[2, 3]], "smooth": True},
     "smooth-0-3": {"ambient": [0, 3], "degrees": [[1, 4]], "smooth": True},
     "smooth-1-1-1-1-1": {"ambient": [1, 1, 1, 1, 1], "degrees": [[1, 2, 1, 2, 1]], "smooth": True},
     "smooth-7": {"ambient": [7], "degrees": [[5]], "smooth": True},
+    "smooth-2-0": {"ambient": [2, 0], "degrees": [[3, 1]], "smooth": True},
+    "smooth-1-8": {"ambient": [1, 8], "degrees": [[2, 3]], "smooth": True},
     "complete-intersection-3-2": {"ambient": [3, 2], "degrees": [[1, 2], [2, 1]], "smooth": True},
 }
 
@@ -159,6 +162,21 @@ INVALID_SCENES = {
     "csm-keys-one-exponent": {
         "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"2": 1, "02": 5})], "mu": {"p": 1},
     },
+}
+
+# Scenes that repeat a key in one object, at the top, in mu and in a
+# csm map; each exits 2.  They are written as text, since a dict holds
+# a key once.
+REPEATED_KEY_SCENES = {
+    "repeated-ambient": '{"ambient": [2], "ambient": [3], "degrees": [[3]], "smooth": true}',
+    "repeated-mu": (
+        '{"ambient": [2], "degrees": [[3]], "mu": {"p": 1, "p": 2},'
+        ' "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}]}'
+    ),
+    "repeated-csm-key": (
+        '{"ambient": [2], "degrees": [[3]], "mu": {"p": 1},'
+        ' "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"2": 5, "2": 1}}]}'
+    ),
 }
 
 
@@ -192,6 +210,10 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
     for name, data in written.items():
         path = outdir / f"{name}.json"
         text = json.dumps(data, sort_keys=True, indent=2).replace(f'"{LONG_NUMBER}"', LONG_DIGITS)
+        path.write_text(text + "\n", encoding="utf-8")
+        paths.append(str(path))
+    for name, text in REPEATED_KEY_SCENES.items():
+        path = outdir / f"{name}.json"
         path.write_text(text + "\n", encoding="utf-8")
         paths.append(str(path))
     return paths

@@ -396,10 +396,7 @@ def json_int(value: int):
 
 
 def chow_to_jsonable(x: ChowClass) -> dict:
-    return {
-        ",".join(str(e) for e in exp): json_int(value)
-        for exp, value in sorted(x.coefficients.items())
-    }
+    return {key: json_int(value) for key, value in x.keyed_terms()}
 
 
 def check_to_jsonable(check: CheckResult) -> dict:

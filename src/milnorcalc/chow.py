@@ -7,7 +7,7 @@ the class H^a cap [ambient]; truncation is applied eagerly, so stored
 exponents always satisfy 0 <= a_i <= n_i.  Coefficients are plain
 Python integers and therefore exact at any size.
 
-Products and quotients work on packed exponents: one int per exponent,
+A class stores its terms on packed exponents: one int per exponent,
 with one bit field per factor and the first factor in the top field.
 The field of a factor of dimension n has b = n.bit_length() value bits
 and one guard bit above them, so n < 2^b.  Two things must hold:
@@ -18,8 +18,15 @@ and one guard bit above them, so n < 2^b.  Two things must hold:
 - packed order equals box order, because the first factor is the most
   significant field.
 
-Exponent tuples stay the public keys of ``ChowClass.coefficients``;
-they are packed once per term and unpacked once per result term.
+Exponent tuples appear only at the public boundary: the ``ChowClass``
+constructor packs them, ``ChowClass.coefficients`` and ``__str__``
+unpack them, and ``graded_piece`` reads degrees from the unpack map.
+Adding or forgetting a factor moves the fields above its own by the
+width of its field.  The layout of an ambient, built once from
+``AmbientSpace.box()``, holds the pack and unpack maps, the shift of
+each field, the guard and overflow masks, the ``"a,b,c"`` key string of
+each exponent in the string order of the keys, and the terms of the
+tangent class.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ from .polynomials import render_terms
 Exponent = tuple[int, ...]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AmbientSpace:
     """A product of projective spaces, recorded by factor dimensions."""
@@ -42,7 +53,9 @@ class AmbientSpace:
     factors: tuple[int, ...]
 
     def __post_init__(self):
-        factors = tuple(int(n) for n in self.factors)
+        factors = tuple(self.factors)
+        if not all(map(_is_int, factors)):
+            raise TypeError("factor dimensions must be integers")
         if not factors:
             raise ValueError("an ambient space needs at least one factor")
         if any(n < 0 for n in factors):
@@ -59,7 +72,7 @@ class AmbientSpace:
         return self.factors
 
     def extended(self, extra_dim: int) -> "AmbientSpace":
-        return AmbientSpace(self.factors + (int(extra_dim),))
+        return AmbientSpace(self.factors + (extra_dim,))
 
     def letters(self) -> tuple[str, ...]:
         k = len(self.factors)
@@ -82,13 +95,20 @@ _LAYOUT_CACHE_SIZE = 32
 
 
 class _Layout(NamedTuple):
-    """The packed exponents of one ambient, each map in box order."""
+    """The packed exponents of one ambient and what classes read from them."""
 
+    # Both maps in box order.
     pack: dict[Exponent, int]
     unpack: dict[int, Exponent]
+    # The lowest bit of each factor's field.
+    shifts: tuple[int, ...]
     # Per field, 2^b - 1 - n and the guard bit 2^b: see the module docstring.
     over: int
     guard: int
+    # The "a,b,c" key string of each exponent, in the string order of the keys.
+    keys: dict[int, str]
+    # prod (1+H_i)^(n_i+1), in box order; copied into each tangent class.
+    tangent: dict[int, int]
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
@@ -103,44 +123,65 @@ def _layout(factors: tuple[int, ...]) -> _Layout:
         shift += bits + 1
     shifts.reverse()
     pack = {e: sum(a << s for a, s in zip(e, shifts)) for e in AmbientSpace(factors).box()}
-    return _Layout(pack, {p: e for e, p in pack.items()}, over, guard)
+    unpack = {p: e for e, p in pack.items()}
+    keys = dict(sorted(((p, ",".join(map(str, e))) for e, p in pack.items()), key=lambda item: item[1]))
+    # The coefficient of H^e is prod C(n_i+1, e_i), one binomial row per factor.
+    tangent = {0: 1}
+    for n, s in zip(factors, shifts):
+        row = [(k << s, math.comb(n + 1, k)) for k in range(n + 1)]
+        tangent = {p + q: c * b for p, c in tangent.items() for q, b in row}
+    return _Layout(pack, unpack, tuple(shifts), over, guard, keys, tangent)
 
 
 class ChowClass:
     """An integer class in the truncated ring of an ambient space."""
 
-    __slots__ = ("ambient", "coefficients")
+    __slots__ = ("ambient", "_terms")
 
     def __init__(self, ambient: AmbientSpace, coefficients: Mapping[Exponent, int] = ()):
         self.ambient = ambient
         box = ambient.factors
-        clean: dict[Exponent, int] = {}
+        pack = _layout(box).pack
+        terms: dict[int, int] = {}
         for exp, value in dict(coefficients).items():
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
+            if not all(map(_is_int, exp)):
+                raise TypeError(f"exponent {exp} has an entry that is not an integer")
             if len(exp) != len(box):
                 raise ValueError(f"exponent {exp} has wrong length for {ambient}")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise TypeError("coefficients must be integers")
             if value == 0:
                 continue
             if any(e > n for e, n in zip(exp, box)):
                 continue
-            clean[exp] = value
-        self.coefficients = clean
+            terms[pack[exp]] = value
+        self._terms = terms
 
     @classmethod
-    def _of_clean(cls, ambient: AmbientSpace, coefficients: dict[Exponent, int]) -> "ChowClass":
-        """Wrap coefficients that are already clean, without validating them."""
+    def _of_terms(cls, ambient: AmbientSpace, terms: dict[int, int]) -> "ChowClass":
+        """Wrap packed terms that are already clean, without validating them."""
         result = object.__new__(cls)
         result.ambient = ambient
-        result.coefficients = coefficients
+        result._terms = terms
         return result
+
+    @property
+    def coefficients(self) -> dict[Exponent, int]:
+        """A fresh map from exponent tuples to the nonzero coefficients."""
+        unpack = _layout(self.ambient.factors).unpack
+        return {unpack[p]: c for p, c in self._terms.items()}
+
+    def keyed_terms(self) -> list[tuple[str, int]]:
+        """(``"a,b,c"`` exponent key, coefficient) pairs in the string order of the keys."""
+        terms = self._terms
+        return [(key, terms[p]) for p, key in _layout(self.ambient.factors).keys.items() if p in terms]
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "ChowClass":
-        return cls._of_clean(ambient, {})
+        return cls._of_terms(ambient, {})
 
     @classmethod
     def constant(cls, ambient: AmbientSpace, value: int) -> "ChowClass":
@@ -148,7 +189,7 @@ class ChowClass:
 
     @classmethod
     def unit(cls, ambient: AmbientSpace) -> "ChowClass":
-        return cls.constant(ambient, 1)
+        return cls._of_terms(ambient, {0: 1})
 
     @classmethod
     def monomial(cls, ambient: AmbientSpace, exp: Exponent, value: int = 1) -> "ChowClass":
@@ -163,51 +204,56 @@ class ChowClass:
             raise ValueError(f"ambient mismatch: {self.ambient} vs {other.ambient}")
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._terms
 
     def constant_term(self) -> int:
-        return self.coefficients.get((0,) * len(self.ambient.factors), 0)
+        return self._terms.get(0, 0)
 
     def degree(self) -> int:
         """Coefficient of the point class: the pushforward to a point."""
-        return self.coefficients.get(self.ambient.top, 0)
+        return self._terms.get(_layout(self.ambient.factors).pack[self.ambient.top], 0)
 
     def graded_piece(self, d: int) -> "ChowClass":
         """Return the part of total codimension ``d``."""
-        return ChowClass._of_clean(
+        unpack = _layout(self.ambient.factors).unpack
+        return ChowClass._of_terms(
             self.ambient,
-            {e: c for e, c in self.coefficients.items() if sum(e) == d},
+            {p: c for p, c in self._terms.items() if sum(unpack[p]) == d},
         )
 
-    def __add__(self, other: "ChowClass") -> "ChowClass":
+    def _plus(self, other: "ChowClass", sign: int) -> "ChowClass":
+        """self + sign * other, in one pass over the terms of ``other``."""
         self._check_compatible(other)
-        out = dict(self.coefficients)
-        for exp, value in other.coefficients.items():
-            acc = out.get(exp, 0) + value
+        out = dict(self._terms)
+        for p, value in other._terms.items():
+            acc = out.get(p, 0) + sign * value
             if acc:
-                out[exp] = acc
+                out[p] = acc
             else:
-                out.pop(exp, None)
-        return ChowClass._of_clean(self.ambient, out)
+                del out[p]
+        return ChowClass._of_terms(self.ambient, out)
 
-    def __neg__(self) -> "ChowClass":
-        return ChowClass._of_clean(self.ambient, {e: -c for e, c in self.coefficients.items()})
+    def __add__(self, other: "ChowClass") -> "ChowClass":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def __neg__(self) -> "ChowClass":
+        return ChowClass._of_terms(self.ambient, {p: -c for p, c in self._terms.items()})
 
     def __mul__(self, other) -> "ChowClass":
-        if isinstance(other, int) and not isinstance(other, bool):
-            scaled = {e: c * other for e, c in self.coefficients.items()} if other else {}
-            return ChowClass._of_clean(self.ambient, scaled)
+        if _is_int(other):
+            scaled = {p: c * other for p, c in self._terms.items()} if other else {}
+            return ChowClass._of_terms(self.ambient, scaled)
         if not isinstance(other, ChowClass):
             return NotImplemented
         self._check_compatible(other)
-        pack, unpack, over, guard = _layout(self.ambient.factors)
-        inner = [(pack[e], c) for e, c in other.coefficients.items()]
+        layout = _layout(self.ambient.factors)
+        over, guard = layout.over, layout.guard
+        inner = list(other._terms.items())
         out: dict[int, int] = {}
-        for ea, ca in self.coefficients.items():
-            pa = pack[ea]
+        for pa, ca in self._terms.items():
             # A guard bit set in pa + over + pb marks a field past n.
             room = pa + over
             for pb, cb in inner:
@@ -215,10 +261,10 @@ class ChowClass:
                     continue
                 p = pa + pb
                 out[p] = out.get(p, 0) + ca * cb
-        return ChowClass._of_clean(self.ambient, {unpack[p]: c for p, c in out.items() if c})
+        return ChowClass._of_terms(self.ambient, {p: c for p, c in out.items() if c})
 
     def __rmul__(self, other) -> "ChowClass":
-        if isinstance(other, int) and not isinstance(other, bool):
+        if _is_int(other):
             return self * other
         return NotImplemented
 
@@ -234,13 +280,14 @@ class ChowClass:
         if unit.constant_term() != 1:
             raise ValueError("division by a non-unit: constant coefficient must be 1")
         self._check_compatible(unit)
-        if not self.coefficients:
-            return ChowClass._of_clean(self.ambient, {})
-        pack, unpack, _, guard = _layout(self.ambient.factors)
-        v = [(pack[f], c) for f, c in unit.coefficients.items() if any(f)]
-        x = {pack[e]: c for e, c in self.coefficients.items()}
+        if not self._terms:
+            return ChowClass._of_terms(self.ambient, {})
+        layout = _layout(self.ambient.factors)
+        guard = layout.guard
+        v = [(f, c) for f, c in unit._terms.items() if f]
+        x = self._terms
         y: dict[int, int] = {}
-        for p in unpack:
+        for p in layout.unpack:
             acc = x.get(p, 0)
             # f <= e exactly when every field of guard + e - f keeps its guard bit.
             top = p + guard
@@ -249,13 +296,13 @@ class ChowClass:
                     acc -= c * y.get(p - f, 0)
             if acc:
                 y[p] = acc
-        return ChowClass._of_clean(self.ambient, {unpack[p]: c for p, c in y.items()})
+        return ChowClass._of_terms(self.ambient, y)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ChowClass)
             and self.ambient == other.ambient
-            and self.coefficients == other.coefficients
+            and self._terms == other._terms
         )
 
     def __repr__(self) -> str:
@@ -266,35 +313,34 @@ class ChowClass:
         return render_terms(items, self.ambient.letters(), "")
 
 
+def _check_factor(ambient: AmbientSpace, factor: int) -> None:
+    if not 0 <= factor < len(ambient.factors):
+        raise ValueError("factor out of range")
+
+
 def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:
-    """Return the hyperplane class of one factor."""
-    exp = tuple(1 if i == factor else 0 for i in range(len(ambient.factors)))
-    return ChowClass.monomial(ambient, exp)
+    """Return the hyperplane class of one factor (zero on a P^0 factor)."""
+    _check_factor(ambient, factor)
+    if not ambient.factors[factor]:
+        return ChowClass.zero(ambient)
+    return ChowClass._of_terms(ambient, {1 << _layout(ambient.factors).shifts[factor]: 1})
 
 
 def tangent_class(ambient: AmbientSpace) -> ChowClass:
     """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1).
 
-    In the truncated ring the coefficient of H^e is prod C(n_i+1, e_i),
-    built factor by factor from one binomial row each, in box order.
+    In the truncated ring the coefficient of H^e is prod C(n_i+1, e_i);
+    the layout of the ambient holds these terms.
     """
-    coefficients: dict[Exponent, int] = {(): 1}
-    for n in ambient.factors:
-        row = [math.comb(n + 1, k) for k in range(n + 1)]
-        coefficients = {e + (k,): c * b for e, c in coefficients.items() for k, b in enumerate(row)}
-    return ChowClass._of_clean(ambient, coefficients)
+    return ChowClass._of_terms(ambient, dict(_layout(ambient.factors).tangent))
 
 
 def factor_tangent_class(ambient: AmbientSpace, factor: int) -> ChowClass:
     """Total Chern class of the tangent bundle along one factor, (1+H)^(n+1)."""
-    if not 0 <= factor < len(ambient.factors):
-        raise ValueError("factor out of range")
+    _check_factor(ambient, factor)
     n = ambient.factors[factor]
-    zeros = (0,) * len(ambient.factors)
-    coefficients = {
-        zeros[:factor] + (e,) + zeros[factor + 1 :]: math.comb(n + 1, e) for e in range(n + 1)
-    }
-    return ChowClass._of_clean(ambient, coefficients)
+    shift = _layout(ambient.factors).shifts[factor]
+    return ChowClass._of_terms(ambient, {k << shift: math.comb(n + 1, k) for k in range(n + 1)})
 
 
 def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClass:
@@ -303,7 +349,7 @@ def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClas
         raise ValueError("multidegree length does not match the ambient factors")
     result = ChowClass.zero(ambient)
     for i, d in enumerate(multidegree):
-        result = result + hyperplane(ambient, i) * int(d)
+        result = result + hyperplane(ambient, i) * d
     return result
 
 
@@ -321,11 +367,14 @@ def insert_factor(x: ChowClass, extra_dim: int, position: int) -> ChowClass:
     factors = x.ambient.factors
     if not 0 <= position <= len(factors):
         raise ValueError("position out of range")
-    new_ambient = AmbientSpace(factors[:position] + (int(extra_dim),) + factors[position:])
-    coeffs = {
-        e[:position] + (0,) + e[position:]: c for e, c in x.coefficients.items()
-    }
-    return ChowClass._of_clean(new_ambient, coeffs)
+    new_ambient = AmbientSpace(factors[:position] + (extra_dim,) + factors[position:])
+    # The fields of the factors from ``position`` on lie below bit lo and
+    # stay; the others move up by the width of the new field, which
+    # holds exponent 0.
+    lo = _layout(new_ambient.factors).shifts[position]
+    up = lo + extra_dim.bit_length() + 1
+    low = (1 << lo) - 1
+    return ChowClass._of_terms(new_ambient, {(p >> lo) << up | (p & low): c for p, c in x._terms.items()})
 
 
 def forget_factor(x: ChowClass, position: int) -> ChowClass:
@@ -342,12 +391,13 @@ def forget_factor(x: ChowClass, position: int) -> ChowClass:
         raise ValueError("cannot forget the only factor")
     full = factors[position]
     new_ambient = AmbientSpace(factors[:position] + factors[position + 1 :])
-    coeffs = {
-        e[:position] + e[position + 1 :]: c
-        for e, c in x.coefficients.items()
-        if e[position] == full
-    }
-    return ChowClass._of_clean(new_ambient, coeffs)
+    # The forgotten field holds bits lo to hi - 1; the fields below it
+    # stay and those above move down by its width.
+    lo = _layout(factors).shifts[position]
+    hi = lo + full.bit_length() + 1
+    low, field = (1 << lo) - 1, (1 << (hi - lo)) - 1
+    terms = {(p >> hi) << lo | (p & low): c for p, c in x._terms.items() if (p >> lo) & field == full}
+    return ChowClass._of_terms(new_ambient, terms)
 
 
 def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -> bool:

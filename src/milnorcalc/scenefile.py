@@ -25,6 +25,7 @@ default to x, y, z, w and can be overridden with ``variables``.
 Per-stratum ``csm`` maps are keyed by comma-separated exponents, as in
 ``{"2": 1, "3": 2}`` for H^2 + 2H^3.  Each exponent is written in ASCII
 digits, and no two keys may name the same exponent ("1" and "01" do).
+No key may appear twice in one JSON object.
 """
 
 from __future__ import annotations
@@ -238,11 +239,28 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
     return scene, mu
 
 
+def _unique_keys(pairs: list[tuple[str, object]], path: str) -> dict:
+    """The object of a JSON text, refusing a key that appears twice in it."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            limit = sys.get_int_max_str_digits()
+            # Named by its length, so that a message never echoes a long key.
+            name = f"a key of {len(key)} characters" if limit and len(key) > limit else f"the key {key!r}"
+            raise SceneFileError(f"{path}: {name} appears twice in one object")
+        data[key] = value
+    return data
+
+
 def load_scene(path: str) -> tuple[StrataScene, Optional[ConstructibleFunction]]:
     """Read and validate a scene file from disk."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, parse_int=lambda text: _parse_int(text, path))
+            data = json.load(
+                handle,
+                parse_int=lambda text: _parse_int(text, path),
+                object_pairs_hook=lambda pairs: _unique_keys(pairs, path),
+            )
     except OSError as exc:
         raise SceneFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -101,6 +101,19 @@ class TestAmbient:
         with pytest.raises(ValueError):
             AmbientSpace((2, -1))
 
+    # Before, each was truncated by int(): (2.9,) became P^2.
+    @pytest.mark.parametrize("factors", [(2.9,), (True,), ("2",), (2, 1.0)])
+    def test_non_integer_dimension_rejected(self, factors):
+        with pytest.raises(TypeError, match="factor dimensions must be integers"):
+            AmbientSpace(factors)
+
+    @pytest.mark.parametrize("extra_dim", [1.5, True])
+    def test_non_integer_new_factor_rejected(self, extra_dim):
+        with pytest.raises(TypeError, match="factor dimensions must be integers"):
+            P2.extended(extra_dim)
+        with pytest.raises(TypeError, match="factor dimensions must be integers"):
+            insert_factor(hyperplane(P2), extra_dim, 1)
+
 
 class TestChowClass:
     def test_truncation_on_construction(self):
@@ -112,6 +125,12 @@ class TestChowClass:
     def test_bool_coefficient_rejected(self):
         with pytest.raises(TypeError):
             cls(P2, {(1,): True})
+
+    # Before, each was read through int() as an H or H^2 term.
+    @pytest.mark.parametrize("exp", [(1.7,), ("2",), (True,), (1.0,)])
+    def test_non_integer_exponent_rejected(self, exp):
+        with pytest.raises(TypeError, match="not an integer"):
+            cls(P2, {exp: 3})
 
     def test_wrong_exponent_length(self):
         with pytest.raises(ValueError):
@@ -528,3 +547,84 @@ def test_insert_factor_commutes_with_products_and_division(pair, m, data):
 
     assert lift(x * y) == lift(x) * lift(y)
     assert lift(x / u) == lift(x) / lift(u)
+
+
+# Classes store packed exponents; these check the boundary against
+# tuple-keyed oracles written here.
+
+
+@st.composite
+def ambients_and_raw_coefficients(draw):
+    # Exponents up to one past each factor, so that some are truncated,
+    # and zero values, so that some are dropped.
+    ambient = draw(field_edge_ambients)
+    exponents = st.tuples(*(st.integers(0, n + 1) for n in ambient.factors))
+    return ambient, draw(st.dictionaries(exponents, st.integers(-3, 3), max_size=12))
+
+
+@given(ambients_and_raw_coefficients())
+def test_coefficients_round_trip_the_cleaned_map(case):
+    ambient, raw = case
+    clean = {e: c for e, c in raw.items() if c and all(a <= n for a, n in zip(e, ambient.factors))}
+    x = ChowClass(ambient, raw)
+    assert x.coefficients == clean
+    assert ChowClass(ambient, x.coefficients) == x
+    returned = x.coefficients
+    returned[ambient.top] = returned.get(ambient.top, 0) + 1
+    returned.pop((0,) * len(ambient.factors), None)
+    assert x.coefficients == clean
+
+
+def inserted_oracle(x, extra_dim, position):
+    factors = x.ambient.factors
+    ambient = AmbientSpace(factors[:position] + (extra_dim,) + factors[position:])
+    return cls(ambient, {e[:position] + (0,) + e[position:]: c for e, c in x.coefficients.items()})
+
+
+def forgotten_oracle(x, position):
+    factors = x.ambient.factors
+    ambient = AmbientSpace(factors[:position] + factors[position + 1 :])
+    full = factors[position]
+    return cls(ambient, {e[:position] + e[position + 1 :]: c for e, c in x.coefficients.items() if e[position] == full})
+
+
+@given(field_edge_ambients.flatmap(chow_classes), st.sampled_from(FIELD_EDGE_DIMS))
+def test_insert_and_forget_match_tuple_oracles_at_every_position(x, extra_dim):
+    k = len(x.ambient.factors)
+    for position in range(k + 1):
+        lifted = insert_factor(x, extra_dim, position)
+        assert lifted == inserted_oracle(x, extra_dim, position)
+        # Forgetting the new factor after multiplying by its point class
+        # walks the same field back.
+        fiber_point = tuple(extra_dim if j == position else 0 for j in range(k + 1))
+        assert forget_factor(lifted * ChowClass.monomial(lifted.ambient, fiber_point), position) == x
+    if k > 1:
+        for position in range(k):
+            assert forget_factor(x, position) == forgotten_oracle(x, position)
+
+
+@given(field_edge_ambients)
+def test_builders_match_the_validating_constructor(ambient):
+    k = len(ambient.factors)
+    for i, n in enumerate(ambient.factors):
+        exp = tuple(int(j == i) for j in range(k))
+        assert hyperplane(ambient, i) == cls(ambient, {exp: 1})
+        tangent = {tuple(a if j == i else 0 for j in range(k)): math.comb(n + 1, a) for a in range(n + 1)}
+        assert factor_tangent_class(ambient, i) == cls(ambient, tangent)
+    degrees = [i + 2 for i in range(k)]
+    divisor = {tuple(int(j == i) for j in range(k)): d for i, d in enumerate(degrees)}
+    assert divisor_class(ambient, degrees) == cls(ambient, divisor)
+    expected = {e: math.prod(math.comb(n + 1, a) for a, n in zip(e, ambient.factors)) for e in ambient.box()}
+    assert tangent_class(ambient) == cls(ambient, expected)
+
+
+def test_tangent_classes_are_independent_copies():
+    first = tangent_class(P2xP1)
+    first._terms.clear()
+    assert tangent_class(P2xP1) == powered_tangent_class(P2xP1)
+
+
+@pytest.mark.parametrize("factor", [-1, 2])
+def test_hyperplane_rejects_a_factor_out_of_range(factor):
+    with pytest.raises(ValueError, match="factor out of range"):
+        hyperplane(P2xP1, factor)

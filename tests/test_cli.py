@@ -235,6 +235,27 @@ class TestReport:
         assert (code, out) == (2, "")
         assert err == "error: stratum 'p': exponent keys '2' and '02' name the same exponent\n"
 
+    @pytest.mark.parametrize(
+        "repeated, key",
+        [
+            ('"ambient": [3], "ambient": [2], "smooth": true', "ambient"),
+            ('"mu": {"p": 1, "p": 2}, "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}]', "p"),
+            (
+                '"mu": {"p": 1}, "strata":'
+                ' [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"2": 5, "2": 1}}]',
+                "2",
+            ),
+        ],
+        ids=["ambient", "mu", "csm"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, capsys, repeated, key):
+        # Before, the last value of a repeated key was kept silently and
+        # each of these reported with exit 0.
+        path = tmp_path / "repeated.json"
+        path.write_text('{"ambient": [2], "degrees": [[3]], %s}' % repeated, encoding="utf-8")
+        code, out, err = run(capsys, "report", str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: the key {key!r} appears twice in one object\n")
+
     def test_csm_key_over_the_digit_limit_is_not_echoed(self, tmp_path, capsys):
         limit = sys.get_int_max_str_digits()
         path = write_scene(tmp_path, {

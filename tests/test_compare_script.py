@@ -124,6 +124,21 @@ def test_invalid_scenes_are_written_and_listed(tmp_path):
         path = tmp_path / f"{name}.json"
         assert str(path) in paths
     assert f": {compare.LONG_DIGITS}\n" in (tmp_path / "long-number.json").read_text(encoding="utf-8")
+    for name, text in compare.REPEATED_KEY_SCENES.items():
+        path = tmp_path / f"{name}.json"
+        assert str(path) in paths
+        assert path.read_text(encoding="utf-8") == text + "\n"
+
+
+def test_repeated_key_scenes_exit_2_in_this_checkout(tmp_path):
+    compare = load_compare()
+    paths = [tmp_path / f"{name}.json" for name in compare.REPEATED_KEY_SCENES]
+    for path, text in zip(paths, compare.REPEATED_KEY_SCENES.values()):
+        path.write_text(text, encoding="utf-8")
+    results = compare.run_checkout(ROOT, [["report", str(path)] for path in paths])
+    for result, key in zip(results, ("ambient", "p", "2")):
+        assert result["code"] == 2
+        assert f"the key {key!r} appears twice in one object" in result["stderr"]
 
 
 def test_layout_edge_scenes_are_written_and_run_in_every_form(tmp_path):
@@ -139,6 +154,8 @@ def test_layout_edge_scenes_are_written_and_run_in_every_form(tmp_path):
         assert len({tuple(argv) for argv in forms}) == len(forms) == 15
         ambients.add(tuple(data["ambient"]))
     assert {(8, 1), (0, 3), (1, 1, 1, 1, 1), (7,)} <= ambients
+    # The product factor P^m is added next to the narrowest and the widest field.
+    assert {0, 8} <= {factors[-1] for factors in ambients if len(factors) > 1}
     assert any(len(data["degrees"]) == 2 and len(data["ambient"]) > 1 for data in compare.EDGE_SCENES.values())
 
 

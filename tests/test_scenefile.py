@@ -428,3 +428,41 @@ class TestLoadScene:
         with pytest.raises(SceneFileError) as err:
             load_scene(str(path))
         assert str(err.value) == f"{path}: an integer with more than {limit} digits"
+
+    # Each was settled silently before: json.load kept the last value.
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"ambient": [2], "ambient": [3], "degrees": [[3]], "smooth": true}', "ambient"),
+            (
+                '{"ambient": [2], "degrees": [[3]], "mu": {"p": 1, "p": 2},'
+                ' "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}]}',
+                "p",
+            ),
+            (
+                '{"ambient": [2], "degrees": [[3]], "mu": {"p": 1}, "strata":'
+                ' [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"2": 5, "2": 1}}]}',
+                "2",
+            ),
+        ],
+        ids=["ambient", "mu", "csm"],
+    )
+    def test_repeated_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "repeated.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(SceneFileError) as err:
+            load_scene(str(path))
+        assert str(err.value) == f"{path}: the key {key!r} appears twice in one object"
+
+    def test_repeated_key_over_the_digit_limit_is_named_by_its_length(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        key = "9" * (limit + 1)
+        path = tmp_path / "repeated.json"
+        path.write_text(
+            '{"ambient": [2], "degrees": [[3]], "mu": {"p": 1}, "strata":'
+            ' [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"%s": 1, "%s": 1}}]}' % (key, key),
+            encoding="utf-8",
+        )
+        with pytest.raises(SceneFileError) as err:
+            load_scene(str(path))
+        assert str(err.value) == f"{path}: a key of {limit + 1} characters appears twice in one object"
