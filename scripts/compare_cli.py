@@ -16,7 +16,8 @@ list holds:
   and on eleven scenes that exit 2;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
-  parser);
+  parser), a node in P^5, a chart validation that needs an S-pair, high
+  single exponents and large coefficients;
 - ``table`` and ``--json table``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
   that the rest runs after the parser has refused input in the same
@@ -109,6 +110,21 @@ MILNOR_CASES = [
     ("x^2", " , ", "x"),
     # A literal over Python's int-string limit (4,300 digits).
     ("9" * 5000 + "*x^2 + y^2 + z^2", "x,y,z", "z"),
+    # The widest packed monomial layout of the Groebner engine: a node in P^5.
+    (
+        "x5*x0^2 + x5*x1^2 + x5*x2^2 + x5*x3^2 + x5*x4^2 + x0^3 + x1^3 + x2^3 + x3^3 + x4^3",
+        "x0,x1,x2,x3,x4,x5",
+        "x5",
+    ),
+    # Chart validation that needs an S-pair: on z = 0 the partials 6xy and
+    # 3x^2 + 3y^2 hold no pure power of y until the S-polynomial gives y^3.
+    ("3*x^2*y + y^3 + z^3", "x,y,z", "z"),
+    # High single exponents: a point of Milnor number 59 on P^1, and a
+    # singular point on the removed line (exit 3).
+    ("x^60*z + x^61", "x,z", "z"),
+    ("y^2*z^98 - x^100", "x,y,z", "z"),
+    # Large coefficients on a nodal cubic.
+    ("123456789012345678901234567890*y^2*z - x^3 - 98765432109876543210*x^2*z", "x,y,z", "z"),
 ]
 
 TABLES = [

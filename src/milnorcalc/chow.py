@@ -25,7 +25,8 @@ Adding or forgetting a factor moves the fields above its own by the
 width of its field.  The layout of an ambient, built once from
 ``AmbientSpace.box()``, holds the pack and unpack maps, the shift of
 each field, the guard and overflow masks, the ``"a,b,c"`` key string of
-each exponent in the string order of the keys, and the terms of the
+each exponent in key order (built when a class of the ambient is first
+emitted, which product ambients never are), and the terms of the
 tangent class.
 """
 
@@ -37,13 +38,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .polynomials import render_terms
+from .polynomials import _is_int, render_terms
 
 Exponent = tuple[int, ...]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class _Layout(NamedTuple):
     # Per field, 2^b - 1 - n and the guard bit 2^b: see the module docstring.
     over: int
     guard: int
-    # The "a,b,c" key string of each exponent, in the string order of the keys.
+    # The "a,b,c" key string of each exponent, in key order; empty until emitted.
     keys: dict[int, str]
     # prod (1+H_i)^(n_i+1), in box order; copied into each tangent class.
     tangent: dict[int, int]
@@ -124,13 +121,12 @@ def _layout(factors: tuple[int, ...]) -> _Layout:
     shifts.reverse()
     pack = {e: sum(a << s for a, s in zip(e, shifts)) for e in AmbientSpace(factors).box()}
     unpack = {p: e for e, p in pack.items()}
-    keys = dict(sorted(((p, ",".join(map(str, e))) for e, p in pack.items()), key=lambda item: item[1]))
     # The coefficient of H^e is prod C(n_i+1, e_i), one binomial row per factor.
     tangent = {0: 1}
     for n, s in zip(factors, shifts):
         row = [(k << s, math.comb(n + 1, k)) for k in range(n + 1)]
         tangent = {p + q: c * b for p, c in tangent.items() for q, b in row}
-    return _Layout(pack, unpack, tuple(shifts), over, guard, keys, tangent)
+    return _Layout(pack, unpack, tuple(shifts), over, guard, {}, tangent)
 
 
 class ChowClass:
@@ -176,8 +172,11 @@ class ChowClass:
 
     def keyed_terms(self) -> list[tuple[str, int]]:
         """(``"a,b,c"`` exponent key, coefficient) pairs in the string order of the keys."""
-        terms = self._terms
-        return [(key, terms[p]) for p, key in _layout(self.ambient.factors).keys.items() if p in terms]
+        terms, layout = self._terms, _layout(self.ambient.factors)
+        if not layout.keys:
+            pairs = ((p, ",".join(map(str, e))) for e, p in layout.pack.items())
+            layout.keys.update(sorted(pairs, key=lambda pair: pair[1]))
+        return [(key, terms[p]) for p, key in layout.keys.items() if p in terms]
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "ChowClass":

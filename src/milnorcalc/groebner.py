@@ -2,35 +2,50 @@
 built on them: staircase quotient dimensions and total Milnor numbers
 of projective hypersurfaces with isolated singularities.
 
-The basis computation is Buchberger's algorithm with the coprimality
-(product) criterion and the chain criterion, nothing fancier.  Inputs
-here are desk-scale Jacobian ideals, so clarity and exactness win over
-asymptotics.  The Milnor count is linear algebra on the Jacobian
-algebra A = k[x]/J: the matrix of multiplication by the equation f,
-written in the staircase basis of A, is powered until its rank stops
-falling (Cox-Little-O'Shea, Using Algebraic Geometry, ch. 2 and 4).
-That matrix is built from normal forms on the border of the staircase,
-without division, and its ranks are taken over the integers.
-Long computations poll an optional cancellation callback once per
-S-polynomial reduction and once per pivot column of an elimination.
+Buchberger's algorithm, with the product and chain criteria, runs on
+packed monomials: one int each, a field per variable and one for the
+degree, each of ``_FIELD_BITS`` bits under a guard bit.  A product is
+a + b, a quotient b - a, a divides b when ((b | G) - a) & G == G for
+the guard bits G, and an lcm is taken field by field.  Int order is
+monomial order once ``key`` has flipped some fields: grevlex has the
+degree on top, then the variables from the last, all flipped; lex has
+x_0 on top; the order eliminating x_0 has x_0 on top, then grevlex.
+Tuples appear only where ``groebner`` and ``divide`` pack and
+``GroebnerBasis`` unpacks; an exponent or degree above ``_LIMIT``
+raises ``ValueError`` and never carries into the next field.
+
+The Milnor count is linear algebra on the Jacobian algebra A = k[x]/J:
+the matrix M_f of multiplication by the equation f, in the staircase
+basis of A, is powered until its rank stops falling (Cox-Little-O'Shea,
+Using Algebraic Geometry, ch. 2 and 4).  M_f is built without division
+from border normal forms, integer rows over reduced denominators, and
+ranked over the integers after one scaling by the lcm of those.  Chart
+validation stops once the leads found so far prove its quotient finite.
+``cancel`` is polled once per S-pair and once per pivot column.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
-from .polynomials import Exponent, PolyIdeal, Polynomial, Scalar, jacobian_ideal
+from .polynomials import Exponent, PolyIdeal, Polynomial, jacobian_ideal
 
 GREVLEX = "grevlex"
 LEX = "lex"
 _ELIM_FIRST = "elim-first"
 
 CancelCallback = Callable[[], bool]
+
+# Value bits of a packed field; its guard bit sits just above them.
+_FIELD_BITS = 15
+_LIMIT = (1 << _FIELD_BITS) - 1
+_TOO_BIG = f"exponents and degrees above {_LIMIT} are beyond the Groebner engine"
 
 
 class ComputationCancelled(RuntimeError):
@@ -45,42 +60,126 @@ class SingularitiesOutsideChartError(ValueError):
     """Some singular point lies on the hyperplane removed by the chart."""
 
 
-def _order_key(order: str) -> Callable[[Exponent], tuple]:
-    """Return a key function; larger key means larger monomial."""
-    if order == LEX:
-        return lambda e: e
+class _Layout(NamedTuple):
+    """How one monomial order packs monomials in one number of variables."""
+
+    shifts: tuple[int, ...]  # the lowest bit of each variable's field
+    units: tuple[int, ...]  # each variable, packed
+    degree_shift: int
+    guards: int
+    ones: int  # 1 in the field of each variable
+    # (v * spread) >> top gathers the sum of the variable fields of v.
+    spread: int
+    top: int
+    key: Callable[[int], int]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(nvars: int, order: str) -> _Layout:
+    # The fields from the top down: a variable's index, or "d".
     if order == GREVLEX:
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    if order == _ELIM_FIRST:
-        # Block order eliminating the first variable: compare its degree,
-        # then grevlex on the remaining variables.
-        return lambda e: (e[0], sum(e[1:]), tuple(-x for x in reversed(e[1:])))
-    raise ValueError(f"unknown monomial order {order!r}")
+        fields, flipped = ["d", *range(nvars - 1, -1, -1)], range(nvars)
+    elif order == LEX:
+        fields, flipped = [*range(nvars), "d"], ()
+    elif order == _ELIM_FIRST:
+        fields, flipped = [0, "d", *range(nvars - 1, 0, -1)], range(1, nvars)
+    else:
+        raise ValueError(f"unknown monomial order {order!r}")
+    shift = {name: (len(fields) - 1 - p) * (_FIELD_BITS + 1) for p, name in enumerate(fields)}
+    shifts = tuple(shift[i] for i in range(nvars))
+    top, flip = max(shifts, default=0), sum(_LIMIT << shifts[i] for i in flipped)
+    units, spread = tuple((1 << s) + (1 << shift["d"]) for s in shifts), sum(1 << (top - s) for s in shifts)
+    guards = sum(1 << (s + _FIELD_BITS) for s in shift.values())
+    return _Layout(shifts, units, shift["d"], guards, sum(1 << s for s in shifts), spread, top, flip.__xor__)
 
 
-def _divides(a: Exponent, b: Exponent) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+def _pack(exp: Exponent, lay: _Layout) -> int:
+    if sum(exp) > _LIMIT:
+        raise ValueError(_TOO_BIG)
+    return sum(map(operator.mul, exp, lay.units))
 
 
-def _exp_sub(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x - y for x, y in zip(a, b))
+def _unpack(m: int, lay: _Layout) -> Exponent:
+    return tuple(m >> s & _LIMIT for s in lay.shifts)
 
 
-def _exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+def _packed(p: Polynomial, lay: _Layout) -> dict[int, Fraction]:
+    return {_pack(e, lay): c for e, c in p.terms.items()}
 
 
-def _exp_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+def _polynomial(variables: tuple[str, ...], terms: dict[int, Fraction], lay: _Layout) -> Polynomial:
+    return Polynomial._of_clean(variables, {_unpack(m, lay): c for m, c in terms.items()})
 
 
-def _leading(p: Polynomial, key) -> tuple[Exponent, Fraction]:
-    exp = max(p.terms, key=key)
-    return exp, p.terms[exp]
+def _lcm(a: int, b: int, lay: _Layout) -> int:
+    # The guard bits of the fields where a >= b, widened to value masks.
+    ge = ((a | lay.guards) - b) & lay.guards
+    mask = ge - (ge >> _FIELD_BITS)
+    v = ((a & mask) | (b & ~mask)) & ~(_LIMIT << lay.degree_shift)
+    # Each degree is at most _LIMIT, so the gathered sum carries nowhere.
+    degree = (v * lay.spread >> lay.top) & (2 * _LIMIT + 1)
+    if degree > _LIMIT:
+        raise ValueError(_TOO_BIG)
+    return v | degree << lay.degree_shift
 
 
-def _term_times(p: Polynomial, exp: Exponent, coeff: Fraction) -> Polynomial:
-    return Polynomial._of_clean(p.variables, {_exp_add(e, exp): c * coeff for e, c in p.terms.items()})
+# A basis entry: (lead, monic tail, bound, quotient).  The bound is the largest
+# term degree, packed: a multiple by x^shift overflows when (bound + shift) & G.
+_Entry = tuple[int, dict[int, Fraction], int, Optional[dict]]
+
+
+def _entry(terms: dict[int, Fraction], lay: _Layout, quotient: Optional[dict] = None) -> _Entry:
+    lead = max(terms, key=lay.key)
+    lc = terms[lead]
+    tail = {m: c / lc for m, c in terms.items()} if lc != 1 else dict(terms)
+    del tail[lead]
+    return lead, tail, max(map((_LIMIT << lay.degree_shift).__and__, terms)), quotient
+
+
+def _reduce(work: dict[int, Fraction], basis: Sequence[_Entry], lay: _Layout) -> dict[int, Fraction]:
+    """The remainder of ``work``, which is consumed, on division by ``basis``:
+    each term, largest first, is cancelled by the first entry whose lead
+    divides it, or moved to the remainder."""
+    key, guards = lay.key, lay.guards
+    remainder = {}
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        tg = t | guards
+        for lead, tail, bound, quotient in basis:
+            if (tg - lead) & guards == guards:
+                shift = t - lead
+                if (bound + shift) & guards:
+                    raise ValueError(_TOO_BIG)
+                if quotient is not None:
+                    quotient[shift] = c
+                for e, d in tail.items():
+                    e += shift
+                    v = work.get(e, 0) - c * d
+                    if v:
+                        work[e] = v
+                    else:
+                        del work[e]
+                break
+        else:
+            remainder[t] = c
+    return remainder
+
+
+def _spoly(a: _Entry, b: _Entry, lcm: int, lay: _Layout) -> dict[int, Fraction]:
+    """lcm / lead(a) times a minus lcm / lead(b) times b, for monic a and b."""
+    (la, ta, ba, _), (lb, tb, bb, _) = a, b
+    if (ba + lcm - la) & lay.guards or (bb + lcm - lb) & lay.guards:
+        raise ValueError(_TOO_BIG)
+    work = {e + lcm - la: c for e, c in ta.items()}
+    for e, c in tb.items():
+        e += lcm - lb
+        v = work.get(e, 0) - c
+        if v:
+            work[e] = v
+        else:
+            del work[e]
+    return work
 
 
 def divide(
@@ -91,138 +190,113 @@ def divide(
     The remainder has no term divisible by any divisor leading term, and
     f == sum(q_i * divisors_i) + remainder holds exactly.
     """
-    key = _order_key(order)
-    data = []
-    for g in divisors:
-        if g.is_zero():
-            data.append(None)
-        else:
-            exp, coeff = _leading(g, key)
-            data.append((exp, coeff, g))
-    quotients: list[dict[Exponent, Fraction]] = [{} for _ in divisors]
-    remainder: dict[Exponent, Fraction] = {}
-    work = dict(f.terms)
-    while work:
-        exp = max(work, key=key)
-        coeff = work.pop(exp)
-        for slot, entry in enumerate(data):
-            if entry is None:
-                continue
-            lead_exp, lead_coeff, g = entry
-            if _divides(lead_exp, exp):
-                shift = _exp_sub(exp, lead_exp)
-                factor = coeff / lead_coeff
-                quotients[slot][shift] = quotients[slot].get(shift, Fraction(0)) + factor
-                for ge, gc in g.terms.items():
-                    if ge == lead_exp:
-                        continue
-                    target = _exp_add(ge, shift)
-                    acc = work.get(target, Fraction(0)) - factor * gc
-                    if acc:
-                        work[target] = acc
-                    else:
-                        work.pop(target, None)
-                break
-        else:
-            remainder[exp] = coeff
-    quotient_polys = [Polynomial._of_clean(f.variables, q) for q in quotients]
-    return quotient_polys, Polynomial._of_clean(f.variables, remainder)
+    lay = _layout(len(f.variables), order)
+    entries = [_entry(_packed(g, lay), lay, {}) if g.terms else None for g in divisors]
+    remainder = _reduce(_packed(f, lay), [entry for entry in entries if entry], lay)
+    quotients = []
+    for g, entry in zip(divisors, entries):
+        # The entry is g made monic: divide by the lead coefficient of g.
+        lc = entry and g.terms[_unpack(entry[0], lay)]
+        quotient = {m: c / lc for m, c in entry[3].items()} if entry else {}
+        quotients.append(_polynomial(f.variables, quotient, lay))
+    return quotients, _polynomial(f.variables, remainder, lay)
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: str = GREVLEX) -> Polynomial:
-    """Return the S-polynomial cancelling the leading terms of f and g."""
-    key = _order_key(order)
-    ef, cf = _leading(f, key)
-    eg, cg = _leading(g, key)
-    lcm = _exp_lcm(ef, eg)
-    left = _term_times(f, _exp_sub(lcm, ef), Fraction(1) / cf)
-    right = _term_times(g, _exp_sub(lcm, eg), Fraction(1) / cg)
-    return left - right
-
-
-def _chain_skip(i: int, j: int, lcm: Exponent, leads: list[Exponent], pending: set) -> bool:
-    # Chain criterion: some third basis element divides the pair lcm and
-    # both pairs with it were already treated.
-    for k in range(len(leads)):
-        if k == i or k == j:
-            continue
-        if _divides(leads[k], lcm):
-            first = (min(i, k), max(i, k))
-            second = (min(j, k), max(j, k))
-            if first not in pending and second not in pending:
-                return True
-    return False
-
-
-def _interreduce(
-    basis: list[Polynomial], leads: list[Exponent], order: str
-) -> dict[Exponent, Polynomial]:
-    # Each element of the minimal basis is reduced by the others.  No
-    # other lead divides its lead, so the remainder keeps that term with
-    # coefficient 1: the result is monic and stays in increasing order.
-    key = _order_key(order)
-    minimal: list[tuple[Exponent, Polynomial]] = []
-    for lead, g in sorted(zip(leads, basis), key=lambda pair: key(pair[0])):
-        if not any(_divides(other, lead) for other, _ in minimal):
-            minimal.append((lead, g))
-    reduced = {}
-    for idx, (lead, g) in enumerate(minimal):
-        others = [h for _, h in minimal[:idx] + minimal[idx + 1 :]]
-        reduced[lead] = divide(g, others, order)[1]
-    return reduced
+def _bounds(leads: Iterable[int], lay: _Layout) -> Optional[list[int]]:
+    """Per variable, the least exponent of a pure power among ``leads``,
+    a constant counting as the power 0 of each; None when some variable
+    has none, so that the staircase of the leads is infinite."""
+    # With each lead, the guard bits of the variables it holds.
+    support = [(lead, ((lead | lay.guards) - lay.ones) & (lay.ones << _FIELD_BITS)) for lead in leads]
+    bounds = []
+    for s in lay.shifts:
+        pure = [lead >> s & _LIMIT for lead, held in support if held in (0, 1 << (s + _FIELD_BITS))]
+        if not pure:
+            return None
+        bounds.append(min(pure))
+    return bounds
 
 
 def _buchberger(
-    generators: Iterable[Polynomial],
-    order: str,
-    cancel: Optional[CancelCallback],
-) -> dict[Exponent, Polynomial]:
-    key = _order_key(order)
-    leads: list[Exponent] = []
-    basis: list[Polynomial] = []
+    generators: Iterable[dict], lay: _Layout, cancel: Optional[CancelCallback], stop_when_finite=False
+) -> dict[int, dict[int, Fraction]]:
+    """The reduced monic basis, as each element's tail by its lead, in
+    increasing order.  With ``stop_when_finite``, return unreduced once
+    the leads hold a pure power of every variable: in(I) then has a
+    finite staircase, which is all that chart validation asks."""
+    key, guards = lay.key, lay.guards
+    generators = [g for g in generators if g]
+    leads = [max(g, key=key) for g in generators] if stop_when_finite else []
+    if stop_when_finite and _bounds(leads, lay) is not None:
+        return dict(zip(leads, generators))
+    basis: list[_Entry] = []
     # Pairs wait on a heap in (key(lcm), i, j) order, each pushed once
     # with its lcm; ``pending`` holds them too, for the chain criterion.
-    queue: list[tuple[tuple, int, int, Exponent]] = []
+    queue: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
-    def add_monic(p: Polynomial) -> None:
-        lead, coeff = _leading(p, key)
-        for k, other in enumerate(leads):
-            lcm = _exp_lcm(other, lead)
-            heapq.heappush(queue, (key(lcm), k, len(leads), lcm))
-            pending.add((k, len(leads)))
-        leads.append(lead)
-        basis.append(p if coeff == 1 else p.scaled(Fraction(1) / coeff))
+    def add(terms: dict[int, Fraction]) -> None:
+        entry = _entry(terms, lay)
+        for k, other in enumerate(basis):
+            lcm = _lcm(other[0], entry[0], lay)
+            heapq.heappush(queue, (key(lcm), k, len(basis), lcm))
+            pending.add((k, len(basis)))
+        basis.append(entry)
 
     for g in generators:
-        if not g.is_zero():
-            add_monic(g)
+        add(g)
     while queue:
         if cancel is not None and cancel():
             raise ComputationCancelled("Groebner basis computation cancelled")
         _, i, j, lcm = heapq.heappop(queue)
         pending.remove((i, j))
-        if lcm == _exp_add(leads[i], leads[j]):
+        if lcm == basis[i][0] + basis[j][0]:
             continue
-        if _chain_skip(i, j, lcm, leads, pending):
+        # Chain criterion: some third lead divides the lcm and both pairs
+        # with it were already treated.
+        lg = lcm | guards
+        if any(
+            (lg - entry[0]) & guards == guards
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, entry in enumerate(basis)
+            if k != i and k != j
+        ):
             continue
-        s = s_polynomial(basis[i], basis[j], order)
-        _, remainder = divide(s, basis, order)
-        if remainder.is_zero():
-            continue
-        add_monic(remainder)
-    return _interreduce(basis, leads, order)
+        remainder = _reduce(_spoly(basis[i], basis[j], lcm, lay), basis, lay)
+        if remainder:
+            add(remainder)
+            leads.append(basis[-1][0])
+            if stop_when_finite and _bounds(leads, lay) is not None:
+                return {lead: tail for lead, tail, *_ in basis}
+    # Interreduce the minimal basis: no other lead divides an element's
+    # lead, so reducing its tail by the others leaves it monic.
+    minimal: list[_Entry] = []
+    for entry in sorted(basis, key=lambda entry: key(entry[0])):
+        if not any(((entry[0] | guards) - other[0]) & guards == guards for other in minimal):
+            minimal.append(entry)
+    others = [minimal[:k] + minimal[k + 1 :] for k in range(len(minimal))]
+    return {lead: _reduce(dict(tail), rest, lay) for (lead, tail, *_), rest in zip(minimal, others)}
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced monic Groebner basis, its monomial order, and ``leads``:
-    the leading exponent of each element, in strictly increasing order."""
+    """A reduced monic Groebner basis, stored packed; ``basis`` and ``leads``
+    (in strictly increasing order) are unpacked on first use."""
 
     variables: tuple[str, ...]
     order: str
-    basis: tuple[Polynomial, ...]
-    leads: tuple[Exponent, ...]
+    _reduced: dict[int, dict[int, Fraction]] = field(hash=False)
+
+    @functools.cached_property
+    def basis(self) -> tuple[Polynomial, ...]:
+        lay = _layout(len(self.variables), self.order)
+        one = Fraction(1)
+        return tuple(_polynomial(self.variables, {m: one, **t}, lay) for m, t in self._reduced.items())
+
+    @functools.cached_property
+    def leads(self) -> tuple[Exponent, ...]:
+        return tuple(_unpack(lead, _layout(len(self.variables), self.order)) for lead in self._reduced)
 
 
 def groebner(
@@ -231,39 +305,24 @@ def groebner(
     """Return the reduced monic Groebner basis of ``ideal``."""
     if order not in (GREVLEX, LEX):
         raise ValueError(f"unknown monomial order {order!r}")
-    reduced = _buchberger(ideal.generators, order, cancel)
-    return GroebnerBasis(ideal.variables, order, tuple(reduced.values()), tuple(reduced))
+    lay = _layout(len(ideal.variables), order)
+    reduced = _buchberger([_packed(g, lay) for g in ideal.generators], lay, cancel)
+    return GroebnerBasis(ideal.variables, order, reduced)
 
 
-def _standard_monomials(basis: GroebnerBasis) -> Optional[list[Exponent]]:
-    """Exponents of the standard monomials of k[x]/I, or None if infinite.
-
-    They are the monomials divisible by no leading term, and they form
-    a basis of k[x]/I.  There are finitely many exactly when every
-    variable has a pure power among the leading terms; the finite case
-    is enumerated over the staircase box.
-    """
-    if not basis.basis:
+def _standard_monomials(basis: GroebnerBasis) -> Optional[list[int]]:
+    """Packed standard monomials of k[x]/I, divisible by no lead, or None
+    if infinite; the staircase box is enumerated in tuple order."""
+    lay = _layout(len(basis.variables), basis.order)
+    leads = list(basis._reduced)
+    bounds = _bounds(leads, lay) if leads else None
+    if bounds is None:
         return None
-    leads = basis.leads
-    if any(sum(e) == 0 for e in leads):
-        return []
-    nvars = len(basis.variables)
-    bounds = []
-    for i in range(nvars):
-        pure = [
-            e[i]
-            for e in leads
-            if e[i] > 0 and all(e[j] == 0 for j in range(nvars) if j != i)
-        ]
-        if not pure:
-            return None
-        bounds.append(min(pure))
-    return [
-        monomial
-        for monomial in itertools.product(*(range(b) for b in bounds))
-        if not any(_divides(lead, monomial) for lead in leads)
-    ]
+    monomials = [0]
+    for unit, bound in zip(lay.units, bounds):
+        monomials = [m + k * unit for m in monomials for k in range(bound)]
+    guards = lay.guards
+    return [m for m in monomials if not any(((m | guards) - lead) & guards == guards for lead in leads)]
 
 
 def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
@@ -276,33 +335,7 @@ def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
 # the tests' oracle and because perfbench/tracer.py wraps them.
 
 
-def _fresh_name(variables: tuple[str, ...]) -> str:
-    if "t" not in variables:
-        return "t"
-    k = 0
-    while f"t{k}" in variables:
-        k += 1
-    return f"t{k}"
-
-
-def _lift(p: Polynomial, extended: tuple[str, ...]) -> Polynomial:
-    return Polynomial._of_clean(extended, {(0,) + e: c for e, c in p.terms.items()})
-
-
-def _drop_first_variable(p: Polynomial, variables: tuple[str, ...]) -> Polynomial:
-    return Polynomial._of_clean(variables, {e[1:]: c for e, c in p.terms.items()})
-
-
-def _exact_quotient(f: Polynomial, g: Polynomial) -> Polynomial:
-    quotients, remainder = divide(f, [g], GREVLEX)
-    if not remainder.is_zero():
-        raise ArithmeticError("division was expected to be exact")
-    return quotients[0]
-
-
-def ideal_quotient(
-    ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None
-) -> PolyIdeal:
+def ideal_quotient(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None) -> PolyIdeal:
     """Return the ideal quotient I : (f).
 
     Computed from the intersection with (f): a tag variable t is
@@ -319,25 +352,28 @@ def ideal_quotient(
     nonzero = [g for g in ideal.generators if not g.is_zero()]
     if not nonzero:
         return ideal
-    tag = _fresh_name(ideal.variables)
+    tag = next(n for n in ("t", *map("t{}".format, range(len(ideal.variables)))) if n not in ideal.variables)
     extended = (tag,) + ideal.variables
     t = Polynomial.variable(extended, tag)
-    one = Polynomial.constant(extended, 1)
-    lifted = [t * _lift(g, extended) for g in nonzero]
-    lifted.append((one - t) * _lift(f, extended))
-    basis = _buchberger(lifted, _ELIM_FIRST, cancel)
-    eliminated = [g for lead, g in basis.items() if lead[0] == 0]
-    quotient_gens = [
-        _exact_quotient(_drop_first_variable(g, ideal.variables), f) for g in eliminated
-    ]
+    lift = [Polynomial._of_clean(extended, {(0, *e): c for e, c in g.terms.items()}) for g in (*nonzero, f)]
+    lifted = [t * g for g in lift[:-1]] + [lift[-1] - t * lift[-1]]
+    # t is the first variable, the top field of the elimination order.
+    lay = _layout(len(extended), _ELIM_FIRST)
+    basis = _buchberger([_packed(p, lay) for p in lifted], lay, cancel)
+    quotient_gens = []
+    for lead, tail in basis.items():
+        if not lead >> lay.shifts[0]:
+            g = {_unpack(m, lay)[1:]: c for m, c in {lead: Fraction(1), **tail}.items()}
+            quotients, remainder = divide(Polynomial._of_clean(ideal.variables, g), [f])
+            if not remainder.is_zero():
+                raise ArithmeticError("division was expected to be exact")
+            quotient_gens.append(quotients[0])
     if not quotient_gens:
         raise ArithmeticError("the intersection with a principal ideal came out empty")
     return PolyIdeal(quotient_gens)
 
 
-def saturate(
-    ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None
-) -> PolyIdeal:
+def saturate(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None) -> PolyIdeal:
     """Return the saturation I : (f)^infinity.
 
     Iterates the ideal quotient until the reduced Groebner basis stops
@@ -374,12 +410,8 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
     terms: dict[Exponent, Fraction] = {}
     for exp, coeff in F.terms.items():
         cut = exp[:idx] + exp[idx + 1 :]
-        acc = terms.get(cut, Fraction(0)) + coeff
-        if acc:
-            terms[cut] = acc
-        else:
-            terms.pop(cut, None)
-    return Polynomial._of_clean(remaining, terms)
+        terms[cut] = terms[cut] + coeff if cut in terms else coeff
+    return Polynomial._of_clean(remaining, {e: c for e, c in terms.items() if c})
 
 
 @dataclass(frozen=True)
@@ -396,100 +428,85 @@ class MilnorResult:
     off_curve_dim: int
 
 
-def _validate_chart(F: Polynomial, chart_index: int, cancel: Optional[CancelCallback]) -> None:
-    # The singular locus must avoid the removed hyperplane: the cone on
-    # (all partials, chart variable) has to be supported at the origin.
-    # Its quotient is that of the partials restricted to the hyperplane,
-    # a ring in one variable fewer; with no variable left it is k.
-    if len(F.variables) == 1:
+def _validate_chart(variables: tuple, f: dict, degree: int, cancel: Optional[CancelCallback]) -> None:
+    # The singular locus must avoid the removed hyperplane: the quotient by
+    # the partials of F restricted to it must be finite (k if no variable
+    # is left).  They are the partials of the part of the packed f of
+    # degree ``degree``, and the part of one degree less.
+    if not variables:
         return
-    remaining = F.variables[:chart_index] + F.variables[chart_index + 1 :]
-    gens = []
-    for i in range(len(F.variables)):
-        restricted = {
-            e[:chart_index] + e[chart_index + 1 :]: c
-            for e, c in F.derivative(i).terms.items()
-            if e[chart_index] == 0
-        }
-        gens.append(Polynomial._of_clean(remaining, restricted))
-    basis = groebner(PolyIdeal(gens), cancel=cancel)
-    if quotient_dim(basis) == math.inf:
+    lay = _layout(len(variables), GREVLEX)
+    top = {m: c for m, c in f.items() if m >> lay.degree_shift == degree}
+    gens = [
+        {m - u: c * (m >> s & _LIMIT) for m, c in top.items() if m >> s & _LIMIT}
+        for s, u in zip(lay.shifts, lay.units)
+    ]
+    gens.append({m: c for m, c in f.items() if m >> lay.degree_shift == degree - 1})
+    basis = _buchberger(gens, lay, cancel, stop_when_finite=True)
+    if quotient_dim(GroebnerBasis(variables, GREVLEX, basis)) == math.inf:
         raise SingularitiesOutsideChartError("singularities outside the chart")
 
 
-# A sparse matrix row: column index -> nonzero entry.
-Row = dict[int, Scalar]
+# A sparse matrix row: column index -> nonzero integer entry.
+Row = dict[int, int]
 
 
-def _combine(coefficients: Mapping, row_of: Callable) -> Row:
-    """Sum c * row_of(k) over the items k: c of ``coefficients``, dropping zero entries."""
+def _combine(coefficients: Mapping[int, int], den: int, form_of: Callable) -> tuple[Row, int]:
+    """Sum c * form_of(k) / den over ``coefficients``; a form, like the sum,
+    is (integer row, denominator), reduced by the gcd of both."""
+    forms = [(c, *form_of(k)) for k, c in coefficients.items()]
+    common = math.lcm(*[d for _, _, d in forms])
     acc: Row = {}
-    for k, c in coefficients.items():
-        for j, d in row_of(k).items():
-            acc[j] = acc.get(j, 0) + c * d
-    return {j: c for j, c in acc.items() if c}
+    for c, row, d in forms:
+        if d != common:
+            c *= common // d
+        for j, v in row.items():
+            acc[j] = acc.get(j, 0) + c * v
+    den *= common
+    g = math.gcd(den, *acc.values())
+    return {j: v // g for j, v in acc.items() if v}, den // g
 
 
-def _multiplication_rows(
-    f: Polynomial, basis: GroebnerBasis, monomials: list[Exponent]
-) -> list[Row]:
-    """Multiplication by ``f`` on k[x]/I in the standard-monomial basis.
-
-    Row j holds the coordinates of the normal form of f times the j-th
-    standard monomial, so the rows are the columns of the matrix M_f;
-    the transpose has the same ranks and its powers are transposes of
-    the powers of M_f.
-
-    No polynomial is divided; each normal form is built once, from the
-    reduced monic basis and from forms built before it, and stored.
-    Multiplication by x_i of a normal form needs only the forms of the
-    border: x_i times a standard monomial.  A standard monomial is its
-    own normal form, and a leading term lt(g) has the normal form
-    lt(g) - g, whose terms are standard.  Every other border monomial u
-    is x_i times a non-standard u / x_i, and its form is x_i times that
-    of u / x_i; border forms are built in increasing monomial order, so
-    each uses smaller ones (Faugere-Gianni-Lazard-Mora, J. Symb. Comp.
-    16, 1993).  Beyond the border, the form of u is x_i times that of
-    u / x_i for any variable x_i dividing u.  The first row is the sum
-    of c_e times the form of x^e over the terms of f, and the row of m
-    is x_i times the row of m / x_i.  Each of these sums of multiples
-    of stored rows is one ``_combine``.
+def _multiplication_rows(f: dict, basis: GroebnerBasis, monomials: list[int]) -> tuple[list[Row], int]:
+    """Multiplication by the packed ``f`` on k[x]/I in the standard basis,
+    as (rows of L * M_f, L).  Row j is the normal form of f times the
+    j-th standard monomial (a column of M_f), an integer row over its
+    reduced denominator, and L is the lcm of those.  Each form is built
+    once, without division (Faugere-Gianni-Lazard-Mora, J. Symb. Comp.
+    16, 1993): a standard monomial is its own form, a lead lt(g) has
+    lt(g) - g, and any other u is x_i times the form of u / x_i, taken
+    non-standard on the border, in increasing order.
     """
-    key = _order_key(basis.order)
+    lay = _layout(len(basis.variables), basis.order)
     index = {m: j for j, m in enumerate(monomials)}
-    nvars = len(basis.variables)
-    units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
-    forms: dict[Exponent, Row] = {m: {j: 1} for m, j in index.items()}
-    for lead, g in zip(basis.leads, basis.basis):
-        forms[lead] = {index[e]: -c for e, c in g.terms.items() if e != lead}
-
-    # up[i][j] is x_i times the j-th standard monomial.
-    up = [[_exp_add(m, unit) for m in monomials] for unit in units]
-
-    def times(i: int, form: Row) -> Row:
-        return _combine(form, lambda col: forms[up[i][col]])
-
-    border = {u for shifted in up for u in shifted} - index.keys()
-    for u in sorted(border - forms.keys(), key=key):
+    forms: dict[int, tuple[Row, int]] = {m: ({j: 1}, 1) for m, j in index.items()}
+    for lead, tail in basis._reduced.items():
+        den = math.lcm(*(c.denominator for c in tail.values()))
+        forms[lead] = ({index[e]: -c.numerator * (den // c.denominator) for e, c in tail.items()}, den)
+    # Per variable x_i: its field, x_i, and x_i times each standard monomial.
+    up = [(s, unit, [m + unit for m in monomials]) for s, unit in zip(lay.shifts, lay.units)]
+    for u in sorted({u for *_, up_i in up for u in up_i} - forms.keys(), key=lay.key):
         # A variable whose removal from u leaves a non-standard monomial.
-        i = next(i for i in range(nvars) if u[i] and _exp_sub(u, units[i]) not in index)
-        forms[u] = times(i, forms[_exp_sub(u, units[i])])
+        unit, up_i = next((unit, up_i) for s, unit, up_i in up if u >> s & _LIMIT and u - unit not in index)
+        forms[u] = _combine(*forms[u - unit], lambda col: forms[up_i[col]])
+    # From here on, x_i times a form needs only the forms of up[i].
+    steps = [(s, unit, [forms[u] for u in up_i].__getitem__) for s, unit, up_i in up]
 
-    def form_of(u: Exponent) -> Row:
+    def form_of(u: int) -> tuple[Row, int]:
         if u not in forms:
-            i = next(i for i in range(nvars) if u[i])
-            forms[u] = times(i, form_of(_exp_sub(u, units[i])))
+            unit, up_form = next((unit, up_form) for s, unit, up_form in steps if u >> s & _LIMIT)
+            forms[u] = _combine(*form_of(u - unit), up_form)
         return forms[u]
 
+    den = math.lcm(*[c.denominator for c in f.values()])
+    numerators = {m: c.numerator * (den // c.denominator) for m, c in f.items()}
     # The staircase is enumerated so that m / x_i comes before m.
-    rows: dict[Exponent, Row] = {}
+    rows: dict[int, tuple[Row, int]] = {}
     for m in monomials:
-        i = next((i for i in range(nvars) if m[i]), None)
-        if i is None:
-            rows[m] = _combine(f.terms, form_of)
-        else:
-            rows[m] = times(i, rows[_exp_sub(m, units[i])])
-    return list(rows.values())
+        step = next(((unit, up_form) for s, unit, up_form in steps if m >> s & _LIMIT), None)
+        rows[m] = _combine(*rows[m - step[0]], step[1]) if step else _combine(numerators, den, form_of)
+    scale = math.lcm(*[d for _, d in rows.values()])
+    return [{j: v * (scale // d) for j, v in row.items()} for row, d in rows.values()], scale
 
 
 def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
@@ -510,17 +527,20 @@ def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
         p = pivot[col]
         reduced = []
         for row in pending:
-            if col in row:
+            if col in row and len(pivot) == 1:
+                # The pivot spans its column alone: clearing it drops the entry.
+                row = {j: c for j, c in row.items() if j != col}
+            elif col in row:
                 a = row[col]
                 g = math.gcd(a, p)
                 row_factor, pivot_factor = p // g, a // g
-                row = {j: row_factor * c for j, c in row.items()}
+                row = {j: row_factor * c for j, c in row.items()} if row_factor != 1 else dict(row)
                 for j, c in pivot.items():
                     value = row.get(j, 0) - pivot_factor * c
                     if value:
                         row[j] = value
                     else:
-                        row.pop(j, None)
+                        del row[j]
                 content = math.gcd(*row.values())
                 if content > 1:
                     row = {j: c // content for j, c in row.items()}
@@ -532,20 +552,20 @@ def _rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
 
 
 def _stable_rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
-    """Rank at which the powers of a square matrix stop falling.
+    """Rank at which the powers of a square integer matrix stop falling.
 
     The rank of M^k does not increase with k, so once M^(2^i) and
     M^(2^(i+1)) have equal rank it is constant from 2^i on; squaring
     reaches that point in about log2 of the matrix size steps.  The
-    matrix is first scaled by one common denominator D, which is
-    integral and has powers D^k M^k of the same ranks.  Scaling row
-    by row would not do: it keeps the rank of M but not of its powers.
+    rows are those of L * M_f, for L the lcm of the denominators of
+    its normal forms: one common scaling, whose powers L^k M_f^k have
+    the ranks of M_f^k.  Scaling row by row would not do: it keeps the
+    rank of M_f but not of its powers.
     """
-    denominator = math.lcm(*(c.denominator for row in rows for c in row.values()))
-    rows = [{j: c.numerator * (denominator // c.denominator) for j, c in row.items()} for row in rows]
     rank = _rank(rows, cancel)
     while 0 < rank < len(rows):
-        rows = [_combine(row, rows.__getitem__) for row in rows]
+        forms = [(row, 1) for row in rows]
+        rows = [_combine(row, 1, forms.__getitem__)[0] for row in rows]
         previous, rank = rank, _rank(rows, cancel)
         if rank == previous:
             break
@@ -570,21 +590,25 @@ def total_milnor_number(
         raise ValueError("zero polynomial")
     if not F.is_homogeneous():
         raise ValueError("polynomial is not homogeneous")
-    if F.total_degree() < 1:
+    degree = F.total_degree()
+    if degree < 1:
         raise ValueError("polynomial degree must be at least 1")
     chart_index = _chart_index(F, chart)
     chart_name = F.variables[chart_index]
     f = dehomogenize(F, chart_index)
+    # F is homogeneous, so each term of f keeps the degree of F less
+    # the power of the chart variable: the restriction to the
+    # hyperplane is read from the degree field.
+    packed = _packed(f, _layout(len(f.variables), GREVLEX))
     if f.is_constant():
         # The hypersurface misses the chart entirely.
-        _validate_chart(F, chart_index, cancel)
+        _validate_chart(f.variables, packed, degree, cancel)
         return MilnorResult(0, chart_name, 0)
-    jacobian = jacobian_ideal(f)
-    jac_basis = groebner(jacobian, cancel=cancel)
+    jac_basis = groebner(jacobian_ideal(f), cancel=cancel)
     monomials = _standard_monomials(jac_basis)
     if monomials is None:
         raise NonIsolatedSingularitiesError("non-isolated singularities")
-    _validate_chart(F, chart_index, cancel)
-    rows = _multiplication_rows(f, jac_basis, monomials)
+    _validate_chart(f.variables, packed, degree, cancel)
+    rows, _ = _multiplication_rows(packed, jac_basis, monomials)
     off_curve_dim = _stable_rank(rows, cancel)
     return MilnorResult(len(monomials) - off_curve_dim, chart_name, off_curve_dim)

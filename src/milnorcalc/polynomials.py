@@ -41,10 +41,14 @@ class VariableMismatchError(ValueError):
     """Operands live over different variable lists."""
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if _is_int(value):
         return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
@@ -62,7 +66,9 @@ class Polynomial:
             coeff = _as_fraction(coeff)
             if coeff == 0:
                 continue
-            exp = tuple(int(e) for e in exp)
+            exp = tuple(exp)
+            if not all(map(_is_int, exp)):
+                raise TypeError(f"exponent {exp} has an entry that is not an integer")
             if len(exp) != nvars:
                 raise ValueError(f"exponent {exp} has wrong length for {nvars} variables")
             if any(e < 0 for e in exp):

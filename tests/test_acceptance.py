@@ -32,7 +32,6 @@ from milnorcalc.groebner import (
     divide,
     groebner,
     quotient_dim,
-    s_polynomial,
     saturate,
     total_milnor_number,
 )
@@ -44,6 +43,7 @@ from milnorcalc.scenes import (
     unit_function,
     upsets,
 )
+from test_groebner import s_polynomial
 
 P2 = AmbientSpace((2,))
 P3 = AmbientSpace((3,))

@@ -2,11 +2,13 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from milnorcalc.charclasses import fulton_johnson
+from milnorcalc import chow
+from milnorcalc.charclasses import build_report, canonical_json, fulton_johnson, report_to_jsonable
 from milnorcalc.chow import (
     AmbientSpace,
     ChowClass,
@@ -19,6 +21,7 @@ from milnorcalc.chow import (
     tangent_class,
     unit_inverse,
 )
+from milnorcalc.scenefile import load_scene
 
 P2 = AmbientSpace((2,))
 P3 = AmbientSpace((3,))
@@ -628,3 +631,17 @@ def test_tangent_classes_are_independent_copies():
 def test_hyperplane_rejects_a_factor_out_of_range(factor):
     with pytest.raises(ValueError, match="factor out of range"):
         hyperplane(P2xP1, factor)
+
+
+def test_key_strings_are_built_only_for_emitted_ambients():
+    # A report emits classes of its scene's ambient, never of the product
+    # ambients X x P^m of its checks, so those layouts keep no key strings.
+    chow._layout.cache_clear()
+    scene, mu = load_scene(str(Path(__file__).resolve().parent.parent / "scenes" / "nodal-cubic.json"))
+    text = canonical_json(report_to_jsonable(build_report(scene, mu, m_values=(1, 2, 3))))
+    assert '"2": ' in text
+    assert chow._layout(scene.ambient.factors).keys
+    for m in (1, 2, 3):
+        assert chow._layout(scene.ambient.extended(m).factors).keys == {}
+    assert ChowClass(P2xP1, {(1, 1): 3}).keyed_terms() == [("1,1", 3)]
+    assert list(chow._layout((2, 1)).keys.values()) == sorted(",".join(map(str, e)) for e in P2xP1.box())

@@ -432,6 +432,12 @@ class TestMilnor:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_degree_beyond_the_engine_exits_2(self, capsys):
+        # Packed monomials hold exponents and degrees up to 32,767.
+        code, out, err = run(capsys, "milnor", "--poly", "x^40000 + z^40000", "--vars", "x,z", "--chart", "z")
+        assert (code, out) == (2, "")
+        assert err == "error: exponents and degrees above 32767 are beyond the Groebner engine\n"
+
     def test_parentheses_are_named(self, capsys):
         code, _, err = run(
             capsys, "milnor", "--poly", "(y^2*z - x^3)*(y - z)", "--vars", "x,y,z", "--chart", "z"

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import pathlib
+import re
 
 import pytest
 
@@ -115,6 +116,22 @@ def test_milnor_cases_reach_every_parser_message():
     for message in PARSER_MESSAGES:
         assert any(message in error for error in errors), message
     assert "error: parentheses are not supported: expand products first (at position 4)\n" in errors
+
+
+def test_milnor_cases_cover_the_groebner_engine():
+    compare = load_compare()
+    cases = compare.MILNOR_CASES
+    argvs = compare.invocations(["a.json"])
+    for poly, variables, chart in cases:
+        assert ["--json", "milnor", "--poly", poly, "--vars", variables, "--chart", chart] in argvs
+    # P^5: six variables, the widest layout.
+    assert any(len(variables.split(",")) == 6 for _, variables, _ in cases)
+    # A validation whose pure powers appear only after an S-pair.
+    assert ("3*x^2*y + y^3 + z^3", "x,y,z", "z") in cases
+    # A single exponent of 60 or more, and a coefficient of 20 to 99
+    # digits, short of the int-string limit.
+    assert any(int(e) >= 60 for poly, _, _ in cases for e in re.findall(r"\^(\d+)", poly))
+    assert any(20 <= len(digits) < 100 for poly, _, _ in cases for digits in re.findall(r"\d+", poly))
 
 
 def test_invalid_scenes_are_written_and_listed(tmp_path):

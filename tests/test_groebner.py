@@ -23,7 +23,6 @@ from milnorcalc.groebner import (
     groebner,
     ideal_quotient,
     quotient_dim,
-    s_polynomial,
     saturate,
     total_milnor_number,
 )
@@ -42,6 +41,27 @@ def P(text, variables=XY):
 
 def ideal(*texts, variables=XY):
     return PolyIdeal(tuple(P(t, variables) for t in texts))
+
+
+def order_key(order):
+    """The monomial order on exponent tuples: a larger key is a larger monomial."""
+    if order == LEX:
+        return lambda e: e
+    if order == GREVLEX:
+        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
+    return lambda e: (e[0], sum(e[1:]), tuple(-x for x in reversed(e[1:])))
+
+
+def s_polynomial(f, g, order):
+    """The S-polynomial of f and g by Polynomial arithmetic, independent of the engine."""
+    key = order_key(order)
+    ef, eg = max(f.terms, key=key), max(g.terms, key=key)
+    lcm = tuple(map(max, ef, eg))
+
+    def shifted(p, e):
+        return p * Polynomial(p.variables, {tuple(a - b for a, b in zip(lcm, e)): 1 / p.terms[e]})
+
+    return shifted(f, ef) - shifted(g, eg)
 
 
 def basis_strings(gb):
@@ -118,6 +138,12 @@ class TestBuchberger:
         with pytest.raises(ComputationCancelled):
             groebner(ideal("x^2 - y", "y^2 - x"), cancel=lambda: True)
 
+    def test_equal_bases_compare_and_hash_equal(self):
+        first = groebner(ideal("x^2 - y", "y^2 - x"))
+        second = groebner(ideal("y^2 - x", "x^2 - y", "x^4 - x"))
+        assert first == second and hash(first) == hash(second)
+        assert first != groebner(ideal("x^2 - y"))
+
     def test_basis_is_interreduced(self):
         gb = groebner(ideal("x^2 - y", "y^2 - x"))
         leads = gb.leads
@@ -191,8 +217,10 @@ class TestSPolynomial:
     def test_cancels_leading_terms(self):
         f = P("x^2 + y")
         g = P("x*y + 1")
-        s = s_polynomial(f, g, GREVLEX)
-        assert s == P("y^2 - x")
+        lay = groebner_module._layout(2, GREVLEX)
+        a, b = (groebner_module._entry(groebner_module._packed(p, lay), lay) for p in (f, g))
+        s = groebner_module._spoly(a, b, groebner_module._lcm(a[0], b[0], lay), lay)
+        assert groebner_module._polynomial(XY, s, lay) == P("y^2 - x") == s_polynomial(f, g, GREVLEX)
 
 
 class TestMilnorNumbers:
@@ -372,15 +400,26 @@ def zero_dimensional_ideals(draw):
     return f, basis
 
 
+def packed_rows(f, basis):
+    """``_multiplication_rows`` on exponent tuples: the standard
+    monomials, the rows of M_f as exact fractions, and the scale L."""
+    lay = groebner_module._layout(len(basis.variables), basis.order)
+    monomials = groebner_module._standard_monomials(basis)
+    rows, scale = groebner_module._multiplication_rows(groebner_module._packed(f, lay), basis, monomials)
+    exact = [{j: Fraction(v, scale) for j, v in row.items()} for row in rows]
+    return [groebner_module._unpack(m, lay) for m in monomials], exact, scale
+
+
 class TestMultiplicationRows:
     @settings(max_examples=60, deadline=None)
     @given(zero_dimensional_ideals())
     def test_rows_match_division(self, case):
         f, basis = case
-        monomials = groebner_module._standard_monomials(basis)
-        assert groebner_module._multiplication_rows(f, basis, monomials) == rows_by_division(
-            f, basis, monomials
-        )
+        monomials, rows, scale = packed_rows(f, basis)
+        expected = rows_by_division(f, basis, monomials)
+        assert rows == expected
+        # L is the lcm of the reduced denominators of M_f, not a larger multiple.
+        assert scale == math.lcm(*(c.denominator for row in expected for c in row.values()))
 
     def test_terms_beyond_the_border(self):
         # The staircase of (x^2 - y, y^2 - x) is 1, y, x, xy and its
@@ -388,12 +427,10 @@ class TestMultiplicationRows:
         # more steps beyond the border, where forms come from forms of
         # smaller monomials, not from the border rule.
         basis = groebner(ideal("x^2 - y", "y^2 - x"))
-        monomials = groebner_module._standard_monomials(basis)
-        assert monomials == [(0, 0), (0, 1), (1, 0), (1, 1)]
         f = P("x^5 + 2*x^2*y^3 - 3*x*y + 1")
-        assert groebner_module._multiplication_rows(f, basis, monomials) == rows_by_division(
-            f, basis, monomials
-        )
+        monomials, rows, _ = packed_rows(f, basis)
+        assert monomials == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert rows == rows_by_division(f, basis, monomials)
 
     def test_rows_divide_nothing(self, monkeypatch):
         calls = []
@@ -406,9 +443,8 @@ class TestMultiplicationRows:
         F = P(FOUR_NODAL_QUARTIC, XYZ)
         f = dehomogenize(F, "z")
         basis = groebner(jacobian_ideal(f))
-        monomials = groebner_module._standard_monomials(basis)
         monkeypatch.setattr(groebner_module, "divide", counted)
-        rows = groebner_module._multiplication_rows(f, basis, monomials)
+        monomials, rows, _ = packed_rows(f, basis)
         assert calls == []
         assert len(rows) == len(monomials) == 9
 
@@ -431,11 +467,20 @@ def rank_cases(draw):
 
 class TestIntegerRank:
     def test_stable_rank_scales_by_one_denominator(self):
-        # M = [[1, 1/2], [-2, -1]] squares to 0.  Clearing each row's
-        # denominator on its own gives [[2, 1], [-2, -1]], whose square
-        # is itself, so only a common scaling keeps the answer 0.
-        rows = [{0: Fraction(1), 1: Fraction(1, 2)}, {0: Fraction(-2), 1: Fraction(-1)}]
-        assert groebner_module._stable_rank(rows, None) == 0
+        # On Q[x, y]/((2x - 1)^2, y), with standard monomials 1, x,
+        # multiplication by f = x - 1/2 has the rows [-1/2, 1] and
+        # [-1/4, 1/2], and it squares to 0.  One common scaling by
+        # L = 4 keeps the answer 0; clearing each row's denominator on
+        # its own gives [-1, 2] twice, whose square is itself.
+        basis = groebner(ideal("4*x^2 - 4*x + 1", "y"))
+        monomials, rows, scale = packed_rows(P("x - 1/2"), basis)
+        assert monomials == [(0, 0), (1, 0)]
+        assert rows == [{0: Fraction(-1, 2), 1: 1}, {0: Fraction(-1, 4), 1: Fraction(1, 2)}]
+        assert scale == 4
+        scaled = [{j: int(c * scale) for j, c in row.items()} for row in rows]
+        assert groebner_module._stable_rank(scaled, None) == 0
+        by_row = [{0: -1, 1: 2}, {0: -1, 1: 2}]
+        assert groebner_module._stable_rank(by_row, None) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(rank_cases())
@@ -546,3 +591,122 @@ def test_generators_reduce_to_zero(gens):
     gb = groebner(PolyIdeal(tuple(gens)))
     for g in gens:
         assert remainder_mod(g, gb).is_zero()
+
+
+LIMIT = groebner_module._LIMIT
+ORDERS = (GREVLEX, LEX, groebner_module._ELIM_FIRST)
+
+
+@st.composite
+def exponents(draw, nvars, total=None):
+    """An exponent tuple of total degree at most the field limit, often at it."""
+    if total is None:
+        total = draw(st.one_of(st.integers(0, 8), st.integers(0, LIMIT), st.just(LIMIT)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=nvars - 1, max_size=nvars - 1)))
+    parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+    return tuple(draw(st.permutations(parts)))
+
+
+@st.composite
+def packed_cases(draw):
+    nvars = draw(st.integers(1, 6))
+    order = draw(st.sampled_from(ORDERS))
+    return order, draw(exponents(nvars)), draw(exponents(nvars))
+
+
+class TestPackedMonomials:
+    """The packed layouts against the tuple operations they replace."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(packed_cases())
+    def test_layout_matches_tuple_oracle(self, case):
+        order, a, b = case
+        lay = groebner_module._layout(len(a), order)
+        pa, pb = groebner_module._pack(a, lay), groebner_module._pack(b, lay)
+        assert groebner_module._unpack(pa, lay) == a
+        key = order_key(order)
+        assert (lay.key(pa) < lay.key(pb)) == (key(a) < key(b))
+        assert (pa == pb) == (a == b)
+        divides = all(x <= y for x, y in zip(a, b))
+        assert (((pb | lay.guards) - pa) & lay.guards == lay.guards) == divides
+        if divides:
+            assert pb - pa == groebner_module._pack(tuple(y - x for x, y in zip(a, b)), lay)
+        product = tuple(x + y for x, y in zip(a, b))
+        if sum(product) <= LIMIT:
+            assert pa + pb == groebner_module._pack(product, lay)
+        lcm = tuple(map(max, a, b))
+        if sum(lcm) <= LIMIT:
+            assert groebner_module._lcm(pa, pb, lay) == groebner_module._pack(lcm, lay)
+        else:
+            with pytest.raises(ValueError, match="beyond the Groebner engine"):
+                groebner_module._lcm(pa, pb, lay)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_past_the_limit_raises(self, order):
+        lay = groebner_module._layout(3, order)
+        for exp in [(LIMIT + 1, 0, 0), (0, 0, LIMIT + 1), (LIMIT, 1, 0), (1, LIMIT // 2 + 1, LIMIT // 2)]:
+            with pytest.raises(ValueError, match="beyond the Groebner engine"):
+                groebner_module._pack(exp, lay)
+
+    def test_high_exponents_at_the_limit(self):
+        f = Polynomial(XY, {(LIMIT - 1, 0): 1, (0, 1): -1})
+        assert quotient_dim(groebner(PolyIdeal([f, P("y")]))) == LIMIT - 1
+        # The pair of leads x^LIMIT and y has an lcm of degree LIMIT + 1.
+        for exp in [(LIMIT + 1, 0), (LIMIT, 0)]:
+            with pytest.raises(ValueError, match="beyond the Groebner engine"):
+                groebner(PolyIdeal([Polynomial(XY, {exp: 1}), P("y")]))
+
+    def test_overflow_during_reduction_raises(self):
+        # Lex reduction raises degrees: x^2 reduces to y^(2 LIMIT) by
+        # x - y^LIMIT, which no field can hold.  It must not wrap.
+        gens = [Polynomial(XY, {(1, 0): 1, (0, LIMIT): -1}), P("x^2")]
+        with pytest.raises(ValueError, match="beyond the Groebner engine"):
+            groebner(PolyIdeal(gens), order=LEX)
+
+    def test_elimination_order_matches_saturation(self):
+        # The elimination order runs through the same engine.
+        assert basis_strings(groebner(ideal_quotient(ideal("x^2*y", "x*y^2"), P("x*y")))) == {"x", "y"}
+
+
+def restricted_partials(text, chart):
+    """The packed partials of F restricted to the chart's hyperplane, as
+    ``_validate_chart`` builds them, and their layout."""
+    F = P(text, XYZ)
+    f = dehomogenize(F, chart)
+    lay = groebner_module._layout(len(f.variables), GREVLEX)
+    return f.variables, groebner_module._packed(f, lay), F.total_degree(), lay
+
+
+class TestValidationStop:
+    def spy(self, monkeypatch):
+        calls = []
+        spoly = groebner_module._spoly
+        monkeypatch.setattr(groebner_module, "_spoly", lambda *args: calls.append(args) or spoly(*args))
+        return calls
+
+    def test_stops_on_the_generators_of_a_diagonal_input(self, monkeypatch):
+        # The milnor family: the restricted partials are b_i x_i^(d-1).
+        calls = self.spy(monkeypatch)
+        variables, f, degree, lay = restricted_partials("2*z*x^2 + 3*x^3 + 5*z*y^2 + 7*y^3", "z")
+        groebner_module._validate_chart(variables, f, degree, None)
+        gens = [{m - lay.units[i]: c for m, c in f.items() if m >> lay.shifts[i] & LIMIT} for i in range(2)]
+        assert groebner_module._buchberger(gens, lay, None, stop_when_finite=True) == dict(
+            (max(g, key=lay.key), g) for g in gens
+        )
+        assert calls == []
+
+    def test_non_diagonal_input_needs_s_pairs(self, monkeypatch):
+        # On z = 0 the partials of 3x^2 y + y^3 + z^3 are 6xy and
+        # 3x^2 + 3y^2: the leads xy and x^2 hold no power of y until the
+        # S-pair gives y^3.
+        calls = self.spy(monkeypatch)
+        variables, f, degree, lay = restricted_partials("3*x^2*y + y^3 + z^3", "z")
+        groebner_module._validate_chart(variables, f, degree, None)
+        assert len(calls) >= 1
+        assert total_milnor_number(P("3*x^2*y + y^3 + z^3", XYZ), "z").total_milnor == 0
+
+    def test_infinite_quotient_still_exits(self, monkeypatch):
+        # The cusp of y^2 z - x^3 lies on y = 0: only x has a pure power.
+        variables, f, degree, _ = restricted_partials("y^2*z - x^3", "y")
+        with pytest.raises(SingularitiesOutsideChartError):
+            groebner_module._validate_chart(variables, f, degree, None)

@@ -232,6 +232,25 @@ class TestArithmetic:
         assert hash(P("x + y")) == hash(P("y + x"))
 
 
+class TestConstructorTypes:
+    """Entries are exact integers and coefficients exact rationals: nothing
+    is coerced, as in ``ChowClass`` and ``AmbientSpace``."""
+
+    @pytest.mark.parametrize("exp", [(1.7, 0), ("2", 0), (True, 0), (0, False)])
+    def test_exponent_entries_must_be_ints(self, exp):
+        with pytest.raises(TypeError, match="not an integer"):
+            Polynomial(XY, {exp: 1})
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_coefficient_rejected(self, value):
+        with pytest.raises(TypeError, match="exact rationals, got bool"):
+            Polynomial(XY, {(1, 0): value})
+
+    def test_ints_and_fractions_accepted(self):
+        f = Polynomial(XY, {(1, 0): 2, (0, 3): Fraction(1, 2), (0, 0): 0})
+        assert f.terms == {(1, 0): 2, (0, 3): Fraction(1, 2)}
+
+
 class TestPrinter:
     def test_descending_degree_order(self):
         assert str(P("y + x^2")) == "x^2 + y"
