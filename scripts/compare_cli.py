@@ -12,8 +12,9 @@ list holds:
   ``--quiet check`` at m = 1, 2, 3 on the scenes in ``scenes/``, on
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
   on two polynomial scenes with two multidegrees, on seven smooth
-  scenes at the edges of the packed exponent layout of ``milnorcalc.chow``
-  and on eleven scenes that exit 2;
+  scenes whose box shapes exercise both kinds of slice list in
+  ``milnorcalc.chow``, on a stratified scene with user mu on a product
+  ambient and on eleven scenes that exit 2;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
   parser), a node in P^5, a chart validation that needs an S-pair, high
@@ -144,11 +145,10 @@ TWO_DEGREE_CONIC = {
     "strata": [{"id": "a", "dim": 0, "chi_c": 2, "closure_chi": 2}],
 }
 
-# Smooth scenes at the edges of the packed exponent layout: factors of
-# dimension 0, 1, 7 and 8, whose bit fields differ in width, five
-# factors, a last factor of the narrowest and of the widest field, next
-# to which the product factor P^m is added, and a complete intersection
-# on a product, whose Fulton-Johnson class divides twice.
+# Smooth scenes whose boxes differ in shape: factors of dimension 0, 1, 7
+# and 8, five factors, a last factor of dimension 0 and of dimension 8,
+# next to which the product factor P^m is added, and a complete
+# intersection on a product, whose Fulton-Johnson class divides twice.
 EDGE_SCENES = {
     "smooth-8-1": {"ambient": [8, 1], "degrees": [[2, 3]], "smooth": True},
     "smooth-0-3": {"ambient": [0, 3], "degrees": [[1, 4]], "smooth": True},
@@ -157,6 +157,25 @@ EDGE_SCENES = {
     "smooth-2-0": {"ambient": [2, 0], "degrees": [[3, 1]], "smooth": True},
     "smooth-1-8": {"ambient": [1, 8], "degrees": [[2, 3]], "smooth": True},
     "complete-intersection-3-2": {"ambient": [3, 2], "degrees": [[1, 2], [2, 1]], "smooth": True},
+}
+
+# User mu on a product ambient: a (2,0,1) surface in P^2 x P^0 x P^1
+# with a curve stratum, whose closure is a line with its csm class, and a
+# point on it.  Mu is nonzero on both, so the report has a nonzero Milnor
+# class, localization and the lci accumulation on Y x P^m; the chi_c
+# values make euler_strata pass.
+PRODUCT_STRATA_SCENE = {
+    "ambient": [2, 0, 1],
+    "degrees": [[2, 0, 1]],
+    "strata": [
+        {"id": "smooth_part", "dim": 2, "chi_c": 2, "closure_chi": 4},
+        {
+            "id": "curve", "dim": 1, "chi_c": 1, "closure_chi": 2,
+            "csm": {"1,0,1": 1, "2,0,1": 2}, "parents": ["smooth_part"],
+        },
+        {"id": "point", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["curve"]},
+    ],
+    "mu": {"curve": -1, "point": 2},
 }
 
 # Scenes that exit 2: a malformed polynomial, whose message goes through
@@ -210,8 +229,8 @@ def load_workloads(root: Path):
 
 def scene_paths(root: Path, outdir: Path) -> list[str]:
     """The corpus, one seeded pass of each generated workload, the
-    two-multidegree conics, the layout-edge scenes and the invalid
-    scenes, written under ``outdir`` where needed."""
+    two-multidegree conics, the box-shape scenes, the stratified product
+    scene and the invalid scenes, written under ``outdir`` where needed."""
     workloads = load_workloads(root)
     paths = [str(path) for path in sorted((root / "scenes").glob("*.json"))]
     generators = {"milnor": workloads.milnor_requests, "chow": workloads.chow_requests}
@@ -221,7 +240,8 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
         paths.extend(request.scene for request in requests + [warmup])
     bare = {k: v for k, v in TWO_DEGREE_CONIC.items() if k != "strata"}
     written = {
-        "two-degree-conic": TWO_DEGREE_CONIC, "two-degree-conic-bare": bare, **EDGE_SCENES, **INVALID_SCENES
+        "two-degree-conic": TWO_DEGREE_CONIC, "two-degree-conic-bare": bare, **EDGE_SCENES,
+        "strata-2-0-1": PRODUCT_STRATA_SCENE, **INVALID_SCENES,
     }
     for name, data in written.items():
         path = outdir / f"{name}.json"

@@ -9,14 +9,16 @@ M = c_*(mu) / (1+dH) with mu the vanishing-cycle function, and the CSM
 class is their difference c_*(X) = c^FJ(X) - M.  With this sign an
 isolated singular point p contributes (-1)^{dim Y - 1} mu_p times the
 point class to M.  Division by the unit 1+dH is an exact solve, one
-monomial at a time in box order (``ChowClass.__truediv__``); the inverse
-(1+dH)^{-1} is never formed.
+box position at a time through the predecessor tables of the terms of
+1+dH (``ChowClass.__truediv__``); the inverse (1+dH)^{-1} is never
+formed.  Reports are written by ``canonical_json``, byte for byte as
+``json.dumps(..., sort_keys=True, indent=2)`` writes them.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
 
 from .chow import (
@@ -30,6 +32,7 @@ from .chow import (
     tangent_class,
 )
 from .groebner import CancelCallback, MilnorResult, total_milnor_number
+from .polynomials import decimal_text
 from .scenes import (
     SINGULAR_STRATUM,
     SMOOTH_STRATUM,
@@ -382,7 +385,8 @@ def build_report(
 
 # JSON serialization.  Keys are sorted and integers that do not fit in
 # 64 bits are rendered as decimal strings, so emitted reports reload
-# and re-serialize byte for byte.
+# and re-serialize byte for byte.  Every integer is written through
+# ``decimal_text``, which names an integer too long to write.
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -392,7 +396,7 @@ def json_int(value: int):
     """The JSON form of an integer: itself within 64 bits, else its decimal string."""
     if _INT64_MIN <= value <= _INT64_MAX:
         return value
-    return str(value)
+    return decimal_text(value)
 
 
 def chow_to_jsonable(x: ChowClass) -> dict:
@@ -432,6 +436,40 @@ def report_to_jsonable(report: ClassReport) -> dict:
     return data
 
 
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+
+    ``newline`` is the line break and indentation of the value's own
+    level.  Only str, int, bool, None, and dicts with str keys and lists
+    of these are written; anything else, a float too, is a TypeError.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return decimal_text(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is not dict and kind is not list:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is list:
+        return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
+    if set(map(type, value)) != {str}:
+        raise TypeError("JSON object keys must be strings")
+    items = sorted(value.items())
+    # The dict of a class holds only ints: written without a recursive call per entry.
+    if set(map(type, value.values())) == {int}:
+        lines = [f"{encode_basestring_ascii(k)}: {decimal_text(v)}" for k, v in items]
+    else:
+        lines = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in items]
+    return "{" + inner + ("," + inner).join(lines) + newline + "}"
+
+
 def canonical_json(data) -> str:
     """Serialize with sorted keys; reloading and re-dumping is stable."""
-    return json.dumps(data, sort_keys=True, indent=2)
+    return _json_text(data, "\n")

@@ -7,27 +7,22 @@ the class H^a cap [ambient]; truncation is applied eagerly, so stored
 exponents always satisfy 0 <= a_i <= n_i.  Coefficients are plain
 Python integers and therefore exact at any size.
 
-A class stores its terms on packed exponents: one int per exponent,
-with one bit field per factor and the first factor in the top field.
-The field of a factor of dimension n has b = n.bit_length() value bits
-and one guard bit above them, so n < 2^b.  Two things must hold:
-
-- a sum of two box exponents (at most 2n < 2^(b+1) per field) and the
-  sum a + (2^b - 1 - n) + c that tests a + c > n stay inside their
-  fields, so packed addition never carries from one factor into the next;
-- packed order equals box order, because the first factor is the most
-  significant field.
-
-Exponent tuples appear only at the public boundary: the ``ChowClass``
-constructor packs them, ``ChowClass.coefficients`` and ``__str__``
-unpack them, and ``graded_piece`` reads degrees from the unpack map.
-Adding or forgetting a factor moves the fields above its own by the
-width of its field.  The layout of an ambient, built once from
-``AmbientSpace.box()``, holds the pack and unpack maps, the shift of
-each field, the guard and overflow masks, the ``"a,b,c"`` key string of
-each exponent in key order (built when a class of the ambient is first
-emitted, which product ambients never are), and the terms of the
-tangent class.
+A class stores all N = prod (n_i + 1) coefficients of its box as one
+tuple, zeros included, in box order: H^e sits at index sum e_i s_i for
+the strides s_i = prod_{j > i} (n_j + 1).  Sums and scalings are one
+``map``; inserting or forgetting a factor copies slices (one extended
+slice for the last factor).  The entries with e_i < p form runs of
+p s_i every (n_i + 1) s_i, which one list of slice assignments per
+(factor, power) zeroes: runs or extended slices, whichever is shorter.
+The predecessor table of a term H^f, built from these lists, holds
+t - f + 1 at each index t whose monomial H^f divides, else 0, and is
+read on a vector with a leading zero.  A product reads the other operand
+through the tables of the terms of the operand with fewer nonzero
+entries, four terms per pass; ``x / u`` solves
+y_t = x_t - sum_f u_f y_(t - f) in box order.  The layout of an ambient
+holds the slice lists, the tables of up to ``_TABLES_KEPT`` term tuples,
+the ``"a,b,c"`` key strings (built when a class of the ambient is first
+emitted, which product ambients never are) and the tangent class.
 """
 
 from __future__ import annotations
@@ -36,6 +31,8 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .polynomials import _is_int, render_terms
@@ -73,60 +70,77 @@ class AmbientSpace:
 
     def letters(self) -> tuple[str, ...]:
         k = len(self.factors)
-        if k == 1:
-            return ("H",)
-        if k == 2:
-            return ("H", "K")
-        return tuple(f"H{i + 1}" for i in range(k))
+        return ("H",) if k == 1 else ("H", "K") if k == 2 else tuple(f"H{i + 1}" for i in range(k))
 
     def box(self) -> Iterable[Exponent]:
         """Iterate over all monomial exponents of the truncated ring."""
         return itertools.product(*(range(n + 1) for n in self.factors))
 
 
-# Packed layouts kept at once, so that a process meeting many ambients
-# holds a bounded number.  A report meets its ambient and one product
-# ambient per m; a run of reports that cycles through more ambients
-# than this rebuilds a layout on every product.
+# Layouts kept at once, so that a process meeting many ambients holds a
+# bounded number.  A report meets its ambient and one product ambient
+# per m; a run of reports that cycles through more ambients than this
+# rebuilds a layout on every product.
 _LAYOUT_CACHE_SIZE = 32
+# Lists of predecessor tables kept per layout, one per tuple of term
+# indices read: a report reads three or fewer per ambient at m <= 3.
+_TABLES_KEPT = 64
 
 
 class _Layout(NamedTuple):
-    """The packed exponents of one ambient and what classes read from them."""
+    """The box positions of one ambient and what classes read from them."""
 
-    # Both maps in box order.
-    pack: dict[Exponent, int]
-    unpack: dict[int, Exponent]
-    # The lowest bit of each factor's field.
-    shifts: tuple[int, ...]
-    # Per field, 2^b - 1 - n and the guard bit 2^b: see the module docstring.
-    over: int
-    guard: int
-    # The "a,b,c" key string of each exponent, in key order; empty until emitted.
-    keys: dict[int, str]
-    # prod (1+H_i)^(n_i+1), in box order; copied into each tangent class.
-    tangent: dict[int, int]
+    size: int
+    strides: tuple[int, ...]
+    # clears[i][p] zeroes the entries with e_i < p; e_i of index t is t // s_i % (n_i + 1).
+    clears: tuple[tuple[tuple[list[slice], tuple[int, ...]], ...], ...]
+    grades: tuple[int, ...]  # total degree of each index
+    tables: dict[tuple[int, ...], list[tuple[int, ...]]]  # predecessor tables by term-index tuple
+    keys: dict[int, str]  # the "a,b,c" key of each index, in key order; empty until emitted
+    tangent: tuple[int, ...]  # prod (1+H_i)^(n_i+1), shared by every tangent class
+
+
+def _runs_below(size: int, stride: int, n: int, p: int) -> tuple[list[slice], tuple[int, ...]]:
+    run, period = p * stride, (n + 1) * stride
+    if size // period <= run:
+        return [slice(q, q + run) for q in range(0, size, period)], (0,) * run
+    return [slice(r, None, period) for r in range(run)], (0,) * (size // period)
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(factors: tuple[int, ...]) -> _Layout:
-    shifts = []
-    over = guard = shift = 0
-    for n in reversed(factors):
-        bits = n.bit_length()
-        shifts.append(shift)
-        over |= ((1 << bits) - 1 - n) << shift
-        guard |= 1 << (shift + bits)
-        shift += bits + 1
-    shifts.reverse()
-    pack = {e: sum(a << s for a, s in zip(e, shifts)) for e in AmbientSpace(factors).box()}
-    unpack = {p: e for e, p in pack.items()}
-    # The coefficient of H^e is prod C(n_i+1, e_i), one binomial row per factor.
-    tangent = {0: 1}
-    for n, s in zip(factors, shifts):
-        row = [(k << s, math.comb(n + 1, k)) for k in range(n + 1)]
-        tangent = {p + q: c * b for p, c in tangent.items() for q, b in row}
-    return _Layout(pack, unpack, tuple(shifts), over, guard, {}, tangent)
+    strides = [math.prod(n + 1 for n in factors[i + 1 :]) for i in range(len(factors))]
+    size = math.prod(n + 1 for n in factors)
+    clears = tuple(tuple(_runs_below(size, s, n, p) for p in range(n + 1)) for s, n in zip(strides, factors))
+    # The coefficient of H^e in the tangent class is prod C(n_i+1, e_i).
+    grades, tangent = [0], [1]
+    for n in factors:
+        grades = [g + a for g in grades for a in range(n + 1)]
+        tangent = [c * math.comb(n + 1, a) for c in tangent for a in range(n + 1)]
+    return _Layout(size, tuple(strides), clears, tuple(grades), {}, {}, tuple(tangent))
+
+
+def _zero_below(values: list, layout: _Layout, f: int) -> None:
+    """Zero the entries at every H^e that H^f (index ``f``) does not divide."""
+    for stride, clears in zip(layout.strides, layout.clears):
+        slices, zeros = clears[f // stride % len(clears)]
+        for piece in slices:
+            values[piece] = zeros
+
+
+def _tables(layout: _Layout, terms: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The predecessor tables of the term indices ``terms``; fewer than four
+    are padded with tables of zeros, which read the leading zero."""
+    tables = layout.tables.get(terms)
+    if tables is None:
+        tables = [(0,) * layout.size] * (4 - len(terms))
+        for f in reversed(terms):
+            values = list(range(1 - f, layout.size + 1 - f))
+            _zero_below(values, layout, f)
+            tables.insert(0, tuple(values))
+        if len(layout.tables) < _TABLES_KEPT:
+            layout.tables[terms] = tables
+    return tables
 
 
 class ChowClass:
@@ -135,10 +149,9 @@ class ChowClass:
     __slots__ = ("ambient", "_terms")
 
     def __init__(self, ambient: AmbientSpace, coefficients: Mapping[Exponent, int] = ()):
-        self.ambient = ambient
-        box = ambient.factors
-        pack = _layout(box).pack
-        terms: dict[int, int] = {}
+        self.ambient, box = ambient, ambient.factors
+        layout = _layout(box)
+        terms = [0] * layout.size
         for exp, value in dict(coefficients).items():
             exp = tuple(exp)
             if not all(map(_is_int, exp)):
@@ -149,16 +162,13 @@ class ChowClass:
                 raise ValueError(f"negative exponent in {exp}")
             if not _is_int(value):
                 raise TypeError("coefficients must be integers")
-            if value == 0:
-                continue
-            if any(e > n for e, n in zip(exp, box)):
-                continue
-            terms[pack[exp]] = value
-        self._terms = terms
+            if all(e <= n for e, n in zip(exp, box)):
+                terms[sum(map(mul, exp, layout.strides))] = value
+        self._terms = tuple(terms)
 
     @classmethod
-    def _of_terms(cls, ambient: AmbientSpace, terms: dict[int, int]) -> "ChowClass":
-        """Wrap packed terms that are already clean, without validating them."""
+    def _of_terms(cls, ambient: AmbientSpace, terms: tuple[int, ...]) -> "ChowClass":
+        """Wrap a full coefficient tuple in box order, without validating it."""
         result = object.__new__(cls)
         result.ambient = ambient
         result._terms = terms
@@ -167,20 +177,19 @@ class ChowClass:
     @property
     def coefficients(self) -> dict[Exponent, int]:
         """A fresh map from exponent tuples to the nonzero coefficients."""
-        unpack = _layout(self.ambient.factors).unpack
-        return {unpack[p]: c for p, c in self._terms.items()}
+        return dict(compress(zip(self.ambient.box(), self._terms), self._terms))
 
     def keyed_terms(self) -> list[tuple[str, int]]:
         """(``"a,b,c"`` exponent key, coefficient) pairs in the string order of the keys."""
-        terms, layout = self._terms, _layout(self.ambient.factors)
-        if not layout.keys:
-            pairs = ((p, ",".join(map(str, e))) for e, p in layout.pack.items())
-            layout.keys.update(sorted(pairs, key=lambda pair: pair[1]))
-        return [(key, terms[p]) for p, key in layout.keys.items() if p in terms]
+        terms, keys = self._terms, _layout(self.ambient.factors).keys
+        if not keys:
+            pairs = ((t, ",".join(map(str, e))) for t, e in enumerate(self.ambient.box()))
+            keys.update(sorted(pairs, key=itemgetter(1)))
+        return [(key, terms[t]) for t, key in keys.items() if terms[t]]
 
     @classmethod
     def zero(cls, ambient: AmbientSpace) -> "ChowClass":
-        return cls._of_terms(ambient, {})
+        return cls._of_terms(ambient, (0,) * _layout(ambient.factors).size)
 
     @classmethod
     def constant(cls, ambient: AmbientSpace, value: int) -> "ChowClass":
@@ -188,7 +197,7 @@ class ChowClass:
 
     @classmethod
     def unit(cls, ambient: AmbientSpace) -> "ChowClass":
-        return cls._of_terms(ambient, {0: 1})
+        return cls._of_terms(ambient, (1,) + (0,) * (_layout(ambient.factors).size - 1))
 
     @classmethod
     def monomial(cls, ambient: AmbientSpace, exp: Exponent, value: int = 1) -> "ChowClass":
@@ -199,68 +208,59 @@ class ChowClass:
         return cls.monomial(ambient, ambient.top)
 
     def _check_compatible(self, other: "ChowClass") -> None:
-        if self.ambient != other.ambient:
+        if self.ambient.factors != other.ambient.factors:
             raise ValueError(f"ambient mismatch: {self.ambient} vs {other.ambient}")
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not any(self._terms)
 
     def constant_term(self) -> int:
-        return self._terms.get(0, 0)
+        return self._terms[0]
 
     def degree(self) -> int:
         """Coefficient of the point class: the pushforward to a point."""
-        return self._terms.get(_layout(self.ambient.factors).pack[self.ambient.top], 0)
+        return self._terms[-1]
 
     def graded_piece(self, d: int) -> "ChowClass":
         """Return the part of total codimension ``d``."""
-        unpack = _layout(self.ambient.factors).unpack
-        return ChowClass._of_terms(
-            self.ambient,
-            {p: c for p, c in self._terms.items() if sum(unpack[p]) == d},
-        )
+        grades = _layout(self.ambient.factors).grades
+        return ChowClass._of_terms(self.ambient, tuple(map(mul, self._terms, map(d.__eq__, grades))))
 
-    def _plus(self, other: "ChowClass", sign: int) -> "ChowClass":
-        """self + sign * other, in one pass over the terms of ``other``."""
+    def _map(self, op, other: "ChowClass") -> "ChowClass":
         self._check_compatible(other)
-        out = dict(self._terms)
-        for p, value in other._terms.items():
-            acc = out.get(p, 0) + sign * value
-            if acc:
-                out[p] = acc
-            else:
-                del out[p]
-        return ChowClass._of_terms(self.ambient, out)
+        return ChowClass._of_terms(self.ambient, tuple(map(op, self._terms, other._terms)))
 
     def __add__(self, other: "ChowClass") -> "ChowClass":
-        return self._plus(other, 1)
+        return self._map(add, other)
 
     def __sub__(self, other: "ChowClass") -> "ChowClass":
-        return self._plus(other, -1)
+        return self._map(sub, other)
 
     def __neg__(self) -> "ChowClass":
-        return ChowClass._of_terms(self.ambient, {p: -c for p, c in self._terms.items()})
+        return ChowClass._of_terms(self.ambient, tuple(map(neg, self._terms)))
 
     def __mul__(self, other) -> "ChowClass":
-        if _is_int(other):
-            scaled = {p: c * other for p, c in self._terms.items()} if other else {}
-            return ChowClass._of_terms(self.ambient, scaled)
         if not isinstance(other, ChowClass):
+            if _is_int(other):
+                return ChowClass._of_terms(self.ambient, tuple(map(mul, self._terms, repeat(other))))
             return NotImplemented
         self._check_compatible(other)
+        sparse, dense = self._terms, other._terms
+        if sparse.count(0) < dense.count(0):
+            sparse, dense = dense, sparse
         layout = _layout(self.ambient.factors)
-        over, guard = layout.over, layout.guard
-        inner = list(other._terms.items())
-        out: dict[int, int] = {}
-        for pa, ca in self._terms.items():
-            # A guard bit set in pa + over + pb marks a field past n.
-            room = pa + over
-            for pb, cb in inner:
-                if (room + pb) & guard:
-                    continue
-                p = pa + pb
-                out[p] = out.get(p, 0) + ca * cb
-        return ChowClass._of_terms(self.ambient, {p: c for p, c in out.items() if c})
+        terms = tuple(compress(range(layout.size), sparse))
+        if not terms:
+            return ChowClass._of_terms(self.ambient, sparse)
+        d, out = (0,) + dense, None
+        # Four terms per pass, padded with terms of coefficient 0.
+        for start in range(0, len(terms), 4):
+            chunk = terms[start : start + 4]
+            c0, c1, c2, c3 = [sparse[f] for f in chunk] + [0] * (4 - len(chunk))
+            rows = zip(*_tables(layout, chunk))
+            part = [c0 * d[p0] + c1 * d[p1] + c2 * d[p2] + c3 * d[p3] for p0, p1, p2, p3 in rows]
+            out = part if out is None else list(map(add, out, part))
+        return ChowClass._of_terms(self.ambient, tuple(out))
 
     def __rmul__(self, other) -> "ChowClass":
         if _is_int(other):
@@ -268,41 +268,36 @@ class ChowClass:
         return NotImplemented
 
     def __truediv__(self, unit: "ChowClass") -> "ChowClass":
-        """Solve ``unit * y == self`` exactly, one monomial at a time.
+        """Solve ``unit * y == self`` exactly, one box position at a time.
 
-        With unit = 1 + v, v of positive degree, the coefficient of H^e
-        in y is y_e = self_e - sum v_f y_(e-f) over the terms f <= e of
-        v.  Each e - f precedes e in box order, so it is already solved.
+        With unit = 1 + sum_f u_f H^f, y_t = self_t - sum_f u_f y_(t - f)
+        over the f with H^f dividing H^e_t, each t - f solved already.
         """
         if not isinstance(unit, ChowClass):
             return NotImplemented
         if unit.constant_term() != 1:
             raise ValueError("division by a non-unit: constant coefficient must be 1")
         self._check_compatible(unit)
-        if not self._terms:
-            return ChowClass._of_terms(self.ambient, {})
-        layout = _layout(self.ambient.factors)
-        guard = layout.guard
-        v = [(f, c) for f, c in unit._terms.items() if f]
-        x = self._terms
-        y: dict[int, int] = {}
-        for p in layout.unpack:
-            acc = x.get(p, 0)
-            # f <= e exactly when every field of guard + e - f keeps its guard bit.
-            top = p + guard
-            for f, c in v:
-                if (top - f) & guard == guard:
-                    acc -= c * y.get(p - f, 0)
-            if acc:
-                y[p] = acc
-        return ChowClass._of_terms(self.ambient, y)
+        x, u = self._terms, unit._terms
+        terms = tuple(compress(range(len(u)), u))[1:]
+        if not terms or not any(x):
+            return self
+        tables = _tables(_layout(self.ambient.factors), terms)
+        y = [0]
+        write = y.append
+        if len(terms) <= 4:
+            # Unrolled, padded with terms of coefficient 0.
+            c0, c1, c2, c3 = [u[f] for f in terms] + [0] * (4 - len(terms))
+            for xt, p0, p1, p2, p3 in zip(x, *tables):
+                write(xt - c0 * y[p0] - c1 * y[p1] - c2 * y[p2] - c3 * y[p3])
+        else:
+            coefficients, read = [u[f] for f in terms], y.__getitem__
+            for xt, before in zip(x, zip(*tables)):
+                write(xt - sum(map(mul, coefficients, map(read, before))))
+        return ChowClass._of_terms(self.ambient, tuple(y[1:]))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChowClass)
-            and self.ambient == other.ambient
-            and self._terms == other._terms
-        )
+        return isinstance(other, ChowClass) and (self.ambient, self._terms) == (other.ambient, other._terms)
 
     def __repr__(self) -> str:
         return f"ChowClass({str(self)!r}, ambient={self.ambient.factors})"
@@ -317,39 +312,41 @@ def _check_factor(ambient: AmbientSpace, factor: int) -> None:
         raise ValueError("factor out of range")
 
 
+def _written(ambient: AmbientSpace, entries: Iterable[tuple[int, int]]) -> ChowClass:
+    """The class with the given (index, coefficient) entries and zeros elsewhere."""
+    terms = [0] * _layout(ambient.factors).size
+    for t, c in entries:
+        terms[t] = c
+    return ChowClass._of_terms(ambient, tuple(terms))
+
+
 def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:
     """Return the hyperplane class of one factor (zero on a P^0 factor)."""
     _check_factor(ambient, factor)
-    if not ambient.factors[factor]:
-        return ChowClass.zero(ambient)
-    return ChowClass._of_terms(ambient, {1 << _layout(ambient.factors).shifts[factor]: 1})
+    stride = _layout(ambient.factors).strides[factor]
+    return _written(ambient, [(stride, 1)] if ambient.factors[factor] else [])
 
 
 def tangent_class(ambient: AmbientSpace) -> ChowClass:
-    """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1).
-
-    In the truncated ring the coefficient of H^e is prod C(n_i+1, e_i);
-    the layout of the ambient holds these terms.
-    """
-    return ChowClass._of_terms(ambient, dict(_layout(ambient.factors).tangent))
+    """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1), held by the layout."""
+    return ChowClass._of_terms(ambient, _layout(ambient.factors).tangent)
 
 
 def factor_tangent_class(ambient: AmbientSpace, factor: int) -> ChowClass:
     """Total Chern class of the tangent bundle along one factor, (1+H)^(n+1)."""
     _check_factor(ambient, factor)
-    n = ambient.factors[factor]
-    shift = _layout(ambient.factors).shifts[factor]
-    return ChowClass._of_terms(ambient, {k << shift: math.comb(n + 1, k) for k in range(n + 1)})
+    n, stride = ambient.factors[factor], _layout(ambient.factors).strides[factor]
+    return _written(ambient, [(k * stride, math.comb(n + 1, k)) for k in range(n + 1)])
 
 
 def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClass:
     """Return sum d_i H_i for a hypersurface of the given multidegree."""
     if len(multidegree) != len(ambient.factors):
         raise ValueError("multidegree length does not match the ambient factors")
-    result = ChowClass.zero(ambient)
-    for i, d in enumerate(multidegree):
-        result = result + hyperplane(ambient, i) * d
-    return result
+    if not all(map(_is_int, multidegree)):
+        raise TypeError("coefficients must be integers")
+    strides = _layout(ambient.factors).strides
+    return _written(ambient, [(s, d) for s, n, d in zip(strides, ambient.factors, multidegree) if n])
 
 
 def unit_inverse(u: ChowClass) -> ChowClass:
@@ -367,13 +364,12 @@ def insert_factor(x: ChowClass, extra_dim: int, position: int) -> ChowClass:
     if not 0 <= position <= len(factors):
         raise ValueError("position out of range")
     new_ambient = AmbientSpace(factors[:position] + (extra_dim,) + factors[position:])
-    # The fields of the factors from ``position`` on lie below bit lo and
-    # stay; the others move up by the width of the new field, which
-    # holds exponent 0.
-    lo = _layout(new_ambient.factors).shifts[position]
-    up = lo + extra_dim.bit_length() + 1
-    low = (1 << lo) - 1
-    return ChowClass._of_terms(new_ambient, {(p >> lo) << up | (p & low): c for p, c in x._terms.items()})
+    # One extended slice per offset r in a block of the factors from ``position`` on.
+    terms, low = x._terms, math.prod(n + 1 for n in factors[position:])
+    out = [0] * (len(terms) * (extra_dim + 1))
+    for r in range(low):
+        out[r :: (extra_dim + 1) * low] = terms[r::low]
+    return ChowClass._of_terms(new_ambient, tuple(out))
 
 
 def forget_factor(x: ChowClass, position: int) -> ChowClass:
@@ -390,13 +386,12 @@ def forget_factor(x: ChowClass, position: int) -> ChowClass:
         raise ValueError("cannot forget the only factor")
     full = factors[position]
     new_ambient = AmbientSpace(factors[:position] + factors[position + 1 :])
-    # The forgotten field holds bits lo to hi - 1; the fields below it
-    # stay and those above move down by its width.
-    lo = _layout(factors).shifts[position]
-    hi = lo + full.bit_length() + 1
-    low, field = (1 << lo) - 1, (1 << (hi - lo)) - 1
-    terms = {(p >> hi) << lo | (p & low): c for p, c in x._terms.items() if (p >> lo) & field == full}
-    return ChowClass._of_terms(new_ambient, terms)
+    # One extended slice per offset r < low; the survivors have e_position = full.
+    terms, low = x._terms, math.prod(n + 1 for n in factors[position + 1 :])
+    out = [0] * (len(terms) // (full + 1))
+    for r in range(low):
+        out[r::low] = terms[full * low + r :: (full + 1) * low]
+    return ChowClass._of_terms(new_ambient, tuple(out))
 
 
 def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -> bool:
@@ -405,10 +400,11 @@ def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -
     The two routes are the divisor Gysin composite (pullback to the
     multidegree-d divisor, then pushforward: a product with the divisor
     class) and multiplication by the degree-one part of the normal line
-    bundle class.
+    bundle class 1 + D, with D summed from the hyperplane classes.
     """
     divisor = divisor_class(ambient, multidegree)
+    first_chern = sum((d * hyperplane(ambient, i) for i, d in enumerate(multidegree)), ChowClass.zero(ambient))
     # The box starts at the unit monomial, so the products differ on
     # some monomial exactly when the two multipliers differ; when they
     # are equal, every product compares equal classes.
-    return (ChowClass.unit(ambient) + divisor).graded_piece(1) == divisor
+    return (ChowClass.unit(ambient) + divisor).graded_piece(1) == first_chern

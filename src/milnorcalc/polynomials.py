@@ -204,6 +204,24 @@ class Polynomial:
         return render_terms(items, self.variables, "*")
 
 
+def decimal_text(value: Scalar) -> str:
+    """``str(value)``, refusing an integer past Python's int-string limit in plain words.
+
+    The ValueError names the digit count, found without converting: the
+    estimate bit_length * 1233 >> 12 (1233 / 4096 < log10 2) is at most
+    the count and is raised to it by comparison with powers of ten.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        n = max(abs(value.numerator), value.denominator)
+        digits = n.bit_length() * 1233 >> 12
+        while 10**digits <= n:
+            digits += 1
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer of {digits} digits, over the {limit}-digit limit for writing it") from None
+
+
 def render_terms(items: Iterable[tuple[Exponent, Scalar]], names: Sequence[str], joiner: str) -> str:
     """Write (exponent, coefficient) pairs, in the order given, as a sum.
 
@@ -215,7 +233,7 @@ def render_terms(items: Iterable[tuple[Exponent, Scalar]], names: Sequence[str],
         magnitude = abs(coeff)
         factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
         if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
+            factors.insert(0, decimal_text(magnitude))
         chunks.append((" - " if coeff < 0 else " + ") + joiner.join(factors))
     text = "".join(chunks)
     if not text:

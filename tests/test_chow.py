@@ -295,10 +295,13 @@ small_ambients = st.lists(st.integers(0, 3), min_size=1, max_size=3).map(
     lambda factors: AmbientSpace(tuple(factors))
 )
 
-# Products and quotients pack an exponent into one bit field per factor,
-# n.bit_length() value bits under a guard bit.  These dimensions sit on
-# either side of each change of width (0 | 1 | 2, 3 | 4, 7 | 8), and
-# factors of different widths mix; the box stays at 729 entries or fewer.
+# Products and quotients zero, for each factor and power, either one slice
+# per run of small exponents or one extended slice per offset in a run,
+# whichever list is shorter; which one depends on the dimensions before
+# and after the factor.  These dimensions, from P^0 (one box position,
+# its runs empty) up to P^8, mixed in up to five factors, give both kinds
+# at the first, inner and last factors; the box stays at 729 entries or
+# fewer.
 FIELD_EDGE_DIMS = (0, 1, 2, 3, 4, 7, 8)
 field_edge_ambients = (
     st.lists(st.sampled_from(FIELD_EDGE_DIMS), min_size=1, max_size=5)
@@ -622,9 +625,14 @@ def test_builders_match_the_validating_constructor(ambient):
 
 
 def test_tangent_classes_are_independent_copies():
+    # Every tangent class of an ambient shares the layout's tuple, which
+    # cannot be changed in place; arithmetic on one leaves the next intact.
     first = tangent_class(P2xP1)
-    first._terms.clear()
-    assert tangent_class(P2xP1) == powered_tangent_class(P2xP1)
+    with pytest.raises(TypeError):
+        first._terms[0] = 5
+    changed = [first + first, -first, 3 * first, first * hyperplane(P2xP1), first / first]
+    assert changed[-1] == ChowClass.unit(P2xP1)
+    assert tangent_class(P2xP1) == first == powered_tangent_class(P2xP1)
 
 
 @pytest.mark.parametrize("factor", [-1, 2])
@@ -645,3 +653,24 @@ def test_key_strings_are_built_only_for_emitted_ambients():
         assert chow._layout(scene.ambient.extended(m).factors).keys == {}
     assert ChowClass(P2xP1, {(1, 1): 3}).keyed_terms() == [("1,1", 3)]
     assert list(chow._layout((2, 1)).keys.values()) == sorted(",".join(map(str, e)) for e in P2xP1.box())
+
+
+def test_classes_outlive_their_evicted_layout():
+    # Classes hold only their coefficient tuples: once more than
+    # _LAYOUT_CACHE_SIZE other ambients have evicted their layout, with its
+    # slice lists and predecessor tables, they still compute and emit.
+    ambient = AmbientSpace((3, 2, 4))
+    rng = random.Random(7)
+    box = list(ambient.box())
+    x = cls(ambient, {e: rng.randint(-9, 9) for e in rng.sample(box, 20)})
+    y = cls(ambient, {e: rng.randint(-9, 9) for e in rng.sample(box, 3)})
+    u = ChowClass.unit(ambient) + divisor_class(ambient, (1, 2, 3))
+    expected = (x + y, naive_product(x, y), x * series_inverse(u), x.keyed_terms())
+    layout = chow._layout(ambient.factors)
+    assert layout.tables
+    for n in range(chow._LAYOUT_CACHE_SIZE + 1):
+        z = tangent_class(AmbientSpace((n + 1, 1)))
+        z * hyperplane(z.ambient, 1) / (ChowClass.unit(z.ambient) + hyperplane(z.ambient, 0))
+    assert chow._layout(ambient.factors) is not layout
+    assert (x + y, x * y, x / u, x.keyed_terms()) == expected
+    assert y * x == expected[1] and y / u * u == y

@@ -183,3 +183,19 @@ def test_layout_edge_scenes_report_in_this_checkout(tmp_path):
         pathlib.Path(path).write_text(json.dumps(data), encoding="utf-8")
     argvs = [["--json", "report", path, "--m", "3"] for path in paths]
     assert [r["code"] for r in compare.run_checkout(ROOT, argvs)] == [0] * len(paths)
+
+
+def test_product_strata_scene_is_written_and_passes_in_this_checkout(tmp_path):
+    compare = load_compare()
+    paths = compare.scene_paths(ROOT, tmp_path)
+    path = str(tmp_path / "strata-2-0-1.json")
+    assert path in paths
+    assert len([argv for argv in compare.invocations(paths) if path in argv]) == 15
+    results = compare.run_checkout(ROOT, [["--json", "report", path, "--m", m] for m in compare.M_VALUES])
+    for m, result in zip(compare.M_VALUES, results):
+        report = json.loads(result["stdout"])
+        assert result["code"] == 0
+        assert report["ambient"] == [2, 0, 1] and report["milnor_class"]
+        assert {entry["stratum"] for entry in report["localization"]} == {"curve", "point"}
+        assert all(check["pass"] for check in report["checks"].values())
+        assert {"euler_strata", f"lci_m{m}"} <= set(report["checks"])
