@@ -471,5 +471,13 @@ def _json_text(value, newline: str) -> str:
 
 
 def canonical_json(data) -> str:
-    """Serialize with sorted keys; reloading and re-dumping is stable."""
+    """Serialize byte for byte as ``json.dumps(data, sort_keys=True, indent=2)``;
+    reloading and re-dumping is stable.
+
+    Only str, int, bool, None, lists and dicts with str keys are
+    written, each of exactly that type.  Anything else raises TypeError,
+    also where ``json.dumps`` writes it: floats, tuples, subclasses of
+    int or str, and non-str keys.  An integer too long to write raises
+    ValueError (see ``decimal_text``).
+    """
     return _json_text(data, "\n")

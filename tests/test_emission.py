@@ -36,8 +36,20 @@ def test_writer_matches_json_dumps_on_empty_and_class_maps(data):
     assert canonical_json(data) == json.dumps(data, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("data", [1.5, {"x": 0.0}, [float("nan")], {"x": (1, 2)}, {1: 2}, {"a": 1, None: 2}])
+class Count(int):
+    pass
+
+
+class Label(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "data",
+    [1.5, {"x": 0.0}, [float("nan")], {"x": (1, 2)}, {1: 2}, {"a": 1, None: 2}, [Count(3)], {"a": Label("b")}, {Label("a"): 1}],
+)
 def test_writer_refuses_floats_other_types_and_non_str_keys(data):
+    # json.dumps writes most of these; the writer takes exact types only.
     with pytest.raises(TypeError):
         canonical_json(data)
 
