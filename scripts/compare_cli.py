@@ -14,11 +14,11 @@ list holds:
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes exercise both kinds of slice list in
   ``milnorcalc.chow``, on a stratified scene with user mu on a product
-  ambient and on eleven scenes that exit 2;
+  ambient and on twelve scenes that exit 2;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
   parser), a node in P^5, a chart validation that needs an S-pair, high
-  single exponents and large coefficients;
+  single exponents, exponents over the limit and large coefficients;
 - ``table`` and ``--json table``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
   that the rest runs after the parser has refused input in the same
@@ -126,6 +126,11 @@ MILNOR_CASES = [
     ("y^2*z^98 - x^100", "x,y,z", "z"),
     # Large coefficients on a nodal cubic.
     ("123456789012345678901234567890*y^2*z - x^3 - 98765432109876543210*x^2*z", "x,y,z", "z"),
+    # Exponents over the limit of 32,767, refused when the polynomial is
+    # parsed.  The first is also not homogeneous, which the parent
+    # reported instead: the one difference allowed between the two.
+    ("x^40000 + y", "x,y,z", "z"),
+    ("x^40000 + z^40000", "x,y,z", "z"),
 ]
 
 TABLES = [
@@ -182,7 +187,8 @@ PRODUCT_STRATA_SCENE = {
 # "bad polynomial: ...", a negative multidegree entry, a negative stratum
 # dim, an integer longer than Python's default int-string limit
 # (4,300 digits), as a string, as a JSON number, as a polynomial literal
-# and as a csm exponent key, and two csm keys for one exponent.
+# and as a csm exponent key, an exponent over the limit of 32,767, and
+# two csm keys for one exponent.
 LONG_DIGITS = "9" * 5000
 LONG_NUMBER = "<a JSON number of 5,000 digits>"
 POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
@@ -193,6 +199,9 @@ INVALID_SCENES = {
     "long-string": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"p": LONG_DIGITS}},
     "long-number": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"p": LONG_NUMBER}},
     "long-literal": {"ambient": [2], "degrees": [[3]], "polynomial": f"y^2*z - {LONG_DIGITS}*x^3", "chart": "z"},
+    # Over the exponent limit and not homogeneous: the limit is named
+    # now, the parent named the homogeneity.
+    "over-limit-exponent": {"ambient": [2], "degrees": [[3]], "polynomial": "x^40000 + y^3", "chart": "z"},
     "long-csm-key": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={LONG_DIGITS: 1})], "mu": {"p": 1}},
     "csm-keys-one-exponent": {
         "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"2": 1, "02": 5})], "mu": {"p": 1},

@@ -189,10 +189,6 @@ class ChowClass:
         return cls._of_terms(ambient, _layout(ambient.factors).zeros)
 
     @classmethod
-    def constant(cls, ambient: AmbientSpace, value: int) -> "ChowClass":
-        return cls(ambient, {(0,) * len(ambient.factors): value})
-
-    @classmethod
     def unit(cls, ambient: AmbientSpace) -> "ChowClass":
         return cls._of_terms(ambient, (1,) + (0,) * (_layout(ambient.factors).size - 1))
 

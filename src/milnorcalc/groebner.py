@@ -3,16 +3,9 @@ built on them: staircase quotient dimensions and total Milnor numbers
 of projective hypersurfaces with isolated singularities.
 
 Buchberger's algorithm, with the product and chain criteria, runs on
-packed monomials: one int each, a field per variable and one for the
-degree, each of ``_FIELD_BITS`` bits under a guard bit.  A product is
-a + b, a quotient b - a, a divides b when ((b | G) - a) & G == G for
-the guard bits G, and an lcm is taken field by field.  Int order is
-monomial order once ``key`` has flipped some fields: grevlex has the
-degree on top, then the variables from the last, all flipped; lex has
-x_0 on top; the order eliminating x_0 has x_0 on top, then grevlex.
-Tuples appear only where ``groebner`` and ``divide`` pack and
-``GroebnerBasis`` unpacks; an exponent or degree above ``_LIMIT``
-raises ``ValueError`` and never carries into the next field.
+the packed monomials of ``polynomials``: on the grevlex terms of a
+``Polynomial`` as they are, repacked only for lex and the elimination
+order.  A step past ``_LIMIT`` raises ``ValueError``, never a carry.
 
 The Milnor count is linear algebra on the Jacobian algebra A = k[x]/J:
 the matrix M_f of multiplication by the equation f, in the staircase
@@ -32,20 +25,25 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
-from .polynomials import Exponent, PolyIdeal, Polynomial, jacobian_ideal
-
-GREVLEX = "grevlex"
-LEX = "lex"
-_ELIM_FIRST = "elim-first"
+from .polynomials import (
+    _ELIM_FIRST,
+    _FIELD_BITS,
+    _LIMIT,
+    _TOO_BIG,
+    GREVLEX,
+    LEX,
+    PolyIdeal,
+    Polynomial,
+    _Layout,
+    _layout,
+    _pack,
+    _unpack,
+    jacobian_ideal,
+)
 
 CancelCallback = Callable[[], bool]
-
-# Value bits of a packed field; its guard bit sits just above them.
-_FIELD_BITS = 15
-_LIMIT = (1 << _FIELD_BITS) - 1
-_TOO_BIG = f"exponents and degrees above {_LIMIT} are beyond the Groebner engine"
 
 
 class ComputationCancelled(RuntimeError):
@@ -60,55 +58,12 @@ class SingularitiesOutsideChartError(ValueError):
     """Some singular point lies on the hyperplane removed by the chart."""
 
 
-class _Layout(NamedTuple):
-    """How one monomial order packs monomials in one number of variables."""
-
-    shifts: tuple[int, ...]  # the lowest bit of each variable's field
-    units: tuple[int, ...]  # each variable, packed
-    degree_shift: int
-    guards: int
-    ones: int  # 1 in the field of each variable
-    # (v * spread) >> top gathers the sum of the variable fields of v.
-    spread: int
-    top: int
-    key: Callable[[int], int]
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(nvars: int, order: str) -> _Layout:
-    # The fields from the top down: a variable's index, or "d".
-    if order == GREVLEX:
-        fields, flipped = ["d", *range(nvars - 1, -1, -1)], range(nvars)
-    elif order == LEX:
-        fields, flipped = [*range(nvars), "d"], ()
-    elif order == _ELIM_FIRST:
-        fields, flipped = [0, "d", *range(nvars - 1, 0, -1)], range(1, nvars)
-    else:
-        raise ValueError(f"unknown monomial order {order!r}")
-    shift = {name: (len(fields) - 1 - p) * (_FIELD_BITS + 1) for p, name in enumerate(fields)}
-    shifts = tuple(shift[i] for i in range(nvars))
-    top, flip = max(shifts, default=0), sum(_LIMIT << shifts[i] for i in flipped)
-    units, spread = tuple((1 << s) + (1 << shift["d"]) for s in shifts), sum(1 << (top - s) for s in shifts)
-    guards = sum(1 << (s + _FIELD_BITS) for s in shift.values())
-    return _Layout(shifts, units, shift["d"], guards, sum(1 << s for s in shifts), spread, top, flip.__xor__)
-
-
-def _pack(exp: Exponent, lay: _Layout) -> int:
-    if sum(exp) > _LIMIT:
-        raise ValueError(_TOO_BIG)
-    return sum(map(operator.mul, exp, lay.units))
-
-
-def _unpack(m: int, lay: _Layout) -> Exponent:
-    return tuple(m >> s & _LIMIT for s in lay.shifts)
-
-
-def _packed(p: Polynomial, lay: _Layout) -> dict[int, Fraction]:
-    return {_pack(e, lay): c for e, c in p.terms.items()}
-
-
-def _polynomial(variables: tuple[str, ...], terms: dict[int, Fraction], lay: _Layout) -> Polynomial:
-    return Polynomial._of_clean(variables, {_unpack(m, lay): c for m, c in terms.items()})
+def _repacked(terms: dict[int, Fraction], source: _Layout, target: _Layout) -> dict[int, Fraction]:
+    """Terms moved from one monomial order to another in as many
+    variables; the terms themselves when the orders agree."""
+    if source is target:
+        return terms
+    return {_pack(_unpack(m, source), target): c for m, c in terms.items()}
 
 
 def _lcm(a: int, b: int, lay: _Layout) -> int:
@@ -131,8 +86,8 @@ _Entry = tuple[int, dict[int, Fraction], int, Optional[dict]]
 def _entry(terms: dict[int, Fraction], lay: _Layout, quotient: Optional[dict] = None) -> _Entry:
     lead = max(terms, key=lay.key)
     lc = terms[lead]
-    tail = {m: c / lc for m, c in terms.items()} if lc != 1 else dict(terms)
-    del tail[lead]
+    tail = dict(terms) if lc == 1 else {m: c / lc for m, c in terms.items() if m != lead}
+    tail.pop(lead, None)
     return lead, tail, max(map((_LIMIT << lay.degree_shift).__and__, terms)), quotient
 
 
@@ -190,16 +145,17 @@ def divide(
     The remainder has no term divisible by any divisor leading term, and
     f == sum(q_i * divisors_i) + remainder holds exactly.
     """
-    lay = _layout(len(f.variables), order)
-    entries = [_entry(_packed(g, lay), lay, {}) if g.terms else None for g in divisors]
-    remainder = _reduce(_packed(f, lay), [entry for entry in entries if entry], lay)
+    home, lay = _layout(len(f.variables), GREVLEX), _layout(len(f.variables), order)
+    packed = [_repacked(g._terms, home, lay) for g in divisors]
+    entries = [_entry(terms, lay, {}) if terms else None for terms in packed]
+    remainder = _reduce(dict(_repacked(f._terms, home, lay)), [entry for entry in entries if entry], lay)
     quotients = []
-    for g, entry in zip(divisors, entries):
+    for terms, entry in zip(packed, entries):
         # The entry is g made monic: divide by the lead coefficient of g.
-        lc = entry and g.terms[_unpack(entry[0], lay)]
+        lc = entry and terms[entry[0]]
         quotient = {m: c / lc for m, c in entry[3].items()} if entry else {}
-        quotients.append(_polynomial(f.variables, quotient, lay))
-    return quotients, _polynomial(f.variables, remainder, lay)
+        quotients.append(Polynomial._of_clean(f.variables, _repacked(quotient, lay, home)))
+    return quotients, Polynomial._of_clean(f.variables, _repacked(remainder, lay, home))
 
 
 def _bounds(leads: Iterable[int], lay: _Layout) -> Optional[list[int]]:
@@ -221,14 +177,10 @@ def _buchberger(
     generators: Iterable[dict], lay: _Layout, cancel: Optional[CancelCallback], stop_when_finite=False
 ) -> dict[int, dict[int, Fraction]]:
     """The reduced monic basis, as each element's tail by its lead, in
-    increasing order.  With ``stop_when_finite``, return unreduced once
-    the leads hold a pure power of every variable: in(I) then has a
-    finite staircase, which is all that chart validation asks."""
+    increasing order.  With ``stop_when_finite``, return the monic tails
+    unreduced once the leads hold a pure power of every variable: in(I)
+    then has a finite staircase, which is all that chart validation asks."""
     key, guards = lay.key, lay.guards
-    generators = [g for g in generators if g]
-    leads = [max(g, key=key) for g in generators] if stop_when_finite else []
-    if stop_when_finite and _bounds(leads, lay) is not None:
-        return dict(zip(leads, generators))
     basis: list[_Entry] = []
     # Pairs wait on a heap in (key(lcm), i, j) order, each pushed once
     # with its lcm; ``pending`` holds them too, for the chain criterion.
@@ -243,8 +195,14 @@ def _buchberger(
             pending.add((k, len(basis)))
         basis.append(entry)
 
+    def finite() -> bool:
+        return stop_when_finite and _bounds([entry[0] for entry in basis], lay) is not None
+
     for g in generators:
-        add(g)
+        if g:
+            add(g)
+    if finite():
+        return {lead: tail for lead, tail, *_ in basis}
     while queue:
         if cancel is not None and cancel():
             raise ComputationCancelled("Groebner basis computation cancelled")
@@ -266,8 +224,7 @@ def _buchberger(
         remainder = _reduce(_spoly(basis[i], basis[j], lcm, lay), basis, lay)
         if remainder:
             add(remainder)
-            leads.append(basis[-1][0])
-            if stop_when_finite and _bounds(leads, lay) is not None:
+            if finite():
                 return {lead: tail for lead, tail, *_ in basis}
     # Interreduce the minimal basis: no other lead divides an element's
     # lead, so reducing its tail by the others leaves it monic.
@@ -281,8 +238,8 @@ def _buchberger(
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced monic Groebner basis, stored packed; ``basis`` and ``leads``
-    (in strictly increasing order) are unpacked on first use."""
+    """A reduced monic Groebner basis, stored packed on its order; ``basis``
+    (by strictly increasing leads) is built on first use."""
 
     variables: tuple[str, ...]
     order: str
@@ -290,13 +247,12 @@ class GroebnerBasis:
 
     @functools.cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        lay = _layout(len(self.variables), self.order)
+        home, lay = _layout(len(self.variables), GREVLEX), _layout(len(self.variables), self.order)
         one = Fraction(1)
-        return tuple(_polynomial(self.variables, {m: one, **t}, lay) for m, t in self._reduced.items())
-
-    @functools.cached_property
-    def leads(self) -> tuple[Exponent, ...]:
-        return tuple(_unpack(lead, _layout(len(self.variables), self.order)) for lead in self._reduced)
+        return tuple(
+            Polynomial._of_clean(self.variables, _repacked({m: one, **t}, lay, home))
+            for m, t in self._reduced.items()
+        )
 
 
 def groebner(
@@ -305,8 +261,8 @@ def groebner(
     """Return the reduced monic Groebner basis of ``ideal``."""
     if order not in (GREVLEX, LEX):
         raise ValueError(f"unknown monomial order {order!r}")
-    lay = _layout(len(ideal.variables), order)
-    reduced = _buchberger([_packed(g, lay) for g in ideal.generators], lay, cancel)
+    home, lay = _layout(len(ideal.variables), GREVLEX), _layout(len(ideal.variables), order)
+    reduced = _buchberger([_repacked(g._terms, home, lay) for g in ideal.generators], lay, cancel)
     return GroebnerBasis(ideal.variables, order, reduced)
 
 
@@ -352,18 +308,18 @@ def ideal_quotient(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallb
     nonzero = [g for g in ideal.generators if not g.is_zero()]
     if not nonzero:
         return ideal
-    tag = next(n for n in ("t", *map("t{}".format, range(len(ideal.variables)))) if n not in ideal.variables)
-    extended = (tag,) + ideal.variables
-    t = Polynomial.variable(extended, tag)
-    lift = [Polynomial._of_clean(extended, {(0, *e): c for e, c in g.terms.items()}) for g in (*nonzero, f)]
-    lifted = [t * g for g in lift[:-1]] + [lift[-1] - t * lift[-1]]
     # t is the first variable, the top field of the elimination order.
-    lay = _layout(len(extended), _ELIM_FIRST)
-    basis = _buchberger([_packed(p, lay) for p in lifted], lay, cancel)
+    home, lay = _layout(len(ideal.variables), GREVLEX), _layout(len(ideal.variables) + 1, _ELIM_FIRST)
+
+    def times_t(p: Polynomial, power: int, sign: int) -> dict[int, Fraction]:
+        return {_pack((power, *_unpack(m, home)), lay): sign * c for m, c in p._terms.items()}
+
+    lifted = [times_t(g, 1, 1) for g in nonzero] + [{**times_t(f, 0, 1), **times_t(f, 1, -1)}]
+    basis = _buchberger(lifted, lay, cancel)
     quotient_gens = []
     for lead, tail in basis.items():
         if not lead >> lay.shifts[0]:
-            g = {_unpack(m, lay)[1:]: c for m, c in {lead: Fraction(1), **tail}.items()}
+            g = {_pack(_unpack(m, lay)[1:], home): c for m, c in {lead: Fraction(1), **tail}.items()}
             quotients, remainder = divide(Polynomial._of_clean(ideal.variables, g), [f])
             if not remainder.is_zero():
                 raise ArithmeticError("division was expected to be exact")
@@ -407,11 +363,15 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
     """Set the chart variable to 1 and drop it from the variable list."""
     idx = _chart_index(F, chart)
     remaining = F.variables[:idx] + F.variables[idx + 1 :]
-    terms: dict[Exponent, Fraction] = {}
-    for exp, coeff in F.terms.items():
-        cut = exp[:idx] + exp[idx + 1 :]
+    # Repacked on the layout of the remaining variables, the chart variable's unit 0.
+    units = list(_layout(len(remaining), GREVLEX).units)
+    units.insert(idx, 0)
+    home = _layout(len(F.variables), GREVLEX)
+    terms: dict[int, Fraction] = {}
+    for m, coeff in F._terms.items():
+        cut = sum(map(operator.mul, _unpack(m, home), units))
         terms[cut] = terms[cut] + coeff if cut in terms else coeff
-    return Polynomial._of_clean(remaining, {e: c for e, c in terms.items() if c})
+    return Polynomial._of_clean(remaining, {m: c for m, c in terms.items() if c})
 
 
 @dataclass(frozen=True)
@@ -428,22 +388,20 @@ class MilnorResult:
     off_curve_dim: int
 
 
-def _validate_chart(variables: tuple, f: dict, degree: int, cancel: Optional[CancelCallback]) -> None:
+def _validate_chart(f: Polynomial, degree: int, cancel: Optional[CancelCallback]) -> None:
     # The singular locus must avoid the removed hyperplane: the quotient by
     # the partials of F restricted to it must be finite (k if no variable
-    # is left).  They are the partials of the part of the packed f of
-    # degree ``degree``, and the part of one degree less.
-    if not variables:
+    # is left).  They are the partials of the part of f of degree
+    # ``degree``, and the part of one degree less.
+    if not f.variables:
         return
-    lay = _layout(len(variables), GREVLEX)
-    top = {m: c for m, c in f.items() if m >> lay.degree_shift == degree}
-    gens = [
-        {m - u: c * (m >> s & _LIMIT) for m, c in top.items() if m >> s & _LIMIT}
-        for s, u in zip(lay.shifts, lay.units)
-    ]
-    gens.append({m: c for m, c in f.items() if m >> lay.degree_shift == degree - 1})
+    lay = _layout(len(f.variables), GREVLEX)
+    shift = lay.degree_shift
+    top = Polynomial._of_clean(f.variables, {m: c for m, c in f._terms.items() if m >> shift == degree})
+    gens = [top.derivative(i)._terms for i in range(len(f.variables))]
+    gens.append({m: c for m, c in f._terms.items() if m >> shift == degree - 1})
     basis = _buchberger(gens, lay, cancel, stop_when_finite=True)
-    if quotient_dim(GroebnerBasis(variables, GREVLEX, basis)) == math.inf:
+    if quotient_dim(GroebnerBasis(f.variables, GREVLEX, basis)) == math.inf:
         raise SingularitiesOutsideChartError("singularities outside the chart")
 
 
@@ -599,16 +557,15 @@ def total_milnor_number(
     # F is homogeneous, so each term of f keeps the degree of F less
     # the power of the chart variable: the restriction to the
     # hyperplane is read from the degree field.
-    packed = _packed(f, _layout(len(f.variables), GREVLEX))
     if f.is_constant():
         # The hypersurface misses the chart entirely.
-        _validate_chart(f.variables, packed, degree, cancel)
+        _validate_chart(f, degree, cancel)
         return MilnorResult(0, chart_name, 0)
     jac_basis = groebner(jacobian_ideal(f), cancel=cancel)
     monomials = _standard_monomials(jac_basis)
     if monomials is None:
         raise NonIsolatedSingularitiesError("non-isolated singularities")
-    _validate_chart(f.variables, packed, degree, cancel)
-    rows, _ = _multiplication_rows(packed, jac_basis, monomials)
+    _validate_chart(f, degree, cancel)
+    rows, _ = _multiplication_rows(f._terms, jac_basis, monomials)
     off_curve_dim = _stable_rank(rows, cancel)
     return MilnorResult(len(monomials) - off_curve_dim, chart_name, off_curve_dim)

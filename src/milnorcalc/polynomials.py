@@ -1,9 +1,20 @@
 """Exact multivariate polynomials over the rationals.
 
-The representation is sparse: a map from exponent tuples to nonzero
-Fraction coefficients, over a fixed ordered tuple of variable names.
-The zero polynomial is the empty map.  All arithmetic is exact; floats
-are rejected.
+The representation is sparse: a map from packed grevlex monomials to
+nonzero Fraction coefficients, over a fixed ordered tuple of variable
+names; ``terms`` gives a copy keyed by exponent tuples.  The zero
+polynomial is the empty map.  All arithmetic is exact; floats are
+rejected.
+
+A packed monomial is one int, with a field per variable and one for the
+degree, each of ``_FIELD_BITS`` bits under a guard bit.  A product is
+a + b, a quotient b - a, a divides b when ((b | G) - a) & G == G for
+the guard bits G, and an lcm is taken field by field.  Int order is
+monomial order once ``key`` has flipped some fields: grevlex has the
+degree on top, then the variables from the last, all flipped; lex has
+x_0 on top; the order eliminating x_0 has x_0 on top, then grevlex.
+An exponent or degree above ``_LIMIT`` is refused with ``ValueError``
+when a polynomial is built or parsed.
 
 The text grammar accepted by ``parse_polynomial`` (and emitted by
 ``str``) is a sum of terms joined by ``+`` or ``-``, where a term is an
@@ -17,12 +28,66 @@ of them (4,300 by default).
 
 from __future__ import annotations
 
+import functools
+import operator
 import sys
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
+
+GREVLEX = "grevlex"
+LEX = "lex"
+_ELIM_FIRST = "elim-first"
+
+# Value bits of a packed field; its guard bit sits just above them.
+_FIELD_BITS = 15
+_LIMIT = (1 << _FIELD_BITS) - 1
+_TOO_BIG = f"exponents and degrees above {_LIMIT} are beyond the Groebner engine"
+
+
+class _Layout(NamedTuple):
+    """How one monomial order packs monomials in one number of variables."""
+
+    shifts: tuple[int, ...]  # the lowest bit of each variable's field
+    units: tuple[int, ...]  # each variable, packed
+    degree_shift: int
+    guards: int
+    ones: int  # 1 in the field of each variable
+    # (v * spread) >> top gathers the sum of the variable fields of v.
+    spread: int
+    top: int
+    key: Callable[[int], int]
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(nvars: int, order: str) -> _Layout:
+    # The fields from the top down: a variable's index, or "d".
+    if order == GREVLEX:
+        fields, flipped = ["d", *range(nvars - 1, -1, -1)], range(nvars)
+    elif order == LEX:
+        fields, flipped = [*range(nvars), "d"], ()
+    elif order == _ELIM_FIRST:
+        fields, flipped = [0, "d", *range(nvars - 1, 0, -1)], range(1, nvars)
+    else:
+        raise ValueError(f"unknown monomial order {order!r}")
+    shift = {name: (len(fields) - 1 - p) * (_FIELD_BITS + 1) for p, name in enumerate(fields)}
+    shifts = tuple(shift[i] for i in range(nvars))
+    top, flip = max(shifts, default=0), sum(_LIMIT << shifts[i] for i in flipped)
+    units, spread = tuple((1 << s) + (1 << shift["d"]) for s in shifts), sum(1 << (top - s) for s in shifts)
+    guards = sum(1 << (s + _FIELD_BITS) for s in shift.values())
+    return _Layout(shifts, units, shift["d"], guards, sum(1 << s for s in shifts), spread, top, flip.__xor__)
+
+
+def _pack(exp: Exponent, lay: _Layout) -> int:
+    if sum(exp) > _LIMIT:
+        raise ValueError(_TOO_BIG)
+    return sum(map(operator.mul, exp, lay.units))
+
+
+def _unpack(m: int, lay: _Layout) -> Exponent:
+    return tuple(m >> s & _LIMIT for s in lay.shifts)
 
 
 class PolyParseError(ValueError):
@@ -54,14 +119,15 @@ def _as_fraction(value) -> Fraction:
 
 
 class Polynomial:
-    """A sparse polynomial with Fraction coefficients."""
+    """A sparse polynomial with Fraction coefficients, on packed grevlex monomials."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_terms")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Scalar] = ()):
         self.variables: tuple[str, ...] = tuple(variables)
         nvars = len(self.variables)
-        clean: dict[Exponent, Fraction] = {}
+        lay = _layout(nvars, GREVLEX)
+        clean: dict[int, Fraction] = {}
         for exp, coeff in dict(terms).items():
             coeff = _as_fraction(coeff)
             if coeff == 0:
@@ -73,128 +139,61 @@ class Polynomial:
                 raise ValueError(f"exponent {exp} has wrong length for {nvars} variables")
             if any(e < 0 for e in exp):
                 raise ValueError(f"negative exponent in {exp}")
-            clean[exp] = coeff
-        self.terms: dict[Exponent, Fraction] = clean
+            clean[_pack(exp, lay)] = coeff
+        self._terms: dict[int, Fraction] = clean
 
     @classmethod
-    def _of_clean(cls, variables: tuple[str, ...], terms: dict[Exponent, Fraction]) -> "Polynomial":
-        """Wrap terms that are already clean, without validating them."""
+    def _of_clean(cls, variables: tuple[str, ...], terms: dict[int, Fraction]) -> "Polynomial":
+        """Wrap packed terms that are already clean, without validating them."""
         result = object.__new__(cls)
         result.variables = variables
-        result.terms = terms
+        result._terms = terms
         return result
 
     @classmethod
     def zero(cls, variables: Iterable[str]) -> "Polynomial":
         return cls(variables, {})
 
-    @classmethod
-    def constant(cls, variables: Iterable[str], value: Scalar) -> "Polynomial":
-        variables = tuple(variables)
-        return cls(variables, {(0,) * len(variables): value})
-
-    @classmethod
-    def variable(cls, variables: Iterable[str], name: str) -> "Polynomial":
-        variables = tuple(variables)
-        idx = variables.index(name)
-        exp = tuple(1 if i == idx else 0 for i in range(len(variables)))
-        return cls(variables, {exp: 1})
+    @property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """A fresh copy of the terms, keyed by exponent tuples."""
+        lay = _layout(len(self.variables), GREVLEX)
+        return {_unpack(m, lay): c for m, c in self._terms.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return self.total_degree() <= 0
 
     def total_degree(self) -> int:
         """Return the total degree, with -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._terms:
             return -1
-        return max(sum(e) for e in self.terms)
+        # The degree field is the top one.
+        return max(self._terms) >> _layout(len(self.variables), GREVLEX).degree_shift
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
-
-    def _check_compatible(self, other: "Polynomial") -> None:
-        if self.variables != other.variables:
-            raise VariableMismatchError(
-                f"variable lists differ: {self.variables} vs {other.variables}"
-            )
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.get(exp, Fraction(0)) + coeff
-            if acc:
-                out[exp] = acc
-            else:
-                out.pop(exp, None)
-        return Polynomial._of_clean(self.variables, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial._of_clean(self.variables, {exp: -coeff for exp, coeff in self.terms.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        self._check_compatible(other)
-        out: dict[Exponent, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(a + b for a, b in zip(ea, eb))
-                acc = out.get(exp, Fraction(0)) + ca * cb
-                if acc:
-                    out[exp] = acc
-                else:
-                    out.pop(exp, None)
-        return Polynomial._of_clean(self.variables, out)
-
-    def __rmul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            return self.scaled(other)
-        return NotImplemented
-
-    def __pow__(self, power: int) -> "Polynomial":
-        if power < 0:
-            raise ValueError("negative power")
-        result = Polynomial.constant(self.variables, 1)
-        for _ in range(power):
-            result = result * self
-        return result
-
-    def scaled(self, scalar: Scalar) -> "Polynomial":
-        scalar = _as_fraction(scalar)
-        terms = {exp: coeff * scalar for exp, coeff in self.terms.items()} if scalar else {}
-        return Polynomial._of_clean(self.variables, terms)
+        shift = _layout(len(self.variables), GREVLEX).degree_shift
+        return len({m >> shift for m in self._terms}) <= 1
 
     def derivative(self, var: Union[int, str]) -> "Polynomial":
         """Return the partial derivative with respect to one variable."""
         idx = self.variables.index(var) if isinstance(var, str) else var
-        out: dict[Exponent, Fraction] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[idx]
-            if e == 0:
-                continue
-            new = exp[:idx] + (e - 1,) + exp[idx + 1 :]
-            out[new] = coeff * e
-        return Polynomial._of_clean(self.variables, out)
+        lay = _layout(len(self.variables), GREVLEX)
+        s, unit = lay.shifts[idx], lay.units[idx]
+        terms = {m - unit: c * (m >> s & _LIMIT) for m, c in self._terms.items() if m >> s & _LIMIT}
+        return Polynomial._of_clean(self.variables, terms)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Polynomial)
             and self.variables == other.variables
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r}, variables={self.variables})"
@@ -323,12 +322,12 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-def _read_term(tokens: list[_Token], start: int, index: dict[str, int]) -> tuple[Exponent, Fraction, int]:
+def _read_term(tokens: list[_Token], start: int, units: dict[str, int]) -> tuple[int, Fraction, int]:
     """Read the unsigned term at ``tokens[start]``: an optional rational
-    coefficient, then ``*``-separated variable powers.  Return its
-    exponent, its coefficient and the index of the token after it."""
+    coefficient, then ``*``-separated variable powers.  Return its packed
+    monomial, its coefficient and the index of the token after it."""
     coeff = Fraction(1)
-    exponents = [0] * len(index)
+    monomial = 0
     i = start
     while True:
         kind, text, pos = tokens[i]
@@ -346,7 +345,7 @@ def _read_term(tokens: list[_Token], start: int, index: dict[str, int]) -> tuple
                 i += 2
         elif kind != "name":
             raise PolyParseError("expected a variable", pos)
-        elif text not in index:
+        elif text not in units:
             raise PolyParseError(f"unknown variable {text!r}", pos)
         else:
             name, power = text, 1
@@ -360,25 +359,26 @@ def _read_term(tokens: list[_Token], start: int, index: dict[str, int]) -> tuple
                 if power <= 0:
                     raise PolyParseError("exponent must be a positive integer", pos)
                 i += 2
-            exponents[index[name]] += power
+            monomial += power * units[name]
         kind, _, pos = tokens[i]
         if kind != "*":
             if kind in ("name", "int"):
                 raise PolyParseError("implicit multiplication is not allowed", pos)
-            return tuple(exponents), coeff, i
+            return monomial, coeff, i
         i += 1
 
 
 def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
-    """Parse polynomial text over the given variables: only the grammar
-    is checked, and the terms are summed into one map, wrapped once."""
+    """Parse polynomial text over the given variables: the grammar and
+    the limit are checked, and the terms are summed into one map, wrapped once."""
     variables = tuple(variables)
-    index = {name: i for i, name in enumerate(variables)}
-    if len(index) != len(variables):
+    lay = _layout(len(variables), GREVLEX)
+    units = dict(zip(variables, lay.units))
+    if len(units) != len(variables):
         repeated = next(name for name in variables if variables.count(name) > 1)
         raise PolyParseError(f"variable {repeated!r} is listed more than once", None)
     tokens = _tokenize(text)
-    terms: dict[Exponent, Fraction] = {}
+    terms: dict[int, Fraction] = {}
     i = 0
     while True:
         sign, _, pos = tokens[i]
@@ -386,11 +386,14 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
             i += 1
         elif i:
             raise PolyParseError("expected '+' or '-' between terms", pos)
-        exp, coeff, i = _read_term(tokens, i, index)
-        acc = terms.get(exp, 0) + (-coeff if sign == "-" else coeff)
+        m, coeff, i = _read_term(tokens, i, units)
+        # A field past the limit carries only up, into the degree field on top.
+        if m >> lay.degree_shift > _LIMIT:
+            raise ValueError(_TOO_BIG)
+        acc = terms.get(m, 0) + (-coeff if sign == "-" else coeff)
         if acc:
-            terms[exp] = acc
+            terms[m] = acc
         else:
-            terms.pop(exp, None)
+            terms.pop(m, None)
         if tokens[i][0] == "end":
             return Polynomial._of_clean(variables, terms)

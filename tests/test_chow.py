@@ -329,7 +329,7 @@ def classes_and_unit(draw, constants=st.just(1), ambients=small_ambients):
     x = draw(chow_classes(ambient=ambient))
     rest = draw(chow_classes(ambient=ambient))
     positive = ChowClass(ambient, {e: c for e, c in rest.coefficients.items() if any(e)})
-    return x, ChowClass.constant(ambient, draw(constants)) + positive
+    return x, draw(constants) * ChowClass.unit(ambient) + positive
 
 
 @given(field_edge_ambients)

@@ -134,6 +134,22 @@ def test_milnor_cases_cover_the_groebner_engine():
     assert any(20 <= len(digits) < 100 for poly, _, _ in cases for digits in re.findall(r"\d+", poly))
 
 
+LIMIT_MESSAGE = "error: exponents and degrees above 32767 are beyond the Groebner engine\n"
+
+
+def test_over_limit_cases_are_listed_and_exit_2_in_this_checkout(tmp_path):
+    # The limit is checked when the polynomial is parsed, before homogeneity.
+    compare = load_compare()
+    over = [case for case in compare.MILNOR_CASES if "^40000" in case[0]]
+    assert ("x^40000 + y", "x,y,z", "z") in over and ("x^40000 + z^40000", "x,y,z", "z") in over
+    scene = compare.INVALID_SCENES["over-limit-exponent"]
+    assert scene["polynomial"] == "x^40000 + y^3"
+    path = tmp_path / "over-limit-exponent.json"
+    path.write_text(json.dumps(scene), encoding="utf-8")
+    argvs = [["milnor", "--poly", p, "--vars", v, "--chart", c] for p, v, c in over] + [["report", str(path)]]
+    assert compare.run_checkout(ROOT, argvs) == [result(code=2, stderr=LIMIT_MESSAGE)] * 3
+
+
 def test_invalid_scenes_are_written_and_listed(tmp_path):
     compare = load_compare()
     paths = compare.scene_paths(ROOT, tmp_path)

@@ -7,6 +7,7 @@ multiplication-matrix count in ``total_milnor_number`` is tested against.
 import importlib
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -52,16 +53,27 @@ def order_key(order):
     return lambda e: (e[0], sum(e[1:]), tuple(-x for x in reversed(e[1:])))
 
 
+def linear_combination(pairs, variables):
+    """The sum of the products q * g over (q, g) pairs, on exponent tuples."""
+    terms = {}
+    for q, g in pairs:
+        for a, c in q.terms.items():
+            for b, d in g.terms.items():
+                e = tuple(map(operator.add, a, b))
+                terms[e] = terms.get(e, 0) + c * d
+    return Polynomial(variables, terms)
+
+
 def s_polynomial(f, g, order):
-    """The S-polynomial of f and g by Polynomial arithmetic, independent of the engine."""
+    """The S-polynomial of f and g on exponent tuples, independent of the engine."""
     key = order_key(order)
     ef, eg = max(f.terms, key=key), max(g.terms, key=key)
     lcm = tuple(map(max, ef, eg))
 
-    def shifted(p, e):
-        return p * Polynomial(p.variables, {tuple(a - b for a, b in zip(lcm, e)): 1 / p.terms[e]})
+    def shifted(p, e, sign):
+        return Polynomial(p.variables, {tuple(a - b for a, b in zip(lcm, e)): sign / p.terms[e]}), p
 
-    return shifted(f, ef) - shifted(g, eg)
+    return linear_combination([shifted(f, ef, 1), shifted(g, eg, -1)], f.variables)
 
 
 def basis_strings(gb):
@@ -89,10 +101,7 @@ class TestDivision:
         f = P("x^3*y - 2*x*y^2 + y + 5")
         divisors = [P("x*y - 1"), P("y^2 - x")]
         quotients, remainder = divide(f, divisors, GREVLEX)
-        total = remainder
-        for q, g in zip(quotients, divisors):
-            total = total + q * g
-        assert total == f
+        assert linear_combination([*zip(quotients, divisors), (remainder, P("1"))], XY) == f
 
     def test_zero_dividend(self):
         quotients, remainder = divide(Polynomial.zero(XY), [P("x")], GREVLEX)
@@ -146,7 +155,7 @@ class TestBuchberger:
 
     def test_basis_is_interreduced(self):
         gb = groebner(ideal("x^2 - y", "y^2 - x"))
-        leads = gb.leads
+        leads = [max(g.terms, key=order_key(GREVLEX)) for g in gb.basis]
         for i, g in enumerate(gb.basis):
             others = [h for j, h in enumerate(gb.basis) if j != i]
             if not others:
@@ -218,9 +227,9 @@ class TestSPolynomial:
         f = P("x^2 + y")
         g = P("x*y + 1")
         lay = groebner_module._layout(2, GREVLEX)
-        a, b = (groebner_module._entry(groebner_module._packed(p, lay), lay) for p in (f, g))
+        a, b = (groebner_module._entry(p._terms, lay) for p in (f, g))
         s = groebner_module._spoly(a, b, groebner_module._lcm(a[0], b[0], lay), lay)
-        assert groebner_module._polynomial(XY, s, lay) == P("y^2 - x") == s_polynomial(f, g, GREVLEX)
+        assert Polynomial._of_clean(XY, s) == P("y^2 - x") == s_polynomial(f, g, GREVLEX)
 
 
 class TestMilnorNumbers:
@@ -261,10 +270,8 @@ class TestMilnorNumbers:
 
     def test_linear_change_of_coordinates(self):
         F = P("y^2*z - x^3 - x^2*z", XYZ)
-        x, y, z = (Polynomial.variable(XYZ, v) for v in XYZ)
-        shifted = (
-            y * y * z - (x + y) ** 3 - (x + y) ** 2 * z
-        )
+        # y^2 z - (x + y)^3 - (x + y)^2 z, expanded.
+        shifted = P("-x^3 - 3*x^2*y - 3*x*y^2 - y^3 - x^2*z - 2*x*y*z", XYZ)
         assert total_milnor_number(shifted, "z").total_milnor == 1
         assert total_milnor_number(F, "z").total_milnor == 1
 
@@ -366,7 +373,7 @@ def rows_by_division(f, basis, monomials):
     index = {m: j for j, m in enumerate(monomials)}
     rows = []
     for m in monomials:
-        shifted = f * Polynomial(f.variables, {m: 1})
+        shifted = Polynomial(f.variables, {tuple(map(operator.add, e, m)): c for e, c in f.terms.items()})
         rows.append({index[e]: c for e, c in remainder_mod(shifted, basis).terms.items()})
     return rows
 
@@ -405,7 +412,7 @@ def packed_rows(f, basis):
     monomials, the rows of M_f as exact fractions, and the scale L."""
     lay = groebner_module._layout(len(basis.variables), basis.order)
     monomials = groebner_module._standard_monomials(basis)
-    rows, scale = groebner_module._multiplication_rows(groebner_module._packed(f, lay), basis, monomials)
+    rows, scale = groebner_module._multiplication_rows(f._terms, basis, monomials)
     exact = [{j: Fraction(v, scale) for j, v in row.items()} for row in rows]
     return [groebner_module._unpack(m, lay) for m in monomials], exact, scale
 
@@ -544,12 +551,12 @@ def test_reduced_basis_matches_sympy(gens):
         expected.add(frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in g.quo_ground(lead).terms()))
     gb = groebner(PolyIdeal(gens))
     assert {frozenset(g.terms.items()) for g in gb.basis} == expected
-    assert list(gb.leads) == [max(g.terms, key=grevlex) for g in gb.basis]
-    assert all(grevlex(a) < grevlex(b) for a, b in zip(gb.leads, gb.leads[1:]))
+    leads = [max(g.terms, key=grevlex) for g in gb.basis]
+    assert all(grevlex(a) < grevlex(b) for a, b in zip(leads, leads[1:]))
 
 
 small_polys = st.builds(
-    lambda terms: _poly_from_terms(terms),
+    lambda terms: Polynomial(XY, terms),
     st.dictionaries(
         st.tuples(st.integers(0, 3), st.integers(0, 3)),
         st.integers(-5, 5),
@@ -557,16 +564,6 @@ small_polys = st.builds(
         max_size=4,
     ),
 )
-
-
-def _poly_from_terms(terms):
-    f = Polynomial.zero(XY)
-    for (a, b), c in terms.items():
-        mono = Polynomial.constant(XY, c)
-        mono = mono * Polynomial.variable(XY, "x") ** a
-        mono = mono * Polynomial.variable(XY, "y") ** b
-        f = f + mono
-    return f
 
 
 @settings(max_examples=60, deadline=None)
@@ -668,13 +665,17 @@ class TestPackedMonomials:
         assert basis_strings(groebner(ideal_quotient(ideal("x^2*y", "x*y^2"), P("x*y")))) == {"x", "y"}
 
 
-def restricted_partials(text, chart):
-    """The packed partials of F restricted to the chart's hyperplane, as
-    ``_validate_chart`` builds them, and their layout."""
+def chart_equation(text, chart):
+    """The chart equation f of F, the degree of F and the layout of f."""
     F = P(text, XYZ)
     f = dehomogenize(F, chart)
-    lay = groebner_module._layout(len(f.variables), GREVLEX)
-    return f.variables, groebner_module._packed(f, lay), F.total_degree(), lay
+    return f, F.total_degree(), groebner_module._layout(len(f.variables), GREVLEX)
+
+
+def monomial(text):
+    """The packed monomial of a one-term polynomial in x and y."""
+    (m,) = P(text)._terms
+    return m
 
 
 class TestValidationStop:
@@ -687,12 +688,17 @@ class TestValidationStop:
     def test_stops_on_the_generators_of_a_diagonal_input(self, monkeypatch):
         # The milnor family: the restricted partials are b_i x_i^(d-1).
         calls = self.spy(monkeypatch)
-        variables, f, degree, lay = restricted_partials("2*z*x^2 + 3*x^3 + 5*z*y^2 + 7*y^3", "z")
-        groebner_module._validate_chart(variables, f, degree, None)
-        gens = [{m - lay.units[i]: c for m, c in f.items() if m >> lay.shifts[i] & LIMIT} for i in range(2)]
-        assert groebner_module._buchberger(gens, lay, None, stop_when_finite=True) == dict(
-            (max(g, key=lay.key), g) for g in gens
-        )
+        f, degree, lay = chart_equation("2*z*x^2 + 3*x^3 + 5*z*y^2 + 7*y^3", "z")
+        groebner_module._validate_chart(f, degree, None)
+        # The partials 9x^2 and 21y^2 of the top part come back monic, each
+        # lead with an empty tail.
+        gens = [P("3*x^3 + 7*y^3").derivative(i)._terms for i in range(2)]
+        stop = groebner_module._buchberger(gens, lay, None, stop_when_finite=True)
+        assert stop == {monomial("x^2"): {}, monomial("y^2"): {}}
+        # 2x^2 + 4xy and 3y^3 + 6xy stop too, each lead with its monic tail.
+        gens = [P("2*x^2 + 4*x*y")._terms, P("3*y^3 + 6*x*y")._terms]
+        stop = groebner_module._buchberger(gens, lay, None, stop_when_finite=True)
+        assert stop == {monomial("x^2"): {monomial("x*y"): 2}, monomial("y^3"): {monomial("x*y"): 2}}
         assert calls == []
 
     def test_non_diagonal_input_needs_s_pairs(self, monkeypatch):
@@ -700,13 +706,13 @@ class TestValidationStop:
         # 3x^2 + 3y^2: the leads xy and x^2 hold no power of y until the
         # S-pair gives y^3.
         calls = self.spy(monkeypatch)
-        variables, f, degree, lay = restricted_partials("3*x^2*y + y^3 + z^3", "z")
-        groebner_module._validate_chart(variables, f, degree, None)
+        f, degree, _ = chart_equation("3*x^2*y + y^3 + z^3", "z")
+        groebner_module._validate_chart(f, degree, None)
         assert len(calls) >= 1
         assert total_milnor_number(P("3*x^2*y + y^3 + z^3", XYZ), "z").total_milnor == 0
 
     def test_infinite_quotient_still_exits(self, monkeypatch):
         # The cusp of y^2 z - x^3 lies on y = 0: only x has a pure power.
-        variables, f, degree, _ = restricted_partials("y^2*z - x^3", "y")
+        f, degree, _ = chart_equation("y^2*z - x^3", "y")
         with pytest.raises(SingularitiesOutsideChartError):
-            groebner_module._validate_chart(variables, f, degree, None)
+            groebner_module._validate_chart(f, degree, None)

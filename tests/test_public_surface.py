@@ -1,10 +1,13 @@
 """Every public function, class and method has a caller in the package.
 
 Each module under ``src/milnorcalc/`` except ``__init__.py`` is parsed
-with ``ast``.  A public top-level function or class, or a public method
-(no leading underscore, so no dunder either), must be referred to by a
-name, an attribute or an import somewhere in those modules.  Exports
-from ``__init__.py`` and uses in the tests do not count as callers.
+with ``ast``.  A public top-level function or class (no leading
+underscore) must be loaded by name, imported or read as an attribute
+somewhere in those modules; a public method (no leading underscore, so
+no dunder either) must be read as an attribute, ``x.name``.  A local
+variable of the same name is no caller: assigning a name is not a use,
+and a method is not reached through a bare name.  Exports from
+``__init__.py`` and uses in the tests do not count as callers.
 """
 
 import ast
@@ -27,14 +30,22 @@ def _public_definitions(tree):
                     yield f"{node.name}.{item.name}"
 
 
-def _referenced_names(tree):
+def _attributes(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def _loads_and_imports(tree):
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             yield from (alias.name.split(".")[-1] for alias in node.names)
+
+
+def _has_caller(name, attributes, loads):
+    if "." in name:
+        return name.split(".")[-1] in attributes
+    return name in attributes | loads
 
 
 def test_every_public_name_has_a_caller():
@@ -43,15 +54,16 @@ def test_every_public_name_has_a_caller():
         for path in sorted(PACKAGE.glob("*.py"))
         if path.name != "__init__.py"
     }
-    referenced = {name for tree in modules.values() for name in _referenced_names(tree)}
+    attributes = {name for tree in modules.values() for name in _attributes(tree)}
+    loads = {name for tree in modules.values() for name in _loads_and_imports(tree)}
     defined = {name for tree in modules.values() for name in _public_definitions(tree)}
     unused = sorted(
         f"{module}: {name}"
         for module, tree in modules.items()
         for name in _public_definitions(tree)
-        if name.split(".")[-1] not in referenced | ALLOWED_UNUSED
+        if name not in ALLOWED_UNUSED and not _has_caller(name, attributes, loads)
     )
     assert unused == []
     # An allowlisted name that is gone, or has gained a caller, leaves the list.
     assert ALLOWED_UNUSED <= defined
-    assert not ALLOWED_UNUSED & referenced
+    assert not any(_has_caller(name, attributes, loads) for name in ALLOWED_UNUSED)
