@@ -15,6 +15,9 @@ list holds:
   scenes whose box shapes exercise both kinds of slice list in
   ``milnorcalc.chow``, on a stratified scene with user mu on a product
   ambient and on twelve scenes that exit 2;
+- ``--json report`` and ``check`` at m = 9 on four of those scenes
+  (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
+  product factor P^9 is wider than any of m = 1, 2, 3;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
   parser), a node in P^5, a chart validation that needs an S-pair, high
@@ -41,11 +44,16 @@ import json
 import subprocess
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 100
 M_VALUES = ("1", "2", "3")
+# Scenes, by file name, also run at LARGE_M: a nodal curve, user mu on a
+# line stratum, and user mu on P^2 x P^0 x P^1 (PRODUCT_STRATA_SCENE).
+LARGE_M = "9"
+LARGE_M_SCENES = ("nodal-cubic.json", "reducible-quadric-surface.json", "strata-2-0-1.json")
 FIELDS = ("code", "stdout", "stderr")
 
 # Runs the invocations read from stdin through main() and writes one
@@ -264,8 +272,15 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
     return paths
 
 
-def invocations(scenes: list[str]) -> list[list[str]]:
-    """The fixed argument lists, for the given scene files."""
+def large_m_paths(scenes: list[str]) -> list[str]:
+    """The scenes of ``LARGE_M_SCENES`` and the first generated ``chow`` scene."""
+    chow = next(scene for scene in scenes if Path(scene).parent.name == "chow")
+    return [scene for scene in scenes if Path(scene).name in LARGE_M_SCENES] + [chow]
+
+
+def invocations(scenes: list[str], large_m: Sequence[str] = ()) -> list[list[str]]:
+    """The fixed argument lists, for the given scene files and the scenes
+    also run at ``LARGE_M``."""
     first = scenes[0]
     # Rejections and help come first, so every later invocation runs
     # after the parser has refused input and printed help.
@@ -283,6 +298,8 @@ def invocations(scenes: list[str]) -> list[list[str]]:
                 ([], "check"), (["--json"], "check"), (["--quiet"], "check"),
             ):
                 result.append(prefix + [command, scene, "--m", m])
+    for scene in large_m:
+        result.extend([["--json", "report", scene, "--m", LARGE_M], ["check", scene, "--m", LARGE_M]])
     for poly, variables, chart in MILNOR_CASES:
         for prefix in ([], ["--json"]):
             argv = ["milnor", "--poly", poly, "--vars", variables, "--chart", chart]
@@ -340,7 +357,8 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
-        argvs = invocations(scene_paths(ROOT, Path(tmp)))
+        scenes = scene_paths(ROOT, Path(tmp))
+        argvs = invocations(scenes, large_m_paths(scenes))
         results = {side: run_checkout(getattr(args, side), argvs) for side in ("parent", "change")}
     found = differences(argvs, results["parent"], results["change"])
     for text in found:

@@ -30,10 +30,9 @@ from .chow import (
     AmbientSpace,
     ChowClass,
     divisor_class,
-    factor_tangent_class,
-    forget_factor,
     hyperplane,
-    insert_factor,
+    pull_back,
+    push_forward,
     self_intersection_check,
     tangent_class,
     unit_inverse,

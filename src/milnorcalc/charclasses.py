@@ -25,9 +25,8 @@ from .chow import (
     AmbientSpace,
     ChowClass,
     divisor_class,
-    factor_tangent_class,
-    forget_factor,
-    insert_factor,
+    pull_back,
+    push_forward,
     self_intersection_check,
     tangent_class,
 )
@@ -191,13 +190,8 @@ class ProductClasses:
     """Classes of X x P^m inside (ambient) x P^m; the new factor is last."""
 
     m: int
-    fiber_tangent: ChowClass
     fulton_johnson: ChowClass
     milnor_class: ChowClass
-
-    @property
-    def position(self) -> int:
-        return len(self.fiber_tangent.ambient.factors) - 1
 
 
 def product_classes(scene: StrataScene, milnor: ChowClass, m: int) -> ProductClasses:
@@ -208,14 +202,11 @@ def product_classes(scene: StrataScene, milnor: ChowClass, m: int) -> ProductCla
     """
     if m < 1:
         raise ValueError(_BAD_M)
-    position = len(scene.ambient.factors)
     product = scene.ambient.extended(m)
-    fiber_tangent = factor_tangent_class(product, position)
     return ProductClasses(
         m=m,
-        fiber_tangent=fiber_tangent,
         fulton_johnson=fulton_johnson(product, [_single_multidegree(scene) + (0,)]),
-        milnor_class=fiber_tangent * insert_factor(milnor, m, position),
+        milnor_class=pull_back(milnor, m),
     )
 
 
@@ -229,7 +220,7 @@ def verdier_smooth_check(product: ProductClasses, csm: ChowClass) -> CheckResult
     property of the smooth projection.
     """
     lhs = product.fulton_johnson - product.milnor_class
-    rhs = product.fiber_tangent * insert_factor(csm, product.m, product.position)
+    rhs = pull_back(csm, product.m)
     return _result(f"verdier_m{product.m}", lhs - rhs)
 
 
@@ -239,7 +230,7 @@ def proper_pushdown_check(product: ProductClasses, milnor: ChowClass) -> CheckRe
     The projection X x P^m -> X has fiber Euler characteristic m + 1,
     so the pushforward must be (m + 1) times the base Milnor class.
     """
-    pushed = forget_factor(product.milnor_class, product.position)
+    pushed = push_forward(product.milnor_class)
     expected = (product.m + 1) * milnor
     return _result(f"pushdown_m{product.m}", pushed - expected)
 
@@ -277,17 +268,15 @@ def lci_defect_check(
     classes are the pulled-back closure classes of X, summed with the
     closure-indicator ``coefficients`` of mu.
     """
-    m, position = product.m, product.position
-    ambient = product.fiber_tangent.ambient
+    m, ambient = product.m, product.fulton_johnson.ambient
     divisor = divisor_class(ambient, _single_multidegree(scene) + (0,))
     normal = ChowClass.unit(ambient) + divisor
-    pulled = product.fiber_tangent * (divisor * insert_factor(tangent, m, position)) / normal
+    pulled = divisor * pull_back(tangent, m) / normal
     lhs = pulled - (product.fulton_johnson - product.milnor_class)
     accumulated = ChowClass.zero(ambient)
     for stratum_id, coefficient in coefficients.items():
         closure = _closure_csm(scene, scene.stratum(stratum_id))
-        product_closure = insert_factor(closure, m, position) * product.fiber_tangent
-        accumulated = accumulated + coefficient * product_closure
+        accumulated = accumulated + coefficient * pull_back(closure, m)
     rhs = accumulated / normal
     return _result(f"lci_m{m}", lhs - rhs)
 
@@ -320,7 +309,9 @@ def build_report(
     product classes for each m are computed once, and the checks compare
     them.  c(TY), D = dH and 1+D are formed here and shared by the Milnor
     class, the localization and the checks, but ``fulton_johnson`` forms
-    its own and ``self_intersection_check`` forms D again.
+    its own and ``self_intersection_check`` forms D again.  On X x P^m,
+    with P^m the last factor, ``pull_back`` writes c(T_fiber) cap pi^*
+    of a base class and ``push_forward`` forgets P^m, each by slices.
     A scene with several multidegrees gets no Milnor class, so nonzero
     mu on it is rejected rather than dropped.
     """

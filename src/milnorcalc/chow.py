@@ -10,9 +10,9 @@ Python integers and therefore exact at any size.
 A class stores all N = prod (n_i + 1) coefficients of its box as one
 tuple, zeros included, in box order: H^e sits at index sum e_i s_i for
 the strides s_i = prod_{j > i} (n_j + 1).  Sums and scalings are one
-``map``; inserting or forgetting a factor copies slices (one extended
-slice for the last factor).  The entries with e_i < p form runs of
-p s_i every (n_i + 1) s_i, which one list of slice assignments per
+``map``; the pullback and pushforward along the projection that forgets
+the last factor are extended slices.  The entries with e_i < p form runs
+of p s_i every (n_i + 1) s_i, which one list of slice assignments per
 (factor, power) zeroes: runs or extended slices, whichever is shorter.
 The predecessor table of a term H^f, built from these lists, holds
 t - f + 1 at each index t whose monomial H^f divides, else 0, and is
@@ -21,10 +21,9 @@ through the tables of the terms of the operand with fewer nonzero
 entries, four terms per pass; ``x / u`` solves
 y_t = x_t - sum_f u_f y_(t - f) in box order.  The layout of an ambient
 holds the slice lists, the table of each term read so far (a report
-reads those of D, of the fiber tangent class and of any class sparser
-than these), the ``"a,b,c"`` key strings (built when a class of the
-ambient is first emitted, which product ambients never are) and the
-tangent class.
+reads those of D and of any class sparser than D), the ``"a,b,c"`` key
+strings (built when a class of the ambient is first emitted, which
+product ambients never are) and the tangent class.
 """
 
 from __future__ import annotations
@@ -107,6 +106,12 @@ def _runs_below(size: int, stride: int, n: int, p: int) -> tuple[list[slice], tu
     return [slice(r, None, period) for r in range(run)], (0,) * (size // period)
 
 
+def _binomials(n: int) -> list[int]:
+    """C(n, j) for j = 0..n, each from the one before: far cheaper than
+    ``math.comb`` per entry when n is large."""
+    return list(itertools.accumulate(range(1, n + 1), lambda c, j: c * (n + 1 - j) // j, initial=1))
+
+
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(factors: tuple[int, ...]) -> _Layout:
     strides = [math.prod(n + 1 for n in factors[i + 1 :]) for i in range(len(factors))]
@@ -116,7 +121,8 @@ def _layout(factors: tuple[int, ...]) -> _Layout:
     grades, tangent = [0], [1]
     for n in factors:
         grades = [g + a for g in grades for a in range(n + 1)]
-        tangent = [c * math.comb(n + 1, a) for c in tangent for a in range(n + 1)]
+        row = _binomials(n + 1)[:-1]
+        tangent = [c * b for c in tangent for b in row]
     return _Layout(size, tuple(strides), clears, tuple(grades), {}, (0,) * size, {}, tuple(tangent))
 
 
@@ -301,11 +307,6 @@ class ChowClass:
         return render_terms(items, self.ambient.letters(), "")
 
 
-def _check_factor(ambient: AmbientSpace, factor: int) -> None:
-    if not 0 <= factor < len(ambient.factors):
-        raise ValueError("factor out of range")
-
-
 def _written(ambient: AmbientSpace, entries: Iterable[tuple[int, int]]) -> ChowClass:
     """The class with the given (index, coefficient) entries and zeros elsewhere."""
     terms = [0] * _layout(ambient.factors).size
@@ -316,7 +317,8 @@ def _written(ambient: AmbientSpace, entries: Iterable[tuple[int, int]]) -> ChowC
 
 def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:
     """Return the hyperplane class of one factor (zero on a P^0 factor)."""
-    _check_factor(ambient, factor)
+    if not 0 <= factor < len(ambient.factors):
+        raise ValueError("factor out of range")
     stride = _layout(ambient.factors).strides[factor]
     return _written(ambient, [(stride, 1)] if ambient.factors[factor] else [])
 
@@ -324,13 +326,6 @@ def hyperplane(ambient: AmbientSpace, factor: int = 0) -> ChowClass:
 def tangent_class(ambient: AmbientSpace) -> ChowClass:
     """Total Chern class of the tangent bundle, prod (1+H_i)^(n_i+1), held by the layout."""
     return ChowClass._of_terms(ambient, _layout(ambient.factors).tangent)
-
-
-def factor_tangent_class(ambient: AmbientSpace, factor: int) -> ChowClass:
-    """Total Chern class of the tangent bundle along one factor, (1+H)^(n+1)."""
-    _check_factor(ambient, factor)
-    n, stride = ambient.factors[factor], _layout(ambient.factors).strides[factor]
-    return _written(ambient, [(k * stride, math.comb(n + 1, k)) for k in range(n + 1)])
 
 
 def divisor_class(ambient: AmbientSpace, multidegree: Sequence[int]) -> ChowClass:
@@ -348,44 +343,29 @@ def unit_inverse(u: ChowClass) -> ChowClass:
     return ChowClass.unit(u.ambient) / u
 
 
-def insert_factor(x: ChowClass, extra_dim: int, position: int) -> ChowClass:
-    """Pull back along the projection that forgets a new factor.
+def pull_back(x: ChowClass, m: int) -> ChowClass:
+    """c(T_pi) cap pi^* x for the projection pi that forgets a last factor P^m.
 
-    The new factor of dimension ``extra_dim`` is inserted at ``position``
-    in the ambient factor list; coefficients are unchanged.
+    The coefficient of H^e H_new^j is C(m+1, j) x_e: one extended slice per j.
+    """
+    product = x.ambient.extended(m)
+    terms, out = x._terms, [0] * (len(x._terms) * (m + 1))
+    for j, c in enumerate(_binomials(m + 1)[:-1]):
+        out[j :: m + 1] = map(mul, terms, repeat(c))
+    return ChowClass._of_terms(product, tuple(out))
+
+
+def push_forward(x: ChowClass) -> ChowClass:
+    """Push forward along the projection that forgets the last factor P^n.
+
+    Only the terms carrying H_last^n survive (the rest die for dimension
+    reasons), without that power.
     """
     factors = x.ambient.factors
-    if not 0 <= position <= len(factors):
-        raise ValueError("position out of range")
-    new_ambient = AmbientSpace(factors[:position] + (extra_dim,) + factors[position:])
-    # One extended slice per offset r in a block of the factors from ``position`` on.
-    terms, low = x._terms, math.prod(n + 1 for n in factors[position:])
-    out = [0] * (len(terms) * (extra_dim + 1))
-    for r in range(low):
-        out[r :: (extra_dim + 1) * low] = terms[r::low]
-    return ChowClass._of_terms(new_ambient, tuple(out))
-
-
-def forget_factor(x: ChowClass, position: int) -> ChowClass:
-    """Push forward along the projection that forgets one factor.
-
-    Only terms carrying the full power H_position^{n} of the forgotten
-    P^n factor survive (the rest die for dimension reasons); the
-    variable is stripped from the survivors.
-    """
-    factors = x.ambient.factors
-    if not 0 <= position < len(factors):
-        raise ValueError("position out of range")
     if len(factors) == 1:
         raise ValueError("cannot forget the only factor")
-    full = factors[position]
-    new_ambient = AmbientSpace(factors[:position] + factors[position + 1 :])
-    # One extended slice per offset r < low; the survivors have e_position = full.
-    terms, low = x._terms, math.prod(n + 1 for n in factors[position + 1 :])
-    out = [0] * (len(terms) // (full + 1))
-    for r in range(low):
-        out[r::low] = terms[full * low + r :: (full + 1) * low]
-    return ChowClass._of_terms(new_ambient, tuple(out))
+    n = factors[-1]
+    return ChowClass._of_terms(AmbientSpace(factors[:-1]), x._terms[n :: n + 1])
 
 
 def self_intersection_check(ambient: AmbientSpace, multidegree: Sequence[int]) -> bool:

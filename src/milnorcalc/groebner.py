@@ -3,9 +3,10 @@ built on them: staircase quotient dimensions and total Milnor numbers
 of projective hypersurfaces with isolated singularities.
 
 Buchberger's algorithm, with the product and chain criteria, runs on
-the packed monomials of ``polynomials``: on the grevlex terms of a
-``Polynomial`` as they are, repacked only for lex and the elimination
-order.  A step past ``_LIMIT`` raises ``ValueError``, never a carry.
+the packed grevlex monomials of ``polynomials``, the terms of a
+``Polynomial`` as they are; only ``ideal_quotient`` repacks, for the
+order that eliminates its tag variable.  A step past ``_LIMIT`` raises
+``ValueError``, never a carry.
 
 The Milnor count is linear algebra on the Jacobian algebra A = k[x]/J:
 the matrix M_f of multiplication by the equation f, in the staircase
@@ -22,7 +23,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -33,7 +33,6 @@ from .polynomials import (
     _LIMIT,
     _TOO_BIG,
     GREVLEX,
-    LEX,
     PolyIdeal,
     Polynomial,
     _Layout,
@@ -56,14 +55,6 @@ class NonIsolatedSingularitiesError(ValueError):
 
 class SingularitiesOutsideChartError(ValueError):
     """Some singular point lies on the hyperplane removed by the chart."""
-
-
-def _repacked(terms: dict[int, Fraction], source: _Layout, target: _Layout) -> dict[int, Fraction]:
-    """Terms moved from one monomial order to another in as many
-    variables; the terms themselves when the orders agree."""
-    if source is target:
-        return terms
-    return {_pack(_unpack(m, source), target): c for m, c in terms.items()}
 
 
 def _lcm(a: int, b: int, lay: _Layout) -> int:
@@ -137,25 +128,22 @@ def _spoly(a: _Entry, b: _Entry, lcm: int, lay: _Layout) -> dict[int, Fraction]:
     return work
 
 
-def divide(
-    f: Polynomial, divisors: Sequence[Polynomial], order: str = GREVLEX
-) -> tuple[list[Polynomial], Polynomial]:
+def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
     """Divide ``f`` by a divisor list, returning (quotients, remainder).
 
     The remainder has no term divisible by any divisor leading term, and
     f == sum(q_i * divisors_i) + remainder holds exactly.
     """
-    home, lay = _layout(len(f.variables), GREVLEX), _layout(len(f.variables), order)
-    packed = [_repacked(g._terms, home, lay) for g in divisors]
-    entries = [_entry(terms, lay, {}) if terms else None for terms in packed]
-    remainder = _reduce(dict(_repacked(f._terms, home, lay)), [entry for entry in entries if entry], lay)
+    lay = _layout(len(f.variables), GREVLEX)
+    entries = [_entry(g._terms, lay, {}) if g._terms else None for g in divisors]
+    remainder = _reduce(dict(f._terms), [entry for entry in entries if entry], lay)
     quotients = []
-    for terms, entry in zip(packed, entries):
+    for g, entry in zip(divisors, entries):
         # The entry is g made monic: divide by the lead coefficient of g.
-        lc = entry and terms[entry[0]]
+        lc = entry and g._terms[entry[0]]
         quotient = {m: c / lc for m, c in entry[3].items()} if entry else {}
-        quotients.append(Polynomial._of_clean(f.variables, _repacked(quotient, lay, home)))
-    return quotients, Polynomial._of_clean(f.variables, _repacked(remainder, lay, home))
+        quotients.append(Polynomial._of_clean(f.variables, quotient))
+    return quotients, Polynomial._of_clean(f.variables, remainder)
 
 
 def _bounds(leads: Iterable[int], lay: _Layout) -> Optional[list[int]]:
@@ -181,28 +169,26 @@ def _buchberger(
     unreduced once the leads hold a pure power of every variable: in(I)
     then has a finite staircase, which is all that chart validation asks."""
     key, guards = lay.key, lay.guards
-    basis: list[_Entry] = []
+    basis = [_entry(g, lay) for g in generators if g]
     # Pairs wait on a heap in (key(lcm), i, j) order, each pushed once
     # with its lcm; ``pending`` holds them too, for the chain criterion.
     queue: list[tuple[int, int, int, int]] = []
     pending: set[tuple[int, int]] = set()
 
-    def add(terms: dict[int, Fraction]) -> None:
-        entry = _entry(terms, lay)
-        for k, other in enumerate(basis):
-            lcm = _lcm(other[0], entry[0], lay)
-            heapq.heappush(queue, (key(lcm), k, len(basis), lcm))
-            pending.add((k, len(basis)))
-        basis.append(entry)
+    def pair_with_earlier(j: int) -> None:
+        for k in range(j):
+            lcm = _lcm(basis[k][0], basis[j][0], lay)
+            heapq.heappush(queue, (key(lcm), k, j, lcm))
+            pending.add((k, j))
 
     def finite() -> bool:
         return stop_when_finite and _bounds([entry[0] for entry in basis], lay) is not None
 
-    for g in generators:
-        if g:
-            add(g)
+    # The generators alone may prove the quotient finite: then no pair is formed.
     if finite():
         return {lead: tail for lead, tail, *_ in basis}
+    for j in range(len(basis)):
+        pair_with_earlier(j)
     while queue:
         if cancel is not None and cancel():
             raise ComputationCancelled("Groebner basis computation cancelled")
@@ -223,7 +209,8 @@ def _buchberger(
             continue
         remainder = _reduce(_spoly(basis[i], basis[j], lcm, lay), basis, lay)
         if remainder:
-            add(remainder)
+            basis.append(_entry(remainder, lay))
+            pair_with_earlier(len(basis) - 1)
             if finite():
                 return {lead: tail for lead, tail, *_ in basis}
     # Interreduce the minimal basis: no other lead divides an element's
@@ -238,38 +225,28 @@ def _buchberger(
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced monic Groebner basis, stored packed on its order; ``basis``
+    """A reduced monic grevlex Groebner basis, stored packed; ``basis``
     (by strictly increasing leads) is built on first use."""
 
     variables: tuple[str, ...]
-    order: str
     _reduced: dict[int, dict[int, Fraction]] = field(hash=False)
 
     @functools.cached_property
     def basis(self) -> tuple[Polynomial, ...]:
-        home, lay = _layout(len(self.variables), GREVLEX), _layout(len(self.variables), self.order)
         one = Fraction(1)
-        return tuple(
-            Polynomial._of_clean(self.variables, _repacked({m: one, **t}, lay, home))
-            for m, t in self._reduced.items()
-        )
+        return tuple(Polynomial._of_clean(self.variables, {m: one, **t}) for m, t in self._reduced.items())
 
 
-def groebner(
-    ideal: PolyIdeal, order: str = GREVLEX, cancel: Optional[CancelCallback] = None
-) -> GroebnerBasis:
-    """Return the reduced monic Groebner basis of ``ideal``."""
-    if order not in (GREVLEX, LEX):
-        raise ValueError(f"unknown monomial order {order!r}")
-    home, lay = _layout(len(ideal.variables), GREVLEX), _layout(len(ideal.variables), order)
-    reduced = _buchberger([_repacked(g._terms, home, lay) for g in ideal.generators], lay, cancel)
-    return GroebnerBasis(ideal.variables, order, reduced)
+def groebner(ideal: PolyIdeal, cancel: Optional[CancelCallback] = None) -> GroebnerBasis:
+    """Return the reduced monic grevlex Groebner basis of ``ideal``."""
+    lay = _layout(len(ideal.variables), GREVLEX)
+    return GroebnerBasis(ideal.variables, _buchberger([g._terms for g in ideal.generators], lay, cancel))
 
 
 def _standard_monomials(basis: GroebnerBasis) -> Optional[list[int]]:
     """Packed standard monomials of k[x]/I, divisible by no lead, or None
     if infinite; the staircase box is enumerated in tuple order."""
-    lay = _layout(len(basis.variables), basis.order)
+    lay = _layout(len(basis.variables), GREVLEX)
     leads = list(basis._reduced)
     bounds = _bounds(leads, lay) if leads else None
     if bounds is None:
@@ -363,13 +340,13 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
     """Set the chart variable to 1 and drop it from the variable list."""
     idx = _chart_index(F, chart)
     remaining = F.variables[:idx] + F.variables[idx + 1 :]
-    # Repacked on the layout of the remaining variables, the chart variable's unit 0.
-    units = list(_layout(len(remaining), GREVLEX).units)
-    units.insert(idx, 0)
-    home = _layout(len(F.variables), GREVLEX)
+    # On grevlex the fields of x_0, x_1, ... rise from bit 0 with the degree
+    # on top: the fields above the chart's move down one, taking off its power.
+    s, width = _layout(len(F.variables), GREVLEX).shifts[idx], _FIELD_BITS + 1
+    low, degree_shift = (1 << s) - 1, _layout(len(remaining), GREVLEX).degree_shift
     terms: dict[int, Fraction] = {}
     for m, coeff in F._terms.items():
-        cut = sum(map(operator.mul, _unpack(m, home), units))
+        cut = (m & low | m >> (s + width) << s) - ((m >> s & _LIMIT) << degree_shift)
         terms[cut] = terms[cut] + coeff if cut in terms else coeff
     return Polynomial._of_clean(remaining, {m: c for m, c in terms.items() if c})
 
@@ -401,7 +378,7 @@ def _validate_chart(f: Polynomial, degree: int, cancel: Optional[CancelCallback]
     gens = [top.derivative(i)._terms for i in range(len(f.variables))]
     gens.append({m: c for m, c in f._terms.items() if m >> shift == degree - 1})
     basis = _buchberger(gens, lay, cancel, stop_when_finite=True)
-    if quotient_dim(GroebnerBasis(f.variables, GREVLEX, basis)) == math.inf:
+    if quotient_dim(GroebnerBasis(f.variables, basis)) == math.inf:
         raise SingularitiesOutsideChartError("singularities outside the chart")
 
 
@@ -435,7 +412,7 @@ def _multiplication_rows(f: dict, basis: GroebnerBasis, monomials: list[int]) ->
     lt(g) - g, and any other u is x_i times the form of u / x_i, taken
     non-standard on the border, in increasing order.
     """
-    lay = _layout(len(basis.variables), basis.order)
+    lay = _layout(len(basis.variables), GREVLEX)
     index = {m: j for j, m in enumerate(monomials)}
     forms: dict[int, tuple[Row, int]] = {m: ({j: 1}, 1) for m, j in index.items()}
     for lead, tail in basis._reduced.items():

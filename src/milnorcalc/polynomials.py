@@ -11,8 +11,8 @@ degree, each of ``_FIELD_BITS`` bits under a guard bit.  A product is
 a + b, a quotient b - a, a divides b when ((b | G) - a) & G == G for
 the guard bits G, and an lcm is taken field by field.  Int order is
 monomial order once ``key`` has flipped some fields: grevlex has the
-degree on top, then the variables from the last, all flipped; lex has
-x_0 on top; the order eliminating x_0 has x_0 on top, then grevlex.
+degree on top, then the variables from the last, all flipped; the order
+eliminating x_0 has x_0 on top, then grevlex.
 An exponent or degree above ``_LIMIT`` is refused with ``ValueError``
 when a polynomial is built or parsed.
 
@@ -38,7 +38,6 @@ Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
 GREVLEX = "grevlex"
-LEX = "lex"
 _ELIM_FIRST = "elim-first"
 
 # Value bits of a packed field; its guard bit sits just above them.
@@ -66,8 +65,6 @@ def _layout(nvars: int, order: str) -> _Layout:
     # The fields from the top down: a variable's index, or "d".
     if order == GREVLEX:
         fields, flipped = ["d", *range(nvars - 1, -1, -1)], range(nvars)
-    elif order == LEX:
-        fields, flipped = [*range(nvars), "d"], ()
     elif order == _ELIM_FIRST:
         fields, flipped = [0, "d", *range(nvars - 1, 0, -1)], range(1, nvars)
     else:

@@ -19,7 +19,7 @@ from milnorcalc.charclasses import (
     resolve_mu,
     verdier_smooth_check,
 )
-from milnorcalc.chow import AmbientSpace, ChowClass, divisor_class, insert_factor
+from milnorcalc.chow import AmbientSpace, ChowClass, divisor_class, push_forward
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
     SINGULAR_STRATUM,
@@ -119,9 +119,9 @@ def csm_library(shape, ambient):
             raise ValueError("product shapes need at least two ambient factors")
         left = csm_library(shape[1], AmbientSpace(ambient.factors[:1]))
         right = csm_library(shape[2], AmbientSpace(ambient.factors[1:]))
-        for position, n in enumerate(ambient.factors[1:], start=1):
-            left = insert_factor(left, n, position)
-        return left * insert_factor(right, ambient.factors[0], 0)
+        # The exterior product: the exponents of a term of each side, side by side.
+        pairs = [(a + b, c * d) for a, c in left.coefficients.items() for b, d in right.coefficients.items()]
+        return ChowClass(ambient, dict(pairs))
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -306,12 +306,10 @@ class TestProductChecks:
         assert (product.fulton_johnson - product.milnor_class).degree() == 2
 
     def test_pushdown_factor(self, cuspidal_report):
-        from milnorcalc.chow import forget_factor
-
         base = cuspidal_report.milnor_class
         for m in (1, 2, 3):
             product = product_classes(cuspidal_report.scene, base, m)
-            assert forget_factor(product.milnor_class, 1) == (m + 1) * base
+            assert push_forward(product.milnor_class) == (m + 1) * base
 
     def test_verdier_check_named_by_m(self, nodal_report):
         product = product_classes(nodal_report.scene, nodal_report.milnor_class, 2)

@@ -13,10 +13,9 @@ from milnorcalc.chow import (
     AmbientSpace,
     ChowClass,
     divisor_class,
-    factor_tangent_class,
-    forget_factor,
     hyperplane,
-    insert_factor,
+    pull_back,
+    push_forward,
     self_intersection_check,
     tangent_class,
     unit_inverse,
@@ -115,7 +114,7 @@ class TestAmbient:
         with pytest.raises(TypeError, match="factor dimensions must be integers"):
             P2.extended(extra_dim)
         with pytest.raises(TypeError, match="factor dimensions must be integers"):
-            insert_factor(hyperplane(P2), extra_dim, 1)
+            pull_back(hyperplane(P2), extra_dim)
 
 
 class TestChowClass:
@@ -184,12 +183,8 @@ class TestStandardClasses:
         assert tangent_class(P2xP1) == expected == powered_tangent_class(P2xP1)
 
     def test_factor_tangent(self):
-        assert factor_tangent_class(P2xP1, 1) == cls(P2xP1, {(0, 0): 1, (0, 1): 2})
-
-    @pytest.mark.parametrize("factor", [-1, 2])
-    def test_factor_tangent_rejects_a_factor_out_of_range(self, factor):
-        with pytest.raises(ValueError, match="factor out of range"):
-            factor_tangent_class(P2xP1, factor)
+        # The tangent class along the last factor is the pullback of the unit.
+        assert pull_back(ChowClass.unit(P2), 1) == cls(P2xP1, {(0, 0): 1, (0, 1): 2})
 
     def test_divisor_class(self):
         assert divisor_class(P2xP1, (3, 2)) == cls(P2xP1, {(1, 0): 3, (0, 1): 2})
@@ -215,34 +210,30 @@ class TestUnitInverse:
 
 class TestFactorMaps:
     def test_insert_factor(self):
+        # The lifted class, times the tangent class of the fiber P^1.
         x = cls(P2, {(2,): 5, (0,): 1})
-        lifted = insert_factor(x, 1, 1)
-        assert lifted == cls(P2xP1, {(2, 0): 5, (0, 0): 1})
-
-    def test_insert_at_front(self):
-        x = cls(AmbientSpace((1,)), {(1,): 4})
-        lifted = insert_factor(x, 2, 0)
-        assert lifted == cls(AmbientSpace((2, 1)), {(0, 1): 4})
+        lifted = cls(P2xP1, {(2, 0): 5, (0, 0): 1})
+        assert pull_back(x, 1) == powered_factor_tangent(P2xP1, 1) * lifted
 
     def test_forget_factor_keeps_full_fiber_power(self):
         x = cls(P2xP1, {(1, 1): 3, (2, 0): 9})
-        assert forget_factor(x, 1) == cls(P2, {(1,): 3})
+        assert push_forward(x) == cls(P2, {(1,): 3})
 
     def test_forget_last_factor_rejected(self):
-        with pytest.raises(ValueError):
-            forget_factor(hyperplane(P2), 0)
+        with pytest.raises(ValueError, match="cannot forget the only factor"):
+            push_forward(hyperplane(P2))
 
     def test_push_pull_section(self):
-        # Forgetting after inserting and multiplying by the fiber point
-        # class recovers the original: the section has degree one.
+        # Pushing forward after pulling back and multiplying by the fiber
+        # point class recovers the original: the section has degree one.
         x = cls(P2, {(1,): 2, (2,): -1})
         fiber_point = cls(P2xP1, {(0, 1): 1})
-        assert forget_factor(insert_factor(x, 1, 1) * fiber_point, 1) == x
+        assert push_forward(pull_back(x, 1) * fiber_point) == x
 
     def test_pushforward_of_unit(self):
         # P^2 x P^1 -> P^2 has one-dimensional fibers: the unit pushes
         # to zero in the dimension count, not to the unit.
-        assert forget_factor(ChowClass.unit(P2xP1), 1).is_zero()
+        assert push_forward(ChowClass.unit(P2xP1)).is_zero()
 
 
 class TestGysin:
@@ -335,8 +326,10 @@ def classes_and_unit(draw, constants=st.just(1), ambients=small_ambients):
 @given(field_edge_ambients)
 def test_tangent_classes_match_powered_oracle(ambient):
     assert tangent_class(ambient) == powered_tangent_class(ambient)
-    for factor in range(len(ambient.factors)):
-        assert factor_tangent_class(ambient, factor) == powered_factor_tangent(ambient, factor)
+    *base, last = ambient.factors
+    if base:
+        fiber_tangent = pull_back(ChowClass.unit(AmbientSpace(tuple(base))), last)
+        assert fiber_tangent == powered_factor_tangent(ambient, len(base))
 
 
 @given(classes_and_unit(ambients=field_edge_ambients))
@@ -453,9 +446,8 @@ def test_factories_build_no_classes(monkeypatch):
     results = [
         ChowClass.zero(ambient),
         x.graded_piece(2),
-        factor_tangent_class(ambient, 1),
-        insert_factor(x, 2, 1),
-        forget_factor(x, 2),
+        pull_back(x, 2),
+        push_forward(x),
     ]
     assert calls == {"__init__": 0}
     monkeypatch.undo()
@@ -463,10 +455,9 @@ def test_factories_build_no_classes(monkeypatch):
         assert_clean(result)
     assert results[0].is_zero()
     assert results[1] == cls(ambient, {e: c for e, c in x.coefficients.items() if sum(e) == 2})
-    assert results[2] == cls(ambient, {(0, 0, 0): 1, (0, 1, 0): 3, (0, 2, 0): 3})
-    lifted = {e[:1] + (0,) + e[1:]: c for e, c in x.coefficients.items()}
-    assert results[3] == cls(AmbientSpace((3, 2, 2, 4)), lifted)
-    assert results[4] == cls(AmbientSpace((3, 2)), {e[:2]: c for e, c in x.coefficients.items() if e[2] == 4})
+    pulled = {e + (j,): math.comb(3, j) * c for e, c in x.coefficients.items() for j in range(3)}
+    assert results[2] == cls(AmbientSpace((3, 2, 4, 2)), pulled)
+    assert results[3] == cls(AmbientSpace((3, 2)), {e[:2]: c for e, c in x.coefficients.items() if e[2] == 4})
 
 
 def test_zero_divided_without_walking_the_box(monkeypatch):
@@ -504,8 +495,8 @@ def test_unit_inverse_round_trip(x):
 @given(chow_classes(ambient=P2), chow_classes(ambient=P2xP1))
 def test_projection_formula(x, y):
     # forget(insert(x) * y) = x * forget(y) for the projection to P^2.
-    lhs = forget_factor(insert_factor(x, 1, 1) * y, 1)
-    rhs = x * forget_factor(y, 1)
+    lhs = push_forward(inserted_oracle(x, 1, 1) * y)
+    rhs = x * push_forward(y)
     assert lhs == rhs
 
 
@@ -529,30 +520,22 @@ def ambients_and_degrees(draw):
 @given(ambients_and_degrees(), fiber_dims)
 def test_product_fulton_johnson_is_pulled_back(case, m):
     Y, d = case
-    k = len(Y.factors)
-    P = Y.extended(m)
-    pulled = factor_tangent_class(P, k) * insert_factor(fulton_johnson(Y, [d]), m, k)
-    assert fulton_johnson(P, [d + (0,)]) == pulled
+    assert fulton_johnson(Y.extended(m), [d + (0,)]) == pull_back(fulton_johnson(Y, [d]), m)
 
 
 @given(small_ambients.flatmap(chow_classes), fiber_dims)
 def test_pushdown_of_fiber_tangent_multiplies_by_fiber_euler(x, m):
-    k = len(x.ambient.factors)
-    P = x.ambient.extended(m)
-    assert forget_factor(factor_tangent_class(P, k) * insert_factor(x, m, k), k) == (m + 1) * x
+    assert push_forward(pull_back(x, m)) == (m + 1) * x
 
 
 @given(classes_and_unit(), fiber_dims, st.data())
 def test_insert_factor_commutes_with_products_and_division(pair, m, data):
+    # The pullback is linear over the plain lift of the base ring.
     x, u = pair
     y = data.draw(chow_classes(ambient=x.ambient))
-    position = data.draw(st.integers(0, len(x.ambient.factors)))
-
-    def lift(z):
-        return insert_factor(z, m, position)
-
-    assert lift(x * y) == lift(x) * lift(y)
-    assert lift(x / u) == lift(x) / lift(u)
+    last = len(x.ambient.factors)
+    assert pull_back(x * y, m) == pull_back(x, m) * inserted_oracle(y, m, last)
+    assert pull_back(x / u, m) == pull_back(x, m) / inserted_oracle(u, m, last)
 
 
 # Classes store packed exponents; these check the boundary against
@@ -595,18 +578,16 @@ def forgotten_oracle(x, position):
 
 
 @given(field_edge_ambients.flatmap(chow_classes), st.sampled_from(FIELD_EDGE_DIMS))
-def test_insert_and_forget_match_tuple_oracles_at_every_position(x, extra_dim):
-    k = len(x.ambient.factors)
-    for position in range(k + 1):
-        lifted = insert_factor(x, extra_dim, position)
-        assert lifted == inserted_oracle(x, extra_dim, position)
-        # Forgetting the new factor after multiplying by its point class
-        # walks the same field back.
-        fiber_point = tuple(extra_dim if j == position else 0 for j in range(k + 1))
-        assert forget_factor(lifted * ChowClass.monomial(lifted.ambient, fiber_point), position) == x
-    if k > 1:
-        for position in range(k):
-            assert forget_factor(x, position) == forgotten_oracle(x, position)
+def test_pull_back_and_push_forward_match_tuple_oracles(x, m):
+    last = len(x.ambient.factors)
+    pulled = pull_back(x, m)
+    product = pulled.ambient
+    assert pulled == powered_factor_tangent(product, last) * inserted_oracle(x, m, last)
+    assert push_forward(pulled) == forgotten_oracle(pulled, last) == (m + 1) * x
+    if last > 1:
+        assert push_forward(x) == forgotten_oracle(x, last - 1)
+    # The fiber point class H_new^m cuts the fiber tangent class to 1.
+    assert push_forward(pulled * power(hyperplane(product, last), m)) == x
 
 
 @given(field_edge_ambients)
@@ -615,8 +596,10 @@ def test_builders_match_the_validating_constructor(ambient):
     for i, n in enumerate(ambient.factors):
         exp = tuple(int(j == i) for j in range(k))
         assert hyperplane(ambient, i) == cls(ambient, {exp: 1})
-        tangent = {tuple(a if j == i else 0 for j in range(k)): math.comb(n + 1, a) for a in range(n + 1)}
-        assert factor_tangent_class(ambient, i) == cls(ambient, tangent)
+    if k > 1:
+        n = ambient.factors[-1]
+        tangent = {(0,) * (k - 1) + (a,): math.comb(n + 1, a) for a in range(n + 1)}
+        assert pull_back(ChowClass.unit(AmbientSpace(ambient.factors[:-1])), n) == cls(ambient, tangent)
     degrees = [i + 2 for i in range(k)]
     divisor = {tuple(int(j == i) for j in range(k)): d for i, d in enumerate(degrees)}
     assert divisor_class(ambient, degrees) == cls(ambient, divisor)

@@ -215,3 +215,17 @@ def test_product_strata_scene_is_written_and_passes_in_this_checkout(tmp_path):
         assert {entry["stratum"] for entry in report["localization"]} == {"curve", "point"}
         assert all(check["pass"] for check in report["checks"].values())
         assert {"euler_strata", f"lci_m{m}"} <= set(report["checks"])
+
+
+def test_large_m_scenes_are_listed_and_pass_in_this_checkout(tmp_path):
+    compare = load_compare()
+    paths = compare.scene_paths(ROOT, tmp_path)
+    large = compare.large_m_paths(paths)
+    names = [pathlib.Path(path).name for path in large]
+    assert set(names[:3]) == set(compare.LARGE_M_SCENES) and pathlib.Path(large[3]).parent.name == "chow"
+    argvs = compare.invocations(paths, large)
+    forms = [argv for argv in argvs if argv[-1] == compare.LARGE_M]
+    assert forms == [argv for path in large for argv in (
+        ["--json", "report", path, "--m", "9"], ["check", path, "--m", "9"],
+    )]
+    assert all(result["code"] == 0 for result in compare.run_checkout(ROOT, forms))

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from milnorcalc.groebner import (
     GREVLEX,
-    LEX,
     ComputationCancelled,
     NonIsolatedSingularitiesError,
     SingularitiesOutsideChartError,
@@ -46,8 +45,6 @@ def ideal(*texts, variables=XY):
 
 def order_key(order):
     """The monomial order on exponent tuples: a larger key is a larger monomial."""
-    if order == LEX:
-        return lambda e: e
     if order == GREVLEX:
         return lambda e: (sum(e), tuple(-x for x in reversed(e)))
     return lambda e: (e[0], sum(e[1:]), tuple(-x for x in reversed(e[1:])))
@@ -82,29 +79,43 @@ def basis_strings(gb):
 
 def remainder_mod(p, gb):
     """The remainder of p on division by a Groebner basis: its normal form."""
-    return divide(p, gb.basis, gb.order)[1]
+    return divide(p, gb.basis)[1]
+
+
+def sympy_reduced_basis(gens):
+    """The reduced monic grevlex basis of sympy, each element as a set of
+    (exponent, coefficient) pairs."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(gens[0].variables)
+    # from_dict converts the coefficients of the dict it is given in place.
+    polys = [sympy.Poly.from_dict(dict(g.terms), *symbols, domain="QQ") for g in gens]
+    expected = set()
+    for g in sympy.groebner(polys, *symbols, order="grevlex", domain="QQ").polys:
+        lead = g.LC(order="grevlex")
+        expected.add(frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in g.quo_ground(lead).terms()))
+    return expected
 
 
 class TestDivision:
     def test_exact_multiple(self):
         f = P("x^2*y + x*y^2")
-        quotients, remainder = divide(f, [P("x*y")], GREVLEX)
+        quotients, remainder = divide(f, [P("x*y")])
         assert remainder.is_zero()
         assert quotients[0] == P("x + y")
 
     def test_remainder_not_divisible(self):
         f = P("x^2 + y^2 + 1")
-        _, remainder = divide(f, [P("x"), P("y")], GREVLEX)
+        _, remainder = divide(f, [P("x"), P("y")])
         assert remainder == P("1")
 
     def test_recombination(self):
         f = P("x^3*y - 2*x*y^2 + y + 5")
         divisors = [P("x*y - 1"), P("y^2 - x")]
-        quotients, remainder = divide(f, divisors, GREVLEX)
+        quotients, remainder = divide(f, divisors)
         assert linear_combination([*zip(quotients, divisors), (remainder, P("1"))], XY) == f
 
     def test_zero_dividend(self):
-        quotients, remainder = divide(Polynomial.zero(XY), [P("x")], GREVLEX)
+        quotients, remainder = divide(Polynomial.zero(XY), [P("x")])
         assert remainder.is_zero() and quotients[0].is_zero()
 
 
@@ -127,21 +138,21 @@ class TestBuchberger:
             assert remainder_mod(P(text), gb).is_zero()
 
     def test_classic_lex_elimination(self):
-        # Reduced lexicographic basis of (x^2 + 2xy^2, xy + 2y^3 - 1).
-        gb = groebner(ideal("x^2 + 2*x*y^2", "x*y + 2*y^3 - 1"), order=LEX)
-        assert basis_strings(gb) == {"x", "y^3 - 1/2"}
+        # The classic lex example (x^2 + 2xy^2, xy + 2y^3 - 1), whose reduced
+        # lex basis is {x, y^3 - 1/2}, on grevlex.
+        gens = ideal("x^2 + 2*x*y^2", "x*y + 2*y^3 - 1").generators
+        gb = groebner(PolyIdeal(gens))
+        assert {frozenset(g.terms.items()) for g in gb.basis} == sympy_reduced_basis(gens)
 
     def test_classic_graded_basis(self):
         gb = groebner(ideal("x^3 - 2*x*y", "x^2*y + x - 2*y^2"))
         assert basis_strings(gb) == {"x^2", "x*y", "y^2 - 1/2*x"}
 
     def test_twisted_cubic_lex(self):
-        gb = groebner(ideal("-x^2 + y", "-x^3 + z", variables=XYZ), order=LEX)
-        assert basis_strings(gb) == {"x^2 - y", "x*y - z", "x*z - y^2", "y^3 - z^2"}
-
-    def test_unknown_order_rejected(self):
-        with pytest.raises(ValueError):
-            groebner(ideal("x"), order="degrevlex")
+        # The twisted cubic, the classic lex example, on grevlex.
+        gens = ideal("-x^2 + y", "-x^3 + z", variables=XYZ).generators
+        gb = groebner(PolyIdeal(gens))
+        assert {frozenset(g.terms.items()) for g in gb.basis} == sympy_reduced_basis(gens)
 
     def test_cancellation(self):
         with pytest.raises(ComputationCancelled):
@@ -160,7 +171,7 @@ class TestBuchberger:
             others = [h for j, h in enumerate(gb.basis) if j != i]
             if not others:
                 continue
-            _, remainder = divide(g, others, GREVLEX)
+            _, remainder = divide(g, others)
             assert remainder == g
         assert len(set(leads)) == len(leads)
 
@@ -180,12 +191,6 @@ class TestQuotientDim:
 
     def test_unit_ideal(self):
         assert quotient_dim(groebner(ideal("x", "x + 1"))) == 0
-
-    def test_order_independent(self):
-        for texts in [("x^2", "y^3"), ("x^2 - y", "y^2 - x"), ("2*x + 4*x^3", "2*y")]:
-            grev = quotient_dim(groebner(ideal(*texts), order=GREVLEX))
-            lex = quotient_dim(groebner(ideal(*texts), order=LEX))
-            assert grev == lex
 
 
 class TestSaturation:
@@ -410,7 +415,7 @@ def zero_dimensional_ideals(draw):
 def packed_rows(f, basis):
     """``_multiplication_rows`` on exponent tuples: the standard
     monomials, the rows of M_f as exact fractions, and the scale L."""
-    lay = groebner_module._layout(len(basis.variables), basis.order)
+    lay = groebner_module._layout(len(basis.variables), GREVLEX)
     monomials = groebner_module._standard_monomials(basis)
     rows, scale = groebner_module._multiplication_rows(f._terms, basis, monomials)
     exact = [{j: Fraction(v, scale) for j, v in row.items()} for row in rows]
@@ -539,18 +544,10 @@ def small_ideals(draw):
 @settings(max_examples=40, deadline=None)
 @given(small_ideals())
 def test_reduced_basis_matches_sympy(gens):
-    sympy = pytest.importorskip("sympy")
+    gb = groebner(PolyIdeal(gens))
+    assert {frozenset(g.terms.items()) for g in gb.basis} == sympy_reduced_basis(gens)
     from sympy.polys.orderings import grevlex
 
-    symbols = sympy.symbols(gens[0].variables)
-    # from_dict converts the coefficients of the dict it is given in place.
-    polys = [sympy.Poly.from_dict(dict(g.terms), *symbols, domain="QQ") for g in gens]
-    expected = set()
-    for g in sympy.groebner(polys, *symbols, order="grevlex", domain="QQ").polys:
-        lead = g.LC(order="grevlex")
-        expected.add(frozenset((e, Fraction(int(c.p), int(c.q))) for e, c in g.quo_ground(lead).terms()))
-    gb = groebner(PolyIdeal(gens))
-    assert {frozenset(g.terms.items()) for g in gb.basis} == expected
     leads = [max(g.terms, key=grevlex) for g in gb.basis]
     assert all(grevlex(a) < grevlex(b) for a, b in zip(leads, leads[1:]))
 
@@ -591,7 +588,7 @@ def test_generators_reduce_to_zero(gens):
 
 
 LIMIT = groebner_module._LIMIT
-ORDERS = (GREVLEX, LEX, groebner_module._ELIM_FIRST)
+ORDERS = (GREVLEX, groebner_module._ELIM_FIRST)
 
 
 @st.composite
@@ -654,11 +651,20 @@ class TestPackedMonomials:
                 groebner(PolyIdeal([Polynomial(XY, {exp: 1}), P("y")]))
 
     def test_overflow_during_reduction_raises(self):
-        # Lex reduction raises degrees: x^2 reduces to y^(2 LIMIT) by
-        # x - y^LIMIT, which no field can hold.  It must not wrap.
-        gens = [Polynomial(XY, {(1, 0): 1, (0, LIMIT): -1}), P("x^2")]
-        with pytest.raises(ValueError, match="beyond the Groebner engine"):
-            groebner(PolyIdeal(gens), order=LEX)
+        # Reduction on the elimination order raises degrees, as grevlex
+        # reduction never does.  In t, x, y the S-polynomial of
+        # t - y^(LIMIT - 1) and t^2 + tx is -t y^(LIMIT - 1) - tx, of degree
+        # LIMIT, and reducing its lead by t - y^(LIMIT - 1) gives
+        # y^(2 LIMIT - 2), which no field can hold.  It must not wrap.
+        lay = groebner_module._layout(3, groebner_module._ELIM_FIRST)
+
+        def packed(terms):
+            return {groebner_module._pack(e, lay): c for e, c in terms.items()}
+
+        gens = [packed({(1, 0, 0): 1, (0, 0, LIMIT - 1): -1}), packed({(2, 0, 0): 1, (1, 1, 0): 1})]
+        with pytest.raises(ValueError, match="beyond the Groebner engine") as raised:
+            groebner_module._buchberger(gens, lay, None)
+        assert raised.traceback[-1].name == "_reduce"
 
     def test_elimination_order_matches_saturation(self):
         # The elimination order runs through the same engine.
@@ -679,15 +685,15 @@ def monomial(text):
 
 
 class TestValidationStop:
-    def spy(self, monkeypatch):
+    def spy(self, monkeypatch, name="_spoly"):
         calls = []
-        spoly = groebner_module._spoly
-        monkeypatch.setattr(groebner_module, "_spoly", lambda *args: calls.append(args) or spoly(*args))
+        original = getattr(groebner_module, name)
+        monkeypatch.setattr(groebner_module, name, lambda *args: calls.append(args) or original(*args))
         return calls
 
     def test_stops_on_the_generators_of_a_diagonal_input(self, monkeypatch):
         # The milnor family: the restricted partials are b_i x_i^(d-1).
-        calls = self.spy(monkeypatch)
+        calls, pairs = self.spy(monkeypatch), self.spy(monkeypatch, "_lcm")
         f, degree, lay = chart_equation("2*z*x^2 + 3*x^3 + 5*z*y^2 + 7*y^3", "z")
         groebner_module._validate_chart(f, degree, None)
         # The partials 9x^2 and 21y^2 of the top part come back monic, each
@@ -699,7 +705,8 @@ class TestValidationStop:
         gens = [P("2*x^2 + 4*x*y")._terms, P("3*y^3 + 6*x*y")._terms]
         stop = groebner_module._buchberger(gens, lay, None, stop_when_finite=True)
         assert stop == {monomial("x^2"): {monomial("x*y"): 2}, monomial("y^3"): {monomial("x*y"): 2}}
-        assert calls == []
+        # No S-polynomial was formed, and no pair was even queued.
+        assert calls == [] and pairs == []
 
     def test_non_diagonal_input_needs_s_pairs(self, monkeypatch):
         # On z = 0 the partials of 3x^2 y + y^3 + z^3 are 6xy and
