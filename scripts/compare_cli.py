@@ -25,7 +25,9 @@ list holds:
 - ``table`` and ``--json table``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
   that the rest runs after the parser has refused input in the same
-  process.
+  process;
+- after all of these, one form each on the two scenes of
+  ``BOUNDARY_SCENES``, at the edges of the integer rules.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -55,6 +57,15 @@ M_VALUES = ("1", "2", "3")
 LARGE_M = "9"
 LARGE_M_SCENES = ("nodal-cubic.json", "reducible-quadric-surface.json", "strata-2-0-1.json")
 FIELDS = ("code", "stdout", "stderr")
+# Scenes at the edges of the integer rules, by file name, each with the
+# one form it runs in.  Degree 10^29 on P^1 is beyond 64 bits, so
+# ``--json report`` writes it as a decimal string, as it writes the
+# classes.  Degree 10^1500 on P^3 gives classes with 4,500-digit
+# coefficients, so a text ``report`` exits 2 and writes nothing to stdout.
+BOUNDARY_SCENES = {
+    "degree-1e29.json": ({"ambient": [1], "degrees": [[10**29]], "smooth": True}, ["--json", "report"]),
+    "degree-1e1500.json": ({"ambient": [3], "degrees": [["1" + "0" * 1500]], "smooth": True}, ["report"]),
+}
 
 # Runs the invocations read from stdin through main() and writes one
 # {"code", "stdout", "stderr"} object per invocation.  An exception is
@@ -316,6 +327,17 @@ def invocations(scenes: list[str], large_m: Sequence[str] = ()) -> list[list[str
     return result
 
 
+def boundary_invocations(outdir: Path) -> list[list[str]]:
+    """Write the scenes of ``BOUNDARY_SCENES`` under ``outdir``, and return
+    the argument list of each."""
+    result = []
+    for name, (data, command) in BOUNDARY_SCENES.items():
+        path = outdir / name
+        path.write_text(json.dumps(data) + "\n", encoding="utf-8")
+        result.append(command + [str(path)])
+    return result
+
+
 def run_checkout(checkout: Path, argvs: list[list[str]]) -> list[dict]:
     """Run every argument list through the checkout's ``main`` in one child."""
     src = Path(checkout).resolve() / "src"
@@ -358,7 +380,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
         scenes = scene_paths(ROOT, Path(tmp))
-        argvs = invocations(scenes, large_m_paths(scenes))
+        argvs = invocations(scenes, large_m_paths(scenes)) + boundary_invocations(Path(tmp))
         results = {side: run_checkout(getattr(args, side), argvs) for side in ("parent", "change")}
     found = differences(argvs, results["parent"], results["change"])
     for text in found:

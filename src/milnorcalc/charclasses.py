@@ -12,7 +12,8 @@ point class to M.  Division by the unit 1+dH is an exact solve, one
 box position at a time through the predecessor tables of the terms of
 1+dH (``ChowClass.__truediv__``); the inverse (1+dH)^{-1} is never
 formed.  Reports are written by ``canonical_json``, byte for byte as
-``json.dumps(..., sort_keys=True, indent=2)`` writes them.
+``json.dumps(..., sort_keys=True, indent=2)`` writes them once every
+integer beyond 64 bits is its decimal string.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .scenes import (
     StrataScene,
     Stratum,
     unit_function,
-    validate_scene,
 )
 
 
@@ -313,11 +313,11 @@ def build_report(
     with P^m the last factor, ``pull_back`` writes c(T_fiber) cap pi^*
     of a base class and ``push_forward`` forgets P^m, each by slices.
     A scene with several multidegrees gets no Milnor class, so nonzero
-    mu on it is rejected rather than dropped.
+    mu on it is rejected rather than dropped.  ``scene`` was validated
+    when it was built, so it is not validated again here.
     """
     if any(m < 1 for m in m_values):
         raise ValueError(_BAD_M)
-    validate_scene(scene)
     scene, mu, milnor_data = resolve_mu(scene, mu, cancel)
     codim_one = len(scene.multidegrees) == 1
     if not codim_one and not mu.is_zero():
@@ -374,24 +374,16 @@ def build_report(
     )
 
 
-# JSON serialization.  Keys are sorted and integers that do not fit in
-# 64 bits are rendered as decimal strings, so emitted reports reload
-# and re-serialize byte for byte.  Every integer is written through
-# ``decimal_text``, which names an integer too long to write.
+# JSON serialization.  The ``*_to_jsonable`` helpers pick the data; the
+# writer alone sorts keys and writes an int beyond 64 bits as a decimal
+# string, through ``decimal_text``, which names an integer too long to write.
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
 
-def json_int(value: int):
-    """The JSON form of an integer: itself within 64 bits, else its decimal string."""
-    if _INT64_MIN <= value <= _INT64_MAX:
-        return value
-    return decimal_text(value)
-
-
 def chow_to_jsonable(x: ChowClass) -> dict:
-    return {key: json_int(value) for key, value in x.keyed_terms()}
+    return dict(x.keyed_terms())
 
 
 def check_to_jsonable(check: CheckResult) -> dict:
@@ -411,24 +403,30 @@ def report_to_jsonable(report: ClassReport) -> dict:
         "fulton_johnson": chow_to_jsonable(report.fulton_johnson),
         "milnor_class": chow_to_jsonable(report.milnor_class),
         "csm": chow_to_jsonable(report.csm),
-        "euler": json_int(report.euler),
-        "mu": {k: json_int(v) for k, v in sorted(report.mu.values.items())},
+        "euler": report.euler,
+        "mu": dict(report.mu.values),
         "localization": [
             {"stratum": stratum_id, "class": chow_to_jsonable(term)}
             for stratum_id, term in report.localization
         ],
-        "checks": {name: check_to_jsonable(c) for name, c in sorted(report.checks.items())},
+        "checks": {name: check_to_jsonable(c) for name, c in report.checks.items()},
     }
     if report.scene.name:
         data["name"] = report.scene.name
     if report.milnor_data is not None:
-        data["total_milnor"] = json_int(report.milnor_data.total_milnor)
+        data["total_milnor"] = report.milnor_data.total_milnor
         data["chart"] = report.milnor_data.chart
     return data
 
 
+def _int_text(value: int) -> str:
+    """An int as JSON: its decimal within 64 bits, else that decimal quoted."""
+    text = decimal_text(value)
+    return text if _INT64_MIN <= value <= _INT64_MAX else f'"{text}"'
+
+
 def _json_text(value, newline: str) -> str:
-    """``value`` as ``json.dumps(value, sort_keys=True, indent=2)`` writes it.
+    """``value`` as ``canonical_json`` writes it.
 
     ``newline`` is the line break and indentation of the value's own
     level.  Only str, int, bool, None, and dicts with str keys and lists
@@ -438,7 +436,7 @@ def _json_text(value, newline: str) -> str:
     if kind is str:
         return encode_basestring_ascii(value)
     if kind is int:
-        return decimal_text(value)
+        return _int_text(value)
     if kind is bool:
         return "true" if value else "false"
     if value is None:
@@ -455,15 +453,16 @@ def _json_text(value, newline: str) -> str:
     items = sorted(value.items())
     # The dict of a class holds only ints: written without a recursive call per entry.
     if set(map(type, value.values())) == {int}:
-        lines = [f"{encode_basestring_ascii(k)}: {decimal_text(v)}" for k, v in items]
+        lines = [f"{encode_basestring_ascii(k)}: {_int_text(v)}" for k, v in items]
     else:
         lines = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in items]
     return "{" + inner + ("," + inner).join(lines) + newline + "}"
 
 
 def canonical_json(data) -> str:
-    """Serialize byte for byte as ``json.dumps(data, sort_keys=True, indent=2)``;
-    reloading and re-dumping is stable.
+    """Serialize byte for byte as ``json.dumps(data, sort_keys=True, indent=2)``
+    writes ``data`` with every int outside [-2^63, 2^63 - 1] replaced by
+    its decimal string; reloading and re-dumping is stable.
 
     Only str, int, bool, None, lists and dicts with str keys are
     written, each of exactly that type.  Anything else raises TypeError,

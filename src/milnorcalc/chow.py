@@ -33,7 +33,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .polynomials import _is_int, render_terms
@@ -95,7 +95,7 @@ class _Layout(NamedTuple):
     grades: tuple[int, ...]  # total degree of each index
     tables: dict[int, tuple[int, ...]]  # the predecessor table of each term index read so far
     zeros: tuple[int, ...]  # all zero: the padding table, which reads the leading zero
-    keys: dict[int, str]  # the "a,b,c" key of each index, in key order; empty until emitted
+    keys: dict[int, str]  # the "a,b,c" key of each index, in box order; empty until emitted
     tangent: tuple[int, ...]  # prod (1+H_i)^(n_i+1), shared by every tangent class
 
 
@@ -183,11 +183,10 @@ class ChowClass:
         return dict(compress(zip(self.ambient.box(), self._terms), self._terms))
 
     def keyed_terms(self) -> list[tuple[str, int]]:
-        """(``"a,b,c"`` exponent key, coefficient) pairs in the string order of the keys."""
+        """(``"a,b,c"`` exponent key, coefficient) pairs of the nonzero terms, in box order."""
         terms, keys = self._terms, _layout(self.ambient.factors).keys
         if not keys:
-            pairs = ((t, ",".join(map(str, e))) for t, e in enumerate(self.ambient.box()))
-            keys.update(sorted(pairs, key=itemgetter(1)))
+            keys.update(enumerate(",".join(map(str, e)) for e in self.ambient.box()))
         return [(key, terms[t]) for t, key in keys.items() if terms[t]]
 
     @classmethod

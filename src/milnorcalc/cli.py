@@ -6,7 +6,8 @@ through the exit code, ``milnor`` computes a total Milnor number from
 a raw polynomial, and ``table`` tabulates Euler characteristics of
 smooth hypersurfaces.  Exit codes: 0 success, 1 failed checks, 2
 invalid input, 3 a math-level obstruction such as non-isolated
-singularities.
+singularities.  Each ``cmd_*`` returns its exit code and its whole
+output; ``main`` alone writes stdout, after the command has returned.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .charclasses import (
     MissingCsmClassError,
@@ -22,7 +23,6 @@ from .charclasses import (
     canonical_json,
     check_to_jsonable,
     fulton_johnson,
-    json_int,
     report_to_jsonable,
 )
 from .chow import AmbientSpace
@@ -55,9 +55,6 @@ _CHECK_ALIASES = {
     "all": ("verdier_m{m}", "defect_codim1", "pushdown_m{m}", "lci_m{m}"),
 }
 
-# Writes one line of normal output; a no-op under --quiet.
-Emit = Callable[[str], None]
-
 
 def _ambient_label(factors: Sequence[int]) -> str:
     return " x ".join(f"P^{n}" for n in factors)
@@ -89,46 +86,44 @@ def _check_line(name: str, check) -> str:
     return f"{name}: {status}{suffix}"
 
 
-def _print_report(report, emit: Emit) -> None:
+def _report_text(report) -> str:
     scene = report.scene
-    if scene.name:
-        emit(f"scene: {scene.name}")
-    emit(f"ambient: {_ambient_label(scene.ambient.factors)}")
+    lines = [f"scene: {scene.name}"] if scene.name else []
+    lines.append(f"ambient: {_ambient_label(scene.ambient.factors)}")
     degrees = ", ".join("(" + ",".join(str(x) for x in d) + ")" for d in scene.multidegrees)
-    emit(f"degrees: {degrees}")
+    lines.append(f"degrees: {degrees}")
     if report.milnor_data is not None:
-        emit(
+        lines.append(
             f"total milnor number: {report.milnor_data.total_milnor}"
             f" (chart {report.milnor_data.chart})"
         )
     mu_values = report.mu.values
     if mu_values:
         rendered = ", ".join(f"{k} -> {v}" for k, v in sorted(mu_values.items()))
-        emit(f"mu: {rendered}")
-    emit(f"fulton_johnson: {report.fulton_johnson}")
-    emit(f"milnor_class: {report.milnor_class}")
-    emit(f"csm: {report.csm}")
-    emit(f"euler: {report.euler}")
+        lines.append(f"mu: {rendered}")
+    lines.append(f"fulton_johnson: {report.fulton_johnson}")
+    lines.append(f"milnor_class: {report.milnor_class}")
+    lines.append(f"csm: {report.csm}")
+    lines.append(f"euler: {report.euler}")
     if report.localization:
-        emit("localization:")
+        lines.append("localization:")
         for stratum_id, term in report.localization:
-            emit(f"  {stratum_id}: {term}")
-    emit("checks:")
+            lines.append(f"  {stratum_id}: {term}")
+    lines.append("checks:")
     for name in sorted(report.checks):
-        emit("  " + _check_line(name, report.checks[name]))
+        lines.append("  " + _check_line(name, report.checks[name]))
+    return "\n".join(lines)
 
 
-def cmd_report(args, emit: Emit) -> int:
+def cmd_report(args) -> tuple[int, str]:
     scene, mu = load_scene(args.scene)
     report = build_report(scene, mu, m_values=(args.m,))
     if args.json:
-        emit(canonical_json(report_to_jsonable(report)))
-    else:
-        _print_report(report, emit)
-    return EXIT_OK
+        return EXIT_OK, canonical_json(report_to_jsonable(report))
+    return EXIT_OK, _report_text(report)
 
 
-def cmd_check(args, emit: Emit) -> int:
+def cmd_check(args) -> tuple[int, str]:
     # Check names are validated before any class is computed.
     names = [raw.strip() for raw in (args.checks or "all").split(",")]
     for name in names:
@@ -137,35 +132,28 @@ def cmd_check(args, emit: Emit) -> int:
     scene, mu = load_scene(args.scene)
     report = build_report(scene, mu, m_values=(args.m,))
     keys = _check_keys(report.checks, names, args.m)
+    code = EXIT_OK if all(report.checks[key].passed for key in keys) else EXIT_CHECK_FAILED
     if args.json:
-        emit(canonical_json({key: check_to_jsonable(report.checks[key]) for key in keys}))
-    else:
-        for key in keys:
-            emit(_check_line(key, report.checks[key]))
-    return EXIT_OK if all(report.checks[key].passed for key in keys) else EXIT_CHECK_FAILED
+        return code, canonical_json({key: check_to_jsonable(report.checks[key]) for key in keys})
+    return code, "\n".join(_check_line(key, report.checks[key]) for key in keys)
 
 
-def cmd_milnor(args, emit: Emit) -> int:
+def cmd_milnor(args) -> tuple[int, str]:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not variables:
         raise SceneFileError("--vars needs at least one variable name")
     result = total_milnor_number(parse_polynomial(args.poly, variables), args.chart)
     if args.json:
-        emit(
-            canonical_json(
-                {
-                    "total_milnor": json_int(result.total_milnor),
-                    "chart": result.chart,
-                    "off_curve_dim": json_int(result.off_curve_dim),
-                }
-            )
-        )
-    else:
-        emit(str(result.total_milnor))
-    return EXIT_OK
+        data = {
+            "total_milnor": result.total_milnor,
+            "chart": result.chart,
+            "off_curve_dim": result.off_curve_dim,
+        }
+        return EXIT_OK, canonical_json(data)
+    return EXIT_OK, str(result.total_milnor)
 
 
-def cmd_table(args, emit: Emit) -> int:
+def cmd_table(args) -> tuple[int, str]:
     if args.nmax < 1 or args.dmax < 1:
         raise SceneFileError("table bounds must be at least 1")
     values = {}
@@ -174,21 +162,19 @@ def cmd_table(args, emit: Emit) -> int:
         for d in range(1, args.dmax + 1):
             values[(n, d)] = fulton_johnson(ambient, [(d,)]).degree()
     if args.json:
-        payload = {f"{n},{d}": json_int(chi) for (n, d), chi in sorted(values.items())}
-        emit(canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax}))
-        return EXIT_OK
+        payload = {f"{n},{d}": chi for (n, d), chi in values.items()}
+        return EXIT_OK, canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax})
     width = max(
         6, *(len(str(chi)) + 2 for chi in values.values())
     )
     header = "n\\d" + "".join(str(d).rjust(width) for d in range(1, args.dmax + 1))
-    emit("chi of a smooth degree-d hypersurface in P^n")
-    emit(header)
+    lines = ["chi of a smooth degree-d hypersurface in P^n", header]
     for n in range(1, args.nmax + 1):
         row = str(n).ljust(3) + "".join(
             str(values[(n, d)]).rjust(width) for d in range(1, args.dmax + 1)
         )
-        emit(row)
-    return EXIT_OK
+        lines.append(row)
+    return EXIT_OK, "\n".join(lines)
 
 
 # Built on the first call to main and shared by every later call: main
@@ -235,15 +221,17 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
-    emit: Emit = (lambda text: None) if args.quiet else print
     try:
-        return args.func(args, emit)
+        code, text = args.func(args)
     except (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if not args.quiet:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

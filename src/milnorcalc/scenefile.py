@@ -36,7 +36,7 @@ from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
 from .polynomials import PolyParseError, parse_polynomial
-from .scenes import ConstructibleFunction, StrataScene, Stratum, validate_scene
+from .scenes import ConstructibleFunction, StrataScene, Stratum
 
 _SCENE_KEYS = {"name", "ambient", "degrees", "polynomial", "variables", "chart", "smooth", "strata", "mu"}
 _STRATUM_KEYS = {"id", "dim", "chi_c", "closure_chi", "csm", "parents"}
@@ -222,16 +222,15 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         "a scene needs a polynomial with a chart, or strata with mu, or smooth: true",
     )
 
-    scene = StrataScene(
-        ambient=ambient,
-        multidegrees=tuple(multidegrees),
-        strata=tuple(strata),
-        defining_polynomial=polynomial,
-        chart=chart,
-        name=name,
-    )
     try:
-        validate_scene(scene)
+        scene = StrataScene(
+            ambient=ambient,
+            multidegrees=tuple(multidegrees),
+            strata=tuple(strata),
+            defining_polynomial=polynomial,
+            chart=chart,
+            name=name,
+        )
     except ValueError as exc:
         raise SceneFileError(str(exc)) from exc
     if "mu" in data:

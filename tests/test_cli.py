@@ -99,6 +99,24 @@ class TestReport:
         code, out, err = run(capsys, "--quiet", "report", NODAL)
         assert code == 0 and out == "" and err == ""
 
+    def test_json_degrees_beyond_64_bits_are_strings(self, tmp_path, capsys):
+        # The 64-bit rule holds for every integer, the degrees included.
+        path = write_scene(tmp_path, {"ambient": [1], "degrees": [[10**29]], "smooth": True})
+        code, out, _ = run(capsys, "--json", "report", path)
+        payload = assert_canonical(out)
+        assert code == 0
+        assert payload["degrees"] == [[str(10**29)]]
+        assert payload["csm"] == {"1": str(10**29)} and payload["euler"] == str(10**29)
+
+    def test_failed_text_report_writes_nothing_to_stdout(self, tmp_path, capsys):
+        # The header lines can be written, but the classes of degree
+        # 10^1500 in P^3 have coefficients of 4,500 digits.
+        path = write_scene(tmp_path, {"ambient": [3], "degrees": [["1" + "0" * 1500]], "smooth": True})
+        code, out, err = run(capsys, "report", path)
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (2, "")
+        assert err == f"error: an integer of 4500 digits, over the {limit}-digit limit for writing it\n"
+
     def test_missing_file(self, capsys):
         code, out, err = run(capsys, "report", str(SCENES / "absent.json"))
         assert code == 2

@@ -229,3 +229,19 @@ def test_large_m_scenes_are_listed_and_pass_in_this_checkout(tmp_path):
         ["--json", "report", path, "--m", "9"], ["check", path, "--m", "9"],
     )]
     assert all(result["code"] == 0 for result in compare.run_checkout(ROOT, forms))
+
+
+def test_boundary_scenes_are_pinned_and_run_in_this_checkout(tmp_path):
+    compare = load_compare()
+    assert compare.BOUNDARY_SCENES == {
+        "degree-1e29.json": ({"ambient": [1], "degrees": [[10**29]], "smooth": True}, ["--json", "report"]),
+        "degree-1e1500.json": ({"ambient": [3], "degrees": [["1" + "0" * 1500]], "smooth": True}, ["report"]),
+    }
+    argvs = compare.boundary_invocations(tmp_path)
+    assert argvs == [
+        ["--json", "report", str(tmp_path / "degree-1e29.json")],
+        ["report", str(tmp_path / "degree-1e1500.json")],
+    ]
+    wide, long = compare.run_checkout(ROOT, argvs)
+    assert wide["code"] == 0 and json.loads(wide["stdout"])["degrees"] == [[str(10**29)]]
+    assert (long["code"], long["stdout"]) == (2, "") and "an integer of 4500 digits" in long["stderr"]

@@ -1,6 +1,8 @@
 """Stratified scenes and constructible functions."""
 
 import ast
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from milnorcalc.charclasses import resolve_mu
 from milnorcalc.chow import AmbientSpace, ChowClass
+from milnorcalc.cli import main
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
     SINGULAR_STRATUM,
@@ -16,7 +19,6 @@ from milnorcalc.scenes import (
     SceneValidationError,
     StrataScene,
     Stratum,
-    downsets,
     unit_function,
     upsets,
     validate_scene,
@@ -62,82 +64,97 @@ class TestPoset:
         assert ups["mid"] == {"mid", "top"}
         assert ups["top"] == {"top"}
 
-    def test_downsets(self):
-        downs = downsets(chain_scene())
-        assert downs["top"] == {"top", "mid", "bot"}
-        assert downs["bot"] == {"bot"}
+    def test_closure_chi_counts_the_transitive_closure(self):
+        # bot lies in the closure of top only through mid, so the closure
+        # of top sums 1 + 2 + 1 = 4, and the 1 + 2 of its direct children
+        # is refused.
+        assert chain_scene().stratum("top").closure_chi == 4
+        top, mid, bot = chain_scene().strata
+        with pytest.raises(SceneValidationError, match="closure_chi is 3 but the closure strata sum to 4"):
+            scene_of([replace(top, closure_chi=3), mid, bot])
 
 
 class TestValidation:
+    # A scene is validated when it is built, so each invalid one raises
+    # from its constructor.
     def test_valid_scene_passes(self):
         validate_scene(two_stratum_scene())
         validate_scene(chain_scene())
 
     def test_duplicate_ids(self):
-        scene = scene_of([Stratum(id="a", dim=0), Stratum(id="a", dim=1)])
         with pytest.raises(SceneValidationError, match="duplicate"):
-            validate_scene(scene)
+            scene_of([Stratum(id="a", dim=0), Stratum(id="a", dim=1)])
 
     def test_unknown_parent(self):
-        scene = scene_of([Stratum(id="a", dim=0, parents=("ghost",))])
         with pytest.raises(SceneValidationError, match="unknown parent"):
-            validate_scene(scene)
+            scene_of([Stratum(id="a", dim=0, parents=("ghost",))])
 
     def test_self_parent(self):
-        scene = scene_of([Stratum(id="a", dim=0, parents=("a",))])
         with pytest.raises(SceneValidationError, match="itself"):
-            validate_scene(scene)
+            scene_of([Stratum(id="a", dim=0, parents=("a",))])
 
     def test_parent_cycle(self):
-        scene = scene_of(
-            [
-                Stratum(id="a", dim=0, parents=("b",)),
-                Stratum(id="b", dim=1, parents=("a",)),
-            ]
-        )
         with pytest.raises(SceneValidationError, match="cycle"):
-            validate_scene(scene)
+            scene_of(
+                [
+                    Stratum(id="a", dim=0, parents=("b",)),
+                    Stratum(id="b", dim=1, parents=("a",)),
+                ]
+            )
 
     def test_closure_chi_mismatch(self):
-        scene = scene_of(
-            [
-                Stratum(id="open_part", dim=1, chi_c=0, closure_chi=2),
-                Stratum(id="point", dim=0, chi_c=1, closure_chi=1, parents=("open_part",)),
-            ]
-        )
         with pytest.raises(SceneValidationError, match="closure strata sum"):
-            validate_scene(scene)
+            scene_of(
+                [
+                    Stratum(id="open_part", dim=1, chi_c=0, closure_chi=2),
+                    Stratum(id="point", dim=0, chi_c=1, closure_chi=1, parents=("open_part",)),
+                ]
+            )
 
     def test_closed_stratum_chi_must_agree(self):
-        scene = scene_of([Stratum(id="x", dim=1, chi_c=2, closure_chi=3)])
         with pytest.raises(SceneValidationError):
-            validate_scene(scene)
+            scene_of([Stratum(id="x", dim=1, chi_c=2, closure_chi=3)])
 
     def test_missing_chi_is_allowed(self):
         scene = scene_of([Stratum(id="x", dim=1)])
         validate_scene(scene)
 
     def test_multidegree_length(self):
-        scene = StrataScene(ambient=P2, multidegrees=((3, 1),))
         with pytest.raises(SceneValidationError, match="multidegree"):
-            validate_scene(scene)
+            StrataScene(ambient=P2, multidegrees=((3, 1),))
 
     def test_negative_multidegree_entry(self):
-        scene = StrataScene(ambient=AmbientSpace((2, 1)), multidegrees=((1, 1), (2, -1)))
         with pytest.raises(SceneValidationError, match="multidegree entries must be nonnegative"):
-            validate_scene(scene)
+            StrataScene(ambient=AmbientSpace((2, 1)), multidegrees=((1, 1), (2, -1)))
 
     def test_negative_dim(self):
-        scene = scene_of([Stratum(id="p", dim=-4, chi_c=1, closure_chi=1)])
         with pytest.raises(SceneValidationError, match="stratum 'p': dim must be nonnegative"):
-            validate_scene(scene)
+            scene_of([Stratum(id="p", dim=-4, chi_c=1, closure_chi=1)])
 
     def test_csm_ambient_mismatch(self):
-        scene = scene_of(
-            [Stratum(id="x", dim=0, csm_class=ChowClass.point(P3))]
-        )
         with pytest.raises(SceneValidationError, match="different ambient"):
-            validate_scene(scene)
+            scene_of([Stratum(id="x", dim=0, csm_class=ChowClass.point(P3))])
+
+    def test_replace_with_bad_strata_raises(self):
+        # resolve_mu gives a scene its default strata through replace.
+        with pytest.raises(SceneValidationError, match="unknown parent"):
+            replace(two_stratum_scene(), strata=(Stratum(id="a", dim=0, parents=("ghost",)),))
+
+    def test_a_report_validates_its_scene_once(self, monkeypatch):
+        # Every module that binds validate_scene gets the counting wrapper.
+        calls = []
+
+        def counting(scene):
+            calls.append(scene.name)
+            original(scene)
+
+        original = validate_scene
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "milnorcalc" and getattr(module, "validate_scene", None) is original:
+                monkeypatch.setattr(module, "validate_scene", counting)
+        path = Path(__file__).resolve().parents[1] / "scenes" / "nodal-cubic.json"
+        assert main(["--quiet", "report", str(path)]) == 0
+        assert calls == ["nodal-cubic"]
 
 
 class TestRepresentations:
