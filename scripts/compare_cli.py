@@ -27,7 +27,11 @@ list holds:
   that the rest runs after the parser has refused input in the same
   process;
 - after all of these, one form each on the two scenes of
-  ``BOUNDARY_SCENES``, at the edges of the integer rules.
+  ``BOUNDARY_SCENES``, at the edges of the integer rules;
+- last, ``--json report`` and ``check`` at m = 1, 2, 3 on the two
+  generated scenes of ``many_strata_scenes``, a curve over 300 point
+  strata and a chain of 100 lines on a surface, whose stratum lookups
+  and Moebius inversion run over hundreds of strata.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -66,6 +70,10 @@ BOUNDARY_SCENES = {
     "degree-1e29.json": ({"ambient": [1], "degrees": [[10**29]], "smooth": True}, ["--json", "report"]),
     "degree-1e1500.json": ({"ambient": [3], "degrees": [["1" + "0" * 1500]], "smooth": True}, ["report"]),
 }
+
+# Stratum counts of the two scenes of many_strata_scenes.
+CURVE_POINTS = 300
+CHAIN_LINES = 100
 
 # Runs the invocations read from stdin through main() and writes one
 # {"code", "stdout", "stderr"} object per invocation.  An exception is
@@ -243,6 +251,51 @@ REPEATED_KEY_SCENES = {
 }
 
 
+def many_strata_scenes() -> dict[str, dict]:
+    """Two scenes with hundreds of strata and user mu, whose checks pass.
+
+    ``curve-over-points``: a plane cubic with CURVE_POINTS point strata.
+    Mu is zero on the curve, so the Milnor class is sum(mu) points, and
+    the Euler number is -sum(mu).  ``chain-of-lines``: a quartic surface
+    in P^3 holding CHAIN_LINES lines, each meeting the next in a point
+    and holding one point of its own.  Each line carries the class
+    H^2 + 2H^3 of a line.  A line with mu value a and a point with
+    closure-indicator coefficient b add -2a and b to the degree of the
+    Milnor class, and the Euler number is 24 minus that degree.  The
+    chi_c of the curve and of the surface make ``euler_strata`` pass.
+    """
+    values = {f"p{i}": i % 5 - 2 for i in range(CURVE_POINTS)}
+    total = sum(values.values())
+    curve = [{"id": "curve", "dim": 1, "chi_c": -total - CURVE_POINTS, "closure_chi": -total}]
+    points = [{"id": p, "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["curve"]} for p in values]
+    strata, mu = [], {}
+    # The degree of the Milnor class, and the chi_c of the strata below the surface.
+    degree = below = 0
+    for j in range(CHAIN_LINES):
+        meets = [f"q{k}" for k in (j - 1, j) if 0 <= k < CHAIN_LINES - 1]
+        strata.append({
+            "id": f"line{j}", "dim": 1, "chi_c": 1 - len(meets), "closure_chi": 2,
+            "csm": {"2": 1, "3": 2}, "parents": ["surface"],
+        })
+        strata.append({"id": f"e{j}", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": [f"line{j}"]})
+        mu.update({f"line{j}": j % 3 - 1, f"e{j}": j % 4})
+        # Each of the line's 1 + len(meets) points subtracts its value from b.
+        degree += mu[f"e{j}"] - (3 + len(meets)) * mu[f"line{j}"]
+        below += 2 - len(meets)
+    for k in range(CHAIN_LINES - 1):
+        parents = [f"line{k}", f"line{k + 1}"]
+        strata.append({"id": f"q{k}", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": parents})
+        mu[f"q{k}"] = k % 5 - 1
+        degree += mu[f"q{k}"]
+        below += 1
+    euler = 24 - degree
+    strata.insert(0, {"id": "surface", "dim": 2, "chi_c": euler - below, "closure_chi": euler})
+    return {
+        "curve-over-points": {"ambient": [2], "degrees": [[3]], "strata": curve + points, "mu": values},
+        "chain-of-lines": {"ambient": [3], "degrees": [[4]], "strata": strata, "mu": mu},
+    }
+
+
 def load_workloads(root: Path):
     """Import ``perfbench/workloads.py`` without writing its bytecode."""
     sys.dont_write_bytecode = True
@@ -338,6 +391,18 @@ def boundary_invocations(outdir: Path) -> list[list[str]]:
     return result
 
 
+def many_strata_invocations(outdir: Path) -> list[list[str]]:
+    """Write the scenes of ``many_strata_scenes`` under ``outdir``, and
+    return ``--json report`` and ``check`` on each at every m."""
+    result = []
+    for name, data in many_strata_scenes().items():
+        path = str(outdir / f"{name}.json")
+        Path(path).write_text(json.dumps(data) + "\n", encoding="utf-8")
+        for m in M_VALUES:
+            result.extend([["--json", "report", path, "--m", m], ["check", path, "--m", m]])
+    return result
+
+
 def run_checkout(checkout: Path, argvs: list[list[str]]) -> list[dict]:
     """Run every argument list through the checkout's ``main`` in one child."""
     src = Path(checkout).resolve() / "src"
@@ -381,6 +446,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
         scenes = scene_paths(ROOT, Path(tmp))
         argvs = invocations(scenes, large_m_paths(scenes)) + boundary_invocations(Path(tmp))
+        argvs += many_strata_invocations(Path(tmp))
         results = {side: run_checkout(getattr(args, side), argvs) for side in ("parent", "change")}
     found = differences(argvs, results["parent"], results["change"])
     for text in found:

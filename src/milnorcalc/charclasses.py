@@ -11,9 +11,11 @@ isolated singular point p contributes (-1)^{dim Y - 1} mu_p times the
 point class to M.  Division by the unit 1+dH is an exact solve, one
 box position at a time through the predecessor tables of the terms of
 1+dH (``ChowClass.__truediv__``); the inverse (1+dH)^{-1} is never
-formed.  Reports are written by ``canonical_json``, byte for byte as
-``json.dumps(..., sort_keys=True, indent=2)`` writes them once every
-integer beyond 64 bits is its decimal string.
+formed.  As 1+dH is a unit, x dH / (1+dH) = x - x / (1+dH), and the
+Fulton-Johnson class is formed so, with no class product.  Reports are
+written by ``canonical_json``, byte for byte as ``json.dumps(...,
+sort_keys=True, indent=2)`` writes them once every integer beyond 64
+bits is its decimal string.
 """
 
 from __future__ import annotations
@@ -51,8 +53,9 @@ class MissingCsmClassError(ValueError):
 def fulton_johnson(ambient: AmbientSpace, multidegrees: Sequence[Sequence[int]]) -> ChowClass:
     """Fulton-Johnson class of a smooth-model complete intersection.
 
-    For each multidegree d the ambient tangent class is multiplied by
-    dH and divided by 1 + dH; a hypersurface is the one-degree case.
+    For each multidegree d the ambient tangent class x becomes
+    x dH / (1 + dH) = x - x / (1 + dH), with no class product; a
+    hypersurface is the one-degree case.
     """
     if not multidegrees:
         raise ValueError("at least one multidegree is required")
@@ -61,7 +64,7 @@ def fulton_johnson(ambient: AmbientSpace, multidegrees: Sequence[Sequence[int]])
         divisor = divisor_class(ambient, d)
         if divisor.is_zero():
             raise ValueError("zero multidegree")
-        result = result * divisor / (ChowClass.unit(ambient) + divisor)
+        result = result - result / (ChowClass.unit(ambient) + divisor)
     return result
 
 
@@ -88,11 +91,8 @@ def csm_of_function(scene: StrataScene, coefficients: Mapping[str, int]) -> Chow
     functions of stratum closures (from ``indicator_coefficients``);
     the recorded closure classes are summed with them.
     """
-    total = ChowClass.zero(scene.ambient)
-    for stratum_id, coefficient in coefficients.items():
-        stratum = scene.stratum(stratum_id)
-        total = total + coefficient * _closure_csm(scene, stratum)
-    return total
+    terms = (c * _closure_csm(scene, scene.stratum(i)) for i, c in coefficients.items())
+    return sum(terms, ChowClass.zero(scene.ambient))
 
 
 def milnor_class(
@@ -157,8 +157,7 @@ def resolve_mu(
         scene = replace(scene, strata=tuple(strata), chart=result.chart)
     if result.total_milnor == 0:
         return scene, ConstructibleFunction(scene, {}), result
-    parent_ids = {p for s in scene.strata for p in s.parents}
-    points = [s.id for s in scene.strata if s.dim == 0 and s.id not in parent_ids]
+    points = [i for i in scene.closed if scene.index[i].dim == 0]
     if len(points) != 1:
         raise SceneValidationError(
             "cannot place the computed vanishing cycles: need exactly one "
@@ -244,9 +243,9 @@ def defect_codim1_check(
 ) -> CheckResult:
     """Check the divisor defect formula against the Milnor class.
 
-    The twisted restriction (dH) c(TY) / (1+dH) minus the CSM class of
-    X must equal c_*(mu) / (1+dH), the Milnor class; the difference of
-    the two sides is returned as the residual.
+    The twisted restriction (dH) c(TY) / (1+dH), a product and a division
+    unlike ``fulton_johnson``, minus the CSM class of X must equal
+    c_*(mu) / (1+dH), the Milnor class; the residual is their difference.
     """
     lhs = divisor * tangent / normal - csm
     return _result("defect_codim1", lhs - milnor)
@@ -262,22 +261,19 @@ def lci_defect_check(
 
     The composite of the inclusion into (ambient) x P^m with the
     projection to the ambient is a local complete intersection
-    morphism.  Its twisted pullback of c_*(1_Y) = ``tangent``, minus the
-    CSM class of X x P^m, must match the MacPherson class of the
-    product vanishing cycles divided by the normal class; its closure
-    classes are the pulled-back closure classes of X, summed with the
-    closure-indicator ``coefficients`` of mu.
+    morphism.  Its twisted pullback of c_*(1_Y) = ``tangent`` (a product
+    and a division), minus the CSM class of X x P^m, must match the
+    MacPherson class of the product vanishing cycles divided by the
+    normal class; its closure classes are the pulled-back closure
+    classes of X, summed with the closure-indicator ``coefficients``.
     """
     m, ambient = product.m, product.fulton_johnson.ambient
     divisor = divisor_class(ambient, _single_multidegree(scene) + (0,))
     normal = ChowClass.unit(ambient) + divisor
     pulled = divisor * pull_back(tangent, m) / normal
     lhs = pulled - (product.fulton_johnson - product.milnor_class)
-    accumulated = ChowClass.zero(ambient)
-    for stratum_id, coefficient in coefficients.items():
-        closure = _closure_csm(scene, scene.stratum(stratum_id))
-        accumulated = accumulated + coefficient * pull_back(closure, m)
-    rhs = accumulated / normal
+    terms = (c * pull_back(_closure_csm(scene, scene.stratum(i)), m) for i, c in coefficients.items())
+    rhs = sum(terms, ChowClass.zero(ambient)) / normal
     return _result(f"lci_m{m}", lhs - rhs)
 
 
@@ -309,7 +305,8 @@ def build_report(
     product classes for each m are computed once, and the checks compare
     them.  c(TY), D = dH and 1+D are formed here and shared by the Milnor
     class, the localization and the checks, but ``fulton_johnson`` forms
-    its own and ``self_intersection_check`` forms D again.  On X x P^m,
+    its own and ``self_intersection_check`` forms D again.  Stratum
+    lookups and the inversion read the poset the scene keeps.  On X x P^m,
     with P^m the last factor, ``pull_back`` writes c(T_fiber) cap pi^*
     of a base class and ``push_forward`` forgets P^m, each by slices.
     A scene with several multidegrees gets no Milnor class, so nonzero
@@ -349,9 +346,7 @@ def build_report(
             checks[f"verdier_m{m}"] = verdier_smooth_check(product, csm)
             checks[f"pushdown_m{m}"] = proper_pushdown_check(product, milnor)
             checks[f"lci_m{m}"] = lci_defect_check(scene, coefficients, tangent, product)
-        total = ChowClass.zero(scene.ambient)
-        for _, term in terms:
-            total = total + term
+        total = sum((term for _, term in terms), ChowClass.zero(scene.ambient))
         checks["localization_sum"] = _result("localization_sum", total - milnor)
     euler = csm.degree()
     if scene.strata and all(s.chi_c is not None for s in scene.strata):

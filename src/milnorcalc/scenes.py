@@ -13,7 +13,13 @@ Euler-characteristic data is user input; values computed by the
 polynomial engine (total Milnor numbers) only populate vanishing-cycle
 functions, so ``chi_c``/``closure_chi`` may be absent on engine-built
 strata.  A ``StrataScene`` is checked by ``validate_scene`` when it is
-built, ``dataclasses.replace`` included, so every scene is valid.
+built, ``dataclasses.replace`` included, so every scene is valid.  That
+check walks the closure poset once, and the scene keeps what the walk
+builds: ``index`` (id to stratum), ``upsets`` (id to the strata whose
+closures contain it, itself included), ``peel_order`` (ids by up-set
+size, so each comes after every stratum above it) and ``closed`` (the
+strata whose closure holds no other).  Stratum lookups, the Moebius
+inversion and the placement of computed vanishing cycles read them.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
-from .polynomials import Polynomial
+from .polynomials import Polynomial, _is_int
 
 
 class SceneValidationError(ValueError):
@@ -43,7 +49,11 @@ class Stratum:
 
 @dataclass(frozen=True)
 class StrataScene:
-    """A stratified subvariety of a product of projective spaces."""
+    """A stratified subvariety of a product of projective spaces.
+
+    The fields after ``name`` hold what ``validate_scene`` returns; they
+    are left out of ``==``, the hash and the repr.
+    """
 
     ambient: AmbientSpace
     multidegrees: tuple[tuple[int, ...], ...]
@@ -51,35 +61,29 @@ class StrataScene:
     defining_polynomial: Optional[Polynomial] = None
     chart: Optional[str] = None
     name: str = ""
+    index: dict[str, Stratum] = field(init=False, repr=False, compare=False)
+    upsets: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    peel_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    closed: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Looked up at call time, so a wrapper installed on the module runs.
-        validate_scene(self)
+        for name, value in zip(("index", "upsets", "peel_order", "closed"), validate_scene(self)):
+            object.__setattr__(self, name, value)
 
     def stratum(self, stratum_id: str) -> Stratum:
-        for s in self.strata:
-            if s.id == stratum_id:
-                return s
-        raise KeyError(f"no stratum named {stratum_id!r}")
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(s.id for s in self.strata)
+        return self.index[stratum_id]
 
 
-def upsets(scene: StrataScene) -> dict[str, frozenset[str]]:
-    """Map each stratum to the strata whose closures contain it.
-
-    The ``parents`` edges generate the relation; the result is its
-    reflexive-transitive closure.
-    """
-    table = {s.id: set(s.parents) for s in scene.strata}
+def _upsets(index: dict[str, Stratum]) -> dict[str, frozenset[str]]:
+    """The reflexive-transitive closure of the ``parents`` edges: each id
+    mapped to the ids whose closures contain it."""
     out: dict[str, frozenset[str]] = {}
-    for start in table:
+    for start in index:
         seen = {start}
         frontier = [start]
         while frontier:
-            current = frontier.pop()
-            for parent in table[current]:
+            for parent in index[frontier.pop()].parents:
                 if parent not in seen:
                     seen.add(parent)
                     frontier.append(parent)
@@ -87,23 +91,25 @@ def upsets(scene: StrataScene) -> dict[str, frozenset[str]]:
     return out
 
 
-def validate_scene(scene: StrataScene) -> None:
-    """Check poset shape and Euler data consistency; raise on failure."""
-    ids = [s.id for s in scene.strata]
-    if len(set(ids)) != len(ids):
+def validate_scene(
+    scene: StrataScene,
+) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...], frozenset[str]]:
+    """Check poset shape and Euler data consistency; raise on failure.
+    Return the index, up-sets, peel order and closed strata of the scene."""
+    index = {s.id: s for s in scene.strata}
+    if len(index) != len(scene.strata):
         raise SceneValidationError("duplicate stratum ids")
-    known = set(ids)
     for s in scene.strata:
         if s.dim < 0:
             raise SceneValidationError(f"stratum {s.id!r}: dim must be nonnegative")
         for p in s.parents:
-            if p not in known:
+            if p not in index:
                 raise SceneValidationError(f"stratum {s.id!r} lists unknown parent {p!r}")
             if p == s.id:
                 raise SceneValidationError(f"stratum {s.id!r} lists itself as a parent")
     # One walk of the poset: a stratum among its own proper ancestors is
     # a cycle, and inverting the up-sets gives the strata of each closure.
-    ups = upsets(scene)
+    ups = _upsets(index)
     downs: dict[str, list[str]] = {s.id: [] for s in scene.strata}
     for s in scene.strata:
         for p in s.parents:
@@ -111,11 +117,10 @@ def validate_scene(scene: StrataScene) -> None:
                 raise SceneValidationError(f"parent cycle through {s.id!r}")
         for ancestor in ups[s.id]:
             downs[ancestor].append(s.id)
-    by_id = {s.id: s for s in scene.strata}
     for s in scene.strata:
         if s.closure_chi is None:
             continue
-        parts = [by_id[t].chi_c for t in downs[s.id]]
+        parts = [index[t].chi_c for t in downs[s.id]]
         if any(v is None for v in parts):
             continue
         total = sum(parts)
@@ -140,6 +145,9 @@ def validate_scene(scene: StrataScene) -> None:
                 f"stratum {s.id!r}: csm class has degree {s.csm_class.degree()} "
                 f"but closure_chi is {s.closure_chi}"
             )
+    order = tuple(sorted(index, key=lambda i: len(ups[i])))
+    closed = frozenset(i for i, below in downs.items() if len(below) == 1)
+    return index, ups, order, closed
 
 
 @dataclass
@@ -154,23 +162,23 @@ class ConstructibleFunction:
     values: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        known = set(self.scene.ids())
-        for stratum_id in self.values:
-            if stratum_id not in known:
+        for stratum_id, value in self.values.items():
+            if stratum_id not in self.scene.index:
                 raise ValueError(f"value on unknown stratum {stratum_id!r}")
-        self.values = {k: int(v) for k, v in self.values.items() if v != 0}
+            if not _is_int(value):
+                raise TypeError(f"value on stratum {stratum_id!r} must be an int, not {type(value).__name__}")
+        self.values = {k: v for k, v in self.values.items() if v != 0}
 
     def is_zero(self) -> bool:
         return not self.values
 
     def indicator_coefficients(self) -> dict[str, int]:
         """Coefficients of closure indicators, by Moebius inversion."""
-        ups = upsets(self.scene)
+        ups = self.scene.upsets
         # Peel from the top: strata with larger up-sets are handled later,
         # so each step only needs already-known coefficients.
-        order = sorted(self.scene.ids(), key=lambda i: len(ups[i]))
         coeffs: dict[str, int] = {}
-        for stratum_id in order:
+        for stratum_id in self.scene.peel_order:
             above = sum(coeffs.get(t, 0) for t in ups[stratum_id] if t != stratum_id)
             value = self.values.get(stratum_id, 0) - above
             if value:
@@ -179,15 +187,10 @@ class ConstructibleFunction:
 
     def euler(self) -> int:
         """Integrate against the compactly supported Euler characteristic."""
-        total = 0
-        for s in self.scene.strata:
-            v = self.values.get(s.id, 0)
-            if v == 0:
-                continue
-            if s.chi_c is None:
-                raise SceneValidationError(f"stratum {s.id!r} carries no chi_c data")
-            total += v * s.chi_c
-        return total
+        missing = [s.id for s in self.scene.strata if s.id in self.values and s.chi_c is None]
+        if missing:
+            raise SceneValidationError(f"stratum {missing[0]!r} carries no chi_c data")
+        return sum(v * self.scene.index[i].chi_c for i, v in self.values.items())
 
 
 def unit_function(scene: StrataScene) -> ConstructibleFunction:

@@ -39,7 +39,6 @@ from milnorcalc.scenes import (
     StrataScene,
     Stratum,
     unit_function,
-    upsets,
 )
 from test_groebner import s_polynomial
 
@@ -293,10 +292,10 @@ def suite_poset_round_trip(c, cases):
     for i in range(cases):
         scene = random_poset_scene(rng)
         values = random_values(rng, scene)
-        ups = upsets(scene)
+        ups = scene.upsets
 
         def summed_over_upsets(coefficients):
-            return {s: sum(coefficients.get(t, 0) for t in ups[s]) for s in scene.ids()}
+            return {s: sum(coefficients.get(t, 0) for t in ups[s]) for s in scene.index}
 
         # Stratumwise -> indicator -> stratumwise.
         f = ConstructibleFunction(scene, values)
@@ -327,7 +326,7 @@ def suite_linearity(c, cases):
         b = ConstructibleFunction(scene, random_values(rng, scene))
         k = rng.randint(-4, 4)
         combo = ConstructibleFunction(
-            scene, {s: k * a.values.get(s, 0) + b.values.get(s, 0) for s in scene.ids()}
+            scene, {s: k * a.values.get(s, 0) + b.values.get(s, 0) for s in scene.index}
         )
         c.expect(
             combo.euler() == k * a.euler() + b.euler(),
@@ -341,7 +340,7 @@ def suite_linearity(c, cases):
         split_a = dict(localization(scene, a_c, normal))
         split_b = dict(localization(scene, b_c, normal))
         zero = ChowClass.zero(P3)
-        for sid in scene.ids():
+        for sid in scene.index:
             want = k * split_a.get(sid, zero) + split_b.get(sid, zero)
             c.expect(
                 combined.get(sid, zero) == want,

@@ -91,6 +91,26 @@ class TestFultonJohnson:
         with pytest.raises(ValueError):
             fulton_johnson(P2, [])
 
+    def test_forms_no_class_product(self, monkeypatch):
+        # x dH / (1+dH) is formed as x - x / (1+dH), since 1+dH is a unit.
+        ambient = AmbientSpace((3, 2))
+        degrees = [(1, 2), (2, 1)]
+        expected = chow.tangent_class(ambient)
+        for d in degrees:
+            divisor = divisor_class(ambient, d)
+            expected = expected * divisor / (ChowClass.unit(ambient) + divisor)
+        products = []
+        original = ChowClass.__mul__
+
+        def counted(a, b):
+            if isinstance(b, ChowClass):
+                products.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(ChowClass, "__mul__", counted)
+        assert fulton_johnson(ambient, degrees) == expected
+        assert products == []
+
 
 def csm_library(shape, ambient):
     """CSM classes of a few standard closed subvarieties.

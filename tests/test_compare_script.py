@@ -245,3 +245,25 @@ def test_boundary_scenes_are_pinned_and_run_in_this_checkout(tmp_path):
     wide, long = compare.run_checkout(ROOT, argvs)
     assert wide["code"] == 0 and json.loads(wide["stdout"])["degrees"] == [[str(10**29)]]
     assert (long["code"], long["stdout"]) == (2, "") and "an integer of 4500 digits" in long["stderr"]
+
+
+def test_many_strata_scenes_are_written_and_pass_in_this_checkout(tmp_path):
+    compare = load_compare()
+    argvs = compare.many_strata_invocations(tmp_path)
+    scenes = compare.many_strata_scenes()
+    assert [len(data["strata"]) for data in scenes.values()] == [301, 300]
+    assert argvs == [
+        argv
+        for name in scenes
+        for m in compare.M_VALUES
+        for argv in (
+            ["--json", "report", str(tmp_path / f"{name}.json"), "--m", m],
+            ["check", str(tmp_path / f"{name}.json"), "--m", m],
+        )
+    ]
+    for argv, result in zip(argvs, compare.run_checkout(ROOT, argvs)):
+        assert result["code"] == 0, argv
+        if argv[0] == "--json":
+            report = json.loads(result["stdout"])
+            assert all(check["pass"] for check in report["checks"].values())
+            assert "euler_strata" in report["checks"] and len(report["localization"]) > 200

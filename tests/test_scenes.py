@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from milnorcalc.charclasses import resolve_mu
+from milnorcalc import scenes
+from milnorcalc.charclasses import build_report, resolve_mu
 from milnorcalc.chow import AmbientSpace, ChowClass
 from milnorcalc.cli import main
 from milnorcalc.polynomials import parse_polynomial
@@ -20,7 +21,6 @@ from milnorcalc.scenes import (
     StrataScene,
     Stratum,
     unit_function,
-    upsets,
     validate_scene,
 )
 
@@ -59,10 +59,26 @@ def point_scene():
 class TestPoset:
     def test_upsets(self):
         scene = chain_scene()
-        ups = upsets(scene)
+        ups = scene.upsets
         assert ups["bot"] == {"bot", "mid", "top"}
         assert ups["mid"] == {"mid", "top"}
         assert ups["top"] == {"top"}
+
+    def test_the_scene_keeps_its_poset(self):
+        scene = chain_scene()
+        assert scene.index == {s.id: s for s in scene.strata}
+        assert scene.peel_order == ("top", "mid", "bot")
+        assert scene.closed == {"bot"}
+        # Left out of ==, the hash and the repr; rebuilt by replace.
+        assert "upsets" not in repr(scene)
+        assert hash(scene) == hash(chain_scene())
+        top, mid, _ = scene.strata
+        cut = replace(scene, strata=(replace(top, closure_chi=3), replace(mid, closure_chi=2)))
+        assert cut.upsets == {"top": {"top"}, "mid": {"mid", "top"}}
+        assert cut.closed == {"mid"}
+        assert cut.stratum("mid").closure_chi == 2
+        with pytest.raises(KeyError, match="bot"):
+            cut.stratum("bot")
 
     def test_closure_chi_counts_the_transitive_closure(self):
         # bot lies in the closure of top only through mid, so the closure
@@ -146,7 +162,7 @@ class TestValidation:
 
         def counting(scene):
             calls.append(scene.name)
-            original(scene)
+            return original(scene)
 
         original = validate_scene
         for name, module in list(sys.modules.items()):
@@ -155,6 +171,51 @@ class TestValidation:
         path = Path(__file__).resolve().parents[1] / "scenes" / "nodal-cubic.json"
         assert main(["--quiet", "report", str(path)]) == 0
         assert calls == ["nodal-cubic"]
+
+
+class PassCounter(tuple):
+    """A tuple that counts the passes begun over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def curve_over_points(count):
+    """A curve with ``count`` point strata in its closure, as a PassCounter."""
+    points = [Stratum(id=f"p{i}", dim=0, parents=("curve",)) for i in range(count)]
+    return PassCounter([Stratum(id="curve", dim=1)] + points)
+
+
+def test_a_scene_walks_its_poset_once_and_a_report_reads_it(monkeypatch):
+    # Counted, not timed: the closure walk runs once when the scene is
+    # built and never in build_report, and the report's passes over the
+    # strata do not grow with their number (a linear stratum lookup made
+    # one pass per Moebius coefficient, 12,000 at 4,000 points).
+    walks = []
+    walk = scenes._upsets
+
+    def counting(index):
+        walks.append(len(index))
+        return walk(index)
+
+    monkeypatch.setattr(scenes, "_upsets", counting)
+    passes = {}
+    for count in (40, 4000):
+        strata = curve_over_points(count)
+        scene = StrataScene(ambient=P2, multidegrees=((3,),), strata=strata)
+        assert walks == [count + 1]
+        mu = ConstructibleFunction(scene, {f"p{i}": 1 for i in range(count)})
+        before = strata.passes
+        report = build_report(scene, mu)
+        passes[count] = strata.passes - before
+        assert walks == [count + 1]
+        assert all(check.passed for check in report.checks.values())
+        assert len(report.localization) == count
+        walks.clear()
+    assert passes[4000] == passes[40] <= 3
 
 
 class TestRepresentations:
@@ -187,6 +248,11 @@ class TestRepresentations:
         with pytest.raises(ValueError, match="unknown stratum"):
             ConstructibleFunction(scene, {"ghost": 1})
 
+    @pytest.mark.parametrize("value", [2.7, 2.0, "3", True, False, None])
+    def test_a_value_that_is_not_an_int_is_refused(self, value):
+        with pytest.raises(TypeError, match="value on stratum 'point' must be an int"):
+            ConstructibleFunction(two_stratum_scene(), {"open_part": 1, "point": value})
+
 
 class TestEuler:
     def test_projective_plane(self):
@@ -209,7 +275,7 @@ class TestEuler:
         a = {"top": 2, "bot": 1}
         b = {"mid": 3, "bot": 3}
         assert ConstructibleFunction(scene, b).indicator_coefficients() == {"mid": 3}
-        combined = {k: 2 * a.get(k, 0) + b.get(k, 0) for k in scene.ids()}
+        combined = {k: 2 * a.get(k, 0) + b.get(k, 0) for k in scene.index}
         assert euler(combined) == 2 * euler(a) + euler(b) == 15
         assert euler({k: -v for k, v in a.items()}) == -euler(a)
 
@@ -239,7 +305,7 @@ class TestEngineIntegration:
     def test_smooth_curve_zero_function(self):
         mu = polynomial_mu("x^3 + y^3 + z^3", P2, "z")
         assert mu.is_zero()
-        assert mu.scene.ids() == (SMOOTH_STRATUM,)
+        assert tuple(mu.scene.index) == (SMOOTH_STRATUM,)
 
     def test_surface_node_positive_sign(self):
         mu = polynomial_mu("w^2*x^2 + w^2*y^2 + w^2*z^2 + x^4 + y^4 + z^4", P3, "w")
@@ -260,6 +326,23 @@ class TestEngineIntegration:
         assert placed == scene
         assert result.total_milnor == 1
         assert mu.values == {"node": -1}
+
+    def test_place_on_the_closed_point(self):
+        # Of two point strata, one in the closure of the other, only the
+        # lower one is closed, so the vanishing cycles go there.
+        scene = StrataScene(
+            ambient=P2,
+            multidegrees=((3,),),
+            strata=(
+                Stratum(id="smooth_part", dim=1),
+                Stratum(id="upper", dim=0, parents=("smooth_part",)),
+                Stratum(id="lower", dim=0, parents=("upper",)),
+            ),
+            defining_polynomial=parse_polynomial("y^2*z - x^3 - x^2*z", ("x", "y", "z")),
+            chart="z",
+        )
+        assert scene.closed == {"lower"}
+        assert resolve_mu(scene)[1].values == {"lower": -1}
 
     def test_place_requires_point_stratum(self):
         scene = StrataScene(
@@ -321,7 +404,7 @@ def poset_scenes(draw):
 def functions_on(draw, scene):
     values = draw(
         st.dictionaries(
-            st.sampled_from(list(scene.ids())), st.integers(-20, 20), max_size=6
+            st.sampled_from(list(scene.index)), st.integers(-20, 20), max_size=6
         )
     )
     return ConstructibleFunction(scene, values)
