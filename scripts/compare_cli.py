@@ -14,7 +14,7 @@ list holds:
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes exercise both kinds of slice list in
   ``milnorcalc.chow``, on a stratified scene with user mu on a product
-  ambient and on twelve scenes that exit 2;
+  ambient and on twenty-one scenes that exit 2;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;
@@ -215,10 +215,16 @@ PRODUCT_STRATA_SCENE = {
 # dim, an integer longer than Python's default int-string limit
 # (4,300 digits), as a string, as a JSON number, as a polynomial literal
 # and as a csm exponent key, an exponent over the limit of 32,767, and
-# two csm keys for one exponent.
+# two csm keys for one exponent.  After these, one scene for each rule
+# that ties a scene's fields together, each with that one fault: a zero
+# multidegree, a multidegree longer than the ambient, a polynomial on a
+# product, a chart that names no variable, a zero polynomial, one that
+# is not homogeneous, a cubic declared of degree 4, a polynomial with
+# mu, and mu on a stratum the scene does not have.
 LONG_DIGITS = "9" * 5000
 LONG_NUMBER = "<a JSON number of 5,000 digits>"
 POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
+NODAL_CUBIC = {"ambient": [2], "degrees": [[3]], "polynomial": "y^2*z - x^3 - x^2*z", "chart": "z"}
 INVALID_SCENES = {
     "bad-polynomial": {"ambient": [2], "degrees": [[3]], "polynomial": "y^2*z - x^3 - x^2 z", "chart": "z"},
     "negative-degree": {"ambient": [2], "degrees": [[-3]], "smooth": True},
@@ -233,6 +239,15 @@ INVALID_SCENES = {
     "csm-keys-one-exponent": {
         "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"2": 1, "02": 5})], "mu": {"p": 1},
     },
+    "zero-degree": {"ambient": [2], "degrees": [[0]], "smooth": True},
+    "degree-longer-than-ambient": {"ambient": [2], "degrees": [[3, 1]], "smooth": True},
+    "polynomial-on-product": {"ambient": [1, 1], "degrees": [[1, 1]], "polynomial": "x*y", "chart": "y"},
+    "unknown-chart": dict(NODAL_CUBIC, chart="q"),
+    "zero-polynomial": dict(NODAL_CUBIC, polynomial="x^3 - x^3"),
+    "inhomogeneous-polynomial": dict(NODAL_CUBIC, polynomial="y^2*z - x^3 - x"),
+    "degree-mismatch": dict(NODAL_CUBIC, degrees=[[4]]),
+    "polynomial-with-mu": dict(NODAL_CUBIC, strata=[POINT], mu={"p": 1}),
+    "unknown-mu-stratum": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"phantom": 1}},
 }
 
 # Scenes that repeat a key in one object, at the top, in mu and in a

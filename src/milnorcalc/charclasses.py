@@ -42,6 +42,7 @@ from .scenes import (
     SceneValidationError,
     StrataScene,
     Stratum,
+    _single_multidegree,
     unit_function,
 )
 
@@ -66,12 +67,6 @@ def fulton_johnson(ambient: AmbientSpace, multidegrees: Sequence[Sequence[int]])
             raise ValueError("zero multidegree")
         result = result - result / (ChowClass.unit(ambient) + divisor)
     return result
-
-
-def _single_multidegree(scene: StrataScene) -> tuple[int, ...]:
-    if len(scene.multidegrees) != 1:
-        raise ValueError("this operation needs a codimension-one scene")
-    return scene.multidegrees[0]
 
 
 def _closure_csm(scene: StrataScene, stratum: Stratum) -> ChowClass:
@@ -125,26 +120,25 @@ def resolve_mu(
 ) -> tuple[StrataScene, ConstructibleFunction, Optional[MilnorResult]]:
     """Obtain vanishing cycles for a scene.
 
-    User-supplied values win; otherwise a defining polynomial is run
-    through the Milnor-number engine in the scene's chart, or the last
-    variable when it names none; otherwise the scene is taken to be
-    smooth and mu is zero.  A polynomial scene must have one
-    multidegree, checked before the engine runs.  Without strata it
-    gets the default ones: the smooth locus, and a point stratum when
+    User-supplied values are taken as given, and refused on a polynomial
+    scene, whose values the engine computes.  Otherwise a defining
+    polynomial is run through the Milnor-number engine in the scene's
+    chart, or the last variable when it names none; otherwise the scene
+    is taken to be smooth and mu is zero.  A polynomial scene without
+    strata gets the default ones: the smooth locus, and a point stratum when
     the total is nonzero.  The total goes on the one closed zero-dimensional
     stratum with the sign (-1)^(dim Y - 1), since the value at an
     isolated singular point is chi(Milnor fiber) - 1.
     """
+    F = scene.defining_polynomial
     if mu is not None:
+        if F is not None:
+            raise SceneValidationError("a polynomial scene cannot carry mu values")
         if mu.scene != scene:
             raise ValueError("mu lives on a different scene")
         return scene, mu, None
-    F = scene.defining_polynomial
     if F is None:
         return scene, ConstructibleFunction(scene, {}), None
-    if len(scene.ambient.factors) != 1:
-        raise SceneValidationError("polynomial scenes live in a single projective space")
-    _single_multidegree(scene)
     chart = scene.chart if scene.chart is not None else F.variables[-1]
     result = total_milnor_number(F, chart, cancel)
     if not scene.strata:

@@ -61,11 +61,6 @@ class AmbientSpace:
     def dim(self) -> int:
         return sum(self.factors)
 
-    @property
-    def top(self) -> Exponent:
-        """Exponent of the class of a point."""
-        return self.factors
-
     def extended(self, extra_dim: int) -> "AmbientSpace":
         return AmbientSpace(self.factors + (extra_dim,))
 
@@ -198,12 +193,8 @@ class ChowClass:
         return cls._of_terms(ambient, (1,) + (0,) * (_layout(ambient.factors).size - 1))
 
     @classmethod
-    def monomial(cls, ambient: AmbientSpace, exp: Exponent, value: int = 1) -> "ChowClass":
-        return cls(ambient, {tuple(exp): value})
-
-    @classmethod
     def point(cls, ambient: AmbientSpace) -> "ChowClass":
-        return cls.monomial(ambient, ambient.top)
+        return cls._of_terms(ambient, _layout(ambient.factors).zeros[1:] + (1,))
 
     def _check_compatible(self, other: "ChowClass") -> None:
         if self.ambient.factors != other.ambient.factors:

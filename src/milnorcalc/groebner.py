@@ -35,6 +35,7 @@ from .polynomials import (
     GREVLEX,
     PolyIdeal,
     Polynomial,
+    _is_int,
     _Layout,
     _layout,
     _pack,
@@ -320,9 +321,7 @@ def saturate(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] =
         quotient = ideal_quotient(current, f, cancel)
         basis = groebner(quotient, cancel=cancel).basis
         if basis == previous:
-            if basis:
-                return PolyIdeal(basis)
-            return PolyIdeal((Polynomial.zero(ideal.variables),))
+            return PolyIdeal(basis or (Polynomial.zero(ideal.variables),))
         previous = basis
         current = PolyIdeal(basis)
 
@@ -331,7 +330,7 @@ def _chart_index(F: Polynomial, chart: Union[int, str]) -> int:
     """Position of the chart variable, given by name or by index."""
     if chart in F.variables:
         return F.variables.index(chart)
-    if isinstance(chart, int) and 0 <= chart < len(F.variables):
+    if _is_int(chart) and 0 <= chart < len(F.variables):
         return chart
     raise ValueError(f"chart {chart!r} is not one of the variables {', '.join(F.variables)}")
 

@@ -25,7 +25,9 @@ default to x, y, z, w and can be overridden with ``variables``.
 Per-stratum ``csm`` maps are keyed by comma-separated exponents, as in
 ``{"2": 1, "3": 2}`` for H^2 + 2H^3.  Each exponent is written in ASCII
 digits, and no two keys may name the same exponent ("1" and "01" do).
-No key may appear twice in one JSON object.
+No key may appear twice in one JSON object.  The reader checks this format
+(types, keys, routes, digit limits) and the variable count; every other rule
+between a scene's fields is checked by ``validate_scene`` on the built scene.
 """
 
 from __future__ import annotations
@@ -151,13 +153,8 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         isinstance(degrees_raw, list) and degrees_raw,
         "degrees must be a nonempty list of multidegrees",
     )
-    multidegrees = []
-    for d in degrees_raw:
-        _require(isinstance(d, list), "each multidegree must be a list")
-        _require(len(d) == len(ambient.factors), "multidegree length must match the ambient")
-        md = tuple(_parse_int(x, "degrees") for x in d)
-        _require(any(md), "a multidegree must be nonzero")
-        multidegrees.append(md)
+    _require(all(isinstance(d, list) for d in degrees_raw), "each multidegree must be a list")
+    multidegrees = [tuple(_parse_int(x, "degrees") for x in d) for d in degrees_raw]
 
     name = data.get("name", "")
     _require(isinstance(name, str), "name must be a string")
@@ -169,16 +166,17 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
     chart = None
     if "polynomial" in data:
         _require(not smooth, "a smooth scene cannot carry a polynomial")
-        _require(
-            len(ambient.factors) == 1,
-            "polynomial scenes need a single projective space",
-        )
-        _require("chart" in data, "a polynomial needs a chart variable")
-        variables = data.get("variables", list(default_variables(ambient.factors[0])))
+        # A null chart is no chart: the scene would fall back on the last variable.
+        _require(data.get("chart") is not None, "a polynomial needs a chart variable")
+        chart = data["chart"]
+        # The variable count is a rule of validate_scene, checked here as
+        # well: the parser reads the names before any scene exists, and a
+        # short list would show as an unknown variable in the polynomial.
+        variables = data.get("variables", list(default_variables(ambient.dim)))
         _require(
             isinstance(variables, list)
             and all(isinstance(v, str) for v in variables)
-            and len(variables) == ambient.factors[0] + 1,
+            and len(variables) == ambient.dim + 1,
             "variables must list one name per homogeneous coordinate",
         )
         text = data["polynomial"]
@@ -187,15 +185,6 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
             polynomial = parse_polynomial(text, variables)
         except PolyParseError as exc:
             raise SceneFileError(f"bad polynomial: {exc}") from exc
-        chart = data["chart"]
-        _require(isinstance(chart, str) and chart in variables, "chart must name a variable")
-        _require(not polynomial.is_zero(), "the polynomial is zero")
-        _require(polynomial.is_homogeneous(), "the polynomial is not homogeneous")
-        _require(
-            polynomial.total_degree() == multidegrees[0][0],
-            f"polynomial degree {polynomial.total_degree()} does not match "
-            f"declared degree {multidegrees[0][0]}",
-        )
     else:
         _require("chart" not in data, "chart is only meaningful with a polynomial")
         _require("variables" not in data, "variables are only meaningful with a polynomial")
@@ -205,17 +194,12 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         _require(isinstance(data["strata"], list), "strata must be a list")
         strata = [_parse_stratum(s, ambient) for s in data["strata"]]
 
-    mu = None
     if "mu" in data:
         _require(not smooth, "a smooth scene cannot carry mu values")
         _require(polynomial is None, "a polynomial scene cannot carry mu values")
         _require(strata, "mu values need strata")
         _require(isinstance(data["mu"], dict), "mu must be a map from stratum ids to integers")
-        ids = {s.id for s in strata}
-        values = {}
-        for key, value in data["mu"].items():
-            _require(key in ids, f"mu names unknown stratum {key!r}")
-            values[key] = _parse_int(value, f"mu[{key!r}]")
+        values = {key: _parse_int(value, f"mu[{key!r}]") for key, value in data["mu"].items()}
 
     _require(
         polynomial is not None or "mu" in data or smooth,
@@ -231,10 +215,9 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
             chart=chart,
             name=name,
         )
+        mu = ConstructibleFunction(scene, values) if "mu" in data else None
     except ValueError as exc:
         raise SceneFileError(str(exc)) from exc
-    if "mu" in data:
-        mu = ConstructibleFunction(scene, values)
     return scene, mu
 
 

@@ -25,7 +25,8 @@ inversion and the placement of computed vanishing cycles read them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .chow import AmbientSpace, ChowClass
 from .polynomials import Polynomial, _is_int
@@ -91,11 +92,48 @@ def _upsets(index: dict[str, Stratum]) -> dict[str, frozenset[str]]:
     return out
 
 
+def _single_multidegree(scene: StrataScene) -> tuple[int, ...]:
+    if len(scene.multidegrees) != 1:
+        raise SceneValidationError("this operation needs a codimension-one scene")
+    return scene.multidegrees[0]
+
+
+def _check_polynomial(scene: StrataScene) -> None:
+    """The defining polynomial: one projective space and one multidegree, a variable
+    per coordinate, the chart (when set) among them, nonzero, homogeneous, of that degree."""
+    F = scene.defining_polynomial
+    if len(scene.ambient.factors) != 1:
+        raise SceneValidationError("polynomial scenes need a single projective space")
+    if len(F.variables) != scene.ambient.dim + 1:
+        raise SceneValidationError("variables must list one name per homogeneous coordinate")
+    if scene.chart is not None and scene.chart not in F.variables:
+        raise SceneValidationError("chart must name a variable")
+    if F.is_zero():
+        raise SceneValidationError("the polynomial is zero")
+    if not F.is_homogeneous():
+        raise SceneValidationError("the polynomial is not homogeneous")
+    (degree,) = _single_multidegree(scene)
+    if F.total_degree() != degree:
+        raise SceneValidationError(
+            f"polynomial degree {F.total_degree()} does not match declared degree {degree}"
+        )
+
+
 def validate_scene(
     scene: StrataScene,
 ) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...], frozenset[str]]:
-    """Check poset shape and Euler data consistency; raise on failure.
+    """Check every rule that ties the scene's fields together: multidegrees,
+    the defining polynomial, poset shape and Euler data; raise on failure.
     Return the index, up-sets, peel order and closed strata of the scene."""
+    for multidegree in scene.multidegrees:
+        if len(multidegree) != len(scene.ambient.factors):
+            raise SceneValidationError("multidegree length must match the ambient")
+        if not any(multidegree):
+            raise SceneValidationError("a multidegree must be nonzero")
+        if any(d < 0 for d in multidegree):
+            raise SceneValidationError("multidegree entries must be nonnegative")
+    if scene.defining_polynomial is not None:
+        _check_polynomial(scene)
     index = {s.id: s for s in scene.strata}
     if len(index) != len(scene.strata):
         raise SceneValidationError("duplicate stratum ids")
@@ -129,11 +167,6 @@ def validate_scene(
                 f"stratum {s.id!r}: closure_chi is {s.closure_chi} "
                 f"but the closure strata sum to {total}"
             )
-    for multidegree in scene.multidegrees:
-        if len(multidegree) != len(scene.ambient.factors):
-            raise SceneValidationError("multidegree length does not match the ambient")
-        if any(d < 0 for d in multidegree):
-            raise SceneValidationError("multidegree entries must be nonnegative")
     for s in scene.strata:
         if s.csm_class is None:
             continue
@@ -150,24 +183,24 @@ def validate_scene(
     return index, ups, order, closed
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstructibleFunction:
     """An integer constructible function on a scene.
 
-    ``values`` maps stratum ids to the value of the function on that
-    stratum; missing ids mean zero.
+    ``values`` maps stratum ids to the nonzero values of the function on
+    those strata, read-only; missing ids mean zero.
     """
 
     scene: StrataScene
-    values: dict[str, int] = field(default_factory=dict)
+    values: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for stratum_id, value in self.values.items():
             if stratum_id not in self.scene.index:
-                raise ValueError(f"value on unknown stratum {stratum_id!r}")
+                raise SceneValidationError(f"mu names unknown stratum {stratum_id!r}")
             if not _is_int(value):
                 raise TypeError(f"value on stratum {stratum_id!r} must be an int, not {type(value).__name__}")
-        self.values = {k: v for k, v in self.values.items() if v != 0}
+        object.__setattr__(self, "values", MappingProxyType({k: v for k, v in self.values.items() if v != 0}))
 
     def is_zero(self) -> bool:
         return not self.values

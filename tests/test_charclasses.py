@@ -130,7 +130,7 @@ def csm_library(shape, ambient):
         n = ambient.factors[0]
         if not 0 <= k <= n:
             raise ValueError(f"no linear P^{k} inside P^{n}")
-        h = ChowClass.monomial(ambient, (1,))
+        h = ChowClass(ambient, {(1,): 1})
         return power(ChowClass.unit(ambient) + h, k + 1) * power(h, n - k)
     if kind == "smooth_ci":
         return fulton_johnson(ambient, shape[1])

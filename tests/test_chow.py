@@ -80,7 +80,7 @@ def series_inverse(u):
 class TestAmbient:
     def test_dim_and_top(self):
         assert P2xP1.dim == 3
-        assert P2xP1.top == (2, 1)
+        assert ChowClass.point(P2xP1).coefficients == {(2, 1): 1}
 
     def test_letters(self):
         assert P2.letters() == ("H",)
@@ -559,7 +559,7 @@ def test_coefficients_round_trip_the_cleaned_map(case):
     assert x.coefficients == clean
     assert ChowClass(ambient, x.coefficients) == x
     returned = x.coefficients
-    returned[ambient.top] = returned.get(ambient.top, 0) + 1
+    returned[ambient.factors] = returned.get(ambient.factors, 0) + 1
     returned.pop((0,) * len(ambient.factors), None)
     assert x.coefficients == clean
 

@@ -319,6 +319,15 @@ class TestMilnorNumbers:
         with pytest.raises(ValueError, match="chart 3 is not one"):
             total_milnor_number(F, 3)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_a_bool_is_no_chart_index(self, flag):
+        # bool is a subclass of int, but True is not the index 1.
+        F = P("y^2*z - x^3", XYZ)
+        with pytest.raises(ValueError, match=f"chart {flag} is not one of the variables x, y, z"):
+            total_milnor_number(F, flag)
+        with pytest.raises(ValueError, match=f"chart {flag} is not one"):
+            dehomogenize(F, flag)
+
 
 def saturation_route(F, chart):
     """(total, off_curve_dim) as dim k[x]/J minus dim k[x]/(J : f^inf)."""
