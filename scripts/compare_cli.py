@@ -12,15 +12,15 @@ list holds:
   ``--quiet check`` at m = 1, 2, 3 on the scenes in ``scenes/``, on
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
   on two polynomial scenes with two multidegrees, on seven smooth
-  scenes whose box shapes exercise both kinds of slice list in
-  ``milnorcalc.chow``, on a stratified scene with user mu on a product
-  ambient and on twenty-one scenes that exit 2;
+  scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
+  scene with user mu on a product ambient, on thirty scenes that exit 2
+  and on one that exits 3;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
-  parser), a node in P^5, a chart validation that needs an S-pair, high
+  parser, a zero and a constant polynomial), a node in P^5, a chart validation that needs an S-pair, high
   single exponents, exponents over the limit and large coefficients;
 - ``table`` and ``--json table``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
@@ -158,6 +158,9 @@ MILNOR_CASES = [
     # reported instead: the one difference allowed between the two.
     ("x^40000 + y", "x,y,z", "z"),
     ("x^40000 + z^40000", "x,y,z", "z"),
+    # Exit 2: a zero polynomial, and a constant one.
+    ("0", "x,y,z", "z"),
+    ("7", "x,y,z", "z"),
 ]
 
 TABLES = [
@@ -220,7 +223,12 @@ PRODUCT_STRATA_SCENE = {
 # multidegree, a multidegree longer than the ambient, a polynomial on a
 # product, a chart that names no variable, a zero polynomial, one that
 # is not homogeneous, a cubic declared of degree 4, a polynomial with
-# mu, and mu on a stratum the scene does not have.
+# mu, and mu on a stratum the scene does not have.  Last, one scene for
+# each error that no other input reaches: two strata with one id, an
+# unknown parent, a stratum dim that is text, a fraction or a bool, a
+# negative factor dimension, two closed points for the computed
+# vanishing cycles, user mu on two multidegrees, and user mu on a curve
+# stratum without a csm class, the one scene here that exits 3.
 LONG_DIGITS = "9" * 5000
 LONG_NUMBER = "<a JSON number of 5,000 digits>"
 POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
@@ -248,6 +256,18 @@ INVALID_SCENES = {
     "degree-mismatch": dict(NODAL_CUBIC, degrees=[[4]]),
     "polynomial-with-mu": dict(NODAL_CUBIC, strata=[POINT], mu={"p": 1}),
     "unknown-mu-stratum": {"ambient": [2], "degrees": [[3]], "strata": [POINT], "mu": {"phantom": 1}},
+    "duplicate-stratum-ids": {"ambient": [2], "degrees": [[3]], "strata": [POINT, POINT], "mu": {"p": 1}},
+    "unknown-parent": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, parents=["ghost"])], "mu": {"p": 1}},
+    "text-dim": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, dim="abc")], "mu": {"p": 1}},
+    "fraction-dim": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, dim=1.5)], "mu": {"p": 1}},
+    "bool-dim": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, dim=True)], "mu": {"p": 1}},
+    "negative-ambient": {"ambient": [-1], "degrees": [[3]], "smooth": True},
+    "two-closed-points": dict(NODAL_CUBIC, strata=[POINT, dict(POINT, id="q")]),
+    "mu-with-two-degrees": {"ambient": [2], "degrees": [[2], [1]], "strata": [POINT], "mu": {"p": 1}},
+    "curve-without-csm": {
+        "ambient": [2], "degrees": [[3]], "strata": [{"id": "c", "dim": 1, "chi_c": 0, "closure_chi": 0}],
+        "mu": {"c": 1},
+    },
 }
 
 # Scenes that repeat a key in one object, at the top, in mu and in a
@@ -264,6 +284,9 @@ REPEATED_KEY_SCENES = {
         ' "strata": [{"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1, "csm": {"2": 5, "2": 1}}]}'
     ),
 }
+
+# A scene file cut off inside its object, which exits 2.
+MALFORMED_SCENES = {"not-json": '{"ambient": [2], "degrees": [[3]],'}
 
 
 def many_strata_scenes() -> dict[str, dict]:
@@ -344,7 +367,7 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
         text = json.dumps(data, sort_keys=True, indent=2).replace(f'"{LONG_NUMBER}"', LONG_DIGITS)
         path.write_text(text + "\n", encoding="utf-8")
         paths.append(str(path))
-    for name, text in REPEATED_KEY_SCENES.items():
+    for name, text in {**REPEATED_KEY_SCENES, **MALFORMED_SCENES}.items():
         path = outdir / f"{name}.json"
         path.write_text(text + "\n", encoding="utf-8")
         paths.append(str(path))
