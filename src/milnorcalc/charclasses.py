@@ -439,12 +439,10 @@ def _json_text(value, newline: str) -> str:
         return "[" + inner + ("," + inner).join([_json_text(v, inner) for v in value]) + newline + "]"
     if set(map(type, value)) != {str}:
         raise TypeError("JSON object keys must be strings")
-    items = sorted(value.items())
-    # The dict of a class holds only ints: written without a recursive call per entry.
-    if set(map(type, value.values())) == {int}:
-        lines = [f"{encode_basestring_ascii(k)}: {_int_text(v)}" for k, v in items]
-    else:
-        lines = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in items]
+    lines = [
+        f"{encode_basestring_ascii(k)}: {_int_text(v) if type(v) is int else _json_text(v, inner)}"
+        for k, v in sorted(value.items())
+    ]
     return "{" + inner + ("," + inner).join(lines) + newline + "}"
 
 

@@ -11,19 +11,16 @@ A class stores all N = prod (n_i + 1) coefficients of its box as one
 tuple, zeros included, in box order: H^e sits at index sum e_i s_i for
 the strides s_i = prod_{j > i} (n_j + 1).  Sums and scalings are one
 ``map``; the pullback and pushforward along the projection that forgets
-the last factor are extended slices.  The entries with e_i < p form runs
-of p s_i every (n_i + 1) s_i, which one list of slice assignments per
-(factor, power) zeroes: runs or extended slices, whichever is shorter.
-The predecessor table of a term H^f, built from these lists, holds
-t - f + 1 at each index t whose monomial H^f divides, else 0, and is
-read on a vector with a leading zero.  A product reads the other operand
-through the tables of the terms of the operand with fewer nonzero
-entries, four terms per pass; ``x / u`` solves
+the last factor are extended slices.  The predecessor table of a term
+H^f holds t - f + 1 at each index t whose monomial H^f divides, else 0,
+and is read on a vector with a leading zero.  A product reads the other
+operand through the tables of the terms of the operand with fewer
+nonzero entries, four terms per pass; ``x / u`` solves
 y_t = x_t - sum_f u_f y_(t - f) in box order.  The layout of an ambient
-holds the slice lists, the table of each term read so far (a report
-reads those of D and of any class sparser than D), the ``"a,b,c"`` key
-strings (built when a class of the ambient is first emitted, which
-product ambients never are) and the tangent class.
+holds the table of each term read so far, built when it is first read
+(a report reads those of D and of any class sparser than D), the
+``"a,b,c"`` key strings (built when a class of the ambient is first
+emitted, which product ambients never are) and the tangent class.
 """
 
 from __future__ import annotations
@@ -85,20 +82,11 @@ class _Layout(NamedTuple):
 
     size: int
     strides: tuple[int, ...]
-    # clears[i][p] zeroes the entries with e_i < p; e_i of index t is t // s_i % (n_i + 1).
-    clears: tuple[tuple[tuple[list[slice], tuple[int, ...]], ...], ...]
     grades: tuple[int, ...]  # total degree of each index
     tables: dict[int, tuple[int, ...]]  # the predecessor table of each term index read so far
     zeros: tuple[int, ...]  # all zero: the padding table, which reads the leading zero
     keys: dict[int, str]  # the "a,b,c" key of each index, in box order; empty until emitted
     tangent: tuple[int, ...]  # prod (1+H_i)^(n_i+1), shared by every tangent class
-
-
-def _runs_below(size: int, stride: int, n: int, p: int) -> tuple[list[slice], tuple[int, ...]]:
-    run, period = p * stride, (n + 1) * stride
-    if size // period <= run:
-        return [slice(q, q + run) for q in range(0, size, period)], (0,) * run
-    return [slice(r, None, period) for r in range(run)], (0,) * (size // period)
 
 
 def _binomials(n: int) -> list[int]:
@@ -111,32 +99,35 @@ def _binomials(n: int) -> list[int]:
 def _layout(factors: tuple[int, ...]) -> _Layout:
     strides = [math.prod(n + 1 for n in factors[i + 1 :]) for i in range(len(factors))]
     size = math.prod(n + 1 for n in factors)
-    clears = tuple(tuple(_runs_below(size, s, n, p) for p in range(n + 1)) for s, n in zip(strides, factors))
     # The coefficient of H^e in the tangent class is prod C(n_i+1, e_i).
     grades, tangent = [0], [1]
     for n in factors:
         grades = [g + a for g in grades for a in range(n + 1)]
         row = _binomials(n + 1)[:-1]
         tangent = [c * b for c in tangent for b in row]
-    return _Layout(size, tuple(strides), clears, tuple(grades), {}, (0,) * size, {}, tuple(tangent))
-
-
-def _zero_below(values: list, layout: _Layout, f: int) -> None:
-    """Zero the entries at every H^e that H^f (index ``f``) does not divide."""
-    for stride, clears in zip(layout.strides, layout.clears):
-        slices, zeros = clears[f // stride % len(clears)]
-        for piece in slices:
-            values[piece] = zeros
+    return _Layout(size, tuple(strides), tuple(grades), {}, (0,) * size, {}, tuple(tangent))
 
 
 def _tables(layout: _Layout, terms: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The predecessor tables of the term indices ``terms``, padded to four
-    with the table of zeros."""
-    tables = layout.tables
+    with the table of zeros.
+
+    A missing table starts as t - f + 1 at every index t.  H^f fails to
+    divide H^e exactly where e_i < f_i for some factor i, and those
+    entries form runs of f_i s_i every (n_i + 1) s_i, which is the stride
+    of the factor before (the box size for the first): each run is zeroed.
+    """
+    tables, size = layout.tables, layout.size
     for f in terms:
         if f not in tables:
-            values = list(range(1 - f, layout.size + 1 - f))
-            _zero_below(values, layout, f)
+            values, period = list(range(1 - f, size + 1 - f)), size
+            for stride in layout.strides:
+                run = f % period - f % stride  # f_i s_i
+                if run:
+                    zeros = [0] * run
+                    for start in range(0, size, period):
+                        values[start : start + run] = zeros
+                period = stride
             tables[f] = tuple(values)
     return [tables[f] for f in terms] + [layout.zeros] * (4 - len(terms))
 

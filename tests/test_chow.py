@@ -414,6 +414,20 @@ def test_dense_classes_at_field_edges(factors):
     assert tangent_class(ambient) == powered_tangent_class(ambient)
 
 
+# Ambients with a P^0 factor, one factor, five factors, and a product
+# ambient Y x P^m with its P^m last.
+@pytest.mark.parametrize(
+    "factors", [(2, 0, 3), (1, 0), (0,), (6,), (1, 2, 1, 1, 2), AmbientSpace((2, 2)).extended(3).factors]
+)
+def test_tables_hold_the_predecessor_exactly_where_the_term_divides(factors):
+    box = list(AmbientSpace(factors).box())
+    # A fresh layout, so that every table is built here.
+    layout = chow._layout.__wrapped__(factors)
+    for f, exponent in enumerate(box):
+        expected = [t - f + 1 if all(a >= b for a, b in zip(e, exponent)) else 0 for t, e in enumerate(box)]
+        assert chow._tables(layout, (f,))[0] == tuple(expected)
+
+
 def test_division_builds_no_classes(monkeypatch):
     ambient = AmbientSpace((4, 4, 4, 3))
     divisor = divisor_class(ambient, (1, 2, 3, 4))
@@ -641,7 +655,7 @@ def test_key_strings_are_built_only_for_emitted_ambients():
 def test_classes_outlive_their_evicted_layout():
     # Classes hold only their coefficient tuples: once more than
     # _LAYOUT_CACHE_SIZE other ambients have evicted their layout, with its
-    # slice lists and predecessor tables, they still compute and emit.
+    # predecessor tables and key strings, they still compute and emit.
     ambient = AmbientSpace((3, 2, 4))
     rng = random.Random(7)
     box = list(ambient.box())

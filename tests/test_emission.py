@@ -54,7 +54,10 @@ def test_64_bit_boundary():
     assert canonical_json(keyed) == json.dumps(written, sort_keys=True, indent=2)
 
 
-@pytest.mark.parametrize("data", [{}, [], {"a": {}}, [[]], {"a": [{}, []]}, {"k": {"2,1": -3, "0,0": 1}}])
+@pytest.mark.parametrize(
+    "data",
+    [{}, [], {"a": {}}, [[]], {"a": [{}, []]}, {"k": {"2,1": -3, "0,0": 1}}, {"a": 1, "b": [2]}, {"a": 1, "b": True}],
+)
 def test_writer_matches_json_dumps_on_empty_and_class_maps(data):
     assert canonical_json(data) == json.dumps(data, sort_keys=True, indent=2)
 
@@ -69,7 +72,10 @@ class Label(str):
 
 @pytest.mark.parametrize(
     "data",
-    [1.5, {"x": 0.0}, [float("nan")], {"x": (1, 2)}, {1: 2}, {"a": 1, None: 2}, [Count(3)], {"a": Label("b")}, {Label("a"): 1}],
+    [
+        1.5, {"x": 0.0}, [float("nan")], {"x": (1, 2)}, {1: 2}, {"a": 1, None: 2},
+        [Count(3)], {"a": Label("b")}, {Label("a"): 1}, {"a": Count(3)},
+    ],
 )
 def test_writer_refuses_floats_other_types_and_non_str_keys(data):
     # json.dumps writes most of these; the writer takes exact types only.
