@@ -20,8 +20,9 @@ list holds:
   product factor P^9 is wider than any of m = 1, 2, 3;
 - ``milnor`` and ``milnor --json`` on fixed polynomials, among them the
   inputs that exit 2 and 3 (one for each message of the polynomial
-  parser, a zero and a constant polynomial), a node in P^5, a chart validation that needs an S-pair, high
-  single exponents, exponents over the limit and large coefficients;
+  parser, a zero and a constant polynomial), a node in P^5, a chart
+  validation that needs an S-pair, high single exponents, exponents
+  over the limit and large coefficients;
 - ``table`` and ``--json table``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
   that the rest runs after the parser has refused input in the same

@@ -174,9 +174,9 @@ def test_repeated_key_scenes_exit_2_in_this_checkout(tmp_path):
         assert f"the key {key!r} appears twice in one object" in result["stderr"]
 
 
-# The exit code and message of each input that reaches an error no other
-# input reaches; "{path}" stands for the scene file.
-ERROR_CASES = {
+# The exit code and message of each scene and polynomial that reaches an
+# error no other input reaches; "{path}" stands for the scene file.
+ERROR_SCENES = {
     "duplicate-stratum-ids": (2, "error: duplicate stratum ids\n"),
     "unknown-parent": (2, "error: stratum 'p' lists unknown parent 'ghost'\n"),
     "text-dim": (2, "error: stratum 'p' dim: 'abc' is not an integer\n"),
@@ -197,6 +197,8 @@ ERROR_CASES = {
         "error: {path} is not valid JSON: Expecting property name enclosed in double quotes:"
         " line 2 column 1 (char 35)\n",
     ),
+}
+ERROR_POLYNOMIALS = {
     "0": (2, "error: zero polynomial\n"),
     "7": (2, "error: polynomial degree must be at least 1\n"),
 }
@@ -206,16 +208,17 @@ def test_error_cases_are_listed_and_exit_with_their_message_in_this_checkout(tmp
     compare = load_compare()
     paths = compare.scene_paths(ROOT, tmp_path)
     argvs = compare.invocations(paths)
-    scenes = {name: str(tmp_path / f"{name}.json") for name in ERROR_CASES if not name.isdigit()}
-    assert set(scenes) <= set(compare.INVALID_SCENES) | set(compare.MALFORMED_SCENES)
-    polys = [name for name in ERROR_CASES if name.isdigit()]
-    milnor = [["milnor", "--poly", poly, "--vars", "x,y,z", "--chart", "z"] for poly in polys]
-    for path in scenes.values():
+    scenes = [str(tmp_path / f"{name}.json") for name in ERROR_SCENES]
+    milnor = [["milnor", "--poly", poly, "--vars", "x,y,z", "--chart", "z"] for poly in ERROR_POLYNOMIALS]
+    assert set(ERROR_SCENES) <= set(compare.INVALID_SCENES) | set(compare.MALFORMED_SCENES)
+    for path in scenes:
         assert len([argv for argv in argvs if path in argv]) == 15
     assert all(argv in argvs and ["--json"] + argv in argvs for argv in milnor)
-    results = compare.run_checkout(ROOT, [["report", path] for path in scenes.values()] + milnor)
-    for (name, (code, message)), got in zip(ERROR_CASES.items(), results):
-        assert got == result(code=code, stderr=message.format(path=scenes.get(name))), name
+    expected = [
+        result(code=code, stderr=message.format(path=path))
+        for path, (code, message) in zip(scenes, ERROR_SCENES.values())
+    ] + [result(code=code, stderr=message) for code, message in ERROR_POLYNOMIALS.values()]
+    assert compare.run_checkout(ROOT, [["report", path] for path in scenes] + milnor) == expected
 
 
 def test_layout_edge_scenes_are_written_and_run_in_every_form(tmp_path):
