@@ -29,10 +29,16 @@ list holds:
   process;
 - after all of these, one form each on the two scenes of
   ``BOUNDARY_SCENES``, at the edges of the integer rules;
-- last, ``--json report`` and ``check`` at m = 1, 2, 3 on the two
+- then ``--json report`` and ``check`` at m = 1, 2, 3 on the two
   generated scenes of ``many_strata_scenes``, a curve over 300 point
   strata and a chain of 100 lines on a surface, whose stratum lookups
-  and Moebius inversion run over hundreds of strata.
+  and Moebius inversion run over hundreds of strata;
+- last, after every input that exits 2 or 3, the warm block of
+  ``warm_invocations``: inputs whose Milnor numbers the process has
+  computed before, so that they are answered from the memo of
+  ``total_milnor_number``.
+
+With the nine corpus scenes that makes 1,410 invocations.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -381,6 +387,25 @@ def large_m_paths(scenes: list[str]) -> list[str]:
     return [scene for scene in scenes if Path(scene).name in LARGE_M_SCENES] + [chow]
 
 
+def scene_forms(scene: str) -> list[list[str]]:
+    """``report``, ``--json report``, ``check``, ``--json check`` and
+    ``--quiet check`` on one scene at every m: fifteen argument lists."""
+    forms = (
+        ([], "report"), (["--json"], "report"),
+        ([], "check"), (["--json"], "check"), (["--quiet"], "check"),
+    )
+    return [prefix + [command, scene, "--m", m] for m in M_VALUES for prefix, command in forms]
+
+
+def milnor_forms(cases) -> list[list[str]]:
+    """``milnor`` and ``milnor --json`` on each (polynomial, variables, chart)."""
+    return [
+        prefix + ["milnor", "--poly", poly, "--vars", variables, "--chart", chart]
+        for poly, variables, chart in cases
+        for prefix in ([], ["--json"])
+    ]
+
+
 def invocations(scenes: list[str], large_m: Sequence[str] = ()) -> list[list[str]]:
     """The fixed argument lists, for the given scene files and the scenes
     also run at ``LARGE_M``."""
@@ -395,18 +420,10 @@ def invocations(scenes: list[str], large_m: Sequence[str] = ()) -> list[list[str
         ["report", "--help"],
     ]
     for scene in scenes:
-        for m in M_VALUES:
-            for prefix, command in (
-                ([], "report"), (["--json"], "report"),
-                ([], "check"), (["--json"], "check"), (["--quiet"], "check"),
-            ):
-                result.append(prefix + [command, scene, "--m", m])
+        result.extend(scene_forms(scene))
     for scene in large_m:
         result.extend([["--json", "report", scene, "--m", LARGE_M], ["check", scene, "--m", LARGE_M]])
-    for poly, variables, chart in MILNOR_CASES:
-        for prefix in ([], ["--json"]):
-            argv = ["milnor", "--poly", poly, "--vars", variables, "--chart", chart]
-            result.append(prefix + argv)
+    result.extend(milnor_forms(MILNOR_CASES))
     result.extend(TABLES)
     result.extend([
         ["check", first, "--checks", "frobnicate"],
@@ -440,6 +457,31 @@ def many_strata_invocations(outdir: Path) -> list[list[str]]:
         for m in M_VALUES:
             result.extend([["--json", "report", path, "--m", m], ["check", path, "--m", m]])
     return result
+
+
+# The nodal cubic's polynomial in each chart, and in reordered text: an
+# equal polynomial, which the memo answers for the first.  Charts y and x
+# miss the node, so they exit 3 on every call.
+WARM_MILNOR_CASES = [
+    ("y^2*z - x^3 - x^2*z", "x,y,z", "z"),
+    ("y^2*z - x^3 - x^2*z", "x,y,z", "y"),
+    ("y^2*z - x^3 - x^2*z", "x,y,z", "x"),
+    ("-x^2*z + y^2*z - x^3", "x,y,z", "z"),
+]
+
+
+def warm_invocations(root: Path, outdir: Path) -> list[list[str]]:
+    """Write the nodal cubic without strata under ``outdir``, and return
+    the warm block: its fifteen forms, whose Milnor number the corpus
+    scene of the same polynomial and chart computed earlier, then
+    ``--json report --m 1`` on each corpus scene, then ``milnor`` and
+    ``milnor --json`` on ``WARM_MILNOR_CASES``."""
+    path = outdir / "nodal-cubic-bare.json"
+    path.write_text(json.dumps(NODAL_CUBIC) + "\n", encoding="utf-8")
+    result = scene_forms(str(path))
+    for scene in sorted((root / "scenes").glob("*.json")):
+        result.append(["--json", "report", str(scene), "--m", "1"])
+    return result + milnor_forms(WARM_MILNOR_CASES)
 
 
 def run_checkout(checkout: Path, argvs: list[list[str]]) -> list[dict]:
@@ -477,15 +519,20 @@ def differences(argvs: list[list[str]], parent: list[dict], change: list[dict]) 
     return found
 
 
+def all_invocations(outdir: Path) -> list[list[str]]:
+    """The whole list, in order, with its scene files written under ``outdir``."""
+    scenes = scene_paths(ROOT, outdir)
+    argvs = invocations(scenes, large_m_paths(scenes)) + boundary_invocations(outdir)
+    return argvs + many_strata_invocations(outdir) + warm_invocations(ROOT, outdir)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare-cli-") as tmp:
-        scenes = scene_paths(ROOT, Path(tmp))
-        argvs = invocations(scenes, large_m_paths(scenes)) + boundary_invocations(Path(tmp))
-        argvs += many_strata_invocations(Path(tmp))
+        argvs = all_invocations(Path(tmp))
         results = {side: run_checkout(getattr(args, side), argvs) for side in ("parent", "change")}
     found = differences(argvs, results["parent"], results["change"])
     for text in found:

@@ -70,11 +70,19 @@ class AmbientSpace:
         return itertools.product(*(range(n + 1) for n in self.factors))
 
 
+def _ambient_label(factors: Sequence[int]) -> str:
+    return " x ".join(f"P^{n}" for n in factors)
+
+
 # Layouts kept at once, so that a process meeting many ambients holds a
 # bounded number.  A report meets its ambient and one product ambient
 # per m; a run of reports that cycles through more ambients than this
 # rebuilds a layout on every product.
 _LAYOUT_CACHE_SIZE = 32
+# The most box positions an ambient may have, refused before anything
+# is allocated.  P^20 to the fourth times P^1, the product box of m = 1,
+# has 388,962.
+_MAX_BOX_SIZE = 400_000
 
 
 class _Layout(NamedTuple):
@@ -97,8 +105,13 @@ def _binomials(n: int) -> list[int]:
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(factors: tuple[int, ...]) -> _Layout:
-    strides = [math.prod(n + 1 for n in factors[i + 1 :]) for i in range(len(factors))]
     size = math.prod(n + 1 for n in factors)
+    if size > _MAX_BOX_SIZE:
+        raise ValueError(
+            f"the Chow ring of {_ambient_label(factors)} has more than {_MAX_BOX_SIZE} coefficients,"
+            " the most a class may hold"
+        )
+    strides = [math.prod(n + 1 for n in factors[i + 1 :]) for i in range(len(factors))]
     # The coefficient of H^e in the tangent class is prod C(n_i+1, e_i).
     grades, tangent = [0], [1]
     for n in factors:
@@ -330,7 +343,8 @@ def pull_back(x: ChowClass, m: int) -> ChowClass:
     The coefficient of H^e H_new^j is C(m+1, j) x_e: one extended slice per j.
     """
     product = x.ambient.extended(m)
-    terms, out = x._terms, [0] * (len(x._terms) * (m + 1))
+    # The layout of the product refuses a box over the limit before it is allocated.
+    terms, out = x._terms, [0] * _layout(product.factors).size
     for j, c in enumerate(_binomials(m + 1)[:-1]):
         out[j :: m + 1] = map(mul, terms, repeat(c))
     return ChowClass._of_terms(product, tuple(out))

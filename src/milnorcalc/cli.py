@@ -25,7 +25,7 @@ from .charclasses import (
     fulton_johnson,
     report_to_jsonable,
 )
-from .chow import AmbientSpace
+from .chow import AmbientSpace, _ambient_label
 from .groebner import (
     NonIsolatedSingularitiesError,
     SingularitiesOutsideChartError,
@@ -54,10 +54,6 @@ _CHECK_ALIASES = {
     "euler_strata": ("euler_strata",),
     "all": ("verdier_m{m}", "defect_codim1", "pushdown_m{m}", "lci_m{m}"),
 }
-
-
-def _ambient_label(factors: Sequence[int]) -> str:
-    return " x ".join(f"P^{n}" for n in factors)
 
 
 def _check_keys(report_checks, names: list[str], m: int) -> list[str]:
@@ -142,7 +138,9 @@ def cmd_milnor(args) -> tuple[int, str]:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not variables:
         raise SceneFileError("--vars needs at least one variable name")
-    result = total_milnor_number(parse_polynomial(args.poly, variables), args.chart)
+    # The arguments as resolve_mu passes them, so that report, check and
+    # milnor share one stored result per polynomial and chart.
+    result = total_milnor_number(parse_polynomial(args.poly, variables), args.chart, None)
     if args.json:
         data = {
             "total_milnor": result.total_milnor,

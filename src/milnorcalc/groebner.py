@@ -16,6 +16,10 @@ from border normal forms, integer rows over reduced denominators, and
 ranked over the integers after one scaling by the lcm of those.  Chart
 validation stops once the leads found so far prove its quotient finite.
 ``cancel`` is polled once per S-pair and once per pivot column.
+
+``total_milnor_number`` keeps its last ``_MILNOR_CACHE_SIZE`` results for
+the process: a polynomial hashes by its variables and packed terms, so an
+equal one in the same chart is answered with no basis computed.
 """
 
 from __future__ import annotations
@@ -44,6 +48,10 @@ from .polynomials import (
 )
 
 CancelCallback = Callable[[], bool]
+
+# Results of total_milnor_number kept at once, the bound of the Chow
+# layouts (chow._LAYOUT_CACHE_SIZE).  A report needs one, whatever its m.
+_MILNOR_CACHE_SIZE = 32
 
 
 class ComputationCancelled(RuntimeError):
@@ -506,6 +514,8 @@ def _stable_rank(rows: list[Row], cancel: Optional[CancelCallback]) -> int:
     return rank
 
 
+# typed: a chart given as True or 1.0 is refused, not read as 1 from memory.
+@functools.lru_cache(maxsize=_MILNOR_CACHE_SIZE, typed=True)
 def total_milnor_number(
     F: Polynomial, chart: Union[int, str], cancel: Optional[CancelCallback] = None
 ) -> MilnorResult:
@@ -519,6 +529,13 @@ def total_milnor_number(
     exactly the factors at points of the hypersurface and invertible on
     the others.  So the rank at which the powers of that multiplication
     matrix settle is ``off_curve_dim``, and the total is dim A minus it.
+
+    The result depends on ``F`` and ``chart`` alone and is kept for the
+    process, among the last ``_MILNOR_CACHE_SIZE``: a later call with
+    equal arguments returns it without computing, and polls no
+    ``cancel``.  ``cancel`` is part of the key, held with it, so a new
+    callback always gets a computation that polls it.  An exception is
+    never kept.
     """
     if F.is_zero():
         raise ValueError("zero polynomial")

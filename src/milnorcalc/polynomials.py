@@ -13,8 +13,9 @@ the guard bits G, and an lcm is taken field by field.  Int order is
 monomial order once ``key`` has flipped some fields: grevlex has the
 degree on top, then the variables from the last, all flipped; the order
 eliminating x_0 has x_0 on top, then grevlex.
-An exponent or degree above ``_LIMIT`` is refused with ``ValueError``
-when a polynomial is built or parsed.
+An exponent or degree above ``_LIMIT``, or more than ``_MAX_VARIABLES``
+variables, is refused with ``ValueError`` when a polynomial is built or
+parsed.
 
 The text grammar accepted by ``parse_polynomial`` (and emitted by
 ``str``) is a sum of terms joined by ``+`` or ``-``, where a term is an
@@ -44,6 +45,10 @@ _ELIM_FIRST = "elim-first"
 _FIELD_BITS = 15
 _LIMIT = (1 << _FIELD_BITS) - 1
 _TOO_BIG = f"exponents and degrees above {_LIMIT} are beyond the Groebner engine"
+# The most variables a layout may have, refused before anything is
+# allocated: its n packed units are of about 16(n + 1) bits each, so a
+# layout grows with the square of n (2 MB at the limit).
+_MAX_VARIABLES = 1000
 
 
 class _Layout(NamedTuple):
@@ -62,6 +67,8 @@ class _Layout(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _layout(nvars: int, order: str) -> _Layout:
+    if nvars > _MAX_VARIABLES:
+        raise ValueError(f"a polynomial in {nvars} variables is over the limit of {_MAX_VARIABLES} variables")
     # The fields from the top down: a variable's index, or "d".
     if order == GREVLEX:
         fields, flipped = ["d", *range(nvars - 1, -1, -1)], range(nvars)

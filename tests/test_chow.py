@@ -117,6 +117,31 @@ class TestAmbient:
             pull_back(hyperplane(P2), extra_dim)
 
 
+class TestBoxBudget:
+    """A box of more than 400,000 positions is refused before it is built."""
+
+    def test_product_box_of_p20_to_the_fourth(self):
+        # At m = 1 it has 388,962 positions, and is built (but not kept);
+        # at m = 2 it has 583,443.
+        assert chow._layout.__wrapped__((20, 20, 20, 20, 1)).size == 388_962
+        with pytest.raises(ValueError) as caught:
+            chow._layout((20, 20, 20, 20, 2))
+        assert str(caught.value) == (
+            "the Chow ring of P^20 x P^20 x P^20 x P^20 x P^2 has more than 400000 coefficients,"
+            " the most a class may hold"
+        )
+
+    def test_every_constructor_is_refused(self):
+        big = AmbientSpace((40, 40, 40, 40))
+        for build in (ChowClass.zero, ChowClass.unit, ChowClass.point, tangent_class, hyperplane, ChowClass):
+            with pytest.raises(ValueError, match="P\\^40 x P\\^40 x P\\^40 x P\\^40 has more than 400000"):
+                build(big)
+
+    def test_pull_back_is_refused_before_its_product_is_allocated(self):
+        with pytest.raises(ValueError, match="P\\^2 x P\\^99999999999 has more than 400000"):
+            pull_back(hyperplane(P2), 99_999_999_999)
+
+
 class TestChowClass:
     def test_truncation_on_construction(self):
         assert cls(P2, {(5,): 3}).is_zero()

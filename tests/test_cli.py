@@ -12,7 +12,7 @@ import milnorcalc.cli as cli
 from milnorcalc.charclasses import CheckResult, build_report
 from milnorcalc.chow import ChowClass
 from milnorcalc.cli import main
-from milnorcalc.groebner import MilnorResult
+from milnorcalc.groebner import MilnorResult, total_milnor_number
 from milnorcalc.scenefile import load_scene
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -79,11 +79,14 @@ class TestReport:
     @pytest.mark.parametrize("key", sorted(GOLDENS), ids=lambda key: key.replace(".json --m ", "-m"))
     def test_json_matches_corpus_golden(self, key, capsys):
         # The goldens hold the byte-exact stdout of every corpus report
-        # at m = 1, 2, 3; keys read "<scene file> --m <m>".
+        # at m = 1, 2, 3; keys read "<scene file> --m <m>".  Each is served
+        # twice: with no Milnor number kept, then with this one kept.
         scene_file, m = key.split(" --m ")
-        code, out, err = run(capsys, "--json", "report", str(SCENES / scene_file), "--m", m)
-        assert code == 0, err
-        assert out == GOLDENS[key]
+        total_milnor_number.cache_clear()
+        for _ in range(2):
+            code, out, err = run(capsys, "--json", "report", str(SCENES / scene_file), "--m", m)
+            assert code == 0, err
+            assert out == GOLDENS[key]
 
     def test_goldens_cover_the_corpus(self):
         expected = {f"{p.name} --m {m}" for p in SCENES.glob("*.json") for m in (1, 2, 3)}
@@ -432,7 +435,8 @@ class TestMilnor:
         assert payload == {"chart": "z", "off_curve_dim": 1, "total_milnor": 1}
 
     def test_json_integers_beyond_64_bits_are_strings(self, monkeypatch, capsys):
-        def engine(F, chart):
+        # milnor passes cancel as report and check do, so all three share stored results.
+        def engine(F, chart, cancel):
             return MilnorResult(2**63, "z", -(2**63))
 
         monkeypatch.setattr(cli, "total_milnor_number", engine)
@@ -541,6 +545,35 @@ class TestMilnor:
         assert err == "error: variable 'z' is listed more than once\n"
 
 
+class TestSizeBudget:
+    """Inputs over a size limit exit 2 in the user's terms, before the
+    classes or layouts of their size are built."""
+
+    BOX = "the Chow ring of {} has more than 400000 coefficients, the most a class may hold"
+    VARIABLES = "error: a polynomial in 20001 variables is over the limit of 1000 variables\n"
+
+    def test_box_over_the_limit(self, tmp_path, capsys):
+        # P^40 to the fourth, 2,825,761 positions: a MemoryError before.
+        path = write_scene(tmp_path, {"ambient": [40, 40, 40, 40], "degrees": [[1, 1, 1, 1]], "smooth": True})
+        code, out, err = run(capsys, "report", path)
+        assert (code, out) == (2, "")
+        assert err == "error: " + self.BOX.format("P^40 x P^40 x P^40 x P^40") + "\n"
+
+    def test_product_box_over_the_limit(self, capsys):
+        for command in ("report", "check"):
+            code, out, err = run(capsys, command, NODAL, "--m", "99999999999")
+            assert (code, out) == (2, "")
+            assert err == "error: " + self.BOX.format("P^2 x P^99999999999") + "\n"
+
+    def test_variables_over_the_limit(self, tmp_path, capsys):
+        path = write_scene(tmp_path, {"ambient": [20000], "degrees": [[1]], "polynomial": "x0", "chart": "x0"})
+        code, out, err = run(capsys, "report", path)
+        assert (code, out, err) == (2, "", self.VARIABLES)
+        names = ",".join(f"x{i}" for i in range(20001))
+        code, out, err = run(capsys, "milnor", "--poly", "x0^2", "--vars", names, "--chart", "x0")
+        assert (code, out, err) == (2, "", self.VARIABLES)
+
+
 class TestTable:
     def test_text_grid(self, capsys):
         code, out, _ = run(capsys, "table")
@@ -607,11 +640,17 @@ class TestParser:
         capsys.readouterr()
         assert built == []
 
-    def test_calls_leak_nothing_into_later_calls(self, capsys):
+    def test_calls_leak_nothing_into_later_calls(self, tmp_path, capsys):
         # Each call of a mixed sequence, run after the others on the
-        # shared parser, prints and returns what it does on a parser of
-        # its own.
+        # shared parser and Milnor memo, prints and returns what it does
+        # in a fresh process.  The nodal cubic without strata shares its
+        # polynomial and chart with NODAL, so its later calls read the
+        # Milnor number that an earlier call computed.
+        data = json.loads(pathlib.Path(NODAL).read_text())
+        del data["strata"]
+        bare = write_scene(tmp_path, data)
         sequence = [
+            ["--json", "report", bare],
             ["--json", "report", NODAL],
             ["report", NODAL],
             ["--quiet", "check", NODAL],
@@ -619,6 +658,7 @@ class TestParser:
             ["table"],
             ["report"],
             ["report", NODAL],
+            ["report", bare],
         ]
 
         def outcome(argv):
@@ -629,12 +669,18 @@ class TestParser:
             captured = capsys.readouterr()
             return code, captured.out, captured.err
 
+        def fresh():
+            cli._parser.cache_clear()
+            total_milnor_number.cache_clear()
+
         alone = []
         for argv in sequence:
-            cli._parser.cache_clear()
+            fresh()
             alone.append(outcome(argv))
-        cli._parser.cache_clear()
+        fresh()
         together = [outcome(argv) for argv in sequence]
         assert together == alone
-        assert alone[5][0] == 2 and "the following arguments are required: scene" in alone[5][2]
-        assert alone[2] == (0, "", "")
+        assert alone[6][0] == 2 and "the following arguments are required: scene" in alone[6][2]
+        assert alone[3] == (0, "", "")
+        assert "total milnor number: 1 (chart z)" in alone[-1][1]
+        assert json.loads(alone[0][1])["mu"] == {"singular_points": -1}

@@ -314,3 +314,38 @@ def test_many_strata_scenes_are_written_and_pass_in_this_checkout(tmp_path):
             report = json.loads(result["stdout"])
             assert all(check["pass"] for check in report["checks"].values())
             assert "euler_strata" in report["checks"] and len(report["localization"]) > 200
+
+
+def test_warm_block_comes_last_and_is_answered_from_the_memo(tmp_path):
+    # The block repeats inputs whose Milnor numbers were computed earlier
+    # in the list, after every input that exits 2 or 3.
+    compare = load_compare()
+    # The whole list ends with the block; the script's docstring and the
+    # README give its length.
+    argvs = compare.all_invocations(tmp_path)
+    warm = compare.warm_invocations(ROOT, tmp_path)
+    assert argvs[-len(warm) :] == warm
+    assert len(argvs) == 1410
+    bare = str(tmp_path / "nodal-cubic-bare.json")
+    assert json.loads(pathlib.Path(bare).read_text(encoding="utf-8")) == compare.NODAL_CUBIC
+    corpus = sorted((ROOT / "scenes").glob("*.json"))
+    milnor = [
+        prefix + ["milnor", "--poly", poly, "--vars", variables, "--chart", chart]
+        for poly, variables, chart in compare.WARM_MILNOR_CASES
+        for prefix in ([], ["--json"])
+    ]
+    assert warm == (
+        compare.scene_forms(bare)
+        + [["--json", "report", str(scene), "--m", "1"] for scene in corpus]
+        + milnor
+    )
+    assert len(compare.scene_forms(bare)) == 15
+    assert {chart for _, _, chart in compare.WARM_MILNOR_CASES} == {"x", "y", "z"}
+    # Cold, then warm in one child: every answer is the same.
+    cold = compare.run_checkout(ROOT, warm)
+    again = compare.run_checkout(ROOT, warm + warm)
+    assert again[: len(warm)] == again[len(warm) :] == cold
+    nodal, _, in_y, _, in_x, _, reordered, reordered_json = cold[-len(milnor) :]
+    assert nodal == reordered == result(stdout="1\n")
+    assert json.loads(reordered_json["stdout"]) == {"chart": "z", "off_curve_dim": 1, "total_milnor": 1}
+    assert in_y == in_x == result(code=3, stderr="error: singularities outside the chart\n")

@@ -732,3 +732,80 @@ class TestValidationStop:
         f, degree, _ = chart_equation("y^2*z - x^3", "y")
         with pytest.raises(SingularitiesOutsideChartError):
             groebner_module._validate_chart(f, degree, None)
+
+
+class TestMilnorMemo:
+    """``total_milnor_number`` keeps its last results, keyed by its arguments."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        total_milnor_number.cache_clear()
+
+    def spy(self, monkeypatch):
+        # Every basis of the engine goes through _buchberger.
+        calls = []
+        original = groebner_module._buchberger
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(groebner_module, "_buchberger", counted)
+        return calls
+
+    def test_equal_polynomial_from_reordered_text_is_not_computed_again(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        first = total_milnor_number(P("y^2*z - x^3 - x^2*z", XYZ), "z", None)
+        computed = len(calls)
+        again = total_milnor_number(P("-x^2*z + y^2*z - x^3", XYZ), "z", None)
+        assert computed > 0 and len(calls) == computed
+        assert again is first
+        assert (first.total_milnor, first.chart, first.off_curve_dim) == (1, "z", 1)
+
+    @pytest.mark.parametrize(
+        "text, chart, error",
+        [("y^2*z - x^3", "y", SingularitiesOutsideChartError), ("x^2*y", "z", NonIsolatedSingularitiesError)],
+    )
+    def test_an_error_is_raised_on_every_call(self, monkeypatch, text, chart, error):
+        calls = self.spy(monkeypatch)
+        counts = []
+        for _ in range(2):
+            with pytest.raises(error):
+                total_milnor_number(P(text, XYZ), chart)
+            counts.append(len(calls))
+        assert 0 < counts[0] < counts[1] == 2 * counts[0]
+        assert total_milnor_number.cache_info().currsize == 0
+
+    def test_another_chart_is_computed_again(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        F = P("x^2 + y^2 + z^2", XYZ)
+        in_z = total_milnor_number(F, "z")
+        computed = len(calls)
+        in_x = total_milnor_number(F, "x")
+        assert len(calls) > computed
+        assert (in_z.chart, in_x.chart) == ("z", "x")
+
+    def test_a_new_cancel_callback_is_polled(self):
+        F = P("y^2*z - x^3 - x^2*z", XYZ)
+        total_milnor_number(F, "z")
+        with pytest.raises(ComputationCancelled):
+            total_milnor_number(F, "z", lambda: True)
+
+    def test_a_chart_that_equals_an_index_is_not_read_as_it(self):
+        # True == 1 and 1.0 == 1, but neither is a chart.
+        F = P("x^2 + y^2 + z^2", XYZ)
+        assert total_milnor_number(F, 1).chart == "y"
+        for chart in (True, 1.0):
+            with pytest.raises(ValueError, match="is not one of the variables"):
+                total_milnor_number(F, chart)
+
+    def test_at_most_32_results_are_kept(self, monkeypatch):
+        assert groebner_module._MILNOR_CACHE_SIZE == 32
+        inputs = [P(f"x^2 + y^2 + {k}*z^2", XYZ) for k in range(1, 34)]
+        for F in inputs:
+            total_milnor_number(F, "z")
+        assert total_milnor_number.cache_info().currsize <= 32
+        # The oldest result was dropped, so its input is computed again.
+        calls = self.spy(monkeypatch)
+        total_milnor_number(inputs[0], "z")
+        assert calls

@@ -194,6 +194,19 @@ def test_parser_builds_one_polynomial(monkeypatch):
     assert f.terms == {(2, 1, 0): 2, (0, 1, 2): Fraction(-1, 3), (0, 0, 0): 4, (0, 0, 1): 1}
 
 
+class TestVariableBudget:
+    """More than 1,000 variables are refused before a layout is built."""
+
+    def test_the_limit_is_1000_variables(self):
+        names = [f"x{i}" for i in range(1001)]
+        assert parse_polynomial("x0^2 + x999^2", names[:1000]).total_degree() == 2
+        message = "a polynomial in 1001 variables is over the limit of 1000 variables"
+        with pytest.raises(ValueError, match=message):
+            parse_polynomial("x0", names)
+        with pytest.raises(ValueError, match=message):
+            Polynomial(names, {(1,) + (0,) * 1000: 1})
+
+
 class TestArithmetic:
     def test_mixed_variables_rejected(self):
         with pytest.raises(VariableMismatchError):
