@@ -79,10 +79,12 @@ def _ambient_label(factors: Sequence[int]) -> str:
 # per m; a run of reports that cycles through more ambients than this
 # rebuilds a layout on every product.
 _LAYOUT_CACHE_SIZE = 32
-# The most box positions an ambient may have, refused before anything
-# is allocated.  P^20 to the fourth times P^1, the product box of m = 1,
-# has 388,962.
+# The most box positions N an ambient may have, and the most bits N (dim + k)
+# its tangent class may need, each coefficient being a product over the k
+# factors of C(n_i + 1, e_i) < 2^(n_i + 1); both refused before anything is
+# allocated.  P^20^4 x P^1, the product box of m = 1: 388,962 and 33,450,732.
 _MAX_BOX_SIZE = 400_000
+_MAX_BOX_BITS = 40_000_000
 
 
 class _Layout(NamedTuple):
@@ -103,14 +105,23 @@ def _binomials(n: int) -> list[int]:
     return list(itertools.accumulate(range(1, n + 1), lambda c, j: c * (n + 1 - j) // j, initial=1))
 
 
-@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _layout(factors: tuple[int, ...]) -> _Layout:
-    size = math.prod(n + 1 for n in factors)
+def _box_size(factors: Sequence[int]) -> int:
+    size, label = math.prod(n + 1 for n in factors), _ambient_label(factors)
     if size > _MAX_BOX_SIZE:
         raise ValueError(
-            f"the Chow ring of {_ambient_label(factors)} has more than {_MAX_BOX_SIZE} coefficients,"
-            " the most a class may hold"
+            f"the Chow ring of {label} has more than {_MAX_BOX_SIZE} coefficients, the most a class may hold"
         )
+    bits = size * (sum(factors) + len(factors))
+    if bits > _MAX_BOX_BITS:
+        raise ValueError(
+            f"the tangent class of {label} may need {bits} bits, more than the {_MAX_BOX_BITS} a class may hold"
+        )
+    return size
+
+
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
+def _layout(factors: tuple[int, ...]) -> _Layout:
+    size = _box_size(factors)
     strides = [math.prod(n + 1 for n in factors[i + 1 :]) for i in range(len(factors))]
     # The coefficient of H^e in the tangent class is prod C(n_i+1, e_i).
     grades, tangent = [0], [1]

@@ -13,6 +13,7 @@ output; ``main`` alone writes stdout, after the command has returned.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ from .charclasses import (
     fulton_johnson,
     report_to_jsonable,
 )
-from .chow import AmbientSpace, _ambient_label
+from .chow import AmbientSpace, _ambient_label, _box_size
 from .groebner import (
     NonIsolatedSingularitiesError,
     SingularitiesOutsideChartError,
@@ -142,18 +143,14 @@ def cmd_milnor(args) -> tuple[int, str]:
     # milnor share one stored result per polynomial and chart.
     result = total_milnor_number(parse_polynomial(args.poly, variables), args.chart, None)
     if args.json:
-        data = {
-            "total_milnor": result.total_milnor,
-            "chart": result.chart,
-            "off_curve_dim": result.off_curve_dim,
-        }
-        return EXIT_OK, canonical_json(data)
+        return EXIT_OK, canonical_json(dataclasses.asdict(result))
     return EXIT_OK, str(result.total_milnor)
 
 
 def cmd_table(args) -> tuple[int, str]:
     if args.nmax < 1 or args.dmax < 1:
         raise SceneFileError("table bounds must be at least 1")
+    _box_size((args.nmax,))
     values = {}
     for n in range(1, args.nmax + 1):
         ambient = AmbientSpace((n,))
@@ -162,16 +159,11 @@ def cmd_table(args) -> tuple[int, str]:
     if args.json:
         payload = {f"{n},{d}": chi for (n, d), chi in values.items()}
         return EXIT_OK, canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax})
-    width = max(
-        6, *(len(str(chi)) + 2 for chi in values.values())
-    )
+    width = max(6, *(len(str(chi)) + 2 for chi in values.values()))
     header = "n\\d" + "".join(str(d).rjust(width) for d in range(1, args.dmax + 1))
     lines = ["chi of a smooth degree-d hypersurface in P^n", header]
     for n in range(1, args.nmax + 1):
-        row = str(n).ljust(3) + "".join(
-            str(values[(n, d)]).rjust(width) for d in range(1, args.dmax + 1)
-        )
-        lines.append(row)
+        lines.append(str(n).ljust(3) + "".join(str(values[(n, d)]).rjust(width) for d in range(1, args.dmax + 1)))
     return EXIT_OK, "\n".join(lines)
 
 

@@ -37,7 +37,7 @@ import sys
 from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
-from .polynomials import PolyParseError, parse_polynomial
+from .polynomials import GREVLEX, PolyParseError, _layout, parse_polynomial
 from .scenes import ConstructibleFunction, StrataScene, Stratum
 
 _SCENE_KEYS = {"name", "ambient", "degrees", "polynomial", "variables", "chart", "smooth", "strata", "mu"}
@@ -49,7 +49,8 @@ class SceneFileError(ValueError):
 
 
 def default_variables(n: int) -> tuple[str, ...]:
-    """Variable names for P^n: x, y, z, w up to P^3, x0..xn beyond."""
+    """Variable names for P^n: x, y, z, w up to P^3, x0..xn beyond, refused past the variable limit."""
+    _layout(n + 1, GREVLEX)
     if n <= 3:
         return ("x", "y", "z", "w")[: n + 1]
     return tuple(f"x{i}" for i in range(n + 1))
@@ -172,9 +173,10 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         # The variable count is a rule of validate_scene, checked here as
         # well: the parser reads the names before any scene exists, and a
         # short list would show as an unknown variable in the polynomial.
-        variables = data.get("variables", list(default_variables(ambient.dim)))
+        variables = data.get("variables")
         _require(
-            isinstance(variables, list)
+            "variables" not in data
+            or isinstance(variables, list)
             and all(isinstance(v, str) for v in variables)
             and len(variables) == ambient.dim + 1,
             "variables must list one name per homogeneous coordinate",
@@ -182,7 +184,7 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         text = data["polynomial"]
         _require(isinstance(text, str), "polynomial must be a string")
         try:
-            polynomial = parse_polynomial(text, variables)
+            polynomial = parse_polynomial(text, variables or default_variables(ambient.dim))
         except PolyParseError as exc:
             raise SceneFileError(f"bad polynomial: {exc}") from exc
     else:

@@ -141,6 +141,33 @@ class TestBoxBudget:
         with pytest.raises(ValueError, match="P\\^2 x P\\^99999999999 has more than 400000"):
             pull_back(hyperplane(P2), 99_999_999_999)
 
+    def test_a_box_of_exactly_the_limit_is_built(self):
+        # 10^4 * 5 * 8 = 400,000 positions; P^400000 has one more.
+        assert chow._layout.__wrapped__((9, 9, 9, 9, 4, 7)).size == 400_000
+        with pytest.raises(ValueError) as caught:
+            chow._layout((400_000,))
+        assert str(caught.value) == (
+            "the Chow ring of P^400000 has more than 400000 coefficients, the most a class may hold"
+        )
+
+    def test_a_tangent_class_of_exactly_the_bit_limit_is_built(self):
+        # 320,000 positions at dim + k = 125 bits each: 40,000,000 exactly.
+        assert chow._layout.__wrapped__((4, 39, 39, 39)).size == 320_000
+        with pytest.raises(ValueError) as caught:
+            chow._layout((4, 39, 39, 40))
+        assert str(caught.value) == (
+            "the tangent class of P^4 x P^39 x P^39 x P^40 may need 41328000 bits,"
+            " more than the 40000000 a class may hold"
+        )
+
+    def test_one_large_factor_is_refused_by_its_bits(self):
+        # Inside the box limit, the tangent class of P^72447 would hold
+        # binomials of up to 72,448 bits at each of its positions.
+        assert chow._box_size((6323,)) == 6324
+        for factors in ((6324,), (72447,), (2, 6400)):
+            with pytest.raises(ValueError, match="may need [0-9]+ bits, more than the 40000000"):
+                chow._box_size(factors)
+
 
 class TestChowClass:
     def test_truncation_on_construction(self):

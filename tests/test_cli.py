@@ -2,7 +2,9 @@
 
 import argparse
 import json
+import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -33,6 +35,22 @@ def write_scene(tmp_path, data):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def run_child(*argv):
+    """main(argv) in a child process that limits its own address space to
+    1 GB first: a budget that stops holding fails there, within the
+    timeout, and never allocates in the test process.  Returns (code,
+    stdout, stderr)."""
+    program = (
+        "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from milnorcalc.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", program, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
 
 
 def assert_canonical(text):
@@ -572,6 +590,31 @@ class TestSizeBudget:
         names = ",".join(f"x{i}" for i in range(20001))
         code, out, err = run(capsys, "milnor", "--poly", "x0^2", "--vars", names, "--chart", "x0")
         assert (code, out, err) == (2, "", self.VARIABLES)
+
+    def test_variables_over_the_limit_before_a_default_name(self, tmp_path):
+        # One default name per coordinate used to come first: 10^20 + 1 of
+        # them, a MemoryError under the child's limit.
+        path = write_scene(tmp_path, {"ambient": [10**20], "degrees": [[1]], "polynomial": "x", "chart": "x"})
+        count = 10**20 + 1
+        message = f"error: a polynomial in {count} variables is over the limit of 1000 variables\n"
+        assert run_child("report", path) == (2, "", message)
+
+    def test_table_refused_before_its_loop(self):
+        # P^1, P^2, ... used to be computed before P^400000 was refused.
+        message = "error: " + self.BOX.format("P^400000") + "\n"
+        assert run_child("table", "--nmax", "400000", "--dmax", "1") == (2, "", message)
+        bits = "error: the tangent class of P^7000 may need 49014001 bits, more than the 40000000 a class may hold\n"
+        assert run_child("--json", "table", "--nmax", "7000", "--dmax", "1") == (2, "", bits)
+
+    def test_one_large_factor_refused_by_its_bits(self, tmp_path):
+        # Inside the box limit, but with binomials of up to 72,448 bits at
+        # each position: a MemoryError under the child's limit before.
+        path = write_scene(tmp_path, {"ambient": [72447], "degrees": [[4]], "smooth": True})
+        bits = "may need 5248712704 bits, more than the 40000000 a class may hold\n"
+        assert run_child("--json", "report", path) == (2, "", "error: the tangent class of P^72447 " + bits)
+        # --m 6400 on a plane curve ran before; 3,648 is the last m inside the budget.
+        bits = "may need 122976012 bits, more than the 40000000 a class may hold\n"
+        assert run_child("check", NODAL, "--m", "6400") == (2, "", "error: the tangent class of P^2 x P^6400 " + bits)
 
 
 class TestTable:

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from milnorcalc import linalg
 from milnorcalc.groebner import (
     GREVLEX,
     ComputationCancelled,
@@ -499,16 +500,16 @@ class TestIntegerRank:
         assert rows == [{0: Fraction(-1, 2), 1: 1}, {0: Fraction(-1, 4), 1: Fraction(1, 2)}]
         assert scale == 4
         scaled = [{j: int(c * scale) for j, c in row.items()} for row in rows]
-        assert groebner_module._stable_rank(scaled, None) == 0
+        assert linalg._stable_rank(scaled, None) == 0
         by_row = [{0: -1, 1: 2}, {0: -1, 1: 2}]
-        assert groebner_module._stable_rank(by_row, None) == 1
+        assert linalg._stable_rank(by_row, None) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(rank_cases())
     def test_rank_matches_sympy(self, matrix):
         sympy = pytest.importorskip("sympy")
         rows = [{j: c for j, c in enumerate(row) if c} for row in matrix]
-        assert groebner_module._rank(rows, None) == sympy.Matrix(matrix).rank()
+        assert linalg._rank(rows, None) == sympy.Matrix(matrix).rank()
 
 
 @st.composite
@@ -674,6 +675,29 @@ class TestPackedMonomials:
         with pytest.raises(ValueError, match="beyond the Groebner engine") as raised:
             groebner_module._buchberger(gens, lay, None)
         assert raised.traceback[-1].name == "_reduce"
+
+    def test_overflow_in_an_s_polynomial_raises(self):
+        # In t, x, y the leads of t + y^(LIMIT - 1) and t x^2 are t and
+        # t x^2, so the S-polynomial is x^2 y^(LIMIT - 1), of degree
+        # LIMIT + 1: the first operand overflows, the second does not, and
+        # _spoly refuses the pair before it builds a term.
+        lay = groebner_module._layout(3, groebner_module._ELIM_FIRST)
+
+        def packed(terms):
+            return {groebner_module._pack(e, lay): c for e, c in terms.items()}
+
+        gens = [packed({(1, 0, 0): 1, (0, 0, LIMIT - 1): 1}), packed({(1, 2, 0): 1})]
+        with pytest.raises(ValueError, match="beyond the Groebner engine") as raised:
+            groebner_module._buchberger(gens, lay, None)
+        assert raised.traceback[-1].name == "_spoly"
+
+    def test_an_s_polynomial_of_degree_just_below_the_limit(self):
+        # x^h y and x y^h, h = LIMIT // 2, have an lcm of degree LIMIT - 1,
+        # and each multiplier takes its operand up to that degree, no further:
+        # a guard that counted a lead's degree twice would refuse the pair.
+        h = LIMIT // 2
+        gens = [Polynomial(XY, {(h, 1): 1}), Polynomial(XY, {(1, h): 1})]
+        assert set(groebner(PolyIdeal(gens)).basis) == set(gens)
 
     def test_elimination_order_matches_saturation(self):
         # The elimination order runs through the same engine.

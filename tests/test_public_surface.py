@@ -8,10 +8,17 @@ no dunder either) must be read as an attribute, ``x.name``.  A local
 variable of the same name is no caller: assigning a name is not a use,
 and a method is not reached through a bare name.  Exports from
 ``__init__.py`` and uses in the tests do not count as callers.
+
+``linalg.py`` imports nothing from the package, and the one
+``ComputationCancelled`` is exported by it, by ``groebner`` and by
+``milnorcalc``.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import milnorcalc
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "milnorcalc"
 
@@ -67,3 +74,22 @@ def test_every_public_name_has_a_caller():
     # An allowlisted name that is gone, or has gained a caller, leaves the list.
     assert ALLOWED_UNUSED <= defined
     assert not any(_has_caller(name, attributes, loads) for name in ALLOWED_UNUSED)
+
+
+def test_linalg_imports_nothing_from_the_package():
+    # Exact linear algebra stands alone: a checker of its results can use
+    # it without the Groebner engine.
+    modules = []
+    for node in ast.walk(ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert "math" in modules
+    assert [name for name in modules if name.startswith((".", "milnorcalc"))] == []
+
+
+def test_one_cancellation_error_under_each_name():
+    linalg = importlib.import_module("milnorcalc.linalg")
+    groebner = importlib.import_module("milnorcalc.groebner")
+    assert milnorcalc.ComputationCancelled is groebner.ComputationCancelled is linalg.ComputationCancelled
