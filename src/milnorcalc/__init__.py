@@ -20,7 +20,6 @@ from .charclasses import (
     lci_defect_check,
     localization,
     milnor_class,
-    product_classes,
     proper_pushdown_check,
     report_to_jsonable,
     resolve_mu,

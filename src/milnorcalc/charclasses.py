@@ -126,9 +126,10 @@ def resolve_mu(
     chart, or the last variable when it names none; otherwise the scene
     is taken to be smooth and mu is zero.  A polynomial scene without
     strata gets the default ones: the smooth locus, and a point stratum when
-    the total is nonzero.  The total goes on the one closed zero-dimensional
-    stratum with the sign (-1)^(dim Y - 1), since the value at an
-    isolated singular point is chi(Milnor fiber) - 1.
+    the total is nonzero.  The total goes on that point stratum, or on the
+    one closed zero-dimensional stratum of the given strata, with the sign
+    (-1)^(dim Y - 1), since the value at an isolated singular point is
+    chi(Milnor fiber) - 1.
     """
     F = scene.defining_polynomial
     if mu is not None:
@@ -141,17 +142,19 @@ def resolve_mu(
         return scene, ConstructibleFunction(scene, {}), None
     chart = scene.chart if scene.chart is not None else F.variables[-1]
     result = total_milnor_number(F, chart, cancel)
-    if not scene.strata:
+    if scene.strata:
+        points = [i for i in scene.closed if scene.index[i].dim == 0]
+    else:
+        # The singular points lie in the closure of the smooth locus, unless it is points too.
+        parents = (SMOOTH_STRATUM,) if scene.ambient.dim > 1 else ()
         strata = [Stratum(id=SMOOTH_STRATUM, dim=scene.ambient.dim - 1)]
         if result.total_milnor != 0:
             point = ChowClass.point(scene.ambient)
-            strata.append(
-                Stratum(id=SINGULAR_STRATUM, dim=0, csm_class=point, parents=(SMOOTH_STRATUM,))
-            )
+            strata.append(Stratum(id=SINGULAR_STRATUM, dim=0, csm_class=point, parents=parents))
         scene = replace(scene, strata=tuple(strata), chart=result.chart)
+        points = [SINGULAR_STRATUM]
     if result.total_milnor == 0:
         return scene, ConstructibleFunction(scene, {}), result
-    points = [i for i in scene.closed if scene.index[i].dim == 0]
     if len(points) != 1:
         raise SceneValidationError(
             "cannot place the computed vanishing cycles: need exactly one "
@@ -175,57 +178,27 @@ def _result(name: str, residual: ChowClass, detail: str = "") -> CheckResult:
     return CheckResult(name=name, passed=residual.is_zero(), residual=residual, detail=detail)
 
 
-_BAD_M = "the product factor dimension must be at least 1"
-
-
-@dataclass(frozen=True)
-class ProductClasses:
-    """Classes of X x P^m inside (ambient) x P^m; the new factor is last."""
-
-    m: int
-    fulton_johnson: ChowClass
-    milnor_class: ChowClass
-
-
-def product_classes(scene: StrataScene, milnor: ChowClass, m: int) -> ProductClasses:
-    """Fulton-Johnson and Milnor classes of X x P^m from the base Milnor class.
-
-    Smooth pullback along the projection multiplies the base Milnor
-    class by the total Chern class of the relative tangent bundle.
-    """
-    if m < 1:
-        raise ValueError(_BAD_M)
-    product = scene.ambient.extended(m)
-    return ProductClasses(
-        m=m,
-        fulton_johnson=fulton_johnson(product, [_single_multidegree(scene) + (0,)]),
-        milnor_class=pull_back(milnor, m),
-    )
-
-
-def verdier_smooth_check(product: ProductClasses, csm: ChowClass) -> CheckResult:
+def verdier_smooth_check(m: int, product_fj: ChowClass, product_milnor: ChowClass, csm: ChowClass) -> CheckResult:
     """Compare the CSM class of X x P^m computed two ways.
 
-    Route one assembles it from the product Fulton-Johnson class and
-    the pulled-back Milnor class; route two multiplies the pulled-back
-    CSM class ``csm`` of X by the Chern class of the projection's
-    relative tangent bundle.  Agreement is the Verdier-Riemann-Roch
-    property of the smooth projection.
+    Route one assembles it from the Fulton-Johnson class of X x P^m in
+    (ambient) x P^m and the pulled-back Milnor class; route two
+    multiplies the pulled-back CSM class ``csm`` of X by the Chern class
+    of the projection's relative tangent bundle.  Agreement is the
+    Verdier-Riemann-Roch property of the smooth projection.
     """
-    lhs = product.fulton_johnson - product.milnor_class
-    rhs = pull_back(csm, product.m)
-    return _result(f"verdier_m{product.m}", lhs - rhs)
+    lhs = product_fj - product_milnor
+    rhs = pull_back(csm, m)
+    return _result(f"verdier_m{m}", lhs - rhs)
 
 
-def proper_pushdown_check(product: ProductClasses, milnor: ChowClass) -> CheckResult:
-    """Push the product Milnor class back down to the base.
+def proper_pushdown_check(m: int, product_milnor: ChowClass, milnor: ChowClass) -> CheckResult:
+    """Push the pulled-back Milnor class back down to the base.
 
     The projection X x P^m -> X has fiber Euler characteristic m + 1,
     so the pushforward must be (m + 1) times the base Milnor class.
     """
-    pushed = push_forward(product.milnor_class)
-    expected = (product.m + 1) * milnor
-    return _result(f"pushdown_m{product.m}", pushed - expected)
+    return _result(f"pushdown_m{m}", push_forward(product_milnor) - (m + 1) * milnor)
 
 
 def defect_codim1_check(
@@ -249,23 +222,26 @@ def lci_defect_check(
     scene: StrataScene,
     coefficients: Mapping[str, int],
     tangent: ChowClass,
-    product: ProductClasses,
+    m: int,
+    product_fj: ChowClass,
+    product_milnor: ChowClass,
 ) -> CheckResult:
     """Check the defect formula for X x P^m -> Y through the ambient product.
 
     The composite of the inclusion into (ambient) x P^m with the
     projection to the ambient is a local complete intersection
     morphism.  Its twisted pullback of c_*(1_Y) = ``tangent`` (a product
-    and a division), minus the CSM class of X x P^m, must match the
-    MacPherson class of the product vanishing cycles divided by the
-    normal class; its closure classes are the pulled-back closure
-    classes of X, summed with the closure-indicator ``coefficients``.
+    and a division), minus the CSM class ``product_fj - product_milnor``
+    of X x P^m, must match the MacPherson class of the product vanishing
+    cycles divided by the normal class; its closure classes are the
+    pulled-back closure classes of X, summed with the closure-indicator
+    ``coefficients``.
     """
-    m, ambient = product.m, product.fulton_johnson.ambient
+    ambient = product_fj.ambient
     divisor = divisor_class(ambient, _single_multidegree(scene) + (0,))
     normal = ChowClass.unit(ambient) + divisor
     pulled = divisor * pull_back(tangent, m) / normal
-    lhs = pulled - (product.fulton_johnson - product.milnor_class)
+    lhs = pulled - (product_fj - product_milnor)
     terms = (c * pull_back(_closure_csm(scene, scene.stratum(i)), m) for i, c in coefficients.items())
     rhs = sum(terms, ChowClass.zero(ambient)) / normal
     return _result(f"lci_m{m}", lhs - rhs)
@@ -294,10 +270,11 @@ def build_report(
 ) -> ClassReport:
     """Compute every class and run every identity check for a scene.
 
-    The Fulton-Johnson, Milnor and CSM classes for the ambient, the
-    closure-indicator coefficients of mu (one Moebius inversion) and the
-    product classes for each m are computed once, and the checks compare
-    them.  c(TY), D = dH and 1+D are formed here and shared by the Milnor
+    The Fulton-Johnson, Milnor and CSM classes for the ambient and the
+    closure-indicator coefficients of mu (one Moebius inversion) are
+    computed once, and so are, for each m, the Fulton-Johnson class of
+    X x P^m and the pulled-back Milnor class; the checks compare them.
+    c(TY), D = dH and 1+D are formed here and shared by the Milnor
     class, the localization and the checks, but ``fulton_johnson`` forms
     its own and ``self_intersection_check`` forms D again.  Stratum
     lookups and the inversion read the poset the scene keeps.  On X x P^m,
@@ -308,7 +285,7 @@ def build_report(
     when it was built, so it is not validated again here.
     """
     if any(m < 1 for m in m_values):
-        raise ValueError(_BAD_M)
+        raise ValueError("the product factor dimension must be at least 1")
     scene, mu, milnor_data = resolve_mu(scene, mu, cancel)
     codim_one = len(scene.multidegrees) == 1
     if not codim_one and not mu.is_zero():
@@ -336,10 +313,11 @@ def build_report(
         )
         checks["defect_codim1"] = defect_codim1_check(tangent, divisor, normal, csm, milnor)
         for m in m_values:
-            product = product_classes(scene, milnor, m)
-            checks[f"verdier_m{m}"] = verdier_smooth_check(product, csm)
-            checks[f"pushdown_m{m}"] = proper_pushdown_check(product, milnor)
-            checks[f"lci_m{m}"] = lci_defect_check(scene, coefficients, tangent, product)
+            product_fj = fulton_johnson(scene.ambient.extended(m), [degree + (0,)])
+            product_milnor = pull_back(milnor, m)
+            checks[f"verdier_m{m}"] = verdier_smooth_check(m, product_fj, product_milnor, csm)
+            checks[f"pushdown_m{m}"] = proper_pushdown_check(m, product_milnor, milnor)
+            checks[f"lci_m{m}"] = lci_defect_check(scene, coefficients, tangent, m, product_fj, product_milnor)
         total = sum((term for _, term in terms), ChowClass.zero(scene.ambient))
         checks["localization_sum"] = _result("localization_sum", total - milnor)
     euler = csm.degree()

@@ -39,6 +39,11 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_MATH = 3
+# The most steps a table may take, counted as nmax * dmax * (nmax + 20): a
+# class of P^n has n + 1 coefficients, and the fixed cost of a class is about
+# that of 20 coefficients.  The largest tables inside it, from 1,990 x 1 to
+# 1 x 190,000, take 1.1-3.5 s with --json (2-vCPU VM, Python 3.11).
+_MAX_TABLE_STEPS = 4_000_000
 
 # Each name that --checks accepts, and the report keys it selects, with
 # {m} standing for the product factor dimension.
@@ -151,6 +156,12 @@ def cmd_table(args) -> tuple[int, str]:
     if args.nmax < 1 or args.dmax < 1:
         raise SceneFileError("table bounds must be at least 1")
     _box_size((args.nmax,))
+    steps = args.nmax * args.dmax * (args.nmax + 20)
+    if steps > _MAX_TABLE_STEPS:
+        raise SceneFileError(
+            f"a table with --nmax {args.nmax} and --dmax {args.dmax} takes {steps} steps, "
+            f"nmax * dmax * (nmax + 20), more than the {_MAX_TABLE_STEPS} a table may take"
+        )
     values = {}
     for n in range(1, args.nmax + 1):
         ambient = AmbientSpace((n,))

@@ -123,7 +123,9 @@ def validate_scene(
     scene: StrataScene,
 ) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...], frozenset[str]]:
     """Check every rule that ties the scene's fields together: multidegrees,
-    the defining polynomial, poset shape and Euler data; raise on failure.
+    the defining polynomial, poset shape, stratum dims and Euler data; raise
+    on failure.  A stratum's dim is at most the ambient dim minus the number
+    of multidegrees, and below each parent's.
     Return the index, up-sets, peel order and closed strata of the scene."""
     for multidegree in scene.multidegrees:
         if len(multidegree) != len(scene.ambient.factors):
@@ -155,6 +157,13 @@ def validate_scene(
                 raise SceneValidationError(f"parent cycle through {s.id!r}")
         for ancestor in ups[s.id]:
             downs[ancestor].append(s.id)
+    dim_x = scene.ambient.dim - len(scene.multidegrees)
+    for s in scene.strata:
+        if s.dim > dim_x:
+            raise SceneValidationError(f"stratum {s.id!r}: dim {s.dim} is more than {dim_x}, the dim of the variety")
+        for p in s.parents:
+            if index[p].dim <= s.dim:
+                raise SceneValidationError(f"stratum {s.id!r}: dim {s.dim} is not below the dim of its parent {p!r}")
     for s in scene.strata:
         if s.closure_chi is None:
             continue

@@ -14,12 +14,11 @@ from milnorcalc.charclasses import (
     lci_defect_check,
     localization,
     milnor_class,
-    product_classes,
     proper_pushdown_check,
     resolve_mu,
     verdier_smooth_check,
 )
-from milnorcalc.chow import AmbientSpace, ChowClass, divisor_class, push_forward
+from milnorcalc.chow import AmbientSpace, ChowClass, divisor_class, pull_back, push_forward
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
     SINGULAR_STRATUM,
@@ -306,40 +305,42 @@ class TestCorpusClasses:
             assert strata_euler == report.euler, name
 
 
+def product_fulton_johnson(report, m):
+    """The Fulton-Johnson class of X x P^m, as ``build_report`` forms it."""
+    return fulton_johnson(report.scene.ambient.extended(m), [report.scene.multidegrees[0] + (0,)])
+
+
 class TestProductChecks:
     def test_pullback_milnor_values(self, nodal_report):
-        pm = product_classes(nodal_report.scene, nodal_report.milnor_class, 1).milnor_class
+        pm = pull_back(nodal_report.milnor_class, 1)
         assert pm == ChowClass(AmbientSpace((2, 1)), {(2, 0): -1, (2, 1): -2})
 
     def test_pullback_milnor_smooth_is_zero(self, corpus_reports):
         report = corpus_reports["smooth-conic"]
-        assert product_classes(report.scene, report.milnor_class, 2).milnor_class.is_zero()
+        assert pull_back(report.milnor_class, 2).is_zero()
 
     def test_pullback_milnor_surface(self, corpus_reports):
         report = corpus_reports["one-nodal-quartic-surface"]
-        pm = product_classes(report.scene, report.milnor_class, 1).milnor_class
+        pm = pull_back(report.milnor_class, 1)
         assert pm == ChowClass(AmbientSpace((3, 1)), {(3, 0): 1, (3, 1): 2})
 
     def test_product_csm_degree_multiplies(self, nodal_report):
-        product = product_classes(nodal_report.scene, nodal_report.milnor_class, 1)
-        assert product.fulton_johnson == fulton_johnson(AmbientSpace((2, 1)), [(3, 0)])
-        assert (product.fulton_johnson - product.milnor_class).degree() == 2
+        product_fj = product_fulton_johnson(nodal_report, 1)
+        assert product_fj == pull_back(fulton_johnson(P2, [(3,)]), 1)
+        assert (product_fj - pull_back(nodal_report.milnor_class, 1)).degree() == 2
 
     def test_pushdown_factor(self, cuspidal_report):
         base = cuspidal_report.milnor_class
         for m in (1, 2, 3):
-            product = product_classes(cuspidal_report.scene, base, m)
-            assert push_forward(product.milnor_class) == (m + 1) * base
+            assert push_forward(pull_back(base, m)) == (m + 1) * base
 
     def test_verdier_check_named_by_m(self, nodal_report):
-        product = product_classes(nodal_report.scene, nodal_report.milnor_class, 2)
-        check = verdier_smooth_check(product, nodal_report.csm)
+        product_milnor = pull_back(nodal_report.milnor_class, 2)
+        check = verdier_smooth_check(2, product_fulton_johnson(nodal_report, 2), product_milnor, nodal_report.csm)
         assert check.name == "verdier_m2"
         assert check.passed and check.residual.is_zero()
 
-    def test_product_dimension_must_be_positive(self, corpus_scenes, nodal_report):
-        with pytest.raises(ValueError):
-            product_classes(nodal_report.scene, nodal_report.milnor_class, 0)
+    def test_product_dimension_must_be_positive(self, corpus_scenes):
         scene, mu = corpus_scenes["nodal-cubic"]
         with pytest.raises(ValueError):
             build_report(scene, mu, m_values=(0,))
@@ -360,11 +361,10 @@ class TestProductChecks:
         from milnorcalc.chow import tangent_class
 
         report = corpus_reports["four-nodal-quartic"]
-        product = product_classes(report.scene, report.milnor_class, 1)
+        product_fj, product_milnor = product_fulton_johnson(report, 1), pull_back(report.milnor_class, 1)
         coefficients = report.mu.indicator_coefficients()
-        assert lci_defect_check(report.scene, coefficients, tangent_class(P2), product).passed
-        product = product_classes(report.scene, report.milnor_class, 2)
-        assert proper_pushdown_check(product, report.milnor_class).passed
+        assert lci_defect_check(report.scene, coefficients, tangent_class(P2), 1, product_fj, product_milnor).passed
+        assert proper_pushdown_check(2, pull_back(report.milnor_class, 2), report.milnor_class).passed
 
 
 class TestLocalization:
@@ -418,6 +418,19 @@ class TestResolveMu:
         assert data.total_milnor == 2
         assert got_mu.values == {SINGULAR_STRATUM: -2}
         assert got_scene.stratum(SINGULAR_STRATUM).csm_class == ChowClass.point(P2)
+
+    def test_default_strata_of_points_keep_the_dim_rules(self):
+        # On P^1 the smooth locus is points too, so the singular point is
+        # not in its closure.  A double root and a simple one: mu 1, chi 2.
+        P1 = AmbientSpace((1,))
+        F = parse_polynomial("x^2*y", ("x", "y"))
+        scene = StrataScene(ambient=P1, multidegrees=((3,),), defining_polynomial=F, chart="y")
+        got_scene, got_mu, data = resolve_mu(scene)
+        assert data.total_milnor == 1 and got_mu.values == {SINGULAR_STRATUM: 1}
+        assert got_scene.stratum(SINGULAR_STRATUM).parents == ()
+        report = build_report(scene)
+        assert report.milnor_class == ChowClass.point(P1) and report.euler == 2
+        assert all(check.passed for check in report.checks.values())
 
     def test_chart_defaults_to_last_variable(self):
         F = parse_polynomial("y^2*z - x^3", ("x", "y", "z"))

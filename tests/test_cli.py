@@ -606,6 +606,21 @@ class TestSizeBudget:
         bits = "error: the tangent class of P^7000 may need 49014001 bits, more than the 40000000 a class may hold\n"
         assert run_child("--json", "table", "--nmax", "7000", "--dmax", "1") == (2, "", bits)
 
+    def test_table_refused_over_its_steps(self):
+        # Inside the box and bit limits, the first two would run for 20 s and
+        # for minutes; 80 x 501 is just over the budget.
+        for nmax, dmax in ((4000, 1), (1, 10**7), (80, 501)):
+            steps = nmax * dmax * (nmax + 20)
+            message = (
+                f"error: a table with --nmax {nmax} and --dmax {dmax} takes {steps} steps, "
+                "nmax * dmax * (nmax + 20), more than the 4000000 a table may take\n"
+            )
+            assert run_child("table", "--nmax", str(nmax), "--dmax", str(dmax)) == (2, "", message)
+
+    def test_table_at_its_steps_budget_runs(self):
+        # 80 x 500 x (80 + 20) is the budget exactly: about a second.
+        assert run_child("--quiet", "table", "--nmax", "80", "--dmax", "500") == (0, "", "")
+
     def test_one_large_factor_refused_by_its_bits(self, tmp_path):
         # Inside the box limit, but with binomials of up to 72,448 bits at
         # each position: a MemoryError under the child's limit before.
@@ -615,6 +630,29 @@ class TestSizeBudget:
         # --m 6400 on a plane curve ran before; 3,648 is the last m inside the budget.
         bits = "may need 122976012 bits, more than the 40000000 a class may hold\n"
         assert run_child("check", NODAL, "--m", "6400") == (2, "", "error: the tangent class of P^2 x P^6400 " + bits)
+
+
+class TestStratumDims:
+    """Two rules on stratum dims, each on a nodal-cubic scene that breaks no other rule."""
+
+    def nodal(self, strata):
+        data = json.loads(pathlib.Path(NODAL).read_text(encoding="utf-8"))
+        return {**data, "strata": strata}
+
+    def test_a_dim_above_the_curve_is_refused(self, tmp_path, capsys):
+        strata = [{"id": "smooth_part", "dim": 5, "chi_c": 0, "closure_chi": 1}]
+        strata.append({"id": "node", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["smooth_part"]})
+        code, out, err = run(capsys, "report", write_scene(tmp_path, self.nodal(strata)))
+        assert (code, out) == (2, "")
+        assert err == "error: stratum 'smooth_part': dim 5 is more than 1, the dim of the variety\n"
+
+    def test_a_child_with_its_parents_dim_is_refused(self, tmp_path, capsys):
+        strata = [{"id": "smooth_part", "dim": 1, "chi_c": -1, "closure_chi": 1}]
+        strata.append({"id": "arc", "dim": 1, "chi_c": 1, "closure_chi": 2, "parents": ["smooth_part"]})
+        strata.append({"id": "node", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["arc"]})
+        code, out, err = run(capsys, "--json", "check", write_scene(tmp_path, self.nodal(strata)))
+        assert (code, out) == (2, "")
+        assert err == "error: stratum 'arc': dim 1 is not below the dim of its parent 'smooth_part'\n"
 
 
 class TestTable:

@@ -137,6 +137,12 @@ def table_cases(draw):
     return ("table", "--nmax", str(nmax), "--dmax", str(dmax)), None
 
 
+# Three scene cases to each milnor or table case.
+CASES = st.one_of(scene_cases(), scene_cases(), scene_cases(), milnor_cases(), table_cases())
+# The most time a case may take; scripts/fuzz_cli.py holds its cases to it too.
+DEADLINE = timedelta(seconds=5)
+
+
 def run_main(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -149,23 +155,10 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.fixture(scope="module")
-def scene_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "scene.json"
-
-
-# Each class of escape found, one case of it, at a size that stays cheap
-# if its limit is lost; tests/test_cli.py runs the full sizes in a child
-# process under a memory limit.  A factor inside the box limit whose
-# tangent class needs gigabytes (found by this test at P^72447):
-@example(case=(("--json", "report"), json.dumps({"ambient": [7000], "degrees": [[4]], "smooth": True})))
-# One default name per coordinate, built before the variable limit:
-@example(case=(("report",), json.dumps({"ambient": [10**6], "degrees": [[1]], "polynomial": "x", "chart": "x"})))
-@seed(20261019)
-@settings(max_examples=200, deadline=timedelta(seconds=5), database=None)
-@given(st.one_of(scene_cases(), scene_cases(), scene_cases(), milnor_cases(), table_cases()))
-def test_every_input_exits_in_the_users_terms(scene_path, case):
-    # A scene case carries the text of its file; the other cases None.
+def check_case(scene_path, case):
+    """Run one case through main and assert every invariant of its exit.
+    A scene case carries the text of its file, written to ``scene_path``;
+    the other cases carry None."""
     argv, text = case
     if text is not None:
         scene_path.write_text(text, encoding="utf-8")
@@ -181,3 +174,22 @@ def test_every_input_exits_in_the_users_terms(scene_path, case):
         assert not INTERNALS.search(err), err
     else:
         assert err == ""
+
+
+@pytest.fixture(scope="module")
+def scene_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "scene.json"
+
+
+# Each class of escape found, one case of it, at a size that stays cheap
+# if its limit is lost; tests/test_cli.py runs the full sizes in a child
+# process under a memory limit.  A factor inside the box limit whose
+# tangent class needs gigabytes (found by this test at P^72447):
+@example(case=(("--json", "report"), json.dumps({"ambient": [7000], "degrees": [[4]], "smooth": True})))
+# One default name per coordinate, built before the variable limit:
+@example(case=(("report",), json.dumps({"ambient": [10**6], "degrees": [[1]], "polynomial": "x", "chart": "x"})))
+@seed(20261019)
+@settings(max_examples=200, deadline=DEADLINE, database=None)
+@given(CASES)
+def test_every_input_exits_in_the_users_terms(scene_path, case):
+    check_case(scene_path, case)

@@ -8,6 +8,7 @@ import importlib
 import itertools
 import math
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -538,6 +539,56 @@ def test_matrix_count_matches_saturation(F):
     except ValueError:
         return
     assert (result.total_milnor, result.off_curve_dim) == saturation_route(F, chart)
+
+
+def cross(p, q):
+    return (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0])
+
+
+def random_lines(count, seed):
+    """The expanded product of ``count`` lines a x + b y + c z with small
+    integer coefficients, drawn again until no three of them meet and
+    each of their count (count - 1) / 2 nodes lies in the chart z = 1."""
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+    while True:
+        lines = [tuple(rng.randint(-4, 4) for _ in range(3)) for _ in range(count)]
+        in_chart = all(cross(p, q)[2] != 0 for p, q in itertools.combinations(lines, 2))
+        apart = all(sum(map(operator.mul, cross(p, q), r)) != 0 for p, q, r in itertools.combinations(lines, 3))
+        if in_chart and apart:
+            x, y, z = sympy.symbols("x y z")
+            product = sympy.Mul(*(a * x + b * y + c * z for a, b, c in lines))
+            return str(sympy.expand(product)).replace("**", "^")
+
+
+class TestSympyOracle:
+    """The total against ``reference.total_milnor``, which computes it from
+    sympy's bases of J + (f^k) and imports nothing from milnorcalc."""
+
+    @pytest.mark.parametrize(
+        "text, chart, total",
+        [
+            ("y^2*z - x^3 - x^2*z", "z", 1),
+            ("y^2*z - x^3", "z", 2),
+            # Two conics through four common points.
+            (FOUR_NODAL_QUARTIC, "z", 4),
+            ("x^5 + y^4*z + x^2*y^2*z", "z", 10),
+            ("w^2*x^2 + w^2*y^2 + w^2*z^2 + x^4 + y^4 + z^4", "w", 1),
+            # Four and five random lines, drawn in the test.
+            (4, "z", 6),
+            (5, "z", 10),
+        ],
+        ids=["node", "cusp", "two-conics", "mu-10", "surface-node", "4-lines", "5-lines"],
+    )
+    def test_total_matches_the_oracle(self, text, chart, total):
+        pytest.importorskip("sympy")
+        import reference
+
+        if isinstance(text, int):
+            text = random_lines(text, seed=text)
+        variables = ("x", "y", "z", "w")[: 4 if "w" in text else 3]
+        engine = total_milnor_number(P(text, variables), chart).total_milnor
+        assert engine == reference.total_milnor(text, variables, chart) == total
 
 
 @st.composite

@@ -44,12 +44,14 @@ def two_stratum_scene():
 
 
 def chain_scene():
+    # On a surface, so that each dim is below its parent's and at most 2.
     return scene_of(
         [
             Stratum(id="top", dim=2, chi_c=1, closure_chi=4),
             Stratum(id="mid", dim=1, chi_c=2, closure_chi=3, parents=("top",)),
             Stratum(id="bot", dim=0, chi_c=1, closure_chi=1, parents=("mid",)),
-        ]
+        ],
+        ambient=P3,
     )
 
 
@@ -88,7 +90,7 @@ class TestPoset:
         assert chain_scene().stratum("top").closure_chi == 4
         top, mid, bot = chain_scene().strata
         with pytest.raises(SceneValidationError, match="closure_chi is 3 but the closure strata sum to 4"):
-            scene_of([replace(top, closure_chi=3), mid, bot])
+            scene_of([replace(top, closure_chi=3), mid, bot], ambient=P3)
 
 
 class TestValidation:
@@ -97,6 +99,41 @@ class TestValidation:
     def test_valid_scene_passes(self):
         validate_scene(two_stratum_scene())
         validate_scene(chain_scene())
+
+    def test_a_dim_is_at_most_that_of_the_variety(self):
+        with pytest.raises(SceneValidationError, match="stratum 'curve': dim 2 is more than 1, the dim of the variety"):
+            scene_of([Stratum(id="curve", dim=2)])
+        # A complete intersection of two surfaces in P^3 is a curve.
+        with pytest.raises(SceneValidationError, match="stratum 'top': dim 2 is more than 1"):
+            StrataScene(ambient=P3, multidegrees=((2,), (2,)), strata=(Stratum(id="top", dim=2),))
+        StrataScene(ambient=P3, multidegrees=((2,), (2,)), strata=(Stratum(id="top", dim=1),))
+
+    def test_a_child_dim_is_below_each_parent(self):
+        # Two point strata, one in the closure of the other, though the
+        # closure of a point holds no other stratum.
+        message = "stratum 'lower': dim 0 is not below the dim of its parent 'upper'"
+        with pytest.raises(SceneValidationError, match=message):
+            StrataScene(
+                ambient=P2,
+                multidegrees=((3,),),
+                strata=(
+                    Stratum(id="smooth_part", dim=1),
+                    Stratum(id="upper", dim=0, parents=("smooth_part",)),
+                    Stratum(id="lower", dim=0, parents=("upper",)),
+                ),
+                defining_polynomial=parse_polynomial("y^2*z - x^3 - x^2*z", ("x", "y", "z")),
+                chart="z",
+            )
+        # Each parent counts, not only the highest.
+        with pytest.raises(SceneValidationError, match="stratum 'mid': dim 1 is not below the dim of its parent 'side'"):
+            scene_of(
+                [
+                    Stratum(id="top", dim=2),
+                    Stratum(id="side", dim=1),
+                    Stratum(id="mid", dim=1, parents=("top", "side")),
+                ],
+                ambient=P3,
+            )
 
     def test_duplicate_ids(self):
         with pytest.raises(SceneValidationError, match="duplicate"):
@@ -372,7 +409,7 @@ class TestRepresentations:
 
 class TestEuler:
     def test_projective_plane(self):
-        scene = scene_of([Stratum(id="plane", dim=2, chi_c=3, closure_chi=3)], degree=1)
+        scene = scene_of([Stratum(id="plane", dim=2, chi_c=3, closure_chi=3)], ambient=P3, degree=1)
         assert unit_function(scene).euler() == 3
 
     def test_point(self):
@@ -443,23 +480,6 @@ class TestEngineIntegration:
         assert result.total_milnor == 1
         assert mu.values == {"node": -1}
 
-    def test_place_on_the_closed_point(self):
-        # Of two point strata, one in the closure of the other, only the
-        # lower one is closed, so the vanishing cycles go there.
-        scene = StrataScene(
-            ambient=P2,
-            multidegrees=((3,),),
-            strata=(
-                Stratum(id="smooth_part", dim=1),
-                Stratum(id="upper", dim=0, parents=("smooth_part",)),
-                Stratum(id="lower", dim=0, parents=("upper",)),
-            ),
-            defining_polynomial=parse_polynomial("y^2*z - x^3 - x^2*z", ("x", "y", "z")),
-            chart="z",
-        )
-        assert scene.closed == {"lower"}
-        assert resolve_mu(scene)[1].values == {"lower": -1}
-
     def test_place_requires_point_stratum(self):
         scene = StrataScene(
             ambient=P2,
@@ -512,8 +532,9 @@ def poset_scenes(draw):
             parents = draw(
                 st.lists(st.sampled_from([f"s{j}" for j in range(i)]), unique=True, max_size=3)
             )
-        strata.append(Stratum(id=f"s{i}", dim=i, parents=tuple(parents)))
-    return scene_of(strata)
+        # Each parent comes earlier, so it has the larger dim.
+        strata.append(Stratum(id=f"s{i}", dim=5 - i, parents=tuple(parents)))
+    return scene_of(strata, ambient=AmbientSpace((6,)))
 
 
 @st.composite
