@@ -13,8 +13,9 @@ list holds:
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
-  scene with user mu on a product ambient, on thirty scenes that exit 2
-  and on one that exits 3;
+  scene with user mu on a product ambient, on thirty-four scenes that
+  exit 2, on one that exits 3, and on a curve whose csm class is the
+  point class;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;
@@ -38,7 +39,7 @@ list holds:
   computed before, so that they are answered from the memo of
   ``total_milnor_number``.
 
-With the nine corpus scenes that makes 1,410 invocations.
+With the nine corpus scenes that makes 1,485 invocations.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -235,7 +236,11 @@ PRODUCT_STRATA_SCENE = {
 # unknown parent, a stratum dim that is text, a fraction or a bool, a
 # negative factor dimension, two closed points for the computed
 # vanishing cycles, user mu on two multidegrees, and user mu on a curve
-# stratum without a csm class, the one scene here that exits 3.
+# stratum without a csm class, the one scene here that exits 3.  Then
+# one scene for each rule of the closure poset: a dim above that of the
+# variety, a point in the closure of a point, a stratum that is its own
+# parent, a cycle of two parents, and a curve whose csm class is the
+# point class, with nothing in the codimension of a curve.
 LONG_DIGITS = "9" * 5000
 LONG_NUMBER = "<a JSON number of 5,000 digits>"
 POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
@@ -273,6 +278,25 @@ INVALID_SCENES = {
     "mu-with-two-degrees": {"ambient": [2], "degrees": [[2], [1]], "strata": [POINT], "mu": {"p": 1}},
     "curve-without-csm": {
         "ambient": [2], "degrees": [[3]], "strata": [{"id": "c", "dim": 1, "chi_c": 0, "closure_chi": 0}],
+        "mu": {"c": 1},
+    },
+    "dim-above-the-variety": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, dim=5)], "mu": {"p": 1}},
+    "point-under-a-point": {
+        "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, closure_chi=2), dict(POINT, id="q", parents=["p"])],
+        "mu": {"p": 1},
+    },
+    "self-parent": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, parents=["p"])], "mu": {"p": 1}},
+    "parent-cycle": {
+        "ambient": [2], "degrees": [[3]],
+        "strata": [
+            dict(POINT, id="a", parents=["b"]),
+            {"id": "b", "dim": 1, "chi_c": 0, "closure_chi": 1, "parents": ["a"]},
+        ],
+        "mu": {"a": 1},
+    },
+    "curve-with-point-class": {
+        "ambient": [2], "degrees": [[3]],
+        "strata": [{"id": "c", "dim": 1, "chi_c": 1, "closure_chi": 1, "csm": {"2": 1}}],
         "mu": {"c": 1},
     },
 }

@@ -192,6 +192,10 @@ ERROR_SCENES = {
         2, "error: nonzero mu needs a codimension-one scene, but this scene has 2 multidegrees\n",
     ),
     "curve-without-csm": (3, "error: stratum 'c' carries vanishing cycles but no csm class\n"),
+    "dim-above-the-variety": (2, "error: stratum 'p': dim 5 is more than 1, the dim of the variety\n"),
+    "point-under-a-point": (2, "error: stratum 'q': dim 0 is not below the dim of its parent 'p'\n"),
+    "self-parent": (2, "error: stratum 'p' lists itself as a parent\n"),
+    "parent-cycle": (2, "error: parent cycle through 'a'\n"),
     "not-json": (
         2,
         "error: {path} is not valid JSON: Expecting property name enclosed in double quotes:"
@@ -325,7 +329,7 @@ def test_warm_block_comes_last_and_is_answered_from_the_memo(tmp_path):
     argvs = compare.all_invocations(tmp_path)
     warm = compare.warm_invocations(ROOT, tmp_path)
     assert argvs[-len(warm) :] == warm
-    assert len(argvs) == 1410
+    assert len(argvs) == 1485
     bare = str(tmp_path / "nodal-cubic-bare.json")
     assert json.loads(pathlib.Path(bare).read_text(encoding="utf-8")) == compare.NODAL_CUBIC
     corpus = sorted((ROOT / "scenes").glob("*.json"))
