@@ -13,9 +13,8 @@ list holds:
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
-  scene with user mu on a product ambient, on thirty-four scenes that
-  exit 2, on one that exits 3, and on a curve whose csm class is the
-  point class;
+  scene with user mu on a product ambient, on thirty-five scenes that
+  exit 2 and on one that exits 3;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;

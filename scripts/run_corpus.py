@@ -26,6 +26,8 @@ def main() -> int:
         help="product factor dimensions to check (default: 1 2)",
     )
     args = parser.parse_args()
+    if min(args.m) < 1:
+        parser.error(f"--m values must be at least 1, not {min(args.m)}")
 
     failures = 0
     for path in sorted(SCENES.glob("*.json")):

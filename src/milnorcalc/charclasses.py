@@ -86,7 +86,7 @@ def csm_of_function(scene: StrataScene, coefficients: Mapping[str, int]) -> Chow
     functions of stratum closures (from ``indicator_coefficients``);
     the recorded closure classes are summed with them.
     """
-    terms = (c * _closure_csm(scene, scene.stratum(i)) for i, c in coefficients.items())
+    terms = (c * _closure_csm(scene, scene.index[i]) for i, c in coefficients.items())
     return sum(terms, ChowClass.zero(scene.ambient))
 
 
@@ -108,7 +108,7 @@ def localization(
     ``coefficients`` are the closure-indicator coefficients of mu.
     """
     return [
-        (stratum_id, coefficient * _closure_csm(scene, scene.stratum(stratum_id)) / normal)
+        (stratum_id, coefficient * _closure_csm(scene, scene.index[stratum_id]) / normal)
         for stratum_id, coefficient in sorted(coefficients.items())
     ]
 
@@ -127,7 +127,7 @@ def resolve_mu(
     is taken to be smooth and mu is zero.  A polynomial scene without
     strata gets the default ones: the smooth locus, and a point stratum when
     the total is nonzero.  The total goes on that point stratum, or on the
-    one closed zero-dimensional stratum of the given strata, with the sign
+    one zero-dimensional stratum of the given strata, with the sign
     (-1)^(dim Y - 1), since the value at an isolated singular point is
     chi(Milnor fiber) - 1.
     """
@@ -143,7 +143,7 @@ def resolve_mu(
     chart = scene.chart if scene.chart is not None else F.variables[-1]
     result = total_milnor_number(F, chart, cancel)
     if scene.strata:
-        points = [i for i in scene.closed if scene.index[i].dim == 0]
+        points = [s.id for s in scene.strata if s.dim == 0]
     else:
         # The singular points lie in the closure of the smooth locus, unless it is points too.
         parents = (SMOOTH_STRATUM,) if scene.ambient.dim > 1 else ()
@@ -242,7 +242,7 @@ def lci_defect_check(
     normal = ChowClass.unit(ambient) + divisor
     pulled = divisor * pull_back(tangent, m) / normal
     lhs = pulled - (product_fj - product_milnor)
-    terms = (c * pull_back(_closure_csm(scene, scene.stratum(i)), m) for i, c in coefficients.items())
+    terms = (c * pull_back(_closure_csm(scene, scene.index[i]), m) for i, c in coefficients.items())
     rhs = sum(terms, ChowClass.zero(ambient)) / normal
     return _result(f"lci_m{m}", lhs - rhs)
 

@@ -20,7 +20,7 @@ exactly one of three routes: a ``polynomial`` with a ``chart`` (the
 engine computes the vanishing cycles), explicit ``strata`` plus ``mu``
 (user-supplied values), or ``"smooth": true.``  A polynomial may be
 combined with strata carrying Euler-characteristic data; the computed
-total is then attached to the unique closed point stratum.  Variables
+total is then attached to the unique point stratum.  Variables
 default to x, y, z, w and can be overridden with ``variables``.
 Per-stratum ``csm`` maps are keyed by comma-separated exponents, as in
 ``{"2": 1, "3": 2}`` for H^2 + 2H^3.  Each exponent is written in ASCII

@@ -13,13 +13,13 @@ Euler-characteristic data is user input; values computed by the
 polynomial engine (total Milnor numbers) only populate vanishing-cycle
 functions, so ``chi_c``/``closure_chi`` may be absent on engine-built
 strata.  A ``StrataScene`` is checked by ``validate_scene`` when it is
-built, ``dataclasses.replace`` included, so every scene is valid.  That
-check walks the closure poset once, and the scene keeps what the walk
-builds: ``index`` (id to stratum), ``upsets`` (id to the strata whose
-closures contain it, itself included), ``peel_order`` (ids by up-set
-size, so each comes after every stratum above it) and ``closed`` (the
-strata whose closure holds no other).  Stratum lookups, the Moebius
-inversion and the placement of computed vanishing cycles read them.
+built, ``dataclasses.replace`` included, so every scene is valid.  Dims
+fall along every parent edge, so one pass over the strata by falling dim
+builds what the scene keeps: ``index`` (id to stratum), ``upsets`` (id to
+the strata whose closures contain it, itself included) and ``peel_order``
+(the ids by falling dim, each after every stratum above it).  Stratum
+lookups, the Moebius inversion and the placement of computed vanishing
+cycles read them.
 """
 
 from __future__ import annotations
@@ -65,30 +65,19 @@ class StrataScene:
     index: dict[str, Stratum] = field(init=False, repr=False, compare=False)
     upsets: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     peel_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    closed: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Looked up at call time, so a wrapper installed on the module runs.
-        for name, value in zip(("index", "upsets", "peel_order", "closed"), validate_scene(self)):
+        for name, value in zip(("index", "upsets", "peel_order"), validate_scene(self)):
             object.__setattr__(self, name, value)
 
-    def stratum(self, stratum_id: str) -> Stratum:
-        return self.index[stratum_id]
 
-
-def _upsets(index: dict[str, Stratum]) -> dict[str, frozenset[str]]:
-    """The reflexive-transitive closure of the ``parents`` edges: each id
-    mapped to the ids whose closures contain it."""
+def _upsets(index: dict[str, Stratum], order: tuple[str, ...]) -> dict[str, frozenset[str]]:
+    """Each id mapped to the ids whose closures contain it, itself included, built
+    in ``order``, which lists each parent before its children."""
     out: dict[str, frozenset[str]] = {}
-    for start in index:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            for parent in index[frontier.pop()].parents:
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        out[start] = frozenset(seen)
+    for i in order:
+        out[i] = frozenset({i}.union(*(out[p] for p in index[i].parents)))
     return out
 
 
@@ -121,12 +110,12 @@ def _check_polynomial(scene: StrataScene) -> None:
 
 def validate_scene(
     scene: StrataScene,
-) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...], frozenset[str]]:
+) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...]]:
     """Check every rule that ties the scene's fields together: multidegrees,
     the defining polynomial, poset shape, stratum dims and Euler data; raise
     on failure.  A stratum's dim is at most the ambient dim minus the number
-    of multidegrees, and below each parent's.
-    Return the index, up-sets, peel order and closed strata of the scene."""
+    of multidegrees, and below each parent's, so no parent edge closes a cycle.
+    Return the index, up-sets and peel order of the scene."""
     for multidegree in scene.multidegrees:
         if len(multidegree) != len(scene.ambient.factors):
             raise SceneValidationError("multidegree length must match the ambient")
@@ -145,18 +134,6 @@ def validate_scene(
         for p in s.parents:
             if p not in index:
                 raise SceneValidationError(f"stratum {s.id!r} lists unknown parent {p!r}")
-            if p == s.id:
-                raise SceneValidationError(f"stratum {s.id!r} lists itself as a parent")
-    # One walk of the poset: a stratum among its own proper ancestors is
-    # a cycle, and inverting the up-sets gives the strata of each closure.
-    ups = _upsets(index)
-    downs: dict[str, list[str]] = {s.id: [] for s in scene.strata}
-    for s in scene.strata:
-        for p in s.parents:
-            if s.id in ups[p]:
-                raise SceneValidationError(f"parent cycle through {s.id!r}")
-        for ancestor in ups[s.id]:
-            downs[ancestor].append(s.id)
     dim_x = scene.ambient.dim - len(scene.multidegrees)
     for s in scene.strata:
         if s.dim > dim_x:
@@ -164,6 +141,14 @@ def validate_scene(
         for p in s.parents:
             if index[p].dim <= s.dim:
                 raise SceneValidationError(f"stratum {s.id!r}: dim {s.dim} is not below the dim of its parent {p!r}")
+    # Dims fall along every edge, so falling dim puts each stratum after its
+    # up-set; inverting the up-sets gives the strata of each closure.
+    order = tuple(sorted(index, key=lambda i: -index[i].dim))
+    ups = _upsets(index, order)
+    downs: dict[str, list[str]] = {s.id: [] for s in scene.strata}
+    for s in scene.strata:
+        for ancestor in ups[s.id]:
+            downs[ancestor].append(s.id)
     for s in scene.strata:
         if s.closure_chi is None:
             continue
@@ -187,9 +172,15 @@ def validate_scene(
                 f"stratum {s.id!r}: csm class has degree {s.csm_class.degree()} "
                 f"but closure_chi is {s.closure_chi}"
             )
-    order = tuple(sorted(index, key=lambda i: len(ups[i])))
-    closed = frozenset(i for i, below in downs.items() if len(below) == 1)
-    return index, ups, order, closed
+        # c_*(closure) is the fundamental class, an effective cycle in the
+        # stratum's codimension, plus terms of higher codimension.
+        codim = scene.ambient.dim - s.dim
+        low = sorted((sum(e), c) for e, c in s.csm_class.coefficients.items() if sum(e) <= codim)
+        if low and low[0][0] < codim:
+            raise SceneValidationError(f"stratum {s.id!r}: csm class has a term in codimension {low[0][0]}, below {codim}")
+        if not low or low[0][1] < 0:
+            raise SceneValidationError(f"stratum {s.id!r}: csm class is not effective and nonzero in codimension {codim}")
+    return index, ups, order
 
 
 @dataclass(frozen=True)
@@ -217,8 +208,8 @@ class ConstructibleFunction:
     def indicator_coefficients(self) -> dict[str, int]:
         """Coefficients of closure indicators, by Moebius inversion."""
         ups = self.scene.upsets
-        # Peel from the top: strata with larger up-sets are handled later,
-        # so each step only needs already-known coefficients.
+        # Peel from the top: each stratum comes after its up-set, so each
+        # step only needs already-known coefficients.
         coeffs: dict[str, int] = {}
         for stratum_id in self.scene.peel_order:
             above = sum(coeffs.get(t, 0) for t in ups[stratum_id] if t != stratum_id)

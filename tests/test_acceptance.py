@@ -110,8 +110,8 @@ def test_acceptance_3_singular_plane_cubics(corpus_reports):
     # nodal curve is P^1 with two points glued (smooth part chi 0),
     # the cuspidal curve is P^1 with one point crimped (chi 1).
     nodal_scene = nodal.scene
-    c.expect(nodal_scene.stratum("smooth_part").chi_c == 0, "nodal smooth part chi")
-    c.expect(nodal_scene.stratum("node").chi_c == 1, "node chi")
+    c.expect(nodal_scene.index["smooth_part"].chi_c == 0, "nodal smooth part chi")
+    c.expect(nodal_scene.index["node"].chi_c == 1, "node chi")
     c.expect(unit_function(nodal_scene).euler() == 1, "nodal strata euler")
     c.expect(unit_function(cusp.scene).euler() == 2, "cuspidal strata euler")
     verdict(3, "singular plane cubics", c.failures)

@@ -417,7 +417,7 @@ class TestResolveMu:
         got_scene, got_mu, data = resolve_mu(scene)
         assert data.total_milnor == 2
         assert got_mu.values == {SINGULAR_STRATUM: -2}
-        assert got_scene.stratum(SINGULAR_STRATUM).csm_class == ChowClass.point(P2)
+        assert got_scene.index[SINGULAR_STRATUM].csm_class == ChowClass.point(P2)
 
     def test_default_strata_of_points_keep_the_dim_rules(self):
         # On P^1 the smooth locus is points too, so the singular point is
@@ -427,7 +427,7 @@ class TestResolveMu:
         scene = StrataScene(ambient=P1, multidegrees=((3,),), defining_polynomial=F, chart="y")
         got_scene, got_mu, data = resolve_mu(scene)
         assert data.total_milnor == 1 and got_mu.values == {SINGULAR_STRATUM: 1}
-        assert got_scene.stratum(SINGULAR_STRATUM).parents == ()
+        assert got_scene.index[SINGULAR_STRATUM].parents == ()
         report = build_report(scene)
         assert report.milnor_class == ChowClass.point(P1) and report.euler == 2
         assert all(check.passed for check in report.checks.values())

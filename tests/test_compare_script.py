@@ -194,8 +194,10 @@ ERROR_SCENES = {
     "curve-without-csm": (3, "error: stratum 'c' carries vanishing cycles but no csm class\n"),
     "dim-above-the-variety": (2, "error: stratum 'p': dim 5 is more than 1, the dim of the variety\n"),
     "point-under-a-point": (2, "error: stratum 'q': dim 0 is not below the dim of its parent 'p'\n"),
-    "self-parent": (2, "error: stratum 'p' lists itself as a parent\n"),
-    "parent-cycle": (2, "error: parent cycle through 'a'\n"),
+    # A self-parent and a cycle break the dim rule on some edge.
+    "self-parent": (2, "error: stratum 'p': dim 0 is not below the dim of its parent 'p'\n"),
+    "parent-cycle": (2, "error: stratum 'b': dim 1 is not below the dim of its parent 'a'\n"),
+    "curve-with-point-class": (2, "error: stratum 'c': csm class is not effective and nonzero in codimension 1\n"),
     "not-json": (
         2,
         "error: {path} is not valid JSON: Expecting property name enclosed in double quotes:"

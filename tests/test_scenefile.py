@@ -60,7 +60,7 @@ class TestHappyPath:
         scene, mu = scene_from_dict(user_mu_dict())
         assert mu is not None
         assert mu.values == {"singular_line": -1}
-        line = scene.stratum("singular_line")
+        line = scene.index["singular_line"]
         assert line.csm_class == ChowClass(scene.ambient, {(2,): 1, (3,): 2})
 
     def test_smooth_scene(self):

@@ -1,6 +1,7 @@
 """Stratified scenes and constructible functions."""
 
 import ast
+import json
 import sys
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -71,23 +72,21 @@ class TestPoset:
         scene = chain_scene()
         assert scene.index == {s.id: s for s in scene.strata}
         assert scene.peel_order == ("top", "mid", "bot")
-        assert scene.closed == {"bot"}
         # Left out of ==, the hash and the repr; rebuilt by replace.
         assert "upsets" not in repr(scene)
         assert hash(scene) == hash(chain_scene())
         top, mid, _ = scene.strata
         cut = replace(scene, strata=(replace(top, closure_chi=3), replace(mid, closure_chi=2)))
         assert cut.upsets == {"top": {"top"}, "mid": {"mid", "top"}}
-        assert cut.closed == {"mid"}
-        assert cut.stratum("mid").closure_chi == 2
+        assert cut.index["mid"].closure_chi == 2
         with pytest.raises(KeyError, match="bot"):
-            cut.stratum("bot")
+            cut.index["bot"]
 
     def test_closure_chi_counts_the_transitive_closure(self):
         # bot lies in the closure of top only through mid, so the closure
         # of top sums 1 + 2 + 1 = 4, and the 1 + 2 of its direct children
         # is refused.
-        assert chain_scene().stratum("top").closure_chi == 4
+        assert chain_scene().index["top"].closure_chi == 4
         top, mid, bot = chain_scene().strata
         with pytest.raises(SceneValidationError, match="closure_chi is 3 but the closure strata sum to 4"):
             scene_of([replace(top, closure_chi=3), mid, bot], ambient=P3)
@@ -144,11 +143,13 @@ class TestValidation:
             scene_of([Stratum(id="a", dim=0, parents=("ghost",))])
 
     def test_self_parent(self):
-        with pytest.raises(SceneValidationError, match="itself"):
+        # Refused by the dim rule: a stratum's dim is not below its own.
+        with pytest.raises(SceneValidationError, match="stratum 'a': dim 0 is not below the dim of its parent 'a'"):
             scene_of([Stratum(id="a", dim=0, parents=("a",))])
 
     def test_parent_cycle(self):
-        with pytest.raises(SceneValidationError, match="cycle"):
+        # Dims fall along every edge that passes the dim rule, so a cycle is refused by it.
+        with pytest.raises(SceneValidationError, match="stratum 'b': dim 1 is not below the dim of its parent 'a'"):
             scene_of(
                 [
                     Stratum(id="a", dim=0, parents=("b",)),
@@ -188,6 +189,39 @@ class TestValidation:
     def test_csm_ambient_mismatch(self):
         with pytest.raises(SceneValidationError, match="different ambient"):
             scene_of([Stratum(id="x", dim=0, csm_class=ChowClass.point(P3))])
+
+    # A closure of dim k in P^2 has c_* = its fundamental class, effective
+    # and nonzero in codimension 2 - k, plus terms of higher codimension.
+    @pytest.mark.parametrize(
+        "dim, csm, message",
+        [
+            (1, {(2,): 1}, "stratum 's': csm class is not effective and nonzero in codimension 1"),
+            (1, {(1,): -1, (2,): 3}, "stratum 's': csm class is not effective and nonzero in codimension 1"),
+            (0, {(1,): 1, (2,): 1}, "stratum 's': csm class has a term in codimension 1, below 2"),
+        ],
+        ids=["curve-without-codim-1", "negative-curve", "point-with-codim-1"],
+    )
+    def test_a_closure_class_starts_in_the_codimension_of_its_stratum(self, dim, csm, message):
+        csm_class = ChowClass(P2, csm)
+        chi = csm_class.degree()
+        with pytest.raises(SceneValidationError, match=message):
+            scene_of([Stratum(id="s", dim=dim, chi_c=chi, closure_chi=chi, csm_class=csm_class)])
+        # A line, H + 2H^2, and a conic, 2H + 2H^2, pass.
+        for csm in ({(1,): 1, (2,): 2}, {(1,): 2, (2,): 2}):
+            scene_of([Stratum(id="s", dim=1, chi_c=2, closure_chi=2, csm_class=ChowClass(P2, csm))])
+
+    def test_a_curve_stratum_with_the_point_class_exits_2(self, tmp_path, capsys):
+        # The nodal cubic's strata with the point class on the curve and mu on it.
+        data = {"ambient": [2], "degrees": [[3]], "mu": {"smooth_part": 1}, "strata": [
+            {"id": "smooth_part", "dim": 1, "chi_c": 0, "closure_chi": 1, "csm": {"2": 1}},
+            {"id": "node", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["smooth_part"]},
+        ]}
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["report", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: stratum 'smooth_part': csm class is not effective and nonzero in codimension 1\n"
 
     def test_replace_with_bad_strata_raises(self):
         # resolve_mu gives a scene its default strata through replace.
@@ -321,9 +355,9 @@ def test_a_scene_walks_its_poset_once_and_a_report_reads_it(monkeypatch):
     walks = []
     walk = scenes._upsets
 
-    def counting(index):
+    def counting(index, order):
         walks.append(len(index))
-        return walk(index)
+        return walk(index, order)
 
     monkeypatch.setattr(scenes, "_upsets", counting)
     passes = {}
@@ -453,7 +487,7 @@ class TestEngineIntegration:
     def test_nodal_cubic_vanishing_cycles(self):
         mu = polynomial_mu("y^2*z - x^3 - x^2*z", P2, "z")
         assert mu.values == {SINGULAR_STRATUM: -1}
-        assert mu.scene.stratum(SINGULAR_STRATUM).dim == 0
+        assert mu.scene.index[SINGULAR_STRATUM].dim == 0
 
     def test_smooth_curve_zero_function(self):
         mu = polynomial_mu("x^3 + y^3 + z^3", P2, "z")
@@ -520,21 +554,52 @@ def test_scenes_module_does_not_import_the_engine():
     assert not any("groebner" in name.split(".") for name in imported), imported
 
 
-# Random posets: parents may only point to earlier strata, so the
-# relation is acyclic by construction.
+# Random posets of up to 30 strata on a 6-fold, listed in any order: dims
+# may tie, and each parent has a larger dim than its child, so the dim
+# rule holds on every edge.
 @st.composite
 def poset_scenes(draw):
-    size = draw(st.integers(min_value=1, max_value=6))
+    dims = sorted(draw(st.lists(st.integers(0, 6), min_size=1, max_size=30)), reverse=True)
     strata = []
-    for i in range(size):
-        parents = []
-        if i:
-            parents = draw(
-                st.lists(st.sampled_from([f"s{j}" for j in range(i)]), unique=True, max_size=3)
-            )
-        # Each parent comes earlier, so it has the larger dim.
-        strata.append(Stratum(id=f"s{i}", dim=5 - i, parents=tuple(parents)))
-    return scene_of(strata, ambient=AmbientSpace((6,)))
+    for i, dim in enumerate(dims):
+        above = [f"s{j}" for j in range(i) if dims[j] > dim]
+        parents = draw(st.lists(st.sampled_from(above), unique=True, max_size=3)) if above else []
+        strata.append(Stratum(id=f"s{i}", dim=dim, parents=tuple(parents)))
+    return scene_of(draw(st.permutations(strata)), ambient=AmbientSpace((7,)), degree=2)
+
+
+def reachable(scene):
+    """Each id mapped to the ids it reaches by parent edges, itself included,
+    by repeating one step until nothing changes."""
+    reach = {s.id: {s.id, *s.parents} for s in scene.strata}
+    grown = True
+    while grown:
+        grown = False
+        for seen in reach.values():
+            more = set().union(*(reach[t] for t in seen)) - seen
+            seen |= more
+            grown = grown or bool(more)
+    return reach
+
+
+@given(poset_scenes(), st.data())
+def test_the_poset_is_read_from_the_dims(scene, data):
+    assert scene.upsets == reachable(scene)
+    position = {i: n for n, i in enumerate(scene.peel_order)}
+    assert sorted(position) == sorted(scene.index)
+    for i, above in scene.upsets.items():
+        assert all(position[t] < position[i] for t in above - {i})
+    # Turn one edge against the dims: the parent now lists its child.
+    edges = [(s, p) for s in scene.strata for p in s.parents]
+    if edges:
+        child, parent = data.draw(st.sampled_from(edges))
+        turned = {
+            child.id: replace(child, parents=tuple(p for p in child.parents if p != parent)),
+            parent: replace(scene.index[parent], parents=scene.index[parent].parents + (child.id,)),
+        }
+        message = f"stratum {parent!r}: dim {scene.index[parent].dim} is not below the dim of its parent {child.id!r}"
+        with pytest.raises(SceneValidationError, match=message):
+            replace(scene, strata=tuple(turned.get(s.id, s) for s in scene.strata))
 
 
 @st.composite
@@ -551,18 +616,6 @@ def functions_on(draw, scene):
 def test_indicator_solves_defining_system(alpha):
     # Independent check of the inversion: summing indicator coefficients
     # over each stratum's ancestors must reproduce the pointwise values.
-    scene = alpha.scene
     coeffs = alpha.indicator_coefficients()
-    pointwise = alpha.values
-    reach = {}
-    for s in scene.strata:
-        seen = {s.id}
-        queue = [s.id]
-        while queue:
-            for p in scene.stratum(queue.pop()).parents:
-                if p not in seen:
-                    seen.add(p)
-                    queue.append(p)
-        reach[s.id] = seen
-    for s in scene.strata:
-        assert pointwise.get(s.id, 0) == sum(coeffs.get(t, 0) for t in reach[s.id])
+    for i, above in reachable(alpha.scene).items():
+        assert alpha.values.get(i, 0) == sum(coeffs.get(t, 0) for t in above)
