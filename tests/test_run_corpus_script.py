@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -23,9 +25,16 @@ def test_every_corpus_scene_reports_ok():
     assert len(lines) == 9 and all(line.endswith("  ok") for line in lines)
 
 
-def test_an_m_below_1_is_refused_with_usage():
-    done = run("--m", "1", "0")
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ("0", "the product factor dimension must be at least 1"),
+        ("4000", "the tangent class of P^2 x P^4000 may need 48060012 bits, more than the 40000000 a class may hold"),
+    ],
+)
+def test_an_m_out_of_range_is_refused_with_usage(m, message):
+    done = run("--m", "1", m)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr.startswith("usage: ")
-    assert done.stderr.endswith("error: --m values must be at least 1, not 0\n")
+    assert done.stderr.endswith(f"error: cuspidal-cubic: {message}\n")
     assert "Traceback" not in done.stderr

@@ -212,10 +212,15 @@ class TestValidation:
 
     def test_a_curve_stratum_with_the_point_class_exits_2(self, tmp_path, capsys):
         # The nodal cubic's strata with the point class on the curve and mu on it.
-        data = {"ambient": [2], "degrees": [[3]], "mu": {"smooth_part": 1}, "strata": [
-            {"id": "smooth_part", "dim": 1, "chi_c": 0, "closure_chi": 1, "csm": {"2": 1}},
-            {"id": "node", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["smooth_part"]},
-        ]}
+        data = {
+            "ambient": [2],
+            "degrees": [[3]],
+            "strata": [
+                {"id": "smooth_part", "dim": 1, "chi_c": 0, "closure_chi": 1, "csm": {"2": 1}},
+                {"id": "node", "dim": 0, "chi_c": 1, "closure_chi": 1, "parents": ["smooth_part"]},
+            ],
+            "mu": {"smooth_part": 1},
+        }
         path = tmp_path / "gap.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         assert main(["report", str(path)]) == 2
