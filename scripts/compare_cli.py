@@ -13,8 +13,9 @@ list holds:
   seeded ``milnor`` and ``chow`` scenes from ``perfbench/workloads.py``,
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
-  scene with user mu on a product ambient, on thirty-five scenes that
-  exit 2 and on one that exits 3;
+  scene with user mu on a product ambient, on a curve scene whose strata
+  and classes disagree (``EULER_MISMATCH_SCENE``), on thirty-five scenes
+  that exit 2 and on one that exits 3;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;
@@ -38,7 +39,7 @@ list holds:
   computed before, so that they are answered from the memo of
   ``total_milnor_number``.
 
-With the nine corpus scenes that makes 1,485 invocations.
+With the nine corpus scenes that makes 1,500 invocations.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -220,6 +221,15 @@ PRODUCT_STRATA_SCENE = {
     "mu": {"curve": -1, "point": 2},
 }
 
+# A curve stratum whose csm class has degree 2 while its chi_c is 1: the
+# scene passes every scene rule, and only euler_strata sees the fault, so
+# each check form exits 1 while each report exits 0.
+EULER_MISMATCH_SCENE = {
+    "ambient": [2], "degrees": [[3]],
+    "strata": [{"id": "c", "dim": 1, "chi_c": 1, "closure_chi": 1, "csm": {"1": 1, "2": 1}}],
+    "mu": {"c": 1},
+}
+
 # Scenes that exit 2: a malformed polynomial, whose message goes through
 # "bad polynomial: ...", a negative multidegree entry, a negative stratum
 # dim, an integer longer than Python's default int-string limit
@@ -379,7 +389,8 @@ def load_workloads(root: Path):
 def scene_paths(root: Path, outdir: Path) -> list[str]:
     """The corpus, one seeded pass of each generated workload, the
     two-multidegree conics, the box-shape scenes, the stratified product
-    scene and the invalid scenes, written under ``outdir`` where needed."""
+    scene, the Euler mismatch scene and the invalid scenes, written under
+    ``outdir`` where needed."""
     workloads = load_workloads(root)
     paths = [str(path) for path in sorted((root / "scenes").glob("*.json"))]
     generators = {"milnor": workloads.milnor_requests, "chow": workloads.chow_requests}
@@ -390,7 +401,7 @@ def scene_paths(root: Path, outdir: Path) -> list[str]:
     bare = {k: v for k, v in TWO_DEGREE_CONIC.items() if k != "strata"}
     written = {
         "two-degree-conic": TWO_DEGREE_CONIC, "two-degree-conic-bare": bare, **EDGE_SCENES,
-        "strata-2-0-1": PRODUCT_STRATA_SCENE, **INVALID_SCENES,
+        "strata-2-0-1": PRODUCT_STRATA_SCENE, "euler-mismatch": EULER_MISMATCH_SCENE, **INVALID_SCENES,
     }
     for name, data in written.items():
         path = outdir / f"{name}.json"

@@ -20,21 +20,20 @@ bits is its decimal string.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from .chow import (
     AmbientSpace,
     ChowClass,
+    _Record,
+    decimal_text,
     divisor_class,
     pull_back,
     push_forward,
     self_intersection_check,
     tangent_class,
 )
-from .groebner import CancelCallback, MilnorResult, total_milnor_number
-from .polynomials import decimal_text
 from .scenes import (
     SINGULAR_STRATUM,
     SMOOTH_STRATUM,
@@ -45,6 +44,9 @@ from .scenes import (
     _single_multidegree,
     unit_function,
 )
+
+if TYPE_CHECKING:
+    from .groebner import CancelCallback, MilnorResult
 
 
 class MissingCsmClassError(ValueError):
@@ -140,6 +142,9 @@ def resolve_mu(
         return scene, mu, None
     if F is None:
         return scene, ConstructibleFunction(scene, {}), None
+    # Imported with the first polynomial, so that other scenes never load the engine.
+    from .groebner import total_milnor_number
+
     chart = scene.chart if scene.chart is not None else F.variables[-1]
     result = total_milnor_number(F, chart, cancel)
     if scene.strata:
@@ -151,7 +156,7 @@ def resolve_mu(
         if result.total_milnor != 0:
             point = ChowClass.point(scene.ambient)
             strata.append(Stratum(id=SINGULAR_STRATUM, dim=0, csm_class=point, parents=parents))
-        scene = replace(scene, strata=tuple(strata), chart=result.chart)
+        scene = scene.replace(strata=tuple(strata), chart=result.chart)
         points = [SINGULAR_STRATUM]
     if result.total_milnor == 0:
         return scene, ConstructibleFunction(scene, {}), result
@@ -164,14 +169,16 @@ def resolve_mu(
     return scene, ConstructibleFunction(scene, {points[0]: sign * result.total_milnor}), result
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(_Record):
     """Outcome of one identity check; residual is zero exactly on pass."""
 
-    name: str
-    passed: bool
-    residual: Optional[ChowClass] = None
-    detail: str = ""
+    __slots__ = _fields = ("name", "passed", "residual", "detail")
+
+    def __init__(self, name: str, passed: bool, residual: Optional[ChowClass] = None, detail: str = ""):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "residual", residual)
+        object.__setattr__(self, "detail", detail)
 
 
 def _result(name: str, residual: ChowClass, detail: str = "") -> CheckResult:
@@ -247,19 +254,22 @@ def lci_defect_check(
     return _result(f"lci_m{m}", lhs - rhs)
 
 
-@dataclass
-class ClassReport:
-    """All classes and checks computed for one scene."""
+class ClassReport(_Record):
+    """All classes and checks computed for one scene; unlike the other
+    records it may be changed, and so it has no hash."""
 
-    scene: StrataScene
-    mu: ConstructibleFunction
-    fulton_johnson: ChowClass
-    milnor_class: ChowClass
-    csm: ChowClass
-    euler: int
-    localization: list[tuple[str, ChowClass]]
-    checks: dict[str, CheckResult] = field(default_factory=dict)
-    milnor_data: Optional[MilnorResult] = None
+    __slots__ = _fields = (
+        "scene", "mu", "fulton_johnson", "milnor_class", "csm", "euler", "localization", "checks", "milnor_data",
+    )
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, scene: StrataScene, mu: ConstructibleFunction, fulton_johnson: ChowClass,
+                 milnor_class: ChowClass, csm: ChowClass, euler: int, localization: list[tuple[str, ChowClass]],
+                 checks: Optional[dict[str, CheckResult]] = None, milnor_data: Optional[MilnorResult] = None):
+        self.scene, self.mu, self.euler, self.localization = scene, mu, euler, localization
+        self.fulton_johnson, self.milnor_class, self.csm = fulton_johnson, milnor_class, csm
+        self.checks = {} if checks is None else checks
+        self.milnor_data = milnor_data
 
 
 def build_report(

@@ -21,6 +21,10 @@ holds the table of each term read so far, built when it is first read
 (a report reads those of D and of any class sparser than D), the
 ``"a,b,c"`` key strings (built when a class of the ambient is first
 emitted, which product ambients never are) and the tangent class.
+
+The module also holds what every other module uses without the Groebner
+engine: ``_Record``, the base of the package's records, and the writers
+``decimal_text`` and ``render_terms``.
 """
 
 from __future__ import annotations
@@ -28,24 +32,96 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import sys
 from itertools import compress, repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
-from .polynomials import _is_int, render_terms
+if TYPE_CHECKING:
+    from .polynomials import Scalar
 
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def decimal_text(value: Scalar) -> str:
+    """``str(value)``, refusing an integer past Python's int-string limit in plain words.
+
+    The ValueError names the digit count, found without converting: the
+    estimate bit_length * 1233 >> 12 (1233 / 4096 < log10 2) is at most
+    the count and is raised to it by comparison with powers of ten.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        n = max(abs(value.numerator), value.denominator)
+        digits = n.bit_length() * 1233 >> 12
+        while 10**digits <= n:
+            digits += 1
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer of {digits} digits, over the {limit}-digit limit for writing it") from None
+
+
+def render_terms(items: Iterable[tuple[Exponent, Scalar]], names: Sequence[str], joiner: str) -> str:
+    """Write (exponent, coefficient) pairs, in the order given, as a sum.
+
+    A magnitude other than 1 and the ``name^e`` factors of a term are
+    joined by ``joiner``; the empty sum is "0".
+    """
+    chunks: list[str] = []
+    for exp, coeff in items:
+        magnitude = abs(coeff)
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
+        if magnitude != 1 or not factors:
+            factors.insert(0, decimal_text(magnitude))
+        chunks.append((" - " if coeff < 0 else " + ") + joiner.join(factors))
+    text = "".join(chunks)
+    if not text:
+        return "0"
+    return text[3:] if text.startswith(" + ") else "-" + text[3:]
+
+
+class _Record:
+    """A frozen record: equal only to a record of its own class with equal
+    ``_fields``, hashed and shown by them, and refusing assignment.  Its
+    constructor checks its arguments and sets each slot with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    # Copies and pickles are built by the constructor, which refused assignment leaves as the only way.
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a frozen {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class AmbientSpace(_Record):
     """A product of projective spaces, recorded by factor dimensions."""
 
-    factors: tuple[int, ...]
+    __slots__ = _fields = ("factors",)
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
+    def __init__(self, factors: Sequence[int]):
+        factors = tuple(factors)
         if not all(map(_is_int, factors)):
             raise TypeError("factor dimensions must be integers")
         if not factors:

@@ -13,7 +13,6 @@ output; ``main`` alone writes stdout, after the command has returned.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import sys
 from typing import Optional, Sequence
@@ -27,12 +26,6 @@ from .charclasses import (
     report_to_jsonable,
 )
 from .chow import AmbientSpace, _ambient_label, _box_size
-from .groebner import (
-    NonIsolatedSingularitiesError,
-    SingularitiesOutsideChartError,
-    total_milnor_number,
-)
-from .polynomials import parse_polynomial
 from .scenefile import SceneFileError, load_scene
 
 EXIT_OK = 0
@@ -58,7 +51,7 @@ _CHECK_ALIASES = {
     "lci_defect": ("lci_m{m}",),
     "euler": ("euler_strata",),
     "euler_strata": ("euler_strata",),
-    "all": ("verdier_m{m}", "defect_codim1", "pushdown_m{m}", "lci_m{m}"),
+    "all": ("verdier_m{m}", "defect_codim1", "pushdown_m{m}", "lci_m{m}", "euler_strata"),
 }
 
 
@@ -144,11 +137,15 @@ def cmd_milnor(args) -> tuple[int, str]:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not variables:
         raise SceneFileError("--vars needs at least one variable name")
+    from .groebner import total_milnor_number
+    from .polynomials import parse_polynomial
+
     # The arguments as resolve_mu passes them, so that report, check and
     # milnor share one stored result per polynomial and chart.
     result = total_milnor_number(parse_polynomial(args.poly, variables), args.chart, None)
     if args.json:
-        return EXIT_OK, canonical_json(dataclasses.asdict(result))
+        payload = {"chart": result.chart, "off_curve_dim": result.off_curve_dim, "total_milnor": result.total_milnor}
+        return EXIT_OK, canonical_json(payload)
     return EXIT_OK, str(result.total_milnor)
 
 
@@ -202,7 +199,7 @@ def _parser() -> argparse.ArgumentParser:
         "--checks",
         default="all",
         help="comma list from verdier, defect, pushdown, lci, euler_strata "
-        "(default all: the first four)",
+        "(default all: each of them that applies to the scene)",
     )
     p_check.add_argument("--m", type=int, default=1, help="product factor dimension")
     p_check.set_defaults(func=cmd_check)
@@ -224,12 +221,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         code, text = args.func(args)
-    except (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MATH
     except ValueError as exc:
+        # Imported on the error path alone, so that a command that succeeds
+        # without the engine never loads it.
+        from .groebner import NonIsolatedSingularitiesError, SingularitiesOutsideChartError
+
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        obstructions = (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError)
+        return EXIT_MATH if isinstance(exc, obstructions) else EXIT_INVALID
     if not args.quiet:
         print(text)
     return code

@@ -27,10 +27,10 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
+from .chow import _Record
 from .linalg import CancelCallback, ComputationCancelled, Row, _combine, _stable_rank
 from .polynomials import (
     _ELIM_FIRST,
@@ -227,13 +227,20 @@ def _buchberger(
     return {lead: _reduce(dict(tail), rest, lay) for (lead, tail, *_), rest in zip(minimal, others)}
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """A reduced monic grevlex Groebner basis, stored packed; ``basis``
-    (by strictly increasing leads) is built on first use."""
+class GroebnerBasis(_Record):
+    """A reduced monic grevlex Groebner basis, stored packed and hashed by
+    its variables; ``basis`` (by strictly increasing leads) is built on first use."""
 
-    variables: tuple[str, ...]
-    _reduced: dict[int, dict[int, Fraction]] = field(hash=False)
+    _fields = ("variables", "_reduced")
+    # The __dict__ slot holds ``basis`` once it is built.
+    __slots__ = _fields + ("__dict__",)
+
+    def __init__(self, variables: tuple[str, ...], _reduced: dict[int, dict[int, Fraction]]):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "_reduced", _reduced)
+
+    def __hash__(self):
+        return hash((self.variables,))
 
     @functools.cached_property
     def basis(self) -> tuple[Polynomial, ...]:
@@ -353,8 +360,7 @@ def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
     return Polynomial._of_clean(remaining, {m: c for m, c in terms.items() if c})
 
 
-@dataclass(frozen=True)
-class MilnorResult:
+class MilnorResult(_Record):
     """Total Milnor number of the chart singularities.
 
     ``off_curve_dim`` is the part of dim k[x]/J on which multiplication
@@ -362,9 +368,12 @@ class MilnorResult:
     critical points of f that do not lie on the hypersurface.
     """
 
-    total_milnor: int
-    chart: str
-    off_curve_dim: int
+    __slots__ = _fields = ("total_milnor", "chart", "off_curve_dim")
+
+    def __init__(self, total_milnor: int, chart: str, off_curve_dim: int):
+        object.__setattr__(self, "total_milnor", total_milnor)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "off_curve_dim", off_curve_dim)
 
 
 def _validate_chart(f: Polynomial, degree: int, cancel: Optional[CancelCallback]) -> None:

@@ -35,6 +35,8 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
+from .chow import _is_int, render_terms
+
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
 
@@ -108,10 +110,6 @@ class PolyParseError(ValueError):
 
 class VariableMismatchError(ValueError):
     """Operands live over different variable lists."""
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_fraction(value) -> Fraction:
@@ -205,43 +203,6 @@ class Polynomial:
     def __str__(self) -> str:
         items = sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
         return render_terms(items, self.variables, "*")
-
-
-def decimal_text(value: Scalar) -> str:
-    """``str(value)``, refusing an integer past Python's int-string limit in plain words.
-
-    The ValueError names the digit count, found without converting: the
-    estimate bit_length * 1233 >> 12 (1233 / 4096 < log10 2) is at most
-    the count and is raised to it by comparison with powers of ten.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        n = max(abs(value.numerator), value.denominator)
-        digits = n.bit_length() * 1233 >> 12
-        while 10**digits <= n:
-            digits += 1
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(f"an integer of {digits} digits, over the {limit}-digit limit for writing it") from None
-
-
-def render_terms(items: Iterable[tuple[Exponent, Scalar]], names: Sequence[str], joiner: str) -> str:
-    """Write (exponent, coefficient) pairs, in the order given, as a sum.
-
-    A magnitude other than 1 and the ``name^e`` factors of a term are
-    joined by ``joiner``; the empty sum is "0".
-    """
-    chunks: list[str] = []
-    for exp, coeff in items:
-        magnitude = abs(coeff)
-        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exp) if e]
-        if magnitude != 1 or not factors:
-            factors.insert(0, decimal_text(magnitude))
-        chunks.append((" - " if coeff < 0 else " + ") + joiner.join(factors))
-    text = "".join(chunks)
-    if not text:
-        return "0"
-    return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
 
 class PolyIdeal:

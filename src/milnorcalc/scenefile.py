@@ -37,7 +37,6 @@ import sys
 from typing import Optional
 
 from .chow import AmbientSpace, ChowClass
-from .polynomials import GREVLEX, PolyParseError, _layout, parse_polynomial
 from .scenes import ConstructibleFunction, StrataScene, Stratum
 
 _SCENE_KEYS = {"name", "ambient", "degrees", "polynomial", "variables", "chart", "smooth", "strata", "mu"}
@@ -50,6 +49,8 @@ class SceneFileError(ValueError):
 
 def default_variables(n: int) -> tuple[str, ...]:
     """Variable names for P^n: x, y, z, w up to P^3, x0..xn beyond, refused past the variable limit."""
+    from .polynomials import GREVLEX, _layout
+
     _layout(n + 1, GREVLEX)
     if n <= 3:
         return ("x", "y", "z", "w")[: n + 1]
@@ -183,6 +184,9 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         )
         text = data["polynomial"]
         _require(isinstance(text, str), "polynomial must be a string")
+        # Imported with the first polynomial, so that other scenes never load the engine.
+        from .polynomials import PolyParseError, parse_polynomial
+
         try:
             polynomial = parse_polynomial(text, variables or default_variables(ambient.dim))
         except PolyParseError as exc:

@@ -13,7 +13,7 @@ Euler-characteristic data is user input; values computed by the
 polynomial engine (total Milnor numbers) only populate vanishing-cycle
 functions, so ``chi_c``/``closure_chi`` may be absent on engine-built
 strata.  A ``StrataScene`` is checked by ``validate_scene`` when it is
-built, ``dataclasses.replace`` included, so every scene is valid.  Dims
+built, ``StrataScene.replace`` included, so every scene is valid.  Dims
 fall along every parent edge, so one pass over the strata by falling dim
 builds what the scene keeps: ``index`` (id to stratum), ``upsets`` (id to
 the strata whose closures contain it, itself included) and ``peel_order``
@@ -24,52 +24,60 @@ cycles read them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional
+from typing import TYPE_CHECKING, Mapping, Optional
 
-from .chow import AmbientSpace, ChowClass
-from .polynomials import Polynomial, _is_int
+from .chow import AmbientSpace, ChowClass, _is_int, _Record
+
+if TYPE_CHECKING:
+    from .polynomials import Polynomial
 
 
 class SceneValidationError(ValueError):
     """The scene data is structurally inconsistent."""
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(_Record):
     """One locally closed stratum of a scene."""
 
-    id: str
-    dim: int
-    chi_c: Optional[int] = None
-    closure_chi: Optional[int] = None
-    csm_class: Optional[ChowClass] = None
-    parents: tuple[str, ...] = ()
+    __slots__ = _fields = ("id", "dim", "chi_c", "closure_chi", "csm_class", "parents")
+
+    def __init__(self, id: str, dim: int, chi_c: Optional[int] = None, closure_chi: Optional[int] = None,
+                 csm_class: Optional[ChowClass] = None, parents: tuple[str, ...] = ()):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "chi_c", chi_c)
+        object.__setattr__(self, "closure_chi", closure_chi)
+        object.__setattr__(self, "csm_class", csm_class)
+        object.__setattr__(self, "parents", parents)
 
 
-@dataclass(frozen=True)
-class StrataScene:
+class StrataScene(_Record):
     """A stratified subvariety of a product of projective spaces.
 
-    The fields after ``name`` hold what ``validate_scene`` returns; they
+    The slots after ``name`` hold what ``validate_scene`` returns; they
     are left out of ``==``, the hash and the repr.
     """
 
-    ambient: AmbientSpace
-    multidegrees: tuple[tuple[int, ...], ...]
-    strata: tuple[Stratum, ...] = ()
-    defining_polynomial: Optional[Polynomial] = None
-    chart: Optional[str] = None
-    name: str = ""
-    index: dict[str, Stratum] = field(init=False, repr=False, compare=False)
-    upsets: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
-    peel_order: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _fields = ("ambient", "multidegrees", "strata", "defining_polynomial", "chart", "name")
+    __slots__ = _fields + ("index", "upsets", "peel_order")
 
-    def __post_init__(self):
+    def __init__(self, ambient: AmbientSpace, multidegrees: tuple[tuple[int, ...], ...],
+                 strata: tuple[Stratum, ...] = (), defining_polynomial: Optional[Polynomial] = None,
+                 chart: Optional[str] = None, name: str = ""):
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "multidegrees", multidegrees)
+        object.__setattr__(self, "strata", strata)
+        object.__setattr__(self, "defining_polynomial", defining_polynomial)
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "name", name)
         # Looked up at call time, so a wrapper installed on the module runs.
         for name, value in zip(("index", "upsets", "peel_order"), validate_scene(self)):
             object.__setattr__(self, name, value)
+
+    def replace(self, **changes) -> StrataScene:
+        """A copy with the given fields changed, validated as it is built."""
+        return StrataScene(**{**{name: getattr(self, name) for name in self._fields}, **changes})
 
 
 def _upsets(index: dict[str, Stratum], order: tuple[str, ...]) -> dict[str, frozenset[str]]:
@@ -183,24 +191,23 @@ def validate_scene(
     return index, ups, order
 
 
-@dataclass(frozen=True)
-class ConstructibleFunction:
+class ConstructibleFunction(_Record):
     """An integer constructible function on a scene.
 
     ``values`` maps stratum ids to the nonzero values of the function on
     those strata, read-only; missing ids mean zero.
     """
 
-    scene: StrataScene
-    values: Mapping[str, int] = field(default_factory=dict)
+    __slots__ = _fields = ("scene", "values")
 
-    def __post_init__(self):
-        for stratum_id, value in self.values.items():
-            if stratum_id not in self.scene.index:
+    def __init__(self, scene: StrataScene, values: Mapping[str, int] = MappingProxyType({})):
+        for stratum_id, value in values.items():
+            if stratum_id not in scene.index:
                 raise SceneValidationError(f"mu names unknown stratum {stratum_id!r}")
             if not _is_int(value):
                 raise TypeError(f"value on stratum {stratum_id!r} must be an int, not {type(value).__name__}")
-        object.__setattr__(self, "values", MappingProxyType({k: v for k, v in self.values.items() if v != 0}))
+        object.__setattr__(self, "scene", scene)
+        object.__setattr__(self, "values", MappingProxyType({k: v for k, v in values.items() if v != 0}))
 
     def is_zero(self) -> bool:
         return not self.values

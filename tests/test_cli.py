@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-import milnorcalc.charclasses as charclasses
 import milnorcalc.cli as cli
+import milnorcalc.groebner as groebner
 from milnorcalc.charclasses import CheckResult, build_report
 from milnorcalc.chow import ChowClass
 from milnorcalc.cli import main
@@ -176,7 +176,7 @@ class TestReport:
         def engine(*args, **kwargs):
             raise AssertionError("the Milnor number was computed before --m was checked")
 
-        monkeypatch.setattr(charclasses, "total_milnor_number", engine)
+        monkeypatch.setattr(groebner, "total_milnor_number", engine)
         data = json.loads(pathlib.Path(NODAL).read_text())
         del data["strata"]
         code, out, err = run(capsys, "report", write_scene(tmp_path, data), "--m", "0")
@@ -213,7 +213,7 @@ class TestReport:
         def engine(*args, **kwargs):
             raise AssertionError("the Milnor number was computed for a scene with two degrees")
 
-        monkeypatch.setattr(charclasses, "total_milnor_number", engine)
+        monkeypatch.setattr(groebner, "total_milnor_number", engine)
         without_strata = {k: v for k, v in self.TWO_DEGREE_CONIC.items() if k != "strata"}
         for data in (self.TWO_DEGREE_CONIC, without_strata):
             code, out, err = run(capsys, "report", write_scene(tmp_path, data))
@@ -329,6 +329,7 @@ class TestCheck:
             "defect_codim1: pass",
             "pushdown_m1: pass",
             "lci_m1: pass",
+            "euler_strata: pass  (strata give 1, classes give 1)",
         ]
 
     def test_selected_checks(self, capsys):
@@ -416,9 +417,26 @@ class TestCheck:
         assert assert_canonical(out) == {
             "euler_strata": {"pass": False, "detail": "strata give 1, classes give 2"}
         }
+        # The default selection, all, runs euler_strata whenever the report has it.
         code, out, _ = run(capsys, "check", str(path))
-        assert code == 0
-        assert "euler_strata" not in out
+        assert code == 1
+        assert out.splitlines()[-1] == f"euler_strata: FAIL  {detail}"
+
+    def test_all_checks_fail_on_strata_that_disagree_with_the_classes(self, tmp_path, capsys):
+        # A curve stratum whose csm class has degree 2 while its chi_c is 1:
+        # every scene rule holds, and only euler_strata can see the fault.
+        curve = {"id": "c", "dim": 1, "chi_c": 1, "closure_chi": 1, "csm": {"1": 1, "2": 1}}
+        path = write_scene(tmp_path, {"ambient": [2], "degrees": [[3]], "strata": [curve], "mu": {"c": 1}})
+        code, out, _ = run(capsys, "report", path)
+        assert code == 0 and "  euler_strata: FAIL  (strata give 1, classes give 2)" in out.splitlines()
+        for argv in (["check", path], ["check", path, "--checks", "all"], ["--quiet", "check", path]):
+            code, out, _ = run(capsys, *argv)
+            assert code == 1
+        code, out, _ = run(capsys, "--json", "check", path)
+        assert code == 1
+        payload = assert_canonical(out)
+        assert sorted(payload) == ["defect_codim1", "euler_strata", "lci_m1", "pushdown_m1", "verdier_m1"]
+        assert payload["euler_strata"] == {"pass": False, "detail": "strata give 1, classes give 2"}
 
     def test_check_needing_one_multidegree_is_not_passed(self, tmp_path, capsys):
         path = write_scene(tmp_path, {"ambient": [3], "degrees": [[2], [2]], "smooth": True})
@@ -457,7 +475,7 @@ class TestMilnor:
         def engine(F, chart, cancel):
             return MilnorResult(2**63, "z", -(2**63))
 
-        monkeypatch.setattr(cli, "total_milnor_number", engine)
+        monkeypatch.setattr(groebner, "total_milnor_number", engine)
         code, out, _ = run(capsys, "--json", "milnor", "--poly", "x^2", "--vars", "x,y,z", "--chart", "z")
         payload = assert_canonical(out)
         assert code == 0

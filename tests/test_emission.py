@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from milnorcalc.charclasses import canonical_json
 from milnorcalc.chow import AmbientSpace, ChowClass
-from milnorcalc.polynomials import decimal_text
+from milnorcalc.chow import decimal_text
 
 INT64 = range(-(2**63), 2**63)
 

@@ -1,0 +1,73 @@
+"""What a fresh interpreter imports: a command loads only what it runs.
+
+Each case starts a new interpreter without bytecode writing, imports
+``milnorcalc`` and ``milnorcalc.cli``, runs at most one command through
+``main``, and reports the exit code, the stdout and which of ``HEAVY``
+are in ``sys.modules`` afterwards.  A bare interpreter holds none of them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCENES = ROOT / "scenes"
+GOLDENS = json.loads((ROOT / "perfbench" / "goldens" / "corpus.json").read_text(encoding="utf-8"))
+# The Groebner engine, what it alone imports, and the module no command needs.
+HEAVY = ("milnorcalc.groebner", "milnorcalc.linalg", "milnorcalc.polynomials", "fractions", "dataclasses")
+CHILD = """
+import contextlib, io, json, sys
+import milnorcalc, milnorcalc.cli
+argv, out = sys.argv[1:], io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = milnorcalc.cli.main(argv) if argv else None
+heavy = [name for name in json.loads(sys.stdin.read()) if name in sys.modules]
+print(json.dumps({"code": code, "stdout": out.getvalue(), "heavy": heavy}))
+"""
+TABLE = """chi of a smooth degree-d hypersurface in P^n
+n\\d     1     2     3     4
+1       1     2     3     4
+2       2     2     0    -4
+3       3     4     9    24
+4       4     4    -6   -56
+"""
+
+
+def run_fresh(*argv):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", CHILD, *argv],
+        input=json.dumps(HEAVY), capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def test_a_bare_interpreter_holds_none_of_the_heavy_modules():
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert set(HEAVY).isdisjoint(json.loads(done.stdout))
+
+
+def test_importing_the_package_and_the_cli_loads_no_engine():
+    assert run_fresh() == {"code": None, "stdout": "", "heavy": []}
+
+
+@pytest.mark.parametrize("scene", ["smooth-conic.json", "reducible-quadric-surface.json"])
+def test_a_report_without_a_polynomial_loads_no_engine(scene):
+    result = run_fresh("--json", "report", str(SCENES / scene))
+    assert result == {"code": 0, "stdout": GOLDENS[f"{scene} --m 1"], "heavy": []}
+
+
+def test_a_table_loads_no_engine():
+    assert run_fresh("table") == {"code": 0, "stdout": TABLE, "heavy": []}
+
+
+def test_a_polynomial_scene_loads_the_engine():
+    result = run_fresh("--json", "report", str(SCENES / "nodal-cubic.json"))
+    assert result == {"code": 0, "stdout": GOLDENS["nodal-cubic.json --m 1"], "heavy": list(HEAVY[:4])}
