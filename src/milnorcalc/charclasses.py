@@ -175,10 +175,7 @@ class CheckResult(_Record):
     __slots__ = _fields = ("name", "passed", "residual", "detail")
 
     def __init__(self, name: str, passed: bool, residual: Optional[ChowClass] = None, detail: str = ""):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "residual", residual)
-        object.__setattr__(self, "detail", detail)
+        _Record.__init__(self, name, passed, residual, detail)
 
 
 def _result(name: str, residual: ChowClass, detail: str = "") -> CheckResult:
@@ -266,10 +263,8 @@ class ClassReport(_Record):
     def __init__(self, scene: StrataScene, mu: ConstructibleFunction, fulton_johnson: ChowClass,
                  milnor_class: ChowClass, csm: ChowClass, euler: int, localization: list[tuple[str, ChowClass]],
                  checks: Optional[dict[str, CheckResult]] = None, milnor_data: Optional[MilnorResult] = None):
-        self.scene, self.mu, self.euler, self.localization = scene, mu, euler, localization
-        self.fulton_johnson, self.milnor_class, self.csm = fulton_johnson, milnor_class, csm
-        self.checks = {} if checks is None else checks
-        self.milnor_data = milnor_data
+        checks = {} if checks is None else checks
+        _Record.__init__(self, scene, mu, fulton_johnson, milnor_class, csm, euler, localization, checks, milnor_data)
 
 
 def build_report(

@@ -41,6 +41,7 @@ if TYPE_CHECKING:
     from .polynomials import Scalar
 
 Exponent = tuple[int, ...]
+_set = object.__setattr__  # how _Record.__init__ sets a slot past the refusing __setattr__
 
 
 def _is_int(value) -> bool:
@@ -87,10 +88,14 @@ def render_terms(items: Iterable[tuple[Exponent, Scalar]], names: Sequence[str],
 class _Record:
     """A frozen record: equal only to a record of its own class with equal
     ``_fields``, hashed and shown by them, and refusing assignment.  Its
-    constructor checks its arguments and sets each slot with ``object.__setattr__``."""
+    constructor checks its arguments and ends in ``_Record.__init__``."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        # Sets the slots of _fields to values, in order; each set returns None, so any() runs them all.
+        any(map(_set, repeat(self), self._fields, values))
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -128,7 +133,7 @@ class AmbientSpace(_Record):
             raise ValueError("an ambient space needs at least one factor")
         if any(n < 0 for n in factors):
             raise ValueError("factor dimensions must be nonnegative")
-        object.__setattr__(self, "factors", factors)
+        _Record.__init__(self, factors)
 
     @property
     def dim(self) -> int:

@@ -236,8 +236,7 @@ class GroebnerBasis(_Record):
     __slots__ = _fields + ("__dict__",)
 
     def __init__(self, variables: tuple[str, ...], _reduced: dict[int, dict[int, Fraction]]):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "_reduced", _reduced)
+        _Record.__init__(self, variables, _reduced)
 
     def __hash__(self):
         return hash((self.variables,))
@@ -371,9 +370,7 @@ class MilnorResult(_Record):
     __slots__ = _fields = ("total_milnor", "chart", "off_curve_dim")
 
     def __init__(self, total_milnor: int, chart: str, off_curve_dim: int):
-        object.__setattr__(self, "total_milnor", total_milnor)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "off_curve_dim", off_curve_dim)
+        _Record.__init__(self, total_milnor, chart, off_curve_dim)
 
 
 def _validate_chart(f: Polynomial, degree: int, cancel: Optional[CancelCallback]) -> None:

@@ -44,12 +44,7 @@ class Stratum(_Record):
 
     def __init__(self, id: str, dim: int, chi_c: Optional[int] = None, closure_chi: Optional[int] = None,
                  csm_class: Optional[ChowClass] = None, parents: tuple[str, ...] = ()):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "chi_c", chi_c)
-        object.__setattr__(self, "closure_chi", closure_chi)
-        object.__setattr__(self, "csm_class", csm_class)
-        object.__setattr__(self, "parents", parents)
+        _Record.__init__(self, id, dim, chi_c, closure_chi, csm_class, parents)
 
 
 class StrataScene(_Record):
@@ -65,12 +60,7 @@ class StrataScene(_Record):
     def __init__(self, ambient: AmbientSpace, multidegrees: tuple[tuple[int, ...], ...],
                  strata: tuple[Stratum, ...] = (), defining_polynomial: Optional[Polynomial] = None,
                  chart: Optional[str] = None, name: str = ""):
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "multidegrees", multidegrees)
-        object.__setattr__(self, "strata", strata)
-        object.__setattr__(self, "defining_polynomial", defining_polynomial)
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "name", name)
+        _Record.__init__(self, ambient, multidegrees, strata, defining_polynomial, chart, name)
         # Looked up at call time, so a wrapper installed on the module runs.
         for name, value in zip(("index", "upsets", "peel_order"), validate_scene(self)):
             object.__setattr__(self, name, value)
@@ -206,8 +196,7 @@ class ConstructibleFunction(_Record):
                 raise SceneValidationError(f"mu names unknown stratum {stratum_id!r}")
             if not _is_int(value):
                 raise TypeError(f"value on stratum {stratum_id!r} must be an int, not {type(value).__name__}")
-        object.__setattr__(self, "scene", scene)
-        object.__setattr__(self, "values", MappingProxyType({k: v for k, v in values.items() if v != 0}))
+        _Record.__init__(self, scene, MappingProxyType({k: v for k, v in values.items() if v != 0}))
 
     def is_zero(self) -> bool:
         return not self.values
