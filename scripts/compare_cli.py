@@ -14,7 +14,7 @@ list holds:
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
   scene with user mu on a product ambient, on a curve scene whose strata
-  and classes disagree (``EULER_MISMATCH_SCENE``), on thirty-five scenes
+  and classes disagree (``EULER_MISMATCH_SCENE``), on thirty-seven scenes
   that exit 2 and on one that exits 3;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
@@ -39,7 +39,7 @@ list holds:
   computed before, so that they are answered from the memo of
   ``total_milnor_number``.
 
-With the nine corpus scenes that makes 1,500 invocations.
+With the nine corpus scenes that makes 1,530 invocations.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -237,7 +237,8 @@ EULER_MISMATCH_SCENE = {
 # and as a csm exponent key, an exponent over the limit of 32,767, and
 # two csm keys for one exponent.  After these, one scene for each rule
 # that ties a scene's fields together, each with that one fault: a zero
-# multidegree, a multidegree longer than the ambient, a polynomial on a
+# multidegree, a multidegree nonzero on P^0 factors alone, smooth and with
+# a polynomial, a multidegree longer than the ambient, a polynomial on a
 # product, a chart that names no variable, a zero polynomial, one that
 # is not homogeneous, a cubic declared of degree 4, a polynomial with
 # mu, and mu on a stratum the scene does not have.  Last, one scene for
@@ -269,6 +270,8 @@ INVALID_SCENES = {
         "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"2": 1, "02": 5})], "mu": {"p": 1},
     },
     "zero-degree": {"ambient": [2], "degrees": [[0]], "smooth": True},
+    "degree-on-a-point-factor": {"ambient": [2, 0], "degrees": [[0, 3]], "smooth": True},
+    "polynomial-on-a-point": {"ambient": [0], "degrees": [[1]], "polynomial": "x", "chart": "x"},
     "degree-longer-than-ambient": {"ambient": [2], "degrees": [[3, 1]], "smooth": True},
     "polynomial-on-product": {"ambient": [1, 1], "degrees": [[1, 1]], "polynomial": "x*y", "chart": "y"},
     "unknown-chart": dict(NODAL_CUBIC, chart="q"),

@@ -7,13 +7,15 @@ a raw polynomial, and ``table`` tabulates Euler characteristics of
 smooth hypersurfaces.  Exit codes: 0 success, 1 failed checks, 2
 invalid input, 3 a math-level obstruction such as non-isolated
 singularities.  Each ``cmd_*`` returns its exit code and its whole
-output; ``main`` alone writes stdout, after the command has returned.
+output; ``main`` alone writes stdout, after the command has returned,
+and a reader that closes stdout early leaves that exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -230,7 +232,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         obstructions = (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError)
         return EXIT_MATH if isinstance(exc, obstructions) else EXIT_INVALID
     if not args.quiet:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # The reader closed stdout: what is left unwritten goes to devnull, so that
+            # the interpreter's flush at exit raises nothing (the Python docs' note on SIGPIPE).
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

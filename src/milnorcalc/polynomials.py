@@ -51,6 +51,10 @@ _TOO_BIG = f"exponents and degrees above {_LIMIT} are beyond the Groebner engine
 # allocated: its n packed units are of about 16(n + 1) bits each, so a
 # layout grows with the square of n (2 MB at the limit).
 _MAX_VARIABLES = 1000
+# Layouts kept at once, so that a process meeting many variable counts holds
+# at most 16 x 2.2 MB.  A polynomial in n variables meets the grevlex layouts
+# of n and n - 1 (and ``ideal_quotient`` the elimination one of n + 1).
+_LAYOUT_CACHE_SIZE = 16
 
 
 class _Layout(NamedTuple):
@@ -67,7 +71,7 @@ class _Layout(NamedTuple):
     key: Callable[[int], int]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
 def _layout(nvars: int, order: str) -> _Layout:
     if nvars > _MAX_VARIABLES:
         raise ValueError(f"a polynomial in {nvars} variables is over the limit of {_MAX_VARIABLES} variables")

@@ -121,6 +121,8 @@ def validate_scene(
             raise SceneValidationError("a multidegree must be nonzero")
         if any(d < 0 for d in multidegree):
             raise SceneValidationError("multidegree entries must be nonnegative")
+        if not any(d for d, n in zip(multidegree, scene.ambient.factors) if n):
+            raise SceneValidationError("a multidegree must be nonzero on a factor P^n with n > 0: P^0 has no hypersurface")
     if scene.defining_polynomial is not None:
         _check_polynomial(scene)
     index = {s.id: s for s in scene.strata}

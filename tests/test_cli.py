@@ -783,3 +783,36 @@ class TestParser:
         assert alone[3] == (0, "", "")
         assert "total milnor number: 1 (chart z)" in alone[-1][1]
         assert json.loads(alone[0][1])["mu"] == {"singular_points": -1}
+
+
+def run_into_closed_pipe(*argv):
+    """``python -m milnorcalc.cli argv`` with stdout a pipe whose reading end
+    is closed before the child starts, so that its first write fails as
+    under ``| head`` once head has gone.  Returns (code, stderr)."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "milnorcalc.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    return done.returncode, done.stderr
+
+
+class TestClosedStdout:
+    # A reader that closes stdout early leaves no traceback, and the exit
+    # code stays the command's own: 1 is kept for a failed check.
+    def test_a_command_that_succeeds_exits_0(self):
+        assert run_into_closed_pipe("table") == (0, "")
+        assert run_into_closed_pipe("table", "--nmax", "60", "--dmax", "60") == (0, "")
+        assert run_into_closed_pipe("--json", "report", str(SCENES / "one-nodal-quartic-surface.json"), "--m", "3") == (0, "")
+
+    def test_a_failed_check_still_exits_1(self, tmp_path):
+        # The euler-mismatch scene of scripts/compare_cli.py.
+        curve = {"id": "c", "dim": 1, "chi_c": 1, "closure_chi": 1, "csm": {"1": 1, "2": 1}}
+        path = write_scene(tmp_path, {"ambient": [2], "degrees": [[3]], "strata": [curve], "mu": {"c": 1}})
+        assert run_into_closed_pipe("check", path) == (1, "")
+        assert run_into_closed_pipe("--json", "check", path) == (1, "")

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import milnorcalc.polynomials as polynomial_module
 from milnorcalc.groebner import dehomogenize
 from milnorcalc.polynomials import (
     _LIMIT,
@@ -205,6 +206,16 @@ class TestVariableBudget:
             parse_polynomial("x0", names)
         with pytest.raises(ValueError, match=message):
             Polynomial(names, {(1,) + (0,) * 1000: 1})
+
+    def test_a_process_keeps_a_bounded_number_of_layouts(self):
+        # A layout grows with the square of its variable count, so a process
+        # that meets 100 counts keeps only the last _LAYOUT_CACHE_SIZE layouts.
+        polynomial_module._layout.cache_clear()
+        for n in range(1, 101):
+            assert parse_polynomial("x0^2", [f"x{i}" for i in range(n)]).total_degree() == 2
+        info = polynomial_module._layout.cache_info()
+        assert info.misses == 100 and info.maxsize == polynomial_module._LAYOUT_CACHE_SIZE == 16
+        assert info.currsize == polynomial_module._LAYOUT_CACHE_SIZE
 
 
 class TestArithmetic:

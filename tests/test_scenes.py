@@ -104,6 +104,26 @@ class TestValidation:
         validate_scene(two_stratum_scene())
         validate_scene(chain_scene())
 
+    def test_a_multidegree_on_point_factors_alone_is_refused_in_the_users_terms(self):
+        # The divisor of such a multidegree is zero, since H = 0 on P^0.  The
+        # rule names the multidegree the user wrote, not fulton_johnson's
+        # "zero multidegree" or the smooth_locus stratum the reader makes.
+        message = "a multidegree must be nonzero on a factor P^n with n > 0: P^0 has no hypersurface"
+        files = (
+            {"ambient": [2, 0], "degrees": [[0, 3]], "smooth": True},
+            {"ambient": [0], "degrees": [[1]], "polynomial": "x", "chart": "x"},
+        )
+        for data in files:
+            with pytest.raises(SceneFileError) as refused:
+                scene_from_dict(data)
+            assert str(refused.value) == message
+        for factors, degrees in (((2, 0), ((0, 3),)), ((0,), ((1,),)), ((0, 0), ((1, 1),)), ((1,), ((1,), (0,)))):
+            with pytest.raises(SceneValidationError) as refused:
+                StrataScene(ambient=AmbientSpace(factors), multidegrees=degrees)
+            assert str(refused.value) == (message if all(map(any, degrees)) else "a multidegree must be nonzero")
+        # A P^0 entry beside a nonzero one on P^2 is allowed: its divisor is 3H.
+        assert StrataScene(ambient=AmbientSpace((2, 0)), multidegrees=((3, 2),)).multidegrees == ((3, 2),)
+
     def test_a_dim_is_at_most_that_of_the_variety(self):
         with pytest.raises(SceneValidationError, match="stratum 'curve': dim 2 is more than 1, the dim of the variety"):
             scene_of([Stratum(id="curve", dim=2)])
