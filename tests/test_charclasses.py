@@ -87,6 +87,10 @@ class TestFultonJohnson:
     def test_zero_multidegree_rejected(self):
         with pytest.raises(ValueError, match="zero multidegree"):
             fulton_johnson(P2, [(0,)])
+        # A library caller gets the same refusal for a degree on P^0 alone,
+        # which a scene refuses in its own words.
+        with pytest.raises(ValueError, match="zero multidegree"):
+            fulton_johnson(AmbientSpace((2, 0)), [(0, 3)])
         with pytest.raises(ValueError):
             fulton_johnson(P2, [])
 

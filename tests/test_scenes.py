@@ -61,6 +61,9 @@ def chain_scene():
     )
 
 
+POINT_FACTORS = "a multidegree must be nonzero on a factor P^n with n > 0: P^0 has no hypersurface"
+
+
 def point_scene():
     return scene_of([Stratum(id="pt", dim=0, chi_c=1, closure_chi=1)], degree=1)
 
@@ -105,22 +108,12 @@ class TestValidation:
         validate_scene(chain_scene())
 
     def test_a_multidegree_on_point_factors_alone_is_refused_in_the_users_terms(self):
-        # The divisor of such a multidegree is zero, since H = 0 on P^0.  The
-        # rule names the multidegree the user wrote, not fulton_johnson's
-        # "zero multidegree" or the smooth_locus stratum the reader makes.
-        message = "a multidegree must be nonzero on a factor P^n with n > 0: P^0 has no hypersurface"
-        files = (
-            {"ambient": [2, 0], "degrees": [[0, 3]], "smooth": True},
-            {"ambient": [0], "degrees": [[1]], "polynomial": "x", "chart": "x"},
-        )
-        for data in files:
-            with pytest.raises(SceneFileError) as refused:
-                scene_from_dict(data)
-            assert str(refused.value) == message
+        # Its divisor is zero, since H = 0 on P^0; the all-zero multidegree
+        # keeps its own message.
         for factors, degrees in (((2, 0), ((0, 3),)), ((0,), ((1,),)), ((0, 0), ((1, 1),)), ((1,), ((1,), (0,)))):
             with pytest.raises(SceneValidationError) as refused:
                 StrataScene(ambient=AmbientSpace(factors), multidegrees=degrees)
-            assert str(refused.value) == (message if all(map(any, degrees)) else "a multidegree must be nonzero")
+            assert str(refused.value) == (POINT_FACTORS if all(map(any, degrees)) else "a multidegree must be nonzero")
         # A P^0 entry beside a nonzero one on P^2 is allowed: its divisor is 3H.
         assert StrataScene(ambient=AmbientSpace((2, 0)), multidegrees=((3, 2),)).multidegrees == ((3, 2),)
 
@@ -299,6 +292,19 @@ FIELD_RULES = {
         {"ambient": [2], "degrees": [[0]], "smooth": True},
         lambda: StrataScene(ambient=P2, multidegrees=((0,),)),
         "a multidegree must be nonzero",
+    ),
+    # Nonzero multidegrees whose divisor is zero, since H = 0 on P^0.
+    "multidegree-on-point-factors": (
+        {"ambient": [2, 0], "degrees": [[0, 3]], "smooth": True},
+        lambda: StrataScene(ambient=AmbientSpace((2, 0)), multidegrees=((0, 3),)),
+        POINT_FACTORS,
+    ),
+    "polynomial-on-a-point": (
+        {"ambient": [0], "degrees": [[1]], "polynomial": "x", "chart": "x"},
+        lambda: StrataScene(
+            ambient=AmbientSpace((0,)), multidegrees=((1,),), defining_polynomial=parse_polynomial("x", ("x",)), chart="x",
+        ),
+        POINT_FACTORS,
     ),
     "multidegree-length": (
         {"ambient": [2], "degrees": [[3, 1]], "smooth": True},
