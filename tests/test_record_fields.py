@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from milnorcalc.charclasses import CheckResult, ClassReport
-from milnorcalc.chow import AmbientSpace, ChowClass, hyperplane
+from milnorcalc.chow import AmbientSpace, hyperplane
 from milnorcalc.groebner import GroebnerBasis, MilnorResult
 from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import ConstructibleFunction, StrataScene, Stratum
