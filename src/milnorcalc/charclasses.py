@@ -125,8 +125,7 @@ def resolve_mu(
     User-supplied values are taken as given, and refused on a polynomial
     scene, whose values the engine computes.  Otherwise a defining
     polynomial is run through the Milnor-number engine in the scene's
-    chart, or the last variable when it names none; otherwise the scene
-    is taken to be smooth and mu is zero.  A polynomial scene without
+    chart; otherwise the scene is taken to be smooth and mu is zero.  A polynomial scene without
     strata gets the default ones: the smooth locus, and a point stratum when
     the total is nonzero.  The total goes on that point stratum, or on the
     one zero-dimensional stratum of the given strata, with the sign
@@ -145,8 +144,7 @@ def resolve_mu(
     # Imported with the first polynomial, so that other scenes never load the engine.
     from .groebner import total_milnor_number
 
-    chart = scene.chart if scene.chart is not None else F.variables[-1]
-    result = total_milnor_number(F, chart, cancel)
+    result = total_milnor_number(F, scene.chart, cancel)
     if scene.strata:
         points = [s.id for s in scene.strata if s.dim == 0]
     else:
@@ -156,7 +154,7 @@ def resolve_mu(
         if result.total_milnor != 0:
             point = ChowClass.point(scene.ambient)
             strata.append(Stratum(id=SINGULAR_STRATUM, dim=0, csm_class=point, parents=parents))
-        scene = scene.replace(strata=tuple(strata), chart=result.chart)
+        scene = scene.replace(strata=tuple(strata))
         points = [SINGULAR_STRATUM]
     if result.total_milnor == 0:
         return scene, ConstructibleFunction(scene, {}), result

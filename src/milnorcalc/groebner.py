@@ -40,7 +40,6 @@ from .polynomials import (
     GREVLEX,
     PolyIdeal,
     Polynomial,
-    _is_int,
     _Layout,
     _layout,
     _pack,
@@ -335,18 +334,11 @@ def saturate(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] =
         current = PolyIdeal(basis)
 
 
-def _chart_index(F: Polynomial, chart: Union[int, str]) -> int:
-    """Position of the chart variable, given by name or by index."""
-    if chart in F.variables:
-        return F.variables.index(chart)
-    if _is_int(chart) and 0 <= chart < len(F.variables):
-        return chart
-    raise ValueError(f"chart {chart!r} is not one of the variables {', '.join(F.variables)}")
-
-
-def dehomogenize(F: Polynomial, chart: Union[int, str]) -> Polynomial:
-    """Set the chart variable to 1 and drop it from the variable list."""
-    idx = _chart_index(F, chart)
+def dehomogenize(F: Polynomial, chart: str) -> Polynomial:
+    """Set the chart variable, named by ``chart``, to 1 and drop it from the variable list."""
+    if chart not in F.variables:
+        raise ValueError(f"chart {chart!r} is not one of the variables {', '.join(F.variables)}")
+    idx = F.variables.index(chart)
     remaining = F.variables[:idx] + F.variables[idx + 1 :]
     # On grevlex the fields of x_0, x_1, ... rise from bit 0 with the degree
     # on top: the fields above the chart's move down one, taking off its power.
@@ -432,11 +424,8 @@ def _multiplication_rows(f: dict, basis: GroebnerBasis, monomials: list[int]) ->
     return [{j: v * (scale // d) for j, v in row.items()} for row, d in rows.values()], scale
 
 
-# typed: a chart given as True or 1.0 is refused, not read as 1 from memory.
-@functools.lru_cache(maxsize=_MILNOR_CACHE_SIZE, typed=True)
-def total_milnor_number(
-    F: Polynomial, chart: Union[int, str], cancel: Optional[CancelCallback] = None
-) -> MilnorResult:
+@functools.lru_cache(maxsize=_MILNOR_CACHE_SIZE)
+def total_milnor_number(F: Polynomial, chart: str, cancel: Optional[CancelCallback] = None) -> MilnorResult:
     """Sum the Milnor numbers of a hypersurface with isolated singularities.
 
     ``F`` must be homogeneous of positive degree and all its singular
@@ -462,16 +451,14 @@ def total_milnor_number(
     degree = F.total_degree()
     if degree < 1:
         raise ValueError("polynomial degree must be at least 1")
-    chart_index = _chart_index(F, chart)
-    chart_name = F.variables[chart_index]
-    f = dehomogenize(F, chart_index)
+    f = dehomogenize(F, chart)
     # F is homogeneous, so each term of f keeps the degree of F less
     # the power of the chart variable: the restriction to the
     # hyperplane is read from the degree field.
     if f.is_constant():
         # The hypersurface misses the chart entirely.
         _validate_chart(f, degree, cancel)
-        return MilnorResult(0, chart_name, 0)
+        return MilnorResult(0, chart, 0)
     jac_basis = groebner(jacobian_ideal(f), cancel=cancel)
     monomials = _standard_monomials(jac_basis)
     if monomials is None:
@@ -479,4 +466,4 @@ def total_milnor_number(
     _validate_chart(f, degree, cancel)
     rows, _ = _multiplication_rows(f._terms, jac_basis, monomials)
     off_curve_dim = _stable_rank(rows, cancel)
-    return MilnorResult(len(monomials) - off_curve_dim, chart_name, off_curve_dim)
+    return MilnorResult(len(monomials) - off_curve_dim, chart, off_curve_dim)

@@ -168,7 +168,6 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
     chart = None
     if "polynomial" in data:
         _require(not smooth, "a smooth scene cannot carry a polynomial")
-        # A null chart is no chart: the scene would fall back on the last variable.
         _require(data.get("chart") is not None, "a polynomial needs a chart variable")
         chart = data["chart"]
         # The variable count is a rule of validate_scene, checked here as

@@ -87,13 +87,15 @@ def _single_multidegree(scene: StrataScene) -> tuple[int, ...]:
 
 def _check_polynomial(scene: StrataScene) -> None:
     """The defining polynomial: one projective space and one multidegree, a variable
-    per coordinate, the chart (when set) among them, nonzero, homogeneous, of that degree."""
+    per coordinate, the chart among them, nonzero, homogeneous, of that degree."""
     F = scene.defining_polynomial
     if len(scene.ambient.factors) != 1:
         raise SceneValidationError("polynomial scenes need a single projective space")
     if len(F.variables) != scene.ambient.dim + 1:
         raise SceneValidationError("variables must list one name per homogeneous coordinate")
-    if scene.chart is not None and scene.chart not in F.variables:
+    if scene.chart is None:
+        raise SceneValidationError("a polynomial needs a chart variable")
+    if scene.chart not in F.variables:
         raise SceneValidationError("chart must name a variable")
     if F.is_zero():
         raise SceneValidationError("the polynomial is zero")

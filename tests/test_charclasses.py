@@ -23,6 +23,7 @@ from milnorcalc.polynomials import parse_polynomial
 from milnorcalc.scenes import (
     SINGULAR_STRATUM,
     ConstructibleFunction,
+    SceneValidationError,
     StrataScene,
     Stratum,
 )
@@ -436,11 +437,11 @@ class TestResolveMu:
         assert report.milnor_class == ChowClass.point(P1) and report.euler == 2
         assert all(check.passed for check in report.checks.values())
 
-    def test_chart_defaults_to_last_variable(self):
+    def test_a_polynomial_scene_names_its_chart(self):
+        # No variable is taken as the chart: a scene without one is refused.
         F = parse_polynomial("y^2*z - x^3", ("x", "y", "z"))
-        scene = StrataScene(ambient=P2, multidegrees=((3,),), defining_polynomial=F)
-        _, _, data = resolve_mu(scene)
-        assert data.chart == "z"
+        with pytest.raises(SceneValidationError, match="^a polynomial needs a chart variable$"):
+            StrataScene(ambient=P2, multidegrees=((3,),), defining_polynomial=F)
 
     def test_plain_scene_is_smooth(self):
         scene = StrataScene(ambient=P2, multidegrees=((2,),))

@@ -412,7 +412,7 @@ def test_dehomogenize_matches_sympy(case, data):
     chart = data.draw(st.integers(0, len(variables) - 1))
     poly, symbols = sympy_poly(text, variables)
     rest = symbols[:chart] + symbols[chart + 1 :]
-    f = dehomogenize(parse_polynomial(text, variables), chart)
+    f = dehomogenize(parse_polynomial(text, variables), variables[chart])
     assert f.variables == variables[:chart] + variables[chart + 1 :]
     assert f.terms == sympy_terms(poly.as_expr().subs(symbols[chart], 1).as_poly(*rest, domain="QQ"))
 

@@ -325,6 +325,11 @@ FIELD_RULES = {
         lambda: nodal_scene(defining_polynomial=parse_polynomial(NODAL_TEXT, ("x", "y", "z", "w"))),
         "variables must list one name per homogeneous coordinate",
     ),
+    "no-chart": (
+        {k: v for k, v in NODAL_FILE.items() if k != "chart"},
+        lambda: nodal_scene(chart=None),
+        "a polynomial needs a chart variable",
+    ),
     "unknown-chart": (dict(NODAL_FILE, chart="q"), lambda: nodal_scene(chart="q"), "chart must name a variable"),
     "zero-polynomial": (
         dict(NODAL_FILE, polynomial="x^3 - x^3"),
@@ -562,10 +567,11 @@ class TestEngineIntegration:
         with pytest.raises(SceneValidationError, match="zero-dimensional"):
             resolve_mu(scene)
 
-    def test_strata_without_chart_use_last_variable(self):
-        # The node of y^2 w - x^3 - x^2 w sits at [0:0:1] in the chart
-        # w = 1; the scene names no chart, so w, the last variable, is used.
-        scene = StrataScene(
+    def test_strata_without_chart_are_refused(self):
+        # The node of y^2 w - x^3 - x^2 w sits at [0:0:1], in the chart
+        # w = 1; the scene names no chart, and w, the last variable, is
+        # not taken for it.
+        fields = dict(
             ambient=P2,
             multidegrees=((3,),),
             strata=(
@@ -574,7 +580,9 @@ class TestEngineIntegration:
             ),
             defining_polynomial=parse_polynomial("y^2*w - x^3 - x^2*w", ("x", "y", "w")),
         )
-        _, mu, result = resolve_mu(scene)
+        with pytest.raises(SceneValidationError, match="^a polynomial needs a chart variable$"):
+            StrataScene(**fields)
+        _, mu, result = resolve_mu(StrataScene(**fields, chart="w"))
         assert result.chart == "w"
         assert result.total_milnor == 1
         assert mu.values == {"node": -1}
