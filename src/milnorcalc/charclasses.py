@@ -160,8 +160,8 @@ def resolve_mu(
         return scene, ConstructibleFunction(scene, {}), result
     if len(points) != 1:
         raise SceneValidationError(
-            "cannot place the computed vanishing cycles: need exactly one "
-            "closed zero-dimensional stratum, or explicit mu values"
+            f"cannot place the computed vanishing cycles: the total Milnor number is "
+            f"{result.total_milnor}, and the scene has {len(points)} zero-dimensional strata, not one"
         )
     sign = -1 if (scene.ambient.dim - 1) % 2 else 1
     return scene, ConstructibleFunction(scene, {points[0]: sign * result.total_milnor}), result

@@ -7,8 +7,9 @@ a raw polynomial, and ``table`` tabulates Euler characteristics of
 smooth hypersurfaces.  Exit codes: 0 success, 1 failed checks, 2
 invalid input, 3 a math-level obstruction such as non-isolated
 singularities.  Each ``cmd_*`` returns its exit code and its whole
-output; ``main`` alone writes stdout, after the command has returned,
-and a reader that closes stdout early leaves that exit code as it is.
+output; ``main`` alone writes stdout and stderr, after the command has
+returned, and a reader that closes either early leaves that exit code
+as it is.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ def _check_keys(report_checks, names: list[str], m: int) -> list[str]:
         wanted = [template.format(m=m) for template in _CHECK_ALIASES[name]]
         found = [key for key in wanted if key in report_checks]
         if not found:
-            needs = "strata with chi_c on every stratum" if wanted == ["euler_strata"] else "one multidegree"
-            raise SceneFileError(f"check {name!r} does not apply to this scene: it needs {needs}")
+            # Every check but euler_strata needs one multidegree; "all" names both needs.
+            euler = "strata with chi_c on every stratum"
+            needs = dict.fromkeys(euler if key == "euler_strata" else "one multidegree" for key in wanted)
+            raise SceneFileError(f"check {name!r} does not apply to this scene: it needs {', or '.join(needs)}")
         for key in found:
             if key not in result:
                 result.append(key)
@@ -122,7 +125,7 @@ def cmd_report(args) -> tuple[int, str]:
 
 def cmd_check(args) -> tuple[int, str]:
     # Check names are validated before any class is computed.
-    names = [raw.strip() for raw in (args.checks or "all").split(",")]
+    names = [raw.strip() for raw in args.checks.split(",")]
     for name in names:
         if name not in _CHECK_ALIASES:
             raise SceneFileError(f"unknown check {name!r}")
@@ -219,6 +222,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, text: str) -> None:
+    """Print ``text`` to ``stream``; a reader that closed it raises nothing."""
+    try:
+        print(text, file=stream, flush=True)
+    except BrokenPipeError:
+        # What is left unwritten goes to devnull, so that the interpreter's
+        # flush at exit raises nothing (the Python docs' note on SIGPIPE).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
@@ -228,16 +243,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # without the engine never loads it.
         from .groebner import NonIsolatedSingularitiesError, SingularitiesOutsideChartError
 
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, f"error: {exc}")
         obstructions = (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError)
         return EXIT_MATH if isinstance(exc, obstructions) else EXIT_INVALID
     if not args.quiet:
-        try:
-            print(text, flush=True)
-        except BrokenPipeError:
-            # The reader closed stdout: what is left unwritten goes to devnull, so that
-            # the interpreter's flush at exit raises nothing (the Python docs' note on SIGPIPE).
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _write(sys.stdout, text)
     return code
 
 

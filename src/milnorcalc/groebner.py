@@ -273,8 +273,8 @@ def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
     return math.inf if monomials is None else len(monomials)
 
 
-# Ideal quotients and saturation are off the report path: kept only as
-# the tests' oracle and because perfbench/tracer.py wraps them.
+# Ideal quotients and saturation are off the report path: kept only
+# because perfbench/tracer.py wraps them, and tested on their own.
 
 
 def ideal_quotient(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None) -> PolyIdeal:

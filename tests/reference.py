@@ -8,8 +8,10 @@ d_k = dim Q[x]/(J + (f^k)) counts, for k large, the Milnor numbers of the
 critical points on the hypersurface only: at a critical point off it, f
 is a unit and the local quotient is zero.  The ideals J + (f^k) shrink as
 k grows, so once d_k = d_{k+1} they are equal from then on, and that d_k
-is the total.  Each dimension is a staircase count: the monomials that no
-leading monomial of a grevlex Groebner basis divides.
+is the total.  ``off_curve_dim`` is dim Q[x]/J less that total, the part
+of Q[x]/J at the critical points off the hypersurface.  Each dimension is
+a staircase count: the monomials that no leading monomial of a grevlex
+Groebner basis divides.
 """
 
 import itertools
@@ -43,15 +45,28 @@ def quotient_dim(generators, symbols):
     return staircase_size(leads, len(symbols))
 
 
-def total_milnor(text, variables, chart):
-    """The total Milnor number of the hypersurface ``text`` = 0 in the
-    chart ``chart`` = 1, ``^`` read as a power."""
+def chart_equation(text, variables, chart):
+    """(f, its variables, its partials) for the hypersurface ``text`` = 0
+    in the chart ``chart`` = 1, ``^`` read as a power."""
     symbols = sympy.symbols(variables)
     names = dict(zip(variables, symbols))
     f = sympy.expand(sympy.sympify(text.replace("^", "**"), locals=names).subs(names[chart], 1))
     affine = [s for s in symbols if s != names[chart]]
-    jacobian = [sympy.diff(f, x) for x in affine]
+    return f, affine, [sympy.diff(f, x) for x in affine]
+
+
+def total_milnor(text, variables, chart):
+    """The total Milnor number of the hypersurface ``text`` = 0 in the
+    chart ``chart`` = 1, ``^`` read as a power."""
+    f, affine, jacobian = chart_equation(text, variables, chart)
     dims = []
     while len(dims) < 2 or dims[-1] != dims[-2]:
         dims.append(quotient_dim(jacobian + [f ** (len(dims) + 1)], affine))
     return dims[-1]
+
+
+def off_curve_dim(text, variables, chart):
+    """dim Q[x]/J minus the total: the Milnor numbers of the critical
+    points of the chart equation that lie off the hypersurface."""
+    _, affine, jacobian = chart_equation(text, variables, chart)
+    return quotient_dim(jacobian, affine) - total_milnor(text, variables, chart)

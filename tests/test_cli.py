@@ -352,6 +352,11 @@ class TestCheck:
         assert code == 2
         assert "unknown check 'frobnicate'" in err
 
+    def test_an_empty_selection_is_refused(self, capsys):
+        # An empty name is unknown, as it is inside a list: it never selects all.
+        for selection in ("", ","):
+            assert run(capsys, "check", NODAL, "--checks", selection) == (2, "", "error: unknown check ''\n")
+
     def test_unknown_check_rejected_before_report(self, monkeypatch, capsys):
         def no_report(*args, **kwargs):
             raise AssertionError("build_report ran for a misspelt check name")
@@ -445,6 +450,8 @@ class TestCheck:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == ""
             assert f"check {name!r} does not apply to this scene: it needs one multidegree" in err
+            # "all" also applies through euler_strata, and says so.
+            assert err.endswith(", or strata with chi_c on every stratum\n") == (name == "all")
 
     def test_euler_strata_needs_chi_c_data(self, tmp_path, capsys):
         data = json.loads(pathlib.Path(NODAL).read_text())
@@ -785,21 +792,22 @@ class TestParser:
         assert json.loads(alone[0][1])["mu"] == {"singular_points": -1}
 
 
-def run_into_closed_pipe(*argv):
-    """``python -m milnorcalc.cli argv`` with stdout a pipe whose reading end
-    is closed before the child starts, so that its first write fails as
-    under ``| head`` once head has gone.  Returns (code, stderr)."""
+def run_into_closed_pipe(*argv, closed="stdout"):
+    """``python -m milnorcalc.cli argv`` with the stream ``closed`` a pipe
+    whose reading end is closed before the child starts, so that its first
+    write fails as under ``| head`` once head has gone.  Returns the exit
+    code and what the child wrote to its other stream."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])}
     read, write = os.pipe()
     os.close(read)
+    streams = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, closed: write}
     try:
         done = subprocess.run(
-            [sys.executable, "-B", "-m", "milnorcalc.cli", *argv],
-            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+            [sys.executable, "-B", "-m", "milnorcalc.cli", *argv], **streams, text=True, env=env, timeout=60
         )
     finally:
         os.close(write)
-    return done.returncode, done.stderr
+    return done.returncode, done.stdout if closed == "stderr" else done.stderr
 
 
 class TestClosedStdout:
@@ -816,3 +824,16 @@ class TestClosedStdout:
         path = write_scene(tmp_path, {"ambient": [2], "degrees": [[3]], "strata": [curve], "mu": {"c": 1}})
         assert run_into_closed_pipe("check", path) == (1, "")
         assert run_into_closed_pipe("--json", "check", path) == (1, "")
+
+
+class TestClosedStderr:
+    # A reader that closes stderr early leaves the error's exit code as it
+    # is: neither 2 nor 3 turns into 1, the code of a failed check.
+    def test_invalid_input_still_exits_2(self):
+        assert run_into_closed_pipe("report", str(ROOT / "no-such-scene.json"), closed="stderr") == (2, "")
+        assert run_into_closed_pipe("check", NODAL, "--checks", "frobnicate", closed="stderr") == (2, "")
+
+    def test_an_obstruction_still_exits_3(self):
+        argv = ("milnor", "--poly", "x*y*z", "--vars", "x,y,z", "--chart", "z")
+        assert run_into_closed_pipe(*argv, closed="stderr") == (3, "")
+        assert run_into_closed_pipe("--json", *argv, closed="stderr") == (3, "")

@@ -191,8 +191,8 @@ ERROR_SCENES = {
     "negative-ambient": (2, "error: factor dimensions must be nonnegative\n"),
     "two-closed-points": (
         2,
-        "error: cannot place the computed vanishing cycles: need exactly one closed"
-        " zero-dimensional stratum, or explicit mu values\n",
+        "error: cannot place the computed vanishing cycles: the total Milnor number is 1,"
+        " and the scene has 2 zero-dimensional strata, not one\n",
     ),
     "mu-with-two-degrees": (
         2, "error: nonzero mu needs a codimension-one scene, but this scene has 2 multidegrees\n",

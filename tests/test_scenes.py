@@ -564,7 +564,8 @@ class TestEngineIntegration:
             defining_polynomial=parse_polynomial("y^2*z - x^3", ("x", "y", "z")),
             chart="z",
         )
-        with pytest.raises(SceneValidationError, match="zero-dimensional"):
+        # The message names what it found; no advice, as user mu is refused on a polynomial scene.
+        with pytest.raises(SceneValidationError, match="Milnor number is 2, and the scene has 0 zero-dimensional strata"):
             resolve_mu(scene)
 
     def test_strata_without_chart_are_refused(self):
