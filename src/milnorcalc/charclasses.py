@@ -125,12 +125,12 @@ def resolve_mu(
     User-supplied values are taken as given, and refused on a polynomial
     scene, whose values the engine computes.  Otherwise a defining
     polynomial is run through the Milnor-number engine in the scene's
-    chart; otherwise the scene is taken to be smooth and mu is zero.  A polynomial scene without
-    strata gets the default ones: the smooth locus, and a point stratum when
-    the total is nonzero.  The total goes on that point stratum, or on the
-    one zero-dimensional stratum of the given strata, with the sign
-    (-1)^(dim Y - 1), since the value at an isolated singular point is
-    chi(Milnor fiber) - 1.
+    chart; otherwise the scene is taken to be smooth and mu is zero.
+    A polynomial scene without strata gets the default ones: the smooth
+    locus, and a point stratum when the total is nonzero.  The total goes
+    on that point stratum, or on the one zero-dimensional stratum of the
+    given strata, with the sign (-1)^(dim Y - 1), since the value at an
+    isolated singular point is chi(Milnor fiber) - 1.
     """
     F = scene.defining_polynomial
     if mu is not None:
@@ -160,7 +160,7 @@ def resolve_mu(
         return scene, ConstructibleFunction(scene, {}), result
     if len(points) != 1:
         raise SceneValidationError(
-            f"cannot place the computed vanishing cycles: the total Milnor number is "
+            "cannot place the computed vanishing cycles: the total Milnor number is "
             f"{result.total_milnor}, and the scene has {len(points)} zero-dimensional strata, not one"
         )
     sign = -1 if (scene.ambient.dim - 1) % 2 else 1
