@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 from .chow import (
     AmbientSpace,
     ChowClass,
+    MathObstruction,
     _Record,
     decimal_text,
     divisor_class,
@@ -49,7 +50,7 @@ if TYPE_CHECKING:
     from .groebner import CancelCallback, MilnorResult
 
 
-class MissingCsmClassError(ValueError):
+class MissingCsmClassError(MathObstruction):
     """A stratum with nonzero vanishing cycles has no CSM class."""
 
 
@@ -300,7 +301,7 @@ def build_report(
     milnor = ChowClass.zero(scene.ambient)
     csm = fj
     terms: list[tuple[str, ChowClass]] = []
-    checks: dict[str, CheckResult] = {}
+    results: list[CheckResult] = []
     if codim_one:
         degree = scene.multidegrees[0]
         tangent = tangent_class(scene.ambient)
@@ -310,27 +311,21 @@ def build_report(
         milnor = milnor_class(scene, coefficients, normal)
         terms = localization(scene, coefficients, normal)
         csm = fj - milnor
-        checks["self_intersection"] = CheckResult(
-            name="self_intersection",
-            passed=self_intersection_check(scene.ambient, degree),
-        )
-        checks["defect_codim1"] = defect_codim1_check(tangent, divisor, normal, csm, milnor)
+        results.append(CheckResult(name="self_intersection", passed=self_intersection_check(scene.ambient, degree)))
+        results.append(defect_codim1_check(tangent, divisor, normal, csm, milnor))
         for m in m_values:
             product_fj = fulton_johnson(scene.ambient.extended(m), [degree + (0,)])
             product_milnor = pull_back(milnor, m)
-            checks[f"verdier_m{m}"] = verdier_smooth_check(m, product_fj, product_milnor, csm)
-            checks[f"pushdown_m{m}"] = proper_pushdown_check(m, product_milnor, milnor)
-            checks[f"lci_m{m}"] = lci_defect_check(scene, coefficients, tangent, m, product_fj, product_milnor)
+            results.append(verdier_smooth_check(m, product_fj, product_milnor, csm))
+            results.append(proper_pushdown_check(m, product_milnor, milnor))
+            results.append(lci_defect_check(scene, coefficients, tangent, m, product_fj, product_milnor))
         total = sum((term for _, term in terms), ChowClass.zero(scene.ambient))
-        checks["localization_sum"] = _result("localization_sum", total - milnor)
+        results.append(_result("localization_sum", total - milnor))
     euler = csm.degree()
     if scene.strata and all(s.chi_c is not None for s in scene.strata):
         strata_euler = unit_function(scene).euler()
-        checks["euler_strata"] = CheckResult(
-            name="euler_strata",
-            passed=strata_euler == euler,
-            detail=f"strata give {strata_euler}, classes give {euler}",
-        )
+        detail = f"strata give {strata_euler}, classes give {euler}"
+        results.append(CheckResult(name="euler_strata", passed=strata_euler == euler, detail=detail))
     return ClassReport(
         scene=scene,
         mu=mu,
@@ -339,7 +334,7 @@ def build_report(
         csm=csm,
         euler=euler,
         localization=terms,
-        checks=checks,
+        checks={c.name: c for c in results},
         milnor_data=milnor_data,
     )
 

@@ -23,8 +23,8 @@ holds the table of each term read so far, built when it is first read
 emitted, which product ambients never are) and the tangent class.
 
 The module also holds what every other module uses without the Groebner
-engine: ``_Record``, the base of the package's records, and the writers
-``decimal_text`` and ``render_terms``.
+engine: ``_Record``, the base of the package's records, ``MathObstruction``,
+the base of the errors of exit code 3, and ``decimal_text`` and ``render_terms``.
 """
 
 from __future__ import annotations
@@ -42,6 +42,10 @@ if TYPE_CHECKING:
 
 Exponent = tuple[int, ...]
 _set = object.__setattr__  # how _Record.__init__ sets a slot past the refusing __setattr__
+
+
+class MathObstruction(ValueError):
+    """Well-formed input that breaks a hypothesis of the formulas; the CLI exits 3 on it."""
 
 
 def _is_int(value) -> bool:

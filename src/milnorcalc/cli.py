@@ -5,11 +5,11 @@ file, ``check`` runs selected identity checks and signals failure
 through the exit code, ``milnor`` computes a total Milnor number from
 a raw polynomial, and ``table`` tabulates Euler characteristics of
 smooth hypersurfaces.  Exit codes: 0 success, 1 failed checks, 2
-invalid input, 3 a math-level obstruction such as non-isolated
-singularities.  Each ``cmd_*`` returns its exit code and its whole
-output; ``main`` alone writes stdout and stderr, after the command has
-returned, and a reader that closes either early leaves that exit code
-as it is.
+invalid input, 3 a math-level obstruction: an error whose type is a
+``MathObstruction``, such as non-isolated singularities.  Each ``cmd_*``
+returns its exit code and its whole output; ``main`` alone writes stdout
+and stderr, after the command has returned, and a reader that closes
+either early leaves that exit code as it is.
 """
 
 from __future__ import annotations
@@ -20,15 +20,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .charclasses import (
-    MissingCsmClassError,
-    build_report,
-    canonical_json,
-    check_to_jsonable,
-    fulton_johnson,
-    report_to_jsonable,
-)
-from .chow import AmbientSpace, _ambient_label, _box_size
+from .charclasses import build_report, canonical_json, check_to_jsonable, fulton_johnson, report_to_jsonable
+from .chow import AmbientSpace, MathObstruction, _ambient_label, _box_size
 from .scenefile import SceneFileError, load_scene
 
 EXIT_OK = 0
@@ -239,13 +232,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code, text = args.func(args)
     except ValueError as exc:
-        # Imported on the error path alone, so that a command that succeeds
-        # without the engine never loads it.
-        from .groebner import NonIsolatedSingularitiesError, SingularitiesOutsideChartError
-
         _write(sys.stderr, f"error: {exc}")
-        obstructions = (NonIsolatedSingularitiesError, SingularitiesOutsideChartError, MissingCsmClassError)
-        return EXIT_MATH if isinstance(exc, obstructions) else EXIT_INVALID
+        return EXIT_MATH if isinstance(exc, MathObstruction) else EXIT_INVALID
     if not args.quiet:
         _write(sys.stdout, text)
     return code

@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .chow import _Record
+from .chow import MathObstruction, _Record
 from .linalg import CancelCallback, ComputationCancelled, Row, _combine, _stable_rank
 from .polynomials import (
     _ELIM_FIRST,
@@ -52,11 +52,11 @@ from .polynomials import (
 _MILNOR_CACHE_SIZE = 32
 
 
-class NonIsolatedSingularitiesError(ValueError):
+class NonIsolatedSingularitiesError(MathObstruction):
     """The affine Jacobian quotient is infinite-dimensional."""
 
 
-class SingularitiesOutsideChartError(ValueError):
+class SingularitiesOutsideChartError(MathObstruction):
     """Some singular point lies on the hyperplane removed by the chart."""
 
 

@@ -26,8 +26,9 @@ Per-stratum ``csm`` maps are keyed by comma-separated exponents, as in
 ``{"2": 1, "3": 2}`` for H^2 + 2H^3.  Each exponent is written in ASCII
 digits, and no two keys may name the same exponent ("1" and "01" do).
 No key may appear twice in one JSON object.  The reader checks this format
-(types, keys, routes, digit limits) and the variable count; every other rule
-between a scene's fields is checked by ``validate_scene`` on the built scene.
+(types, keys, routes, digit limits) and the variable count; every other
+rule between a scene's fields, the chart rules among them, is checked by
+``validate_scene`` on the built scene.
 """
 
 from __future__ import annotations
@@ -160,16 +161,15 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
 
     name = data.get("name", "")
     _require(isinstance(name, str), "name must be a string")
+    chart = data.get("chart")
+    _require("chart" not in data or isinstance(chart, str), "chart must be a string")
 
     smooth = data.get("smooth", False)
     _require(isinstance(smooth, bool), "smooth must be true or false")
 
     polynomial = None
-    chart = None
     if "polynomial" in data:
         _require(not smooth, "a smooth scene cannot carry a polynomial")
-        _require(data.get("chart") is not None, "a polynomial needs a chart variable")
-        chart = data["chart"]
         # The variable count is a rule of validate_scene, checked here as
         # well: the parser reads the names before any scene exists, and a
         # short list would show as an unknown variable in the polynomial.
@@ -191,7 +191,6 @@ def scene_from_dict(data: dict) -> tuple[StrataScene, Optional[ConstructibleFunc
         except PolyParseError as exc:
             raise SceneFileError(f"bad polynomial: {exc}") from exc
     else:
-        _require("chart" not in data, "chart is only meaningful with a polynomial")
         _require("variables" not in data, "variables are only meaningful with a polynomial")
 
     strata = []

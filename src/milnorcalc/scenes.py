@@ -112,10 +112,12 @@ def validate_scene(
     scene: StrataScene,
 ) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...]]:
     """Check every rule that ties the scene's fields together: multidegrees,
-    the defining polynomial, poset shape, stratum dims and Euler data; raise
-    on failure.  A stratum's dim is at most the ambient dim minus the number
-    of multidegrees, and below each parent's, so no parent edge closes a cycle.
-    Return the index, up-sets and peel order of the scene."""
+    the defining polynomial and its chart, poset shape, stratum dims and Euler
+    data; raise on failure.  A polynomial needs a chart that names one of its
+    variables, and a chart is only meaningful with a polynomial.  A stratum's
+    dim is at most the ambient dim minus the number of multidegrees, and below
+    each parent's, so no parent edge closes a cycle.  Return the index, up-sets
+    and peel order of the scene."""
     for multidegree in scene.multidegrees:
         if len(multidegree) != len(scene.ambient.factors):
             raise SceneValidationError("multidegree length must match the ambient")
@@ -127,6 +129,8 @@ def validate_scene(
             raise SceneValidationError("a multidegree must be nonzero on a factor P^n with n > 0: P^0 has no hypersurface")
     if scene.defining_polynomial is not None:
         _check_polynomial(scene)
+    elif scene.chart is not None:
+        raise SceneValidationError("chart is only meaningful with a polynomial")
     index = {s.id: s for s in scene.strata}
     if len(index) != len(scene.strata):
         raise SceneValidationError("duplicate stratum ids")

@@ -201,13 +201,12 @@ class TestPolynomialRules:
             ({"polynomial": "x0", "variables": None}, "variables must list one name per homogeneous coordinate"),
             ({"polynomial": 5}, "polynomial must be a string"),
             ({"polynomial": "x0"}, "a polynomial in 1501 variables is over the limit of 1000 variables"),
-            ({"polynomial": "x0", "chart": None}, "a polynomial needs a chart variable"),
+            ({"polynomial": "x0", "chart": None}, "chart must be a string"),
         ],
     )
     def test_the_variable_limit_comes_after_the_format_rules(self, extra, message):
         # The limit is checked before any default name is built, and after
-        # the rules that ran before the names were built: each message is
-        # the one it was.
+        # the format rules: a file that breaks one of them is refused by it.
         with pytest.raises(ValueError, match=f"^{message}$"):
             scene_from_dict({"ambient": [1500], "degrees": [[1]], "chart": "x0", **extra})
 
