@@ -101,7 +101,9 @@ def _check_polynomial(scene: StrataScene) -> None:
         raise SceneValidationError("the polynomial is zero")
     if not F.is_homogeneous():
         raise SceneValidationError("the polynomial is not homogeneous")
-    (degree,) = _single_multidegree(scene)
+    if len(scene.multidegrees) != 1:
+        raise SceneValidationError(f"a polynomial scene has one multidegree, not {len(scene.multidegrees)}")
+    (degree,) = scene.multidegrees[0]
     if F.total_degree() != degree:
         raise SceneValidationError(
             f"polynomial degree {F.total_degree()} does not match declared degree {degree}"

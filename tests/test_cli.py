@@ -11,8 +11,8 @@ import pytest
 
 import milnorcalc.cli as cli
 import milnorcalc.groebner as groebner
-from milnorcalc.charclasses import CheckResult, build_report
-from milnorcalc.chow import ChowClass
+from milnorcalc.charclasses import CheckResult, MissingCsmClassError, build_report
+from milnorcalc.chow import ChowClass, MathObstruction
 from milnorcalc.cli import main
 from milnorcalc.groebner import MilnorResult, total_milnor_number
 from milnorcalc.scenefile import load_scene
@@ -192,7 +192,7 @@ class TestReport:
         })
         code, out, err = run(capsys, "report", path)
         assert code == 2 and out == ""
-        assert "this operation needs a codimension-one scene" in err
+        assert "a polynomial scene has one multidegree, not 2" in err
 
     # A conic with a second multidegree: with strata it used to report the
     # conic's Milnor number beside the class of a complete intersection.
@@ -207,7 +207,7 @@ class TestReport:
     def test_polynomial_scene_with_two_degrees_and_strata_rejected(self, tmp_path, capsys):
         code, out, err = run(capsys, "report", write_scene(tmp_path, self.TWO_DEGREE_CONIC))
         assert (code, out) == (2, "")
-        assert err == "error: this operation needs a codimension-one scene\n"
+        assert err == "error: a polynomial scene has one multidegree, not 2\n"
 
     def test_two_degrees_rejected_before_milnor_numbers(self, tmp_path, monkeypatch, capsys):
         def engine(*args, **kwargs):
@@ -218,7 +218,7 @@ class TestReport:
         for data in (self.TWO_DEGREE_CONIC, without_strata):
             code, out, err = run(capsys, "report", write_scene(tmp_path, data))
             assert (code, out) == (2, "")
-            assert err == "error: this operation needs a codimension-one scene\n"
+            assert err == "error: a polynomial scene has one multidegree, not 2\n"
 
     def test_repeated_variable_rejected(self, tmp_path, capsys):
         path = write_scene(tmp_path, {
@@ -837,3 +837,20 @@ class TestClosedStderr:
         argv = ("milnor", "--poly", "x*y*z", "--vars", "x,y,z", "--chart", "z")
         assert run_into_closed_pipe(*argv, closed="stderr") == (3, "")
         assert run_into_closed_pipe("--json", *argv, closed="stderr") == (3, "")
+
+
+class TestMathObstruction:
+    # Exit code 3 is decided by the type of the error alone.
+    @pytest.mark.parametrize(
+        "error", [groebner.NonIsolatedSingularitiesError, groebner.SingularitiesOutsideChartError, MissingCsmClassError]
+    )
+    def test_each_obstruction_is_a_math_obstruction(self, error):
+        assert issubclass(error, MathObstruction)
+
+    @pytest.mark.parametrize("error, code", [(MathObstruction, 3), (ValueError, 2)])
+    def test_the_type_of_the_error_decides_the_exit_code(self, capsys, monkeypatch, error, code):
+        def refuse(*args):
+            raise error("no table today")
+
+        monkeypatch.setattr(cli, "fulton_johnson", refuse)
+        assert run(capsys, "table") == (code, "", "error: no table today\n")

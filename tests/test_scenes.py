@@ -331,6 +331,11 @@ FIELD_RULES = {
         "a polynomial needs a chart variable",
     ),
     "unknown-chart": (dict(NODAL_FILE, chart="q"), lambda: nodal_scene(chart="q"), "chart must name a variable"),
+    "chart-without-polynomial": (
+        {"ambient": [2], "degrees": [[2]], "smooth": True, "chart": "z"},
+        lambda: StrataScene(AmbientSpace((2,)), ((2,),), chart="z"),
+        "chart is only meaningful with a polynomial",
+    ),
     "zero-polynomial": (
         dict(NODAL_FILE, polynomial="x^3 - x^3"),
         lambda: nodal_scene(defining_polynomial=parse_polynomial("x^3 - x^3", XYZ)),
@@ -349,7 +354,7 @@ FIELD_RULES = {
     "polynomial-with-two-multidegrees": (
         dict(NODAL_FILE, degrees=[[3], [1]]),
         lambda: nodal_scene(multidegrees=((3,), (1,))),
-        "this operation needs a codimension-one scene",
+        "a polynomial scene has one multidegree, not 2",
     ),
     "polynomial-with-mu": (
         dict(NODAL_FILE, strata=[POINT_FILE], mu={"p": 1}),
