@@ -14,8 +14,8 @@ list holds:
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
   scene with user mu on a product ambient, on a curve scene whose strata
-  and classes disagree (``EULER_MISMATCH_SCENE``), on thirty-seven scenes
-  that exit 2 and on one that exits 3;
+  and classes disagree (``EULER_MISMATCH_SCENE``), on forty scenes that
+  exit 2 and on one that exits 3;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;
@@ -39,7 +39,7 @@ list holds:
   computed before, so that they are answered from the memo of
   ``total_milnor_number``.
 
-With the nine corpus scenes that makes 1,530 invocations.
+With the nine corpus scenes that makes 1,575 invocations.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
@@ -239,7 +239,8 @@ EULER_MISMATCH_SCENE = {
 # that ties a scene's fields together, each with that one fault: a zero
 # multidegree, a multidegree nonzero on P^0 factors alone, smooth and with
 # a polynomial, a multidegree longer than the ambient, a polynomial on a
-# product, a chart that names no variable, a zero polynomial, one that
+# product, a polynomial without a chart, a null chart, a chart that names
+# no variable, a chart without a polynomial, a zero polynomial, one that
 # is not homogeneous, a cubic declared of degree 4, a polynomial with
 # mu, and mu on a stratum the scene does not have.  Last, one scene for
 # each error that no other input reaches: two strata with one id, an
@@ -274,7 +275,10 @@ INVALID_SCENES = {
     "polynomial-on-a-point": {"ambient": [0], "degrees": [[1]], "polynomial": "x", "chart": "x"},
     "degree-longer-than-ambient": {"ambient": [2], "degrees": [[3, 1]], "smooth": True},
     "polynomial-on-product": {"ambient": [1, 1], "degrees": [[1, 1]], "polynomial": "x*y", "chart": "y"},
+    "polynomial-without-chart": {k: v for k, v in NODAL_CUBIC.items() if k != "chart"},
+    "null-chart": dict(NODAL_CUBIC, chart=None),
     "unknown-chart": dict(NODAL_CUBIC, chart="q"),
+    "chart-without-polynomial": {"ambient": [2], "degrees": [[2]], "smooth": True, "chart": "z"},
     "zero-polynomial": dict(NODAL_CUBIC, polynomial="x^3 - x^3"),
     "inhomogeneous-polynomial": dict(NODAL_CUBIC, polynomial="y^2*z - x^3 - x"),
     "degree-mismatch": dict(NODAL_CUBIC, degrees=[[4]]),

@@ -183,6 +183,9 @@ ERROR_SCENES = {
     "polynomial-on-a-point": (
         2, "error: a multidegree must be nonzero on a factor P^n with n > 0: P^0 has no hypersurface\n",
     ),
+    "polynomial-without-chart": (2, "error: a polynomial needs a chart variable\n"),
+    "null-chart": (2, "error: chart must be a string\n"),
+    "chart-without-polynomial": (2, "error: chart is only meaningful with a polynomial\n"),
     "duplicate-stratum-ids": (2, "error: duplicate stratum ids\n"),
     "unknown-parent": (2, "error: stratum 'p' lists unknown parent 'ghost'\n"),
     "text-dim": (2, "error: stratum 'p' dim: 'abc' is not an integer\n"),
@@ -337,7 +340,7 @@ def test_warm_block_comes_last_and_is_answered_from_the_memo(tmp_path):
     argvs = compare.all_invocations(tmp_path)
     warm = compare.warm_invocations(ROOT, tmp_path)
     assert argvs[-len(warm) :] == warm
-    assert len(argvs) == 1530
+    assert len(argvs) == 1575
     bare = str(tmp_path / "nodal-cubic-bare.json")
     assert json.loads(pathlib.Path(bare).read_text(encoding="utf-8")) == compare.NODAL_CUBIC
     corpus = sorted((ROOT / "scenes").glob("*.json"))

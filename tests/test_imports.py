@@ -68,6 +68,28 @@ def test_a_table_loads_no_engine():
     assert run_fresh("table") == {"code": 0, "stdout": TABLE, "heavy": []}
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["report", "/nonexistent.json"], 2),
+        (["report", str(SCENES / "smooth-conic.json"), "--m", "0"], 2),
+        (["check", str(SCENES / "smooth-conic.json"), "--checks", "frobnicate"], 2),
+    ],
+    ids=["unreadable-file", "bad-m", "unknown-check"],
+)
+def test_a_command_that_fails_without_a_polynomial_loads_no_engine(argv, code):
+    assert run_fresh(*argv) == {"code": code, "stdout": "", "heavy": []}
+
+
+def test_an_obstruction_without_a_polynomial_loads_no_engine(tmp_path):
+    # The curve-without-csm scene of scripts/compare_cli.py: exit code 3
+    # is read from the error's type, with no import of the engine.
+    curve = {"id": "c", "dim": 1, "chi_c": 0, "closure_chi": 0}
+    path = tmp_path / "curve-without-csm.json"
+    path.write_text(json.dumps({"ambient": [2], "degrees": [[3]], "strata": [curve], "mu": {"c": 1}}), encoding="utf-8")
+    assert run_fresh("report", str(path)) == {"code": 3, "stdout": "", "heavy": []}
+
+
 def test_a_polynomial_scene_loads_the_engine():
     result = run_fresh("--json", "report", str(SCENES / "nodal-cubic.json"))
     assert result == {"code": 0, "stdout": GOLDENS["nodal-cubic.json --m 1"], "heavy": list(HEAVY[:4])}

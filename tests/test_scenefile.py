@@ -185,6 +185,14 @@ class TestPolynomialRules:
         data["chart"] = "z"
         expect_error(data, "only meaningful with a polynomial")
 
+    @pytest.mark.parametrize("chart", [None, 5], ids=["null", "number"])
+    @pytest.mark.parametrize("scene", ["nodal-cubic", "smooth-conic"], ids=["polynomial", "smooth"])
+    def test_chart_must_be_a_string(self, scene, chart):
+        # A format rule of the reader, before any rule between the fields.
+        data = dict(scene_dict(scene), chart=chart)
+        with pytest.raises(SceneFileError, match="^chart must be a string$"):
+            scene_from_dict(data)
+
     def test_variables_without_polynomial(self):
         data = smooth_dict()
         data["variables"] = ["x", "y", "z"]
