@@ -23,8 +23,8 @@ holds the table of each term read so far, built when it is first read
 emitted, which product ambients never are) and the tangent class.
 
 The module also holds what every other module uses without the Groebner
-engine: ``_Record``, the base of the package's records, ``MathObstruction``,
-the base of the errors of exit code 3, and ``decimal_text`` and ``render_terms``.
+engine: the records' base ``_Record``, the exit-3 errors' base
+``MathObstruction``, and the writers ``decimal_text`` and ``render_terms``.
 """
 
 from __future__ import annotations
