@@ -116,7 +116,7 @@ def validate_scene(
     """Check every rule that ties the scene's fields together: multidegrees,
     the defining polynomial and its chart, poset shape, stratum dims and Euler
     data; raise on failure.  A polynomial needs a chart that names one of its
-    variables, and a chart is only meaningful with a polynomial.  A stratum's
+    variables, and a scene without a polynomial has no chart.  A stratum's
     dim is at most the ambient dim minus the number of multidegrees, and below
     each parent's, so no parent edge closes a cycle.  Return the index, up-sets
     and peel order of the scene."""
