@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .charclasses import build_report, canonical_json, check_to_jsonable, fulton_johnson, report_to_jsonable
 from .chow import AmbientSpace, MathObstruction, _ambient_label, _box_size
-from .scenefile import SceneFileError, load_scene
+from .scenefile import load_scene
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -33,6 +33,11 @@ EXIT_MATH = 3
 # that of 20 coefficients.  The largest tables inside it, from 1,990 x 1 to
 # 1 x 190,000, take 1.1-3.5 s with --json (2-vCPU VM, Python 3.11).
 _MAX_TABLE_STEPS = 4_000_000
+
+
+class UsageError(ValueError):
+    """An argument the command cannot use; like a bad scene file, it exits 2."""
+
 
 # Each name that --checks accepts, and the report keys it selects, with
 # {m} standing for the product factor dimension.
@@ -62,7 +67,7 @@ def _check_keys(report_checks, names: list[str], m: int) -> list[str]:
             # Every check but euler_strata needs one multidegree; "all" names both needs.
             euler = "strata with chi_c on every stratum"
             needs = dict.fromkeys(euler if key == "euler_strata" else "one multidegree" for key in wanted)
-            raise SceneFileError(f"check {name!r} does not apply to this scene: it needs {', or '.join(needs)}")
+            raise UsageError(f"check {name!r} does not apply to this scene: it needs {', or '.join(needs)}")
         for key in found:
             if key not in result:
                 result.append(key)
@@ -121,7 +126,7 @@ def cmd_check(args) -> tuple[int, str]:
     names = [raw.strip() for raw in args.checks.split(",")]
     for name in names:
         if name not in _CHECK_ALIASES:
-            raise SceneFileError(f"unknown check {name!r}")
+            raise UsageError(f"unknown check {name!r}")
     scene, mu = load_scene(args.scene)
     report = build_report(scene, mu, m_values=(args.m,))
     keys = _check_keys(report.checks, names, args.m)
@@ -134,7 +139,7 @@ def cmd_check(args) -> tuple[int, str]:
 def cmd_milnor(args) -> tuple[int, str]:
     variables = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     if not variables:
-        raise SceneFileError("--vars needs at least one variable name")
+        raise UsageError("--vars needs at least one variable name")
     from .groebner import total_milnor_number
     from .polynomials import parse_polynomial
 
@@ -149,11 +154,11 @@ def cmd_milnor(args) -> tuple[int, str]:
 
 def cmd_table(args) -> tuple[int, str]:
     if args.nmax < 1 or args.dmax < 1:
-        raise SceneFileError("table bounds must be at least 1")
+        raise UsageError("table bounds must be at least 1")
     _box_size((args.nmax,))
     steps = args.nmax * args.dmax * (args.nmax + 20)
     if steps > _MAX_TABLE_STEPS:
-        raise SceneFileError(
+        raise UsageError(
             f"a table with --nmax {args.nmax} and --dmax {args.dmax} takes {steps} steps, "
             f"nmax * dmax * (nmax + 20), more than the {_MAX_TABLE_STEPS} a table may take"
         )

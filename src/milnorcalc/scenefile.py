@@ -28,11 +28,13 @@ digits, and no two keys may name the same exponent ("1" and "01" do).
 No key may appear twice in one JSON object.  The reader checks this format
 (types, keys, routes, digit limits) and the variable count; every other
 rule between a scene's fields, the chart rules among them, is checked by
-``validate_scene`` on the built scene.
+``validate_scene`` on the built scene.  ``load_scene`` keeps the scenes of
+the last texts it read: a file read again unchanged is not parsed again.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from typing import Optional
@@ -42,6 +44,7 @@ from .scenes import ConstructibleFunction, StrataScene, Stratum
 
 _SCENE_KEYS = {"name", "ambient", "degrees", "polynomial", "variables", "chart", "smooth", "strata", "mu"}
 _STRATUM_KEYS = {"id", "dim", "chi_c", "closure_chi", "csm", "parents"}
+_SCENE_CACHE_SIZE = 32  # scenes that load_scene keeps, the bound of the Milnor memo
 
 
 class SceneFileError(ValueError):
@@ -238,17 +241,33 @@ def _unique_keys(pairs: list[tuple[str, object]], path: str) -> dict:
     return data
 
 
-def load_scene(path: str) -> tuple[StrataScene, Optional[ConstructibleFunction]]:
-    """Read and validate a scene file from disk."""
+@functools.lru_cache(maxsize=_SCENE_CACHE_SIZE)
+def _scene_of_text(path: str, text: str, limit: int) -> tuple[StrataScene, Optional[ConstructibleFunction]]:
+    """The scene of a file's text; ``limit``, the int-digit limit, only keys it."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(
-                handle,
-                parse_int=lambda text: _parse_int(text, path),
-                object_pairs_hook=lambda pairs: _unique_keys(pairs, path),
-            )
-    except OSError as exc:
-        raise SceneFileError(f"cannot read {path}: {exc}") from exc
+        data = json.loads(
+            text,
+            parse_int=lambda digits: _parse_int(digits, path),
+            object_pairs_hook=lambda pairs: _unique_keys(pairs, path),
+        )
     except json.JSONDecodeError as exc:
         raise SceneFileError(f"{path} is not valid JSON: {exc}") from exc
     return scene_from_dict(data)
+
+
+def load_scene(path: str) -> tuple[StrataScene, Optional[ConstructibleFunction]]:
+    """Read and validate a scene file from disk.
+
+    The file is read on every call.  Its scene is kept for the process,
+    among the last ``_SCENE_CACHE_SIZE``, keyed by the path, the text and
+    ``sys.get_int_max_str_digits()``: a later call that reads the same
+    text under the same limit returns the same objects, with no parse and
+    no ``validate_scene``.  Callers share them and must not change them.
+    An error is never kept.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise SceneFileError(f"cannot read {path}: {exc}") from exc
+    return _scene_of_text(path, text, sys.get_int_max_str_digits())

@@ -11,11 +11,12 @@ import pytest
 
 import milnorcalc.cli as cli
 import milnorcalc.groebner as groebner
+import milnorcalc.scenefile as scenefile
 from milnorcalc.charclasses import CheckResult, MissingCsmClassError, build_report
 from milnorcalc.chow import ChowClass, MathObstruction
 from milnorcalc.cli import main
 from milnorcalc.groebner import MilnorResult, total_milnor_number
-from milnorcalc.scenefile import load_scene
+from milnorcalc.scenefile import SceneFileError, load_scene
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCENES = ROOT / "scenes"
@@ -98,8 +99,9 @@ class TestReport:
     def test_json_matches_corpus_golden(self, key, capsys):
         # The goldens hold the byte-exact stdout of every corpus report
         # at m = 1, 2, 3; keys read "<scene file> --m <m>".  Each is served
-        # twice: with no Milnor number kept, then with this one kept.
+        # twice: with no scene and no Milnor number kept, then with both kept.
         scene_file, m = key.split(" --m ")
+        scenefile._scene_of_text.cache_clear()
         total_milnor_number.cache_clear()
         for _ in range(2):
             code, out, err = run(capsys, "--json", "report", str(SCENES / scene_file), "--m", m)
@@ -748,8 +750,8 @@ class TestParser:
 
     def test_calls_leak_nothing_into_later_calls(self, tmp_path, capsys):
         # Each call of a mixed sequence, run after the others on the
-        # shared parser and Milnor memo, prints and returns what it does
-        # in a fresh process.  The nodal cubic without strata shares its
+        # shared parser, scene memo and Milnor memo, prints and returns
+        # what it does in a fresh process.  The nodal cubic without strata shares its
         # polynomial and chart with NODAL, so its later calls read the
         # Milnor number that an earlier call computed.
         data = json.loads(pathlib.Path(NODAL).read_text())
@@ -777,6 +779,7 @@ class TestParser:
 
         def fresh():
             cli._parser.cache_clear()
+            scenefile._scene_of_text.cache_clear()
             total_milnor_number.cache_clear()
 
         alone = []
@@ -854,3 +857,27 @@ class TestMathObstruction:
 
         monkeypatch.setattr(cli, "fulton_johnson", refuse)
         assert run(capsys, "table") == (code, "", "error: no table today\n")
+
+
+class TestUsageError:
+    # Each argument a command cannot use raises the CLI's own error, so that
+    # a library caller catching SceneFileError catches only bad scene files.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", NODAL, "--checks", "frobnicate"], "unknown check 'frobnicate'"),
+            (["check", "TWO_DEGREES", "--checks", "defect"], "check 'defect' does not apply to this scene"),
+            (["milnor", "--poly", "x", "--vars", " , ", "--chart", "x"], "--vars needs at least one variable name"),
+            (["table", "--nmax", "0"], "table bounds must be at least 1"),
+            (["table", "--nmax", "80", "--dmax", "501"], "a table with --nmax 80 and --dmax 501 takes"),
+        ],
+        ids=["unknown-check", "check-keys", "empty-vars", "table-bounds", "table-steps"],
+    )
+    def test_each_argument_fault_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        two_degrees = write_scene(tmp_path, {"ambient": [3], "degrees": [[2], [2]], "smooth": True})
+        argv = [two_degrees if arg == "TWO_DEGREES" else arg for arg in argv]
+        args = cli._parser().parse_args(argv)
+        with pytest.raises(cli.UsageError, match=f"^{message}") as err:
+            args.func(args)
+        assert not isinstance(err.value, SceneFileError)
+        assert run(capsys, *argv) == (2, "", f"error: {err.value}\n")

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from milnorcalc import scenefile, scenes
 from milnorcalc.chow import AmbientSpace, ChowClass
 from milnorcalc.scenefile import (
     SceneFileError,
@@ -489,3 +490,92 @@ class TestLoadScene:
         with pytest.raises(SceneFileError) as err:
             load_scene(str(path))
         assert str(err.value) == f"{path}: a key of {limit + 1} characters appears twice in one object"
+
+
+class TestSceneMemo:
+    """``load_scene`` keeps the scene of each text it read, and nothing else."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        # Every call of scene_from_dict and validate_scene is counted.
+        scenefile._scene_of_text.cache_clear()
+        self.built, self.validated = [], []
+        build, validate = scenefile.scene_from_dict, scenes.validate_scene
+
+        def counting_build(data):
+            self.built.append(data.get("name"))
+            return build(data)
+
+        def counting_validate(scene):
+            self.validated.append(scene.name)
+            return validate(scene)
+
+        monkeypatch.setattr(scenefile, "scene_from_dict", counting_build)
+        monkeypatch.setattr(scenes, "validate_scene", counting_validate)
+
+    def write(self, path, data):
+        path.write_text(json.dumps(data), encoding="utf-8")
+        return str(path)
+
+    def test_a_second_load_is_served_from_the_memo(self):
+        path = str(SCENES / "nodal-cubic.json")
+        scene, mu = load_scene(path)
+        assert self.built == self.validated == ["nodal-cubic"]
+        again, again_mu = load_scene(path)
+        assert again is scene and again_mu is mu
+        assert self.built == self.validated == ["nodal-cubic"]
+
+    def test_a_rewritten_file_is_read_again(self, tmp_path):
+        path = self.write(tmp_path / "scene.json", nodal_dict())
+        nodal, _ = load_scene(path)
+        self.write(tmp_path / "scene.json", smooth_dict())
+        smooth, _ = load_scene(path)
+        assert self.built == self.validated == ["nodal-cubic", "smooth-conic"]
+        assert smooth == scene_from_dict(smooth_dict())[0]
+        assert smooth != nodal
+        # The first text is still kept, under the same path.
+        self.write(tmp_path / "scene.json", nodal_dict())
+        assert load_scene(path)[0] is nodal
+
+    def test_an_error_is_never_kept(self, tmp_path):
+        data = smooth_dict()
+        data["degrees"] = [[0]]
+        path = self.write(tmp_path / "scene.json", data)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(SceneFileError) as err:
+                load_scene(path)
+            messages.append(str(err.value))
+        assert len(self.built) == 2 and messages[0] == messages[1]
+        self.write(tmp_path / "scene.json", smooth_dict())
+        assert load_scene(path)[0] == scene_from_dict(smooth_dict())[0]
+
+    def test_a_lowered_digit_limit_refuses_a_kept_scene(self, tmp_path):
+        limit = sys.get_int_max_str_digits()
+        data = user_mu_dict()
+        data["mu"] = {"singular_line": "DIGITS"}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data).replace('"DIGITS"', "9" * (limit + 1)), encoding="utf-8")
+        sys.set_int_max_str_digits(limit + 1)
+        try:
+            scene, mu = load_scene(str(path))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert mu.values["singular_line"] == 10 ** (limit + 1) - 1
+        with pytest.raises(SceneFileError) as err:
+            load_scene(str(path))
+        assert str(err.value) == f"{path}: an integer with more than {limit} digits"
+
+    def test_the_memo_keeps_the_last_32_texts(self, tmp_path):
+        paths = []
+        for i in range(33):
+            data = smooth_dict()
+            data["name"] = f"smooth-{i}"
+            paths.append(self.write(tmp_path / f"scene-{i}.json", data))
+        first, _ = load_scene(paths[0])
+        for path in paths[1:]:
+            load_scene(path)
+        assert load_scene(paths[-1])[0] is load_scene(paths[-1])[0]
+        again, _ = load_scene(paths[0])
+        assert again == first and again is not first
+        assert self.built == [f"smooth-{i}" for i in range(33)] + ["smooth-0"]

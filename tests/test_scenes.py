@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from milnorcalc import scenes
+from milnorcalc import scenefile, scenes
 from milnorcalc.charclasses import build_report, resolve_mu
 from milnorcalc.chow import AmbientSpace, ChowClass
 from milnorcalc.cli import main
@@ -254,6 +254,9 @@ class TestValidation:
 
     def test_a_report_validates_its_scene_once(self, monkeypatch):
         # Every module that binds validate_scene gets the counting wrapper.
+        # The scene memo is cleared first, so the first report reads the
+        # file cold; a second report of the same file is served from it.
+        scenefile._scene_of_text.cache_clear()
         calls = []
 
         def counting(scene):
@@ -265,6 +268,8 @@ class TestValidation:
             if name.split(".")[0] == "milnorcalc" and getattr(module, "validate_scene", None) is original:
                 monkeypatch.setattr(module, "validate_scene", counting)
         path = Path(__file__).resolve().parents[1] / "scenes" / "nodal-cubic.json"
+        assert main(["--quiet", "report", str(path)]) == 0
+        assert calls == ["nodal-cubic"]
         assert main(["--quiet", "report", str(path)]) == 0
         assert calls == ["nodal-cubic"]
 
