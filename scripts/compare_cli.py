@@ -39,7 +39,10 @@ list holds:
   computed before, so that they are answered from the memo of
   ``total_milnor_number``.
 
-With the nine corpus scenes that makes 1,575 invocations.
+With the nine corpus scenes that makes 1,575 invocations.  The forms of
+one scene read one unchanged file in one child, so the 15 of a corpus
+scene share one parse: the memo of ``load_scene`` answers all but the
+first.
 
 The scene files are written to a temporary directory, so both sides
 read the same paths.  ``perfbench/workloads.py`` is imported from the
