@@ -14,8 +14,8 @@ list holds:
   on two polynomial scenes with two multidegrees, on seven smooth
   scenes whose box shapes differ (see ``EDGE_SCENES``), on a stratified
   scene with user mu on a product ambient, on a curve scene whose strata
-  and classes disagree (``EULER_MISMATCH_SCENE``), on forty scenes that
-  exit 2 and on one that exits 3;
+  and classes disagree (``EULER_MISMATCH_SCENE``), on forty-four scenes
+  that exit 2 and on one that exits 3;
 - ``--json report`` and ``check`` at m = 9 on four of those scenes
   (``LARGE_M_SCENES`` and the first generated ``chow`` scene), whose
   product factor P^9 is wider than any of m = 1, 2, 3;
@@ -39,7 +39,7 @@ list holds:
   computed before, so that they are answered from the memo of
   ``total_milnor_number``.
 
-With the nine corpus scenes that makes 1,575 invocations.  The forms of
+With the nine corpus scenes that makes 1,635 invocations.  The forms of
 one scene read one unchanged file in one child, so the 15 of a corpus
 scene share one parse: the memo of ``load_scene`` answers all but the
 first.
@@ -254,7 +254,11 @@ EULER_MISMATCH_SCENE = {
 # one scene for each rule of the closure poset: a dim above that of the
 # variety, a point in the closure of a point, a stratum that is its own
 # parent, a cycle of two parents, and a curve whose csm class is the
-# point class, with nothing in the codimension of a curve.
+# point class, with nothing in the codimension of a curve.  Last, one
+# scene for each Euler or csm rule that no other input reaches: a
+# closure_chi that is not the sum over the closure, a csm class whose
+# degree is not closure_chi, and one with a term below the stratum's
+# codimension; and a variables list of the wrong length.
 LONG_DIGITS = "9" * 5000
 LONG_NUMBER = "<a JSON number of 5,000 digits>"
 POINT = {"id": "p", "dim": 0, "chi_c": 1, "closure_chi": 1}
@@ -318,6 +322,14 @@ INVALID_SCENES = {
         "strata": [{"id": "c", "dim": 1, "chi_c": 1, "closure_chi": 1, "csm": {"2": 1}}],
         "mu": {"c": 1},
     },
+    "closure-chi-mismatch": {
+        "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, closure_chi=2)], "mu": {"p": 1},
+    },
+    "csm-degree-mismatch": {"ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"2": 2})], "mu": {"p": 1}},
+    "csm-below-codimension": {
+        "ambient": [2], "degrees": [[3]], "strata": [dict(POINT, csm={"1": 1, "2": 1})], "mu": {"p": 1},
+    },
+    "short-variables": dict(NODAL_CUBIC, variables=["x", "y"]),
 }
 
 # Scenes that repeat a key in one object, at the top, in mu and in a

@@ -4,9 +4,9 @@ of projective hypersurfaces with isolated singularities.
 
 Buchberger's algorithm, with the product and chain criteria, runs on
 the packed grevlex monomials of ``polynomials``, the terms of a
-``Polynomial`` as they are; only ``ideal_quotient`` repacks, for the
-order that eliminates its tag variable.  A step past ``_LIMIT`` raises
-``ValueError``, never a carry.
+``Polynomial`` as they are; only ``ideal_quotient`` repacks, adding a
+tag variable and ordering by its power first.  A step past ``_LIMIT``
+raises ``ValueError``, never a carry.
 
 The Milnor count is linear algebra on the Jacobian algebra A = k[x]/J:
 the matrix M_f of multiplication by the equation f, in the staircase
@@ -33,11 +33,9 @@ from typing import Iterable, Optional, Sequence, Union
 from .chow import MathObstruction, _Record
 from .linalg import CancelCallback, ComputationCancelled, Row, _combine, _stable_rank
 from .polynomials import (
-    _ELIM_FIRST,
     _FIELD_BITS,
     _LIMIT,
     _TOO_BIG,
-    GREVLEX,
     PolyIdeal,
     Polynomial,
     _Layout,
@@ -129,24 +127,6 @@ def _spoly(a: _Entry, b: _Entry, lcm: int, lay: _Layout) -> dict[int, Fraction]:
         else:
             del work[e]
     return work
-
-
-def divide(f: Polynomial, divisors: Sequence[Polynomial]) -> tuple[list[Polynomial], Polynomial]:
-    """Divide ``f`` by a divisor list, returning (quotients, remainder).
-
-    The remainder has no term divisible by any divisor leading term, and
-    f == sum(q_i * divisors_i) + remainder holds exactly.
-    """
-    lay = _layout(len(f.variables), GREVLEX)
-    entries = [_entry(g._terms, lay, {}) if g._terms else None for g in divisors]
-    remainder = _reduce(dict(f._terms), [entry for entry in entries if entry], lay)
-    quotients = []
-    for g, entry in zip(divisors, entries):
-        # The entry is g made monic: divide by the lead coefficient of g.
-        lc = entry and g._terms[entry[0]]
-        quotient = {m: c / lc for m, c in entry[3].items()} if entry else {}
-        quotients.append(Polynomial._of_clean(f.variables, quotient))
-    return quotients, Polynomial._of_clean(f.variables, remainder)
 
 
 def _bounds(leads: Iterable[int], lay: _Layout) -> Optional[list[int]]:
@@ -248,14 +228,14 @@ class GroebnerBasis(_Record):
 
 def groebner(ideal: PolyIdeal, cancel: Optional[CancelCallback] = None) -> GroebnerBasis:
     """Return the reduced monic grevlex Groebner basis of ``ideal``."""
-    lay = _layout(len(ideal.variables), GREVLEX)
+    lay = _layout(len(ideal.variables))
     return GroebnerBasis(ideal.variables, _buchberger([g._terms for g in ideal.generators], lay, cancel))
 
 
 def _standard_monomials(basis: GroebnerBasis) -> Optional[list[int]]:
     """Packed standard monomials of k[x]/I, divisible by no lead, or None
     if infinite; the staircase box is enumerated in tuple order."""
-    lay = _layout(len(basis.variables), GREVLEX)
+    lay = _layout(len(basis.variables))
     leads = list(basis._reduced)
     bounds = _bounds(leads, lay) if leads else None
     if bounds is None:
@@ -277,13 +257,20 @@ def quotient_dim(basis: GroebnerBasis) -> Union[int, float]:
 # because perfbench/tracer.py wraps them, and tested on their own.
 
 
+def _eliminating(lay: _Layout) -> _Layout:
+    """``lay`` in the order that eliminates x_0: the power of x_0 is read
+    first, above every bit of the grevlex key, then grevlex."""
+    width, grevlex = lay.degree_shift + _FIELD_BITS + 1, lay.key
+    return lay._replace(key=lambda m: (m & _LIMIT) << width | grevlex(m))
+
+
 def ideal_quotient(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallback] = None) -> PolyIdeal:
     """Return the ideal quotient I : (f).
 
     Computed from the intersection with (f): a tag variable t is
-    prepended, the basis of t*I + (1-t)*(f) is computed in a block
-    order eliminating t, the t-free elements are kept, and each is
-    divided exactly by f.
+    prepended, the basis of t*I + (1-t)*(f) is computed in an order
+    eliminating t, the t-free elements are kept, and each is divided
+    exactly by f.
     """
     if f.is_zero():
         raise ValueError("cannot form a quotient by the zero polynomial")
@@ -294,22 +281,24 @@ def ideal_quotient(ideal: PolyIdeal, f: Polynomial, cancel: Optional[CancelCallb
     nonzero = [g for g in ideal.generators if not g.is_zero()]
     if not nonzero:
         return ideal
-    # t is the first variable, the top field of the elimination order.
-    home, lay = _layout(len(ideal.variables), GREVLEX), _layout(len(ideal.variables) + 1, _ELIM_FIRST)
+    # t is the first variable, whose power the elimination key reads first.
+    home, lay = _layout(len(ideal.variables)), _eliminating(_layout(len(ideal.variables) + 1))
 
     def times_t(p: Polynomial, power: int, sign: int) -> dict[int, Fraction]:
         return {_pack((power, *_unpack(m, home)), lay): sign * c for m, c in p._terms.items()}
 
     lifted = [times_t(g, 1, 1) for g in nonzero] + [{**times_t(f, 0, 1), **times_t(f, 1, -1)}]
     basis = _buchberger(lifted, lay, cancel)
+    lc = f._terms[max(f._terms, key=home.key)]
     quotient_gens = []
     for lead, tail in basis.items():
-        if not lead >> lay.shifts[0]:
+        if not lead & _LIMIT:
             g = {_pack(_unpack(m, lay)[1:], home): c for m, c in {lead: Fraction(1), **tail}.items()}
-            quotients, remainder = divide(Polynomial._of_clean(ideal.variables, g), [f])
-            if not remainder.is_zero():
+            # Dividing by f made monic fills ``quotient``; dividing that by lc gives g / f.
+            quotient: dict[int, Fraction] = {}
+            if _reduce(g, [_entry(f._terms, home, quotient)], home):
                 raise ArithmeticError("division was expected to be exact")
-            quotient_gens.append(quotients[0])
+            quotient_gens.append(Polynomial._of_clean(ideal.variables, {m: c / lc for m, c in quotient.items()}))
     if not quotient_gens:
         raise ArithmeticError("the intersection with a principal ideal came out empty")
     return PolyIdeal(quotient_gens)
@@ -342,8 +331,8 @@ def dehomogenize(F: Polynomial, chart: str) -> Polynomial:
     remaining = F.variables[:idx] + F.variables[idx + 1 :]
     # On grevlex the fields of x_0, x_1, ... rise from bit 0 with the degree
     # on top: the fields above the chart's move down one, taking off its power.
-    s, width = _layout(len(F.variables), GREVLEX).shifts[idx], _FIELD_BITS + 1
-    low, degree_shift = (1 << s) - 1, _layout(len(remaining), GREVLEX).degree_shift
+    s, width = _layout(len(F.variables)).shifts[idx], _FIELD_BITS + 1
+    low, degree_shift = (1 << s) - 1, _layout(len(remaining)).degree_shift
     terms: dict[int, Fraction] = {}
     for m, coeff in F._terms.items():
         cut = (m & low | m >> (s + width) << s) - ((m >> s & _LIMIT) << degree_shift)
@@ -372,7 +361,7 @@ def _validate_chart(f: Polynomial, degree: int, cancel: Optional[CancelCallback]
     # ``degree``, and the part of one degree less.
     if not f.variables:
         return
-    lay = _layout(len(f.variables), GREVLEX)
+    lay = _layout(len(f.variables))
     shift = lay.degree_shift
     top = Polynomial._of_clean(f.variables, {m: c for m, c in f._terms.items() if m >> shift == degree})
     gens = [top.derivative(i)._terms for i in range(len(f.variables))]
@@ -392,7 +381,7 @@ def _multiplication_rows(f: dict, basis: GroebnerBasis, monomials: list[int]) ->
     lt(g) - g, and any other u is x_i times the form of u / x_i, taken
     non-standard on the border, in increasing order.
     """
-    lay = _layout(len(basis.variables), GREVLEX)
+    lay = _layout(len(basis.variables))
     index = {m: j for j, m in enumerate(monomials)}
     forms: dict[int, tuple[Row, int]] = {m: ({j: 1}, 1) for m, j in index.items()}
     for lead, tail in basis._reduced.items():

@@ -10,9 +10,8 @@ A packed monomial is one int, with a field per variable and one for the
 degree, each of ``_FIELD_BITS`` bits under a guard bit.  A product is
 a + b, a quotient b - a, a divides b when ((b | G) - a) & G == G for
 the guard bits G, and an lcm is taken field by field.  Int order is
-monomial order once ``key`` has flipped some fields: grevlex has the
-degree on top, then the variables from the last, all flipped; the order
-eliminating x_0 has x_0 on top, then grevlex.
+grevlex order once ``key`` has flipped the variable fields: the degree
+is on top, then the variables from the last.
 An exponent or degree above ``_LIMIT``, or more than ``_MAX_VARIABLES``
 variables, is refused with ``ValueError`` when a polynomial is built or
 parsed.
@@ -33,15 +32,12 @@ import functools
 import operator
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Union
 
 from .chow import _is_int, render_terms
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
-
-GREVLEX = "grevlex"
-_ELIM_FIRST = "elim-first"
 
 # Value bits of a packed field; its guard bit sits just above them.
 _FIELD_BITS = 15
@@ -52,13 +48,13 @@ _TOO_BIG = f"exponents and degrees above {_LIMIT} are beyond the Groebner engine
 # layout grows with the square of n (2 MB at the limit).
 _MAX_VARIABLES = 1000
 # Layouts kept at once, so that a process meeting many variable counts holds
-# at most 16 x 2.2 MB.  A polynomial in n variables meets the grevlex layouts
-# of n and n - 1 (and ``ideal_quotient`` the elimination one of n + 1).
+# at most 16 x 2.2 MB.  A polynomial in n variables meets the layouts of n
+# and n - 1 (and ``ideal_quotient`` the one of n + 1).
 _LAYOUT_CACHE_SIZE = 16
 
 
 class _Layout(NamedTuple):
-    """How one monomial order packs monomials in one number of variables."""
+    """How grevlex packs monomials in one number of variables."""
 
     shifts: tuple[int, ...]  # the lowest bit of each variable's field
     units: tuple[int, ...]  # each variable, packed
@@ -72,22 +68,15 @@ class _Layout(NamedTuple):
 
 
 @functools.lru_cache(maxsize=_LAYOUT_CACHE_SIZE)
-def _layout(nvars: int, order: str) -> _Layout:
+def _layout(nvars: int) -> _Layout:
     if nvars > _MAX_VARIABLES:
         raise ValueError(f"a polynomial in {nvars} variables is over the limit of {_MAX_VARIABLES} variables")
-    # The fields from the top down: a variable's index, or "d".
-    if order == GREVLEX:
-        fields, flipped = ["d", *range(nvars - 1, -1, -1)], range(nvars)
-    elif order == _ELIM_FIRST:
-        fields, flipped = [0, "d", *range(nvars - 1, 0, -1)], range(1, nvars)
-    else:
-        raise ValueError(f"unknown monomial order {order!r}")
-    shift = {name: (len(fields) - 1 - p) * (_FIELD_BITS + 1) for p, name in enumerate(fields)}
-    shifts = tuple(shift[i] for i in range(nvars))
-    top, flip = max(shifts, default=0), sum(_LIMIT << shifts[i] for i in flipped)
-    units, spread = tuple((1 << s) + (1 << shift["d"]) for s in shifts), sum(1 << (top - s) for s in shifts)
-    guards = sum(1 << (s + _FIELD_BITS) for s in shift.values())
-    return _Layout(shifts, units, shift["d"], guards, sum(1 << s for s in shifts), spread, top, flip.__xor__)
+    # The fields from the bottom up: x_0, ..., x_(n-1), then the degree.
+    shifts, degree_shift = tuple(i * (_FIELD_BITS + 1) for i in range(nvars)), nvars * (_FIELD_BITS + 1)
+    top, flip = max(shifts, default=0), sum(_LIMIT << s for s in shifts)
+    units, spread = tuple((1 << s) + (1 << degree_shift) for s in shifts), sum(1 << (top - s) for s in shifts)
+    guards = sum(1 << (s + _FIELD_BITS) for s in (*shifts, degree_shift))
+    return _Layout(shifts, units, degree_shift, guards, sum(1 << s for s in shifts), spread, top, flip.__xor__)
 
 
 def _pack(exp: Exponent, lay: _Layout) -> int:
@@ -132,7 +121,7 @@ class Polynomial:
     def __init__(self, variables: Iterable[str], terms: Mapping[Exponent, Scalar] = ()):
         self.variables: tuple[str, ...] = tuple(variables)
         nvars = len(self.variables)
-        lay = _layout(nvars, GREVLEX)
+        lay = _layout(nvars)
         clean: dict[int, Fraction] = {}
         for exp, coeff in dict(terms).items():
             coeff = _as_fraction(coeff)
@@ -163,7 +152,7 @@ class Polynomial:
     @property
     def terms(self) -> dict[Exponent, Fraction]:
         """A fresh copy of the terms, keyed by exponent tuples."""
-        lay = _layout(len(self.variables), GREVLEX)
+        lay = _layout(len(self.variables))
         return {_unpack(m, lay): c for m, c in self._terms.items()}
 
     def is_zero(self) -> bool:
@@ -177,16 +166,16 @@ class Polynomial:
         if not self._terms:
             return -1
         # The degree field is the top one.
-        return max(self._terms) >> _layout(len(self.variables), GREVLEX).degree_shift
+        return max(self._terms) >> _layout(len(self.variables)).degree_shift
 
     def is_homogeneous(self) -> bool:
-        shift = _layout(len(self.variables), GREVLEX).degree_shift
+        shift = _layout(len(self.variables)).degree_shift
         return len({m >> shift for m in self._terms}) <= 1
 
     def derivative(self, var: Union[int, str]) -> "Polynomial":
         """Return the partial derivative with respect to one variable."""
         idx = self.variables.index(var) if isinstance(var, str) else var
-        lay = _layout(len(self.variables), GREVLEX)
+        lay = _layout(len(self.variables))
         s, unit = lay.shifts[idx], lay.units[idx]
         terms = {m - unit: c * (m >> s & _LIMIT) for m, c in self._terms.items() if m >> s & _LIMIT}
         return Polynomial._of_clean(self.variables, terms)
@@ -341,7 +330,7 @@ def parse_polynomial(text: str, variables: Iterable[str]) -> Polynomial:
     """Parse polynomial text over the given variables: the grammar and
     the limit are checked, and the terms are summed into one map, wrapped once."""
     variables = tuple(variables)
-    lay = _layout(len(variables), GREVLEX)
+    lay = _layout(len(variables))
     units = dict(zip(variables, lay.units))
     if len(units) != len(variables):
         repeated = next(name for name in variables if variables.count(name) > 1)

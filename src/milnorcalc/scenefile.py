@@ -53,9 +53,9 @@ class SceneFileError(ValueError):
 
 def default_variables(n: int) -> tuple[str, ...]:
     """Variable names for P^n: x, y, z, w up to P^3, x0..xn beyond, refused past the variable limit."""
-    from .polynomials import GREVLEX, _layout
+    from .polynomials import _layout
 
-    _layout(n + 1, GREVLEX)
+    _layout(n + 1)
     if n <= 3:
         return ("x", "y", "z", "w")[: n + 1]
     return tuple(f"x{i}" for i in range(n + 1))

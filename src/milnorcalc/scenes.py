@@ -112,14 +112,14 @@ def _check_polynomial(scene: StrataScene) -> None:
 
 def validate_scene(
     scene: StrataScene,
-) -> tuple[dict[str, Stratum], dict[str, frozenset[str]], tuple[str, ...]]:
+) -> tuple[Mapping[str, Stratum], Mapping[str, frozenset[str]], tuple[str, ...]]:
     """Check every rule that ties the scene's fields together: multidegrees,
     the defining polynomial and its chart, poset shape, stratum dims and Euler
     data; raise on failure.  A polynomial needs a chart that names one of its
     variables, and a scene without a polynomial has no chart.  A stratum's
     dim is at most the ambient dim minus the number of multidegrees, and below
     each parent's, so no parent edge closes a cycle.  Return the index, up-sets
-    and peel order of the scene."""
+    and peel order of the scene, the maps read-only: a kept scene is shared."""
     for multidegree in scene.multidegrees:
         if len(multidegree) != len(scene.ambient.factors):
             raise SceneValidationError("multidegree length must match the ambient")
@@ -188,7 +188,7 @@ def validate_scene(
             raise SceneValidationError(f"stratum {s.id!r}: csm class has a term in codimension {low[0][0]}, below {codim}")
         if not low or low[0][1] < 0:
             raise SceneValidationError(f"stratum {s.id!r}: csm class is not effective and nonzero in codimension {codim}")
-    return index, ups, order
+    return MappingProxyType(index), MappingProxyType(ups), order
 
 
 class ConstructibleFunction(_Record):

@@ -207,6 +207,10 @@ ERROR_SCENES = {
     "self-parent": (2, "error: stratum 'p': dim 0 is not below the dim of its parent 'p'\n"),
     "parent-cycle": (2, "error: stratum 'b': dim 1 is not below the dim of its parent 'a'\n"),
     "curve-with-point-class": (2, "error: stratum 'c': csm class is not effective and nonzero in codimension 1\n"),
+    "closure-chi-mismatch": (2, "error: stratum 'p': closure_chi is 2 but the closure strata sum to 1\n"),
+    "csm-degree-mismatch": (2, "error: stratum 'p': csm class has degree 2 but closure_chi is 1\n"),
+    "csm-below-codimension": (2, "error: stratum 'p': csm class has a term in codimension 1, below 2\n"),
+    "short-variables": (2, "error: variables must list one name per homogeneous coordinate\n"),
     "not-json": (
         2,
         "error: {path} is not valid JSON: Expecting property name enclosed in double quotes:"
@@ -340,7 +344,7 @@ def test_warm_block_comes_last_and_is_answered_from_the_memo(tmp_path):
     argvs = compare.all_invocations(tmp_path)
     warm = compare.warm_invocations(ROOT, tmp_path)
     assert argvs[-len(warm) :] == warm
-    assert len(argvs) == 1575
+    assert len(argvs) == 1635
     bare = str(tmp_path / "nodal-cubic-bare.json")
     assert json.loads(pathlib.Path(bare).read_text(encoding="utf-8")) == compare.NODAL_CUBIC
     corpus = sorted((ROOT / "scenes").glob("*.json"))

@@ -17,12 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 from milnorcalc import linalg
 from milnorcalc.groebner import (
-    GREVLEX,
     ComputationCancelled,
     NonIsolatedSingularitiesError,
     SingularitiesOutsideChartError,
     dehomogenize,
-    divide,
     groebner,
     ideal_quotient,
     quotient_dim,
@@ -46,11 +44,14 @@ def ideal(*texts, variables=XY):
     return PolyIdeal(tuple(P(t, variables) for t in texts))
 
 
-def order_key(order):
-    """The monomial order on exponent tuples: a larger key is a larger monomial."""
-    if order == GREVLEX:
-        return lambda e: (sum(e), tuple(-x for x in reversed(e)))
-    return lambda e: (e[0], sum(e[1:]), tuple(-x for x in reversed(e[1:])))
+def grevlex_key(e):
+    """Grevlex on exponent tuples: a larger key is a larger monomial."""
+    return sum(e), tuple(-x for x in reversed(e))
+
+
+def eliminating_key(e):
+    """The order that eliminates the first variable: its power, then grevlex."""
+    return e[0], grevlex_key(e)
 
 
 def linear_combination(pairs, variables):
@@ -64,10 +65,9 @@ def linear_combination(pairs, variables):
     return Polynomial(variables, terms)
 
 
-def s_polynomial(f, g, order):
-    """The S-polynomial of f and g on exponent tuples, independent of the engine."""
-    key = order_key(order)
-    ef, eg = max(f.terms, key=key), max(g.terms, key=key)
+def s_polynomial(f, g):
+    """The grevlex S-polynomial of f and g on exponent tuples, independent of the engine."""
+    ef, eg = max(f.terms, key=grevlex_key), max(g.terms, key=grevlex_key)
     lcm = tuple(map(max, ef, eg))
 
     def shifted(p, e, sign):
@@ -80,9 +80,27 @@ def basis_strings(gb):
     return {str(g) for g in gb.basis}
 
 
-def remainder_mod(p, gb):
-    """The remainder of p on division by a Groebner basis: its normal form."""
-    return divide(p, gb.basis)[1]
+def remainder_mod(p, divisors):
+    """The remainder of p on grevlex division by ``divisors``, on exponent
+    tuples and independent of the engine: each term, largest first, is
+    cancelled by the first divisor whose lead divides it, or kept.  By a
+    Groebner basis, it is the normal form of p."""
+    leads = [(max(g.terms, key=grevlex_key), g.terms) for g in divisors]
+    work, remainder = p.terms, {}
+    while work:
+        t = max(work, key=grevlex_key)
+        for lead, terms in leads:
+            if all(map(operator.le, lead, t)):
+                c = work[t] / terms[lead]
+                for e, d in terms.items():
+                    e = tuple(a + b - l for a, b, l in zip(e, t, lead))
+                    work[e] = work.get(e, 0) - c * d
+                    if not work[e]:
+                        del work[e]
+                break
+        else:
+            remainder[t] = work.pop(t)
+    return Polynomial(p.variables, remainder)
 
 
 def sympy_reduced_basis(gens):
@@ -99,27 +117,51 @@ def sympy_reduced_basis(gens):
     return expected
 
 
-class TestDivision:
-    def test_exact_multiple(self):
-        f = P("x^2*y + x*y^2")
-        quotients, remainder = divide(f, [P("x*y")])
-        assert remainder.is_zero()
-        assert quotients[0] == P("x + y")
+def sympy_quotient_basis(base, f):
+    """The reduced monic grevlex basis of I : (f) from sympy's own ideal
+    quotient, in the form of ``sympy_reduced_basis``."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols(f.variables)
+    ring = sympy.QQ.old_poly_ring(*symbols)
 
-    def test_remainder_not_divisible(self):
-        f = P("x^2 + y^2 + 1")
-        _, remainder = divide(f, [P("x"), P("y")])
-        assert remainder == P("1")
+    def to_sympy(p):
+        return sympy.Poly.from_dict(dict(p.terms), *symbols, domain="QQ").as_expr()
 
-    def test_recombination(self):
-        f = P("x^3*y - 2*x*y^2 + y + 5")
-        divisors = [P("x*y - 1"), P("y^2 - x")]
-        quotients, remainder = divide(f, divisors)
-        assert linear_combination([*zip(quotients, divisors), (remainder, P("1"))], XY) == f
+    quotient = ring.ideal(*map(to_sympy, base.generators)).quotient(ring.ideal(to_sympy(f)))
+    polys = [sympy.Poly(ring.to_sympy(g), *symbols, domain="QQ") for g in quotient.gens]
+    gens = [Polynomial(f.variables, {e: Fraction(int(c.p), int(c.q)) for e, c in p.terms()}) for p in polys]
+    return sympy_reduced_basis(gens)
 
-    def test_zero_dividend(self):
-        quotients, remainder = divide(Polynomial.zero(XY), [P("x")])
-        assert remainder.is_zero() and quotients[0].is_zero()
+
+class TestQuotientDivision:
+    """``ideal_quotient`` divides each element of I and (f) by f: by f made
+    monic, then by the lead coefficient of f."""
+
+    @pytest.mark.parametrize(
+        "gens, f, lc",
+        [
+            (("x^2*y", "x*y^2"), "2*x*y", 2),
+            (("x^2*y - 2*x^2", "x*y^3"), "3*x*y - 6*x", 3),
+            # The grevlex lead of x - 2y^2 is -2y^2.
+            (("x^3", "x*y^2 - 2*y^4"), "x - 2*y^2", -2),
+            # f lies in I, so the quotient is the unit ideal, generated by 1/3.
+            (("x*y",), "3*x*y", 3),
+        ],
+        ids=["lead-2", "two-terms-lead-3", "lead-minus-2", "unit-ideal"],
+    )
+    def test_equals_the_monic_quotient_and_sympy(self, gens, f, lc):
+        base, f = ideal(*gens), P(f)
+        quotient = ideal_quotient(base, f)
+
+        def times(p, c):
+            return Polynomial(XY, {e: c * v for e, v in p.terms.items()})
+
+        monic = ideal_quotient(base, times(f, Fraction(1, lc)))
+        assert [times(q, lc) for q in quotient.generators] == list(monic.generators)
+        assert {frozenset(g.terms.items()) for g in groebner(quotient).basis} == sympy_quotient_basis(base, f)
+        # Each generator times f lies in I.
+        basis = groebner(base).basis
+        assert all(remainder_mod(linear_combination([(q, f)], XY), basis).is_zero() for q in quotient.generators)
 
 
 class TestBuchberger:
@@ -138,7 +180,7 @@ class TestBuchberger:
     def test_membership_after_completion(self):
         gb = groebner(ideal("x^2 - y", "y^2 - x"))
         for text in ("x^2 - y", "y^2 - x", "x^4 - x"):
-            assert remainder_mod(P(text), gb).is_zero()
+            assert remainder_mod(P(text), gb.basis).is_zero()
 
     def test_classic_lex_elimination(self):
         # The classic lex example (x^2 + 2xy^2, xy + 2y^3 - 1), whose reduced
@@ -169,13 +211,12 @@ class TestBuchberger:
 
     def test_basis_is_interreduced(self):
         gb = groebner(ideal("x^2 - y", "y^2 - x"))
-        leads = [max(g.terms, key=order_key(GREVLEX)) for g in gb.basis]
+        leads = [max(g.terms, key=grevlex_key) for g in gb.basis]
         for i, g in enumerate(gb.basis):
             others = [h for j, h in enumerate(gb.basis) if j != i]
             if not others:
                 continue
-            _, remainder = divide(g, others)
-            assert remainder == g
+            assert remainder_mod(g, others) == g
         assert len(set(leads)) == len(leads)
 
 
@@ -221,7 +262,7 @@ class TestSaturation:
         sat = saturate(base, P("x"))
         gb = groebner(sat)
         for g in base.generators:
-            assert remainder_mod(g, gb).is_zero()
+            assert remainder_mod(g, gb.basis).is_zero()
 
     def test_nodal_chart_saturation(self):
         # Jacobian of y^2 - x^3 - x^2 saturated by the curve equation
@@ -234,10 +275,10 @@ class TestSPolynomial:
     def test_cancels_leading_terms(self):
         f = P("x^2 + y")
         g = P("x*y + 1")
-        lay = groebner_module._layout(2, GREVLEX)
+        lay = groebner_module._layout(2)
         a, b = (groebner_module._entry(p._terms, lay) for p in (f, g))
         s = groebner_module._spoly(a, b, groebner_module._lcm(a[0], b[0], lay), lay)
-        assert Polynomial._of_clean(XY, s) == P("y^2 - x") == s_polynomial(f, g, GREVLEX)
+        assert Polynomial._of_clean(XY, s) == P("y^2 - x") == s_polynomial(f, g)
 
 
 class TestMilnorNumbers:
@@ -389,7 +430,7 @@ def rows_by_division(f, basis, monomials):
     rows = []
     for m in monomials:
         shifted = Polynomial(f.variables, {tuple(map(operator.add, e, m)): c for e, c in f.terms.items()})
-        rows.append({index[e]: c for e, c in remainder_mod(shifted, basis).terms.items()})
+        rows.append({index[e]: c for e, c in remainder_mod(shifted, basis.basis).terms.items()})
     return rows
 
 
@@ -425,7 +466,7 @@ def zero_dimensional_ideals(draw):
 def packed_rows(f, basis):
     """``_multiplication_rows`` on exponent tuples: the standard
     monomials, the rows of M_f as exact fractions, and the scale L."""
-    lay = groebner_module._layout(len(basis.variables), GREVLEX)
+    lay = groebner_module._layout(len(basis.variables))
     monomials = groebner_module._standard_monomials(basis)
     rows, scale = groebner_module._multiplication_rows(f._terms, basis, monomials)
     exact = [{j: Fraction(v, scale) for j, v in row.items()} for row in rows]
@@ -456,16 +497,16 @@ class TestMultiplicationRows:
 
     def test_rows_divide_nothing(self, monkeypatch):
         calls = []
-        divide_original = groebner_module.divide
+        reduce_original = groebner_module._reduce
 
         def counted(*args, **kwargs):
             calls.append(args)
-            return divide_original(*args, **kwargs)
+            return reduce_original(*args, **kwargs)
 
         F = P(FOUR_NODAL_QUARTIC, XYZ)
         f = dehomogenize(F, "z")
         basis = groebner(jacobian_ideal(f))
-        monkeypatch.setattr(groebner_module, "divide", counted)
+        monkeypatch.setattr(groebner_module, "_reduce", counted)
         monomials, rows, _ = packed_rows(f, basis)
         assert calls == []
         assert len(rows) == len(monomials) == 9
@@ -630,8 +671,8 @@ def test_groebner_s_polynomials_reduce_to_zero(gens):
     gb = groebner(PolyIdeal(tuple(gens)))
     for i in range(len(gb.basis)):
         for j in range(i + 1, len(gb.basis)):
-            s = s_polynomial(gb.basis[i], gb.basis[j], GREVLEX)
-            assert remainder_mod(s, gb).is_zero()
+            s = s_polynomial(gb.basis[i], gb.basis[j])
+            assert remainder_mod(s, gb.basis).is_zero()
 
 
 @settings(max_examples=60, deadline=None)
@@ -642,11 +683,18 @@ def test_generators_reduce_to_zero(gens):
         return
     gb = groebner(PolyIdeal(tuple(gens)))
     for g in gens:
-        assert remainder_mod(g, gb).is_zero()
+        assert remainder_mod(g, gb.basis).is_zero()
 
 
 LIMIT = groebner_module._LIMIT
-ORDERS = (GREVLEX, groebner_module._ELIM_FIRST)
+
+
+def eliminating_layout(nvars):
+    return groebner_module._eliminating(groebner_module._layout(nvars))
+
+
+# Each order by its id: the engine's layout and the order on exponent tuples.
+ORDERS = {"grevlex": (groebner_module._layout, grevlex_key), "elim-first": (eliminating_layout, eliminating_key)}
 
 
 @st.composite
@@ -662,7 +710,7 @@ def exponents(draw, nvars, total=None):
 @st.composite
 def packed_cases(draw):
     nvars = draw(st.integers(1, 6))
-    order = draw(st.sampled_from(ORDERS))
+    order = draw(st.sampled_from(tuple(ORDERS)))
     return order, draw(exponents(nvars)), draw(exponents(nvars))
 
 
@@ -673,10 +721,10 @@ class TestPackedMonomials:
     @given(packed_cases())
     def test_layout_matches_tuple_oracle(self, case):
         order, a, b = case
-        lay = groebner_module._layout(len(a), order)
+        layout, key = ORDERS[order]
+        lay = layout(len(a))
         pa, pb = groebner_module._pack(a, lay), groebner_module._pack(b, lay)
         assert groebner_module._unpack(pa, lay) == a
-        key = order_key(order)
         assert (lay.key(pa) < lay.key(pb)) == (key(a) < key(b))
         assert (pa == pb) == (a == b)
         divides = all(x <= y for x, y in zip(a, b))
@@ -695,7 +743,7 @@ class TestPackedMonomials:
 
     @pytest.mark.parametrize("order", ORDERS)
     def test_past_the_limit_raises(self, order):
-        lay = groebner_module._layout(3, order)
+        lay = ORDERS[order][0](3)
         for exp in [(LIMIT + 1, 0, 0), (0, 0, LIMIT + 1), (LIMIT, 1, 0), (1, LIMIT // 2 + 1, LIMIT // 2)]:
             with pytest.raises(ValueError, match="beyond the Groebner engine"):
                 groebner_module._pack(exp, lay)
@@ -714,7 +762,7 @@ class TestPackedMonomials:
         # t - y^(LIMIT - 1) and t^2 + tx is -t y^(LIMIT - 1) - tx, of degree
         # LIMIT, and reducing its lead by t - y^(LIMIT - 1) gives
         # y^(2 LIMIT - 2), which no field can hold.  It must not wrap.
-        lay = groebner_module._layout(3, groebner_module._ELIM_FIRST)
+        lay = eliminating_layout(3)
 
         def packed(terms):
             return {groebner_module._pack(e, lay): c for e, c in terms.items()}
@@ -729,7 +777,7 @@ class TestPackedMonomials:
         # t x^2, so the S-polynomial is x^2 y^(LIMIT - 1), of degree
         # LIMIT + 1: the first operand overflows, the second does not, and
         # _spoly refuses the pair before it builds a term.
-        lay = groebner_module._layout(3, groebner_module._ELIM_FIRST)
+        lay = eliminating_layout(3)
 
         def packed(terms):
             return {groebner_module._pack(e, lay): c for e, c in terms.items()}
@@ -756,7 +804,7 @@ def chart_equation(text, chart):
     """The chart equation f of F, the degree of F and the layout of f."""
     F = P(text, XYZ)
     f = dehomogenize(F, chart)
-    return f, F.total_degree(), groebner_module._layout(len(f.variables), GREVLEX)
+    return f, F.total_degree(), groebner_module._layout(len(f.variables))
 
 
 def monomial(text):

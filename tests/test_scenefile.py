@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from milnorcalc import scenefile, scenes
+from milnorcalc import build_report, canonical_json, report_to_jsonable, scenefile, scenes
 from milnorcalc.chow import AmbientSpace, ChowClass
 from milnorcalc.scenefile import (
     SceneFileError,
@@ -524,6 +524,23 @@ class TestSceneMemo:
         again, again_mu = load_scene(path)
         assert again is scene and again_mu is mu
         assert self.built == self.validated == ["nodal-cubic"]
+
+    def test_a_kept_scene_cannot_be_changed(self):
+        # The memo hands one scene to every load of a file, so its maps are read-only.
+        path = str(SCENES / "nodal-cubic.json")
+        scene, mu = load_scene(path)
+        first = canonical_json(report_to_jsonable(build_report(scene, mu)))
+        for kept in (scene.index, scene.upsets):
+            # A read-only map has no ``clear``, and refuses item assignment and deletion.
+            with pytest.raises(AttributeError):
+                kept.clear()
+            with pytest.raises(TypeError):
+                kept["node"] = kept["smooth_part"]
+            with pytest.raises(TypeError):
+                del kept["node"]
+        again, again_mu = load_scene(path)
+        assert again is scene and sorted(again.index) == ["node", "smooth_part"]
+        assert canonical_json(report_to_jsonable(build_report(again, again_mu))) == first
 
     def test_a_rewritten_file_is_read_again(self, tmp_path):
         path = self.write(tmp_path / "scene.json", nodal_dict())
