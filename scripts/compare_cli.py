@@ -24,7 +24,8 @@ list holds:
   parser, a zero and a constant polynomial), a node in P^5, a chart
   validation that needs an S-pair, high single exponents, exponents
   over the limit and large coefficients;
-- ``table`` and ``--json table``, and a few other inputs that exit 2;
+- five forms of the retired ``table``, each of which exits 2 with a
+  pointer to ``report``, and a few other inputs that exit 2;
 - before all of these, argparse-level rejections and ``--help``, so
   that the rest runs after the parser has refused input in the same
   process;
@@ -174,6 +175,7 @@ MILNOR_CASES = [
     ("7", "x,y,z", "z"),
 ]
 
+# The retired table command, in the forms it took when it still ran.
 TABLES = [
     ["table"],
     ["table", "--nmax", "6", "--dmax", "7"],

@@ -5,17 +5,18 @@
 
 The cases are drawn by Hypothesis from the mutators of
 ``tests/test_fuzz_cli.py`` (corpus scenes under ``report`` and ``check``,
-edited ``milnor`` polynomials, ``table`` bounds), in batches seeded from
-SEED, until SECONDS have passed.  Each is held to that test's invariants
-(``check_case``) and to its per-case deadline; an exception that leaves
-``main`` is a failure too.  All cases run in one child process whose
-address space is limited to 1 GB, set on the child alone, so a lost size
-limit ends as a MemoryError there.  Each failing case is written to DIR
-(default ``fuzz-failures``) as ``failure-N.json``: its argv, its scene
-text (a scene case's file is the last argument), the problem and its
-traceback.  The last line of stdout is a JSON object with the seed, the
-case count and the failure count.  Exit 0 when no case failed, 1 when
-some did, and 2 when the child did not finish.
+edited ``milnor`` polynomials, the retired ``table`` with its old
+bounds), in batches seeded from SEED, until SECONDS have passed.  Each
+is held to that test's invariants (``check_case``) and to its per-case
+deadline; an exception that leaves ``main`` is a failure too.  All cases
+run in one child process whose address space is limited to 1 GB, set on
+the child alone, so a lost size limit ends as a MemoryError there.
+Each failing case is written to DIR (default ``fuzz-failures``) as
+``failure-N.json``: its argv, its scene text (a scene case's file is the
+last argument), the problem and its traceback.  The last line of stdout
+is a JSON object with the seed, the case count and the failure count.
+Exit 0 when no case failed, 1 when some did, and 2 when the child did
+not finish.
 """
 
 from __future__ import annotations

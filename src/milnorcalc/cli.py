@@ -3,13 +3,13 @@
 Four subcommands: ``report`` prints every class and check for a scene
 file, ``check`` runs selected identity checks and signals failure
 through the exit code, ``milnor`` computes a total Milnor number from
-a raw polynomial, and ``table`` tabulates Euler characteristics of
-smooth hypersurfaces.  Exit codes: 0 success, 1 failed checks, 2
-invalid input, 3 a math-level obstruction: an error whose type is a
-``MathObstruction``, such as non-isolated singularities.  Each ``cmd_*``
-returns its exit code and its whole output; ``main`` alone writes stdout
-and stderr, after the command has returned, and a reader that closes
-either early leaves that exit code as it is.
+a raw polynomial, and the retired ``table`` takes any arguments and
+exits 2 with a pointer to ``report``.  Exit codes: 0 success, 1 failed
+checks, 2 invalid input, 3 a math-level obstruction: an error whose
+type is a ``MathObstruction``, such as non-isolated singularities.
+Each ``cmd_*`` returns its exit code and its whole output; ``main``
+alone writes stdout and stderr, after the command has returned, and a
+reader that closes either early leaves that exit code as it is.
 """
 
 from __future__ import annotations
@@ -20,19 +20,14 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .charclasses import build_report, canonical_json, check_to_jsonable, fulton_johnson, report_to_jsonable
-from .chow import AmbientSpace, MathObstruction, _ambient_label, _box_size
+from .charclasses import build_report, canonical_json, check_to_jsonable, report_to_jsonable
+from .chow import MathObstruction, _ambient_label
 from .scenefile import load_scene
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_MATH = 3
-# The most steps a table may take, counted as nmax * dmax * (nmax + 20): a
-# class of P^n has n + 1 coefficients, and the fixed cost of a class is about
-# that of 20 coefficients.  The largest tables inside it, from 1,990 x 1 to
-# 1 x 190,000, take 1.1-3.5 s with --json (2-vCPU VM, Python 3.11).
-_MAX_TABLE_STEPS = 4_000_000
 
 
 class UsageError(ValueError):
@@ -152,30 +147,8 @@ def cmd_milnor(args) -> tuple[int, str]:
     return EXIT_OK, str(result.total_milnor)
 
 
-def cmd_table(args) -> tuple[int, str]:
-    if args.nmax < 1 or args.dmax < 1:
-        raise UsageError("table bounds must be at least 1")
-    _box_size((args.nmax,))
-    steps = args.nmax * args.dmax * (args.nmax + 20)
-    if steps > _MAX_TABLE_STEPS:
-        raise UsageError(
-            f"a table with --nmax {args.nmax} and --dmax {args.dmax} takes {steps} steps, "
-            f"nmax * dmax * (nmax + 20), more than the {_MAX_TABLE_STEPS} a table may take"
-        )
-    values = {}
-    for n in range(1, args.nmax + 1):
-        ambient = AmbientSpace((n,))
-        for d in range(1, args.dmax + 1):
-            values[(n, d)] = fulton_johnson(ambient, [(d,)]).degree()
-    if args.json:
-        payload = {f"{n},{d}": chi for (n, d), chi in values.items()}
-        return EXIT_OK, canonical_json({"chi": payload, "dmax": args.dmax, "nmax": args.nmax})
-    width = max(6, *(len(str(chi)) + 2 for chi in values.values()))
-    header = "n\\d" + "".join(str(d).rjust(width) for d in range(1, args.dmax + 1))
-    lines = ["chi of a smooth degree-d hypersurface in P^n", header]
-    for n in range(1, args.nmax + 1):
-        lines.append(str(n).ljust(3) + "".join(str(values[(n, d)]).rjust(width) for d in range(1, args.dmax + 1)))
-    return EXIT_OK, "\n".join(lines)
+def _retired_table(args):
+    raise UsageError('table is retired: report prints its euler for the scene {"ambient": [n], "degrees": [[d]], "smooth": true}')
 
 
 # Built on the first call to main and shared by every later call: main
@@ -213,10 +186,9 @@ def _parser() -> argparse.ArgumentParser:
     p_milnor.add_argument("--chart", required=True, help="chart variable")
     p_milnor.set_defaults(func=cmd_milnor)
 
-    p_table = sub.add_parser("table", help="Euler characteristics of smooth hypersurfaces")
-    p_table.add_argument("--nmax", type=int, default=4)
-    p_table.add_argument("--dmax", type=int, default=4)
-    p_table.set_defaults(func=cmd_table)
+    p_table = sub.add_parser("table", prefix_chars="+", help="Euler characteristics of smooth hypersurfaces")
+    p_table.add_argument("retired", nargs="*")
+    p_table.set_defaults(func=_retired_table)
     return parser
 
 

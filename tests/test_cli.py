@@ -626,28 +626,6 @@ class TestSizeBudget:
         message = f"error: a polynomial in {count} variables is over the limit of 1000 variables\n"
         assert run_child("report", path) == (2, "", message)
 
-    def test_table_refused_before_its_loop(self):
-        # P^1, P^2, ... used to be computed before P^400000 was refused.
-        message = "error: " + self.BOX.format("P^400000") + "\n"
-        assert run_child("table", "--nmax", "400000", "--dmax", "1") == (2, "", message)
-        bits = "error: the tangent class of P^7000 may need 49014001 bits, more than the 40000000 a class may hold\n"
-        assert run_child("--json", "table", "--nmax", "7000", "--dmax", "1") == (2, "", bits)
-
-    def test_table_refused_over_its_steps(self):
-        # Inside the box and bit limits, the first two would run for 20 s and
-        # for minutes; 80 x 501 is just over the budget.
-        for nmax, dmax in ((4000, 1), (1, 10**7), (80, 501)):
-            steps = nmax * dmax * (nmax + 20)
-            message = (
-                f"error: a table with --nmax {nmax} and --dmax {dmax} takes {steps} steps, "
-                "nmax * dmax * (nmax + 20), more than the 4000000 a table may take\n"
-            )
-            assert run_child("table", "--nmax", str(nmax), "--dmax", str(dmax)) == (2, "", message)
-
-    def test_table_at_its_steps_budget_runs(self):
-        # 80 x 500 x (80 + 20) is the budget exactly: about a second.
-        assert run_child("--quiet", "table", "--nmax", "80", "--dmax", "500") == (0, "", "")
-
     def test_one_large_factor_refused_by_its_bits(self, tmp_path):
         # Inside the box limit, but with binomials of up to 72,448 bits at
         # each position: a MemoryError under the child's limit before.
@@ -682,44 +660,27 @@ class TestStratumDims:
         assert err == "error: stratum 'arc': dim 1 is not below the dim of its parent 'smooth_part'\n"
 
 
-class TestTable:
-    def test_text_grid(self, capsys):
-        code, out, _ = run(capsys, "table")
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "chi of a smooth degree-d hypersurface in P^n"
-        assert lines[1].split() == ["n\\d", "1", "2", "3", "4"]
-        rows = {line.split()[0]: line.split()[1:] for line in lines[2:]}
-        assert rows["2"] == ["2", "2", "0", "-4"]
-        assert rows["3"] == ["3", "4", "9", "24"]
-        assert rows["4"] == ["4", "4", "-6", "-56"]
+class TestSmoothEuler:
+    def test_report_euler_matches_the_closed_form(self, tmp_path, capsys):
+        # A smooth degree-d hypersurface in P^n has Euler number
+        # ((1 - d)^(n + 1) - 1)/d + n + 1, derived here without chow.py.
+        # 20, 20 is past 64 bits, so the report writes it as a string.
+        cases = [(n, d) for n in range(1, 7) for d in range(1, 7)] + [(20, 20)]
+        for n, d in cases:
+            path = write_scene(tmp_path, {"ambient": [n], "degrees": [[d]], "smooth": True})
+            code, out, err = run(capsys, "--json", "report", path)
+            expected = ((1 - d) ** (n + 1) - 1) // d + n + 1
+            assert (code, err) == (0, "")
+            assert assert_canonical(out)["euler"] == (expected if abs(expected) < 2**63 else str(expected)), (n, d)
+        assert expected == -35710474784668660283687800
 
-    def test_json_values(self, capsys):
-        code, out, _ = run(capsys, "--json", "table", "--nmax", "3", "--dmax", "5")
-        payload = assert_canonical(out)
-        assert payload["nmax"] == 3 and payload["dmax"] == 5
-        assert payload["chi"]["1,4"] == 4
-        assert payload["chi"]["2,3"] == 0
-        assert payload["chi"]["3,5"] == 55
-        assert len(payload["chi"]) == 15
 
-    def test_json_integers_beyond_64_bits_are_strings(self, capsys):
-        code, out, _ = run(capsys, "--json", "table", "--nmax", "20", "--dmax", "20")
-        chi = assert_canonical(out)["chi"]
-        assert code == 0
-        assert chi["20,20"] == "-35710474784668660283687800"
-        assert chi["2,2"] == 2
-
-    def test_line_row_counts_points(self, capsys):
-        # chi of d points in P^1 is d
-        code, out, _ = run(capsys, "--json", "table", "--nmax", "1", "--dmax", "6")
-        payload = assert_canonical(out)
-        assert [payload["chi"][f"1,{d}"] for d in range(1, 7)] == [1, 2, 3, 4, 5, 6]
-
-    def test_bad_bounds(self, capsys):
-        code, _, err = run(capsys, "table", "--nmax", "0")
-        assert code == 2
-        assert "at least 1" in err
+class TestRetiredTable:
+    def test_each_old_form_exits_2_and_names_report(self, capsys):
+        message = 'error: table is retired: report prints its euler for the scene '
+        message += '{"ambient": [n], "degrees": [[d]], "smooth": true}\n'
+        for argv in (["table"], ["table", "--nmax", "4", "--dmax", "4"], ["--json", "table"]):
+            assert run(capsys, *argv) == (2, "", message)
 
 
 class TestParser:
@@ -734,7 +695,7 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_parser_is_built_once(self, monkeypatch, capsys):
-        main(["table"])
+        main(["report", CONIC])
         built = []
         init = argparse.ArgumentParser.__init__
 
@@ -743,7 +704,7 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        for argv in (["report", NODAL], ["--json", "table"], ["--quiet", "check", CONIC]):
+        for argv in (["report", NODAL], ["--json", "report", CONIC], ["--quiet", "check", CONIC]):
             main(argv)
         capsys.readouterr()
         assert built == []
@@ -816,9 +777,11 @@ def run_into_closed_pipe(*argv, closed="stdout"):
 class TestClosedStdout:
     # A reader that closes stdout early leaves no traceback, and the exit
     # code stays the command's own: 1 is kept for a failed check.
-    def test_a_command_that_succeeds_exits_0(self):
-        assert run_into_closed_pipe("table") == (0, "")
-        assert run_into_closed_pipe("table", "--nmax", "60", "--dmax", "60") == (0, "")
+    def test_a_command_that_succeeds_exits_0(self, tmp_path):
+        assert run_into_closed_pipe("report", CONIC) == (0, "")
+        # About 230 kB of text, more than a pipe holds.
+        large = write_scene(tmp_path, {"ambient": [300], "degrees": [[300]], "smooth": True})
+        assert run_into_closed_pipe("report", large) == (0, "")
         assert run_into_closed_pipe("--json", "report", str(SCENES / "one-nodal-quartic-surface.json"), "--m", "3") == (0, "")
 
     def test_a_failed_check_still_exits_1(self, tmp_path):
@@ -852,11 +815,11 @@ class TestMathObstruction:
 
     @pytest.mark.parametrize("error, code", [(MathObstruction, 3), (ValueError, 2)])
     def test_the_type_of_the_error_decides_the_exit_code(self, capsys, monkeypatch, error, code):
-        def refuse(*args):
-            raise error("no table today")
+        def refuse(*args, **kwargs):
+            raise error("no report today")
 
-        monkeypatch.setattr(cli, "fulton_johnson", refuse)
-        assert run(capsys, "table") == (code, "", "error: no table today\n")
+        monkeypatch.setattr(cli, "build_report", refuse)
+        assert run(capsys, "report", CONIC) == (code, "", "error: no report today\n")
 
 
 class TestUsageError:
@@ -868,10 +831,8 @@ class TestUsageError:
             (["check", NODAL, "--checks", "frobnicate"], "unknown check 'frobnicate'"),
             (["check", "TWO_DEGREES", "--checks", "defect"], "check 'defect' does not apply to this scene"),
             (["milnor", "--poly", "x", "--vars", " , ", "--chart", "x"], "--vars needs at least one variable name"),
-            (["table", "--nmax", "0"], "table bounds must be at least 1"),
-            (["table", "--nmax", "80", "--dmax", "501"], "a table with --nmax 80 and --dmax 501 takes"),
         ],
-        ids=["unknown-check", "check-keys", "empty-vars", "table-bounds", "table-steps"],
+        ids=["unknown-check", "check-keys", "empty-vars"],
     )
     def test_each_argument_fault_is_a_usage_error(self, tmp_path, capsys, argv, message):
         two_degrees = write_scene(tmp_path, {"ambient": [3], "degrees": [[2], [2]], "smooth": True})

@@ -73,10 +73,11 @@ def test_every_scene_runs_every_form_at_every_m():
 
 def test_a_checkout_runs_in_its_own_child():
     compare = load_compare()
-    argvs = [["table", "--nmax", "1", "--dmax", "2"], ["table", "--nmax", "0"], ["frobnicate"]]
-    table, bad_bounds, bad_command = compare.run_checkout(ROOT, argvs)
-    assert table["code"] == 0 and table["stdout"].splitlines()[-1].split() == ["1", "1", "2"]
-    assert bad_bounds == result(code=2, stderr="error: table bounds must be at least 1\n")
+    conic = str(ROOT / "scenes" / "smooth-conic.json")
+    argvs = [["report", conic], ["check", conic, "--checks", "frobnicate"], ["frobnicate"]]
+    report, bad_check, bad_command = compare.run_checkout(ROOT, argvs)
+    assert report["code"] == 0 and "euler: 2" in report["stdout"].splitlines()
+    assert bad_check == result(code=2, stderr="error: unknown check 'frobnicate'\n")
     assert bad_command["code"] == 2 and "invalid choice" in bad_command["stderr"]
 
 

@@ -4,8 +4,8 @@ A case takes a scene of ``scenes/`` and applies one to three mutations:
 a dropped key, a value of another JSON type, a shifted int, an edited
 character of a string, or an added key.  It runs the result under
 ``report``, ``--json report``, ``check`` or ``--json check``.  Other
-cases run ``milnor`` on an edited corpus polynomial, or ``table`` on
-small bounds.  Ints stay within 10^6.
+cases run ``milnor`` on an edited corpus polynomial, or the retired
+``table`` on its old bounds, which exits 2.  Ints stay within 10^6.
 
 Whatever the input, ``main`` returns 0 to 3, or argparse exits 2.  An
 exit of 2 or 3 leaves stdout empty and writes one ``error:`` line to
@@ -131,8 +131,7 @@ def milnor_cases(draw):
 
 @st.composite
 def table_cases(draw):
-    # Small bounds only: the table runs every degree of every P^n, and the
-    # limits on nmax are run in a child process by tests/test_cli.py.
+    # The old options of the retired command, which it refuses whatever they hold.
     nmax, dmax = draw(st.sampled_from([-1, 0, 1, 3])), draw(st.sampled_from([-1, 0, 1, 3]))
     return ("table", "--nmax", str(nmax), "--dmax", str(dmax)), None
 

@@ -28,12 +28,21 @@ with contextlib.redirect_stdout(out):
 heavy = [name for name in json.loads(sys.stdin.read()) if name in sys.modules]
 print(json.dumps({"code": code, "stdout": out.getvalue(), "heavy": heavy}))
 """
-TABLE = """chi of a smooth degree-d hypersurface in P^n
-n\\d     1     2     3     4
-1       1     2     3     4
-2       2     2     0    -4
-3       3     4     9    24
-4       4     4    -6   -56
+CONIC_TEXT = """scene: smooth-conic
+ambient: P^2
+degrees: (2)
+fulton_johnson: 2H + 2H^2
+milnor_class: 0
+csm: 2H + 2H^2
+euler: 2
+checks:
+  defect_codim1: pass
+  euler_strata: pass  (strata give 2, classes give 2)
+  lci_m1: pass
+  localization_sum: pass
+  pushdown_m1: pass
+  self_intersection: pass
+  verdier_m1: pass
 """
 
 
@@ -64,8 +73,15 @@ def test_a_report_without_a_polynomial_loads_no_engine(scene):
     assert result == {"code": 0, "stdout": GOLDENS[f"{scene} --m 1"], "heavy": []}
 
 
+def test_a_text_report_without_a_polynomial_loads_no_engine():
+    result = run_fresh("report", str(SCENES / "smooth-conic.json"))
+    assert result == {"code": 0, "stdout": CONIC_TEXT, "heavy": []}
+
+
 def test_a_table_loads_no_engine():
-    assert run_fresh("table") == {"code": 0, "stdout": TABLE, "heavy": []}
+    # The retired command: each old form exits 2 before any class is computed.
+    for argv in (["table"], ["table", "--nmax", "4", "--dmax", "4"], ["--json", "table"]):
+        assert run_fresh(*argv) == {"code": 2, "stdout": "", "heavy": []}
 
 
 @pytest.mark.parametrize(
