@@ -186,7 +186,7 @@ def _parser() -> argparse.ArgumentParser:
     p_milnor.add_argument("--chart", required=True, help="chart variable")
     p_milnor.set_defaults(func=cmd_milnor)
 
-    p_table = sub.add_parser("table", prefix_chars="+", help="Euler characteristics of smooth hypersurfaces")
+    p_table = sub.add_parser("table", prefix_chars="+", help="retired: report on a smooth scene prints its euler")
     p_table.add_argument("retired", nargs="*")
     p_table.set_defaults(func=_retired_table)
     return parser

@@ -682,6 +682,13 @@ class TestRetiredTable:
         for argv in (["table"], ["table", "--nmax", "4", "--dmax", "4"], ["--json", "table"]):
             assert run(capsys, *argv) == (2, "", message)
 
+    def test_help_lists_it_as_retired(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        # Joined on whitespace, since argparse wraps help to the terminal's width.
+        assert " table retired: report on a smooth scene prints its euler " in " ".join(capsys.readouterr().out.split())
+
 
 class TestParser:
     def test_unknown_command_exits_two(self):
