@@ -269,15 +269,15 @@ class ClassReport(_Record):
 def build_report(
     scene: StrataScene,
     mu: Optional[ConstructibleFunction] = None,
-    m_values: Sequence[int] = (1,),
+    m: int = 1,
     cancel: Optional[CancelCallback] = None,
 ) -> ClassReport:
     """Compute every class and run every identity check for a scene.
 
     The Fulton-Johnson, Milnor and CSM classes for the ambient and the
     closure-indicator coefficients of mu (one Moebius inversion) are
-    computed once, and so are, for each m, the Fulton-Johnson class of
-    X x P^m and the pulled-back Milnor class; the checks compare them.
+    computed once, and so are the Fulton-Johnson class of X x P^m for
+    m and the pulled-back Milnor class; the checks compare them.
     c(TY), D = dH and 1+D are formed here and shared by the Milnor
     class, the localization and the checks, but ``fulton_johnson`` forms
     its own and ``self_intersection_check`` forms D again.  Stratum
@@ -288,7 +288,7 @@ def build_report(
     mu on it is rejected rather than dropped.  ``scene`` was validated
     when it was built, so it is not validated again here.
     """
-    if any(m < 1 for m in m_values):
+    if m < 1:
         raise ValueError("the product factor dimension must be at least 1")
     scene, mu, milnor_data = resolve_mu(scene, mu, cancel)
     codim_one = len(scene.multidegrees) == 1
@@ -313,12 +313,11 @@ def build_report(
         csm = fj - milnor
         results.append(CheckResult(name="self_intersection", passed=self_intersection_check(scene.ambient, degree)))
         results.append(defect_codim1_check(tangent, divisor, normal, csm, milnor))
-        for m in m_values:
-            product_fj = fulton_johnson(scene.ambient.extended(m), [degree + (0,)])
-            product_milnor = pull_back(milnor, m)
-            results.append(verdier_smooth_check(m, product_fj, product_milnor, csm))
-            results.append(proper_pushdown_check(m, product_milnor, milnor))
-            results.append(lci_defect_check(scene, coefficients, tangent, m, product_fj, product_milnor))
+        product_fj = fulton_johnson(scene.ambient.extended(m), [degree + (0,)])
+        product_milnor = pull_back(milnor, m)
+        results.append(verdier_smooth_check(m, product_fj, product_milnor, csm))
+        results.append(proper_pushdown_check(m, product_milnor, milnor))
+        results.append(lci_defect_check(scene, coefficients, tangent, m, product_fj, product_milnor))
         total = sum((term for _, term in terms), ChowClass.zero(scene.ambient))
         results.append(_result("localization_sum", total - milnor))
     euler = csm.degree()

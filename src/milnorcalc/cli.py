@@ -110,7 +110,7 @@ def _report_text(report) -> str:
 
 def cmd_report(args) -> tuple[int, str]:
     scene, mu = load_scene(args.scene)
-    report = build_report(scene, mu, m_values=(args.m,))
+    report = build_report(scene, mu, m=args.m)
     if args.json:
         return EXIT_OK, canonical_json(report_to_jsonable(report))
     return EXIT_OK, _report_text(report)
@@ -123,7 +123,7 @@ def cmd_check(args) -> tuple[int, str]:
         if name not in _CHECK_ALIASES:
             raise UsageError(f"unknown check {name!r}")
     scene, mu = load_scene(args.scene)
-    report = build_report(scene, mu, m_values=(args.m,))
+    report = build_report(scene, mu, m=args.m)
     keys = _check_keys(report.checks, names, args.m)
     code = EXIT_OK if all(report.checks[key].passed for key in keys) else EXIT_CHECK_FAILED
     if args.json:

@@ -20,10 +20,14 @@ def corpus_scenes():
 
 @pytest.fixture(scope="session")
 def corpus_reports(corpus_scenes):
-    reports = {}
-    for name, (scene, mu) in corpus_scenes.items():
-        reports[name] = build_report(scene, mu, m_values=(1, 2))
-    return reports
+    """Each scene's report at m = 1."""
+    return {name: build_report(scene, mu) for name, (scene, mu) in corpus_scenes.items()}
+
+
+@pytest.fixture(scope="session")
+def corpus_reports_m2(corpus_scenes):
+    """Each scene's report at m = 2, whose product checks are on X x P^2."""
+    return {name: build_report(scene, mu, m=2) for name, (scene, mu) in corpus_scenes.items()}
 
 
 @pytest.fixture(scope="session")

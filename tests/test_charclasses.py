@@ -292,10 +292,11 @@ class TestCorpusClasses:
         assert report.csm == ChowClass(P3, {(1,): 2, (2,): 5, (3,): 4})
         assert report.euler == 4
 
-    def test_all_checks_pass_everywhere(self, corpus_reports):
-        for name, report in corpus_reports.items():
-            for key, check in report.checks.items():
-                assert check.passed, f"{name}: {key} failed with residual {check.residual}"
+    def test_all_checks_pass_everywhere(self, corpus_reports, corpus_reports_m2):
+        for reports in (corpus_reports, corpus_reports_m2):
+            for name, report in reports.items():
+                for key, check in report.checks.items():
+                    assert check.passed, f"{name}: {key} failed with residual {check.residual}"
 
     def test_reports_satisfy_defining_identities(self, corpus_reports):
         for report in corpus_reports.values():
@@ -348,7 +349,7 @@ class TestProductChecks:
     def test_product_dimension_must_be_positive(self, corpus_scenes):
         scene, mu = corpus_scenes["nodal-cubic"]
         with pytest.raises(ValueError):
-            build_report(scene, mu, m_values=(0,))
+            build_report(scene, mu, m=0)
 
     def test_defect_check_sides(self, nodal_report):
         # Both sides of the divisor defect identity equal the Milnor
@@ -455,10 +456,9 @@ class TestBuildReport:
         assert nodal_report.milnor_data.total_milnor == 1
         assert nodal_report.milnor_data.chart == "z"
 
-    def test_requested_m_values_present(self, corpus_reports):
-        report = corpus_reports["nodal-cubic"]
-        for key in ("verdier_m1", "verdier_m2", "pushdown_m1", "pushdown_m2", "lci_m1", "lci_m2"):
-            assert key in report.checks
+    def test_product_checks_are_at_the_requested_m(self, corpus_reports_m2):
+        checks = corpus_reports_m2["nodal-cubic"].checks
+        assert {key for key in checks if "_m" in key} == {"verdier_m2", "pushdown_m2", "lci_m2"}
 
     def test_euler_strata_detail(self, nodal_report):
         check = nodal_report.checks["euler_strata"]
@@ -494,7 +494,7 @@ class TestBuildReport:
 
         monkeypatch.setattr(ConstructibleFunction, "indicator_coefficients", counted_inversion)
         scene, mu = corpus_scenes["cuspidal-cubic"]
-        report = build_report(scene, mu, m_values=(2,))
+        report = build_report(scene, mu, m=2)
         assert not report.mu.is_zero()
         assert all(check.passed for check in report.checks.values())
         assert calls == {"resolve_mu": 1, "fulton_johnson": 2, "milnor_class": 1, "unit_inverse": 0}
