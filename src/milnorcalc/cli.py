@@ -1,12 +1,11 @@
 """Command-line interface.
 
-Four subcommands: ``report`` prints every class and check for a scene
+Three subcommands: ``report`` prints every class and check for a scene
 file, ``check`` runs selected identity checks and signals failure
-through the exit code, ``milnor`` computes a total Milnor number from
-a raw polynomial, and the retired ``table`` takes any arguments and
-exits 2 with a pointer to ``report``.  Exit codes: 0 success, 1 failed
-checks, 2 invalid input, 3 a math-level obstruction: an error whose
-type is a ``MathObstruction``, such as non-isolated singularities.
+through the exit code, and ``milnor`` computes a total Milnor number
+from a raw polynomial.  Exit codes: 0 success, 1 failed checks, 2
+invalid input, 3 a math-level obstruction: an error whose type is a
+``MathObstruction``, such as non-isolated singularities.
 Each ``cmd_*`` returns its exit code and its whole output; ``main``
 alone writes stdout and stderr, after the command has returned, and a
 reader that closes either early leaves that exit code as it is.
@@ -147,10 +146,6 @@ def cmd_milnor(args) -> tuple[int, str]:
     return EXIT_OK, str(result.total_milnor)
 
 
-def _retired_table(args):
-    raise UsageError('table is retired: report prints its euler for the scene {"ambient": [n], "degrees": [[d]], "smooth": true}')
-
-
 # Built on the first call to main and shared by every later call: main
 # only calls parse_args, which leaves the parser as it was.
 @functools.cache
@@ -185,10 +180,6 @@ def _parser() -> argparse.ArgumentParser:
     p_milnor.add_argument("--vars", required=True, help="comma list of variables")
     p_milnor.add_argument("--chart", required=True, help="chart variable")
     p_milnor.set_defaults(func=cmd_milnor)
-
-    p_table = sub.add_parser("table", prefix_chars="+", help="retired: report on a smooth scene prints its euler")
-    p_table.add_argument("retired", nargs="*")
-    p_table.set_defaults(func=_retired_table)
     return parser
 
 

@@ -72,8 +72,10 @@ def _parse_int(value, context: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, str):
+        digits = value.removeprefix("-")
         try:
-            return int(value)
+            # int() alone reads " 1", "1_0", "+3" and "٢"; text but ASCII -?[0-9]+ fails as "" does.
+            return int(value if digits.isascii() and digits.isdigit() else "")
         except ValueError:
             # Python refuses text over its digit limit in words of its own.
             limit = sys.get_int_max_str_digits()

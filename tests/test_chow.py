@@ -5,7 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from milnorcalc import chow
 from milnorcalc.charclasses import build_report, canonical_json, fulton_johnson, report_to_jsonable
@@ -566,17 +566,36 @@ def test_projection_formula(x, y):
     assert lhs == rhs
 
 
-# Ring identities behind the report's product checks, on Y x P^m with
-# the new factor last (k = len(Y.factors)).  (a) is what verdier_m* and
-# lci_m* compare, (b) what pushdown_m* compares.
+# The ring identity behind each of the report's ring-level checks, on Y
+# x P^m with the new factor last where there is one; each check holds
+# for every scene exactly when its identity does:
+#   verdier_m*         test_product_fulton_johnson_is_pulled_back
+#   pushdown_m*        test_pushdown_of_fiber_tangent_multiplies_by_fiber_euler
+#   self_intersection  TestGysin.test_self_intersection_sweep
+#   defect_codim1      test_twisted_tangent_class_is_fulton_johnson
+#   lci_m*             test_twisted_pulled_back_tangent_class_is_product_fulton_johnson
+#                      and test_insert_factor_commutes_with_products_and_division
+#   localization_sum   test_division_by_the_normal_class_is_additive
 
 fiber_dims = st.sampled_from([1, 2, 3])
+# Up to four factors, P^0 among them, so that 1 + D can have the four
+# terms past its constant that ``__truediv__`` unrolls.
+wide_ambients = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
+    lambda factors: AmbientSpace(tuple(factors))
+)
+# Four positive factors, each of nonzero degree, are a rare draw, so each
+# test that can lose the fourth term of a division runs this case every time.
+FOUR_TERMS = (AmbientSpace((1, 2, 1, 1)), (1, 3, 2, 1))
+# Fewer cases than Hypothesis's default 100, to hold the three identity
+# tests below to about a quarter of a second in all; the examples pin
+# the cases that a wrong division fails on.
+IDENTITY_CASES = settings(max_examples=30)
 
 
 @st.composite
-def ambients_and_degrees(draw):
+def ambients_and_degrees(draw, ambients=small_ambients):
     # A multidegree whose divisor class is nonzero in the truncated ring.
-    ambient = draw(small_ambients)
+    ambient = draw(ambients)
     n = len(ambient.factors)
     degree = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
     assume(not divisor_class(ambient, degree).is_zero())
@@ -596,12 +615,51 @@ def test_pushdown_of_fiber_tangent_multiplies_by_fiber_euler(x, m):
 
 @given(classes_and_unit(), fiber_dims, st.data())
 def test_insert_factor_commutes_with_products_and_division(pair, m, data):
-    # The pullback is linear over the plain lift of the base ring.
+    # The pullback is linear over the plain lift of the base ring; u = 1 + D
+    # gives lci_m*'s pull_back(x, m) / (1 + D') = pull_back(x / (1 + D), m).
     x, u = pair
     y = data.draw(chow_classes(ambient=x.ambient))
     last = len(x.ambient.factors)
     assert pull_back(x * y, m) == pull_back(x, m) * inserted_oracle(y, m, last)
     assert pull_back(x / u, m) == pull_back(x, m) / inserted_oracle(u, m, last)
+
+
+def normal_class(ambient, degree):
+    return ChowClass.unit(ambient) + divisor_class(ambient, degree)
+
+
+@IDENTITY_CASES
+@example(case=FOUR_TERMS)
+@given(ambients_and_degrees(wide_ambients))
+def test_twisted_tangent_class_is_fulton_johnson(case):
+    # D c(TY) / (1 + D), a product and a division, against x - x / (1 + D).
+    Y, d = case
+    assert divisor_class(Y, d) * tangent_class(Y) / normal_class(Y, d) == fulton_johnson(Y, [d])
+
+
+@IDENTITY_CASES
+@example(case=FOUR_TERMS, m=1)
+@given(ambients_and_degrees(wide_ambients), fiber_dims)
+def test_twisted_pulled_back_tangent_class_is_product_fulton_johnson(case, m):
+    # With D' = D + 0 H_new, D' pull_back(c(TY)) / (1 + D') is the
+    # Fulton-Johnson class of X x P^m in Y x P^m.
+    Y, d = case
+    product, lifted = Y.extended(m), d + (0,)
+    twisted = divisor_class(product, lifted) * pull_back(tangent_class(Y), m) / normal_class(product, lifted)
+    assert twisted == fulton_johnson(product, [lifted])
+
+
+@IDENTITY_CASES
+# A dividend with a constant term beside one without.
+@example(case_and_classes=((P2, (1,)), [ChowClass.unit(P2), hyperplane(P2)]))
+@given(ambients_and_degrees(wide_ambients).flatmap(
+    lambda case: st.tuples(st.just(case), st.lists(chow_classes(case[0]), min_size=1, max_size=4))
+))
+def test_division_by_the_normal_class_is_additive(case_and_classes):
+    # The localization terms x_i / (1 + D) sum to the Milnor class (sum x_i) / (1 + D).
+    (Y, d), xs = case_and_classes
+    normal = normal_class(Y, d)
+    assert sum((x / normal for x in xs), ChowClass.zero(Y)) == sum(xs, ChowClass.zero(Y)) / normal
 
 
 # Classes store packed exponents; these check the boundary against

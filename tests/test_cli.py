@@ -676,18 +676,21 @@ class TestSmoothEuler:
 
 
 class TestRetiredTable:
-    def test_each_old_form_exits_2_and_names_report(self, capsys):
-        message = 'error: table is retired: report prints its euler for the scene '
-        message += '{"ambient": [n], "degrees": [[d]], "smooth": true}\n'
+    # The retired command has no subparser: argparse refuses it, as any unknown command.
+    def test_each_old_form_is_refused_by_argparse(self, capsys):
         for argv in (["table"], ["table", "--nmax", "4", "--dmax", "4"], ["--json", "table"]):
-            assert run(capsys, *argv) == (2, "", message)
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            captured = capsys.readouterr()
+            assert (exc.value.code, captured.out) == (2, "")
+            assert "invalid choice: 'table'" in captured.err
 
-    def test_help_lists_it_as_retired(self, capsys):
+    def test_help_does_not_list_it(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
-        # Joined on whitespace, since argparse wraps help to the terminal's width.
-        assert " table retired: report on a smooth scene prints its euler " in " ".join(capsys.readouterr().out.split())
+        out = capsys.readouterr().out
+        assert "{report,check,milnor}" in out and "table" not in out
 
 
 class TestParser:

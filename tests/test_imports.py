@@ -24,7 +24,10 @@ import contextlib, io, json, sys
 import milnorcalc, milnorcalc.cli
 argv, out = sys.argv[1:], io.StringIO()
 with contextlib.redirect_stdout(out):
-    code = milnorcalc.cli.main(argv) if argv else None
+    try:
+        code = milnorcalc.cli.main(argv) if argv else None
+    except SystemExit as exc:  # argparse refuses the command line
+        code = exc.code
 heavy = [name for name in json.loads(sys.stdin.read()) if name in sys.modules]
 print(json.dumps({"code": code, "stdout": out.getvalue(), "heavy": heavy}))
 """
@@ -79,7 +82,7 @@ def test_a_text_report_without_a_polynomial_loads_no_engine():
 
 
 def test_a_table_loads_no_engine():
-    # The retired command: each old form exits 2 before any class is computed.
+    # The retired command: argparse refuses each old form before any class is computed.
     for argv in (["table"], ["table", "--nmax", "4", "--dmax", "4"], ["--json", "table"]):
         assert run_fresh(*argv) == {"code": 2, "stdout": "", "heavy": []}
 

@@ -169,6 +169,37 @@ class TestSchemaErrors:
             scene_from_dict(data)
         assert str(err.value) == f"mu['singular_line']: an integer with more than {limit} digits"
 
+    # Each field that takes a quoted integer, its message prefix, and a
+    # text it loads; -10^30 + 1 is one that only a string can carry past 64 bits.
+    @pytest.mark.parametrize(
+        "path, context, good",
+        [
+            (("ambient", 0), "ambient", "3"),
+            (("strata", 1, "dim"), "stratum 'singular_line' dim", "1"),
+            (("strata", 1, "chi_c"), "stratum 'singular_line' chi_c", "2"),
+            (("strata", 1, "csm", "2"), "stratum 'singular_line' csm['2']", "1"),
+            (("mu", "singular_line"), "mu['singular_line']", "-" + "9" * 30),
+        ],
+        ids=["ambient", "dim", "chi_c", "csm", "mu"],
+    )
+    def test_quoted_integers_are_ascii_digits(self, path, context, good):
+        # int() alone reads the first four: a space, an underscore, a plus
+        # sign and an Arabic-Indic two.  A superscript two is a digit to
+        # str.isdigit, but not an ASCII one.
+        def with_value(value):
+            data = user_mu_dict()
+            target = data
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+            return data
+
+        for text in (" 1", "1_0", "+3", "٢", "²"):
+            with pytest.raises(SceneFileError) as err:
+                scene_from_dict(with_value(text))
+            assert str(err.value) == f"{context}: {text!r} is not an integer"
+        assert scene_from_dict(with_value(good)) == scene_from_dict(with_value(int(good)))
+
 
 class TestPolynomialRules:
     def test_chart_required(self):
