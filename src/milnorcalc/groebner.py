@@ -14,8 +14,10 @@ basis of A, is powered until its rank stops falling (Cox-Little-O'Shea,
 Using Algebraic Geometry, ch. 2 and 4).  M_f is built without division
 from border normal forms, integer rows over reduced denominators, and
 ranked over the integers by ``linalg`` after one scaling by their lcm.
-Chart validation stops once the leads found so far prove its quotient
-finite.  ``cancel`` is polled once per S-pair and once per pivot column.
+Chart validation takes the partials of F on the removed hyperplane w = 0
+to be the parts of degree d - 1 of the partials of f and of f itself,
+and stops once the leads found so far prove its quotient finite.
+``cancel`` is polled once per S-pair and once per pivot column.
 
 ``total_milnor_number`` keeps its last ``_MILNOR_CACHE_SIZE`` results for
 the process: a polynomial hashes by its variables and packed terms, so an
@@ -354,18 +356,15 @@ class MilnorResult(_Record):
         _Record.__init__(self, total_milnor, chart, off_curve_dim)
 
 
-def _validate_chart(f: Polynomial, degree: int, cancel: Optional[CancelCallback]) -> None:
-    # The singular locus must avoid the removed hyperplane: the quotient by
-    # the partials of F restricted to it must be finite (k if no variable
-    # is left).  They are the partials of the part of f of degree
-    # ``degree``, and the part of one degree less.
+def _validate_chart(f: Polynomial, partials: Sequence[Polynomial], degree: int, cancel: Optional[CancelCallback]) -> None:
+    # The singular locus must avoid the removed hyperplane w = 0, where dF/dx_i
+    # and dF/dw are the parts of degree d - 1 of df/dx_i and of f: the quotient
+    # by those parts must be finite (k if no variable is left).
     if not f.variables:
         return
     lay = _layout(len(f.variables))
     shift = lay.degree_shift
-    top = Polynomial._of_clean(f.variables, {m: c for m, c in f._terms.items() if m >> shift == degree})
-    gens = [top.derivative(i)._terms for i in range(len(f.variables))]
-    gens.append({m: c for m, c in f._terms.items() if m >> shift == degree - 1})
+    gens = [{m: c for m, c in p._terms.items() if m >> shift == degree - 1} for p in (*partials, f)]
     basis = _buchberger(gens, lay, cancel, stop_when_finite=True)
     if quotient_dim(GroebnerBasis(f.variables, basis)) == math.inf:
         raise SingularitiesOutsideChartError("singularities outside the chart")
@@ -446,13 +445,20 @@ def total_milnor_number(F: Polynomial, chart: str, cancel: Optional[CancelCallba
     # hyperplane is read from the degree field.
     if f.is_constant():
         # The hypersurface misses the chart entirely.
-        _validate_chart(f, degree, cancel)
+        _validate_chart(f, (), degree, cancel)
         return MilnorResult(0, chart, 0)
-    jac_basis = groebner(jacobian_ideal(f), cancel=cancel)
+    jacobian = jacobian_ideal(f)
+    jac_basis = groebner(jacobian, cancel=cancel)
     monomials = _standard_monomials(jac_basis)
     if monomials is None:
+        # With J + (f) finite, each positive-dimensional component of the
+        # critical locus lies off X, where f is a constant c != 0: along it
+        # dF/dx_i = 0 and dF/dw = d*c*w^(d-1), so for d >= 2 its closure
+        # meets w = 0 in singular points of X (for d = 1, J is (1)).
+        if quotient_dim(groebner(PolyIdeal((*jacobian.generators, f)), cancel)) < math.inf:
+            raise SingularitiesOutsideChartError("singularities outside the chart")
         raise NonIsolatedSingularitiesError("non-isolated singularities")
-    _validate_chart(f, degree, cancel)
+    _validate_chart(f, jacobian.generators, degree, cancel)
     rows, _ = _multiplication_rows(f._terms, jac_basis, monomials)
     off_curve_dim = _stable_rank(rows, cancel)
     return MilnorResult(len(monomials) - off_curve_dim, chart, off_curve_dim)

@@ -71,6 +71,31 @@ def chart_equation(text, variables, chart):
     return f, affine, [sympy.diff(f, x) for x in affine]
 
 
+def zero_dimensional(generators, symbols):
+    """Whether the affine variety of ``generators`` is finite: sympy's
+    test, which does not count the unit ideal, or the unit ideal."""
+    basis = sympy.groebner(generators, *symbols, order="grevlex", domain="QQ")
+    return basis.exprs == [1] or basis.is_zero_dimensional
+
+
+def chart_verdict(text, variables, chart):
+    """(whether the hypersurface ``text`` = 0 has a singular point on the
+    hyperplane ``chart`` = 0, whether J + (f) is zero-dimensional in the
+    chart ``chart`` = 1).  The partials of F restricted to the hyperplane
+    are forms, so they have a common zero other than 0 exactly when
+    their ideal is not zero-dimensional."""
+    symbols = sympy.symbols(variables)
+    names = dict(zip(variables, symbols))
+    F = sympy.sympify(text.replace("^", "**"), locals=names)
+    w = names[chart]
+    restricted = [sympy.expand(sympy.diff(F, x).subs(w, 0)) for x in symbols]
+    f, affine, jacobian = chart_equation(text, variables, chart)
+    return (
+        not zero_dimensional(restricted, [x for x in symbols if x != w]),
+        zero_dimensional(jacobian + [f], affine),
+    )
+
+
 def total_milnor(text, variables, chart):
     """The total Milnor number of the hypersurface ``text`` = 0 in the
     chart ``chart`` = 1, ``^`` read as a power."""

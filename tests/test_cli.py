@@ -558,6 +558,9 @@ class TestMilnor:
             ("x*y*z", "z"),
             # The cusp at (0:0:1) lies on y = 0.
             ("y^2*z - x^3", "y"),
+            # It lies on x = 0 too.  In chart x, f = y^2 z - 1 has the
+            # critical line y = 0 off the curve, so J alone is not finite.
+            ("y^2*z - x^3", "x"),
         ],
     )
     def test_singularities_on_the_removed_hyperplane(self, capsys, poly, chart):
@@ -565,6 +568,13 @@ class TestMilnor:
             code, out, err = run(
                 capsys, *json_flag, "milnor", "--poly", poly, "--vars", "x,y,z", "--chart", chart
             )
+            assert (code, out, err) == (3, "", "error: singularities outside the chart\n")
+
+    def test_a_scene_in_a_chart_that_misses_its_singular_point(self, tmp_path, capsys):
+        data = {"ambient": [2], "degrees": [[3]], "polynomial": "y^2*z - x^3", "chart": "x"}
+        path = write_scene(tmp_path, data)
+        for argv in (["report", path], ["--json", "report", path], ["check", path]):
+            code, out, err = run(capsys, *argv)
             assert (code, out, err) == (3, "", "error: singularities outside the chart\n")
 
     def test_chart_leaves_no_variable(self, capsys):

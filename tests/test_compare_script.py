@@ -345,7 +345,7 @@ def test_warm_block_comes_last_and_is_answered_from_the_memo(tmp_path):
     argvs = compare.all_invocations(tmp_path)
     warm = compare.warm_invocations(ROOT, tmp_path)
     assert argvs[-len(warm) :] == warm
-    assert len(argvs) == 1635
+    assert len(argvs) == 1637
     bare = str(tmp_path / "nodal-cubic-bare.json")
     assert json.loads(pathlib.Path(bare).read_text(encoding="utf-8")) == compare.NODAL_CUBIC
     corpus = sorted((ROOT / "scenes").glob("*.json"))

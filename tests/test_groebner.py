@@ -629,6 +629,59 @@ class TestSympyOracle:
         assert engine == reference.total_milnor(text, variables, chart) == total
 
 
+def seeded_forms(count, seed):
+    """Forms in x, y, z of degree 2 to 4 with two to four terms, each
+    coefficient in -2..2: sparse, so that many are singular."""
+    rng = random.Random(seed)
+    forms = []
+    for _ in range(count):
+        degree = rng.randint(2, 4)
+        monomials = [e for e in itertools.product(range(degree + 1), repeat=3) if sum(e) == degree]
+        terms = {e: rng.choice([-2, -1, 1, 2]) for e in rng.sample(monomials, rng.randint(2, 4))}
+        forms.append(str(Polynomial(XYZ, terms)))
+    return forms
+
+
+class TestChartVerdict:
+    """The exit-3 verdict of each chart against sympy alone: a singular
+    point on the removed plane, and J + (f) of positive dimension."""
+
+    @pytest.mark.parametrize(
+        "text",
+        # The cusp (0:0:1) is on x = 0 and y = 0; in chart x its equation
+        # has a critical line off the curve.  x*y*z has two nodes on z = 0,
+        # and x^2*y the double line x = 0.
+        ["y^2*z - x^3", "x*y*z", "x^2*y"] + seeded_forms(16, seed=52),
+    )
+    def test_exit_3_errors_match_sympy(self, text):
+        pytest.importorskip("sympy")
+        import reference
+
+        for chart in XYZ:
+            on_hyperplane, isolated = reference.chart_verdict(text, XYZ, chart)
+            try:
+                total_milnor_number(P(text, XYZ), chart)
+                error = None
+            except (NonIsolatedSingularitiesError, SingularitiesOutsideChartError) as exc:
+                error = type(exc)
+            assert (error is not None, error is NonIsolatedSingularitiesError) == (on_hyperplane, not isolated)
+
+    def test_the_named_cases_are_decided(self):
+        pytest.importorskip("sympy")
+        import reference
+
+        verdicts = {
+            (text, chart): reference.chart_verdict(text, XYZ, chart)
+            for text, chart in [("y^2*z - x^3", "x"), ("y^2*z - x^3", "y"), ("x*y*z", "z"), ("x^2*y", "z")]
+        }
+        assert verdicts == {
+            ("y^2*z - x^3", "x"): (True, True),
+            ("y^2*z - x^3", "y"): (True, True),
+            ("x*y*z", "z"): (True, True),
+            ("x^2*y", "z"): (True, False),
+        }
+
+
 @st.composite
 def small_ideals(draw):
     """At most three generators of degree at most 3 in two or three variables."""
@@ -824,7 +877,7 @@ class TestValidationStop:
         # The milnor family: the restricted partials are b_i x_i^(d-1).
         calls, pairs = self.spy(monkeypatch), self.spy(monkeypatch, "_lcm")
         f, degree, lay = chart_equation("2*z*x^2 + 3*x^3 + 5*z*y^2 + 7*y^3", "z")
-        groebner_module._validate_chart(f, degree, None)
+        groebner_module._validate_chart(f, jacobian_ideal(f).generators, degree, None)
         # The partials 9x^2 and 21y^2 of the top part come back monic, each
         # lead with an empty tail.
         gens = [P("3*x^3 + 7*y^3").derivative(i)._terms for i in range(2)]
@@ -843,7 +896,7 @@ class TestValidationStop:
         # S-pair gives y^3.
         calls = self.spy(monkeypatch)
         f, degree, _ = chart_equation("3*x^2*y + y^3 + z^3", "z")
-        groebner_module._validate_chart(f, degree, None)
+        groebner_module._validate_chart(f, jacobian_ideal(f).generators, degree, None)
         assert len(calls) >= 1
         assert total_milnor_number(P("3*x^2*y + y^3 + z^3", XYZ), "z").total_milnor == 0
 
@@ -851,7 +904,7 @@ class TestValidationStop:
         # The cusp of y^2 z - x^3 lies on y = 0: only x has a pure power.
         f, degree, _ = chart_equation("y^2*z - x^3", "y")
         with pytest.raises(SingularitiesOutsideChartError):
-            groebner_module._validate_chart(f, degree, None)
+            groebner_module._validate_chart(f, jacobian_ideal(f).generators, degree, None)
 
 
 class TestMilnorMemo:
